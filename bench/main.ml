@@ -108,8 +108,8 @@ let kernel_runs : kernel_run list ref = ref []
 (* Multi-tenant batched solving vs back-to-back serial solves (batch
    section, DESIGN.md §16): N concurrent yield searches multiplexed over
    one scheduler pool. Round counts and result identity are deterministic
-   (stdout); wall times, speculative waste and scratch reuses vary with
-   the host / domain scheduling and go to stderr and the batch block of
+   (stdout); wall times and speculative waste vary with the host / domain
+   scheduling and go to stderr and the batch block of
    BENCH_par.json. The CI-gated headline is the round ratio — serial
    binary-search rounds per interleaved scheduler round — not wall
    clock. *)
@@ -121,7 +121,6 @@ type batch_run = {
   b_serial_rounds : int;
   b_sched_rounds : int;
   b_waste : int;
-  b_scratch_reuses : int;
   b_identical : bool;
 }
 
@@ -155,8 +154,8 @@ type lp_probe_run = {
 
 let lp_probe_runs : lp_probe_run list ref = ref []
 
-(* Sparse Markowitz LU vs the dense-LU + eta-file factorization backend
-   (VMALLOC_DENSE_LU=1) over the same cold + warm re-solve sequence (lp
+(* Sparse Markowitz LU vs the dense-LU + eta-file factorization oracle
+   (Oracles.Dense_lu) over the same cold + warm re-solve sequence (lp
    section). Flop, fill and refactorization counters are deterministic;
    wall times are not. *)
 type lp_sparse_lu_run = {
@@ -258,13 +257,13 @@ let write_bench_par_json ~scale_label ~total path =
          \"batched_seconds\": %.4f, \"throughput_speedup\": %.2f, \
          \"serial_rounds\": %d, \"rounds_interleaved\": %d, \
          \"round_speedup\": %.2f, \"speculative_waste\": %d, \
-         \"scratch_reuses\": %d, \"identical\": %b}%s\n"
+         \"identical\": %b}%s\n"
         b.b_tenants b.b_domains b.b_serial_s b.b_batched_s
         (if b.b_batched_s > 0. then b.b_serial_s /. b.b_batched_s else 0.)
         b.b_serial_rounds b.b_sched_rounds
         (float_of_int b.b_serial_rounds
         /. float_of_int (max 1 b.b_sched_rounds))
-        b.b_waste b.b_scratch_reuses b.b_identical
+        b.b_waste b.b_identical
         (if i < List.length bs - 1 then "," else ""))
     bs;
   out "  ],\n";
@@ -571,8 +570,11 @@ let solutions_identical a b =
   | _ -> false
 
 let kernel_measure ~algorithm ~strategies ~domains ~reps inst =
-  let solve pool kernel () =
-    Heuristics.Vp_solver.solve_multi ?pool ~kernel strategies inst
+  let kernel_solve pool () =
+    Heuristics.Vp_solver.solve_multi ?pool strategies inst
+  in
+  let naive_solve pool () =
+    Oracles.Naive_probe.solve_multi ?pool strategies inst
   in
   let best f =
     let best_t = ref infinity and result = ref None in
@@ -586,8 +588,8 @@ let kernel_measure ~algorithm ~strategies ~domains ~reps inst =
     (Option.get !result, !best_t)
   in
   let run pool =
-    let kernel, k_kernel_s = best (solve pool true) in
-    let naive, k_naive_s = best (solve pool false) in
+    let kernel, k_kernel_s = best (kernel_solve pool) in
+    let naive, k_naive_s = best (naive_solve pool) in
     (kernel, naive, k_kernel_s, k_naive_s)
   in
   let kernel, naive, k_kernel_s, k_naive_s =
@@ -629,8 +631,7 @@ let run_kernel () =
   Stats.Table.print table
 
 (* Multi-tenant batch workload: same-shape tenants (hosts x services
-   fixed — shape equality is what lets a completed job's retired kernels
-   rebind to later probes) with varying slack and rep. *)
+   fixed) with varying slack and rep. *)
 let batch_jobs ~tenants =
   let slacks = [| 0.3; 0.4; 0.5 |] in
   Array.init tenants (fun i ->
@@ -660,10 +661,9 @@ let results_identical a b =
 
 (* One (tenants, domains) point: the serial arm is passed in (it is
    shared across the pool sizes); the batched arm runs [reps] passes over
-   one pool so pass 2 rebinds the kernels pass 1 retired
-   (scheduler.scratch_reuses). Counters come from pass 1 alone — one
-   deterministic batch execution — except reuses, summed over all
-   passes. *)
+   one scheduler, timed best-of and checked identical to each other.
+   Counters come from pass 1 alone — one deterministic batch
+   execution. *)
 let batch_measure ~tenants ~domains ~reps
     ~serial:(serial_results, b_serial_s, b_serial_rounds) jobs =
   let time f =
@@ -677,8 +677,7 @@ let batch_measure ~tenants ~domains ~reps
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  let first, b_batched_s, b_sched_rounds, b_waste, b_scratch_reuses,
-      passes_identical =
+  let first, b_batched_s, b_sched_rounds, b_waste, passes_identical =
     Par.Pool.with_pool ~domains @@ fun pool ->
     let sched = Par.Scheduler.create ~pool in
     let pass () =
@@ -692,18 +691,14 @@ let batch_measure ~tenants ~domains ~reps
     let first, dt1, snap1 = pass () in
     let v = Obs.Metrics.Snapshot.counter_value snap1 in
     let best = ref dt1 in
-    let reuses = ref (v "scheduler.scratch_reuses") in
     let identical = ref true in
     for _ = 2 to reps do
-      let r, dt, snap = pass () in
+      let r, dt, _ = pass () in
       if not (results_identical r first) then identical := false;
-      if dt < !best then best := dt;
-      reuses :=
-        !reuses
-        + Obs.Metrics.Snapshot.counter_value snap "scheduler.scratch_reuses"
+      if dt < !best then best := dt
     done;
     ( first, !best, v "scheduler.rounds_interleaved",
-      v "binary_search.speculative_waste", !reuses, !identical )
+      v "binary_search.speculative_waste", !identical )
   in
   let r =
     {
@@ -714,15 +709,13 @@ let batch_measure ~tenants ~domains ~reps
       b_serial_rounds;
       b_sched_rounds;
       b_waste;
-      b_scratch_reuses;
       b_identical = passes_identical && results_identical first serial_results;
     }
   in
   batch_runs := r :: !batch_runs;
   Printf.eprintf
-    "[bench] batch t=%d d=%d: serial %.2fs  batched %.2fs  waste %d  \
-     reuses %d\n%!"
-    tenants domains b_serial_s b_batched_s b_waste b_scratch_reuses;
+    "[bench] batch t=%d d=%d: serial %.2fs  batched %.2fs  waste %d\n%!"
+    tenants domains b_serial_s b_batched_s b_waste;
   r
 
 (* The serial arm: the same jobs solved back-to-back, counting the yield
@@ -866,15 +859,15 @@ let lp_solver_measure ~label p =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let rd, l_dense_s = time (fun () -> Lp.Dense_simplex.solve p) in
+  let rd, l_dense_s = time (fun () -> Oracles.Dense_simplex.solve p) in
   let rr, l_revised_s = time (fun () -> Lp.Simplex.solve p) in
   let l_agree =
     match (rd, rr) with
-    | Lp.Dense_simplex.Optimal d, Lp.Simplex.Optimal r ->
+    | Oracles.Dense_simplex.Optimal d, Lp.Simplex.Optimal r ->
         Float.abs (d.objective -. r.objective)
         <= 1e-6 *. (1. +. Float.abs d.objective)
-    | Lp.Dense_simplex.Infeasible, Lp.Simplex.Infeasible
-    | Lp.Dense_simplex.Unbounded, Lp.Simplex.Unbounded ->
+    | Oracles.Dense_simplex.Infeasible, Lp.Simplex.Infeasible
+    | Oracles.Dense_simplex.Unbounded, Lp.Simplex.Unbounded ->
         true
     | _ -> false
   in
@@ -933,10 +926,10 @@ let lp_probe_measure ~label instance =
     l_cold_s l_warm_s;
   run
 
-(* One LP through the revised simplex under both factorization backends:
-   a cold solve plus three warm re-solves from the optimal basis.
-   VMALLOC_DENSE_LU is read per solve, so toggling it in-process selects
-   the backend. The arms must return bit-identical solutions (locked
+(* One LP through the revised simplex on both factorizations — the
+   production sparse LU (Lp.Simplex) and the dense-LU oracle
+   (Oracles.Dense_lu): a cold solve plus three warm re-solves from the
+   optimal basis. The arms must return bit-identical solutions (locked
    exhaustively by test_simplex_diff.ml); here identity doubles as a
    sanity bit in the artifact — verdict and objective bits here; the full
    vectors only on the lp_gen corpus, see below — and the flop counters
@@ -954,22 +947,17 @@ let lp_sparse_lu_measure ~label p =
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  let arm dense =
-    let prev = Sys.getenv_opt "VMALLOC_DENSE_LU" in
-    Unix.putenv "VMALLOC_DENSE_LU" (if dense then "1" else "0");
-    Fun.protect ~finally:(fun () ->
-        Unix.putenv "VMALLOC_DENSE_LU" (Option.value prev ~default:"0"))
-    @@ fun () ->
+  let arm (module Solver : Lp.Simplex.SOLVER) =
     Obs.Metrics.set_enabled false;
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
     let results, dt =
       time @@ fun () ->
-      let r, basis = Lp.Simplex.solve_basis p in
+      let r, basis = Solver.solve_basis p in
       r
       ::
       (match basis with
-      | Some b -> List.init 3 (fun _ -> Lp.Simplex.solve ~warm_basis:b p)
+      | Some b -> List.init 3 (fun _ -> Solver.solve ~warm_basis:b p)
       | None -> [])
     in
     Obs.Metrics.set_enabled false;
@@ -980,9 +968,11 @@ let lp_sparse_lu_measure ~label p =
   in
   let rs, s_sparse_s, s_sparse_flops, s_fill_in, s_ft_updates,
       s_sparse_refactors =
-    arm false
+    arm (module Lp.Simplex)
   in
-  let rd, s_dense_s, s_dense_flops, _, _, s_dense_refactors = arm true in
+  let rd, s_dense_s, s_dense_flops, _, _, s_dense_refactors =
+    arm (module Oracles.Dense_lu)
+  in
   (* Verdicts and optimal objectives must match to the last bit. The full
      solution vector is bit-identical too on the lp_gen corpus (locked by
      test_simplex_diff.ml), but the paper relaxations at this scale have

@@ -5,18 +5,17 @@
    A [Yield_search] job becomes a stepped request around a
    [Binary_search.plan]: each scheduler round it contributes its current
    probe batch as tasks (thunks writing verdicts into a request-local
-   buffer), and on completion retires its kernel token so the per-domain
-   scratch pools can rebind the kernels to later jobs. A [Direct] job
-   contributes a single one-shot task running the whole solve. Both are
-   pure functions of their own results, so the batched run is
-   bit-identical to solving the jobs back-to-back sequentially —
-   whatever the pool size, interleaving, or speculation depth. *)
+   buffer). A [Direct] job contributes a single one-shot task running the
+   whole solve. Both are pure functions of their own results, so the
+   batched run is bit-identical to solving the jobs back-to-back
+   sequentially — whatever the pool size, interleaving, or speculation
+   depth. *)
 
 type job = { algo : Algorithms.t; instance : Model.Instance.t }
 
 let yield_search_request ?tolerance ?depth ~sched ~strategies ~instance
     ~(out : Vp_solver.solution option -> unit) () =
-  let oracle, retire = Vp_solver.batch_oracle strategies instance in
+  let oracle = Vp_solver.batch_oracle strategies instance in
   let pool_size = Par.Pool.size (Par.Scheduler.pool sched) in
   let depth_fn =
     match depth with
@@ -39,7 +38,6 @@ let yield_search_request ?tolerance ?depth ~sched ~strategies ~instance
         Some
           (Array.mapi (fun j y -> fun () -> buf.(j) <- oracle y) points)
     | None ->
-        retire ();
         out
           (match Binary_search.plan_result plan with
           | None -> None

@@ -6,10 +6,9 @@
     round, with speculation depth chosen per round by
     {!Binary_search.adaptive_depth} from the measured probe cost and the
     scheduler's live-request occupancy — while {!Algorithms.Direct}
-    algorithms run as single one-shot tasks. Completed yield searches
-    retire their probe-kernel tokens, so the per-domain scratch pools
-    rebind their kernels to later same-shaped jobs
-    ([scheduler.scratch_reuses]) instead of allocating per solve.
+    algorithms run as single one-shot tasks. Each yield search owns its
+    probe kernels ({!Vp_solver.batch_oracle}), which are dropped when it
+    completes.
 
     Results are bit-identical to solving the same jobs back-to-back
     sequentially, at any pool size and any (forced or adaptive)

@@ -26,7 +26,6 @@ let pack_at_yield strategy instance y =
 let c_oracle = Obs.Metrics.counter "vp_solver.oracle_calls"
 let c_feasible = Obs.Metrics.counter "vp_solver.oracle_feasible"
 let c_attempts = Obs.Metrics.counter "vp_solver.strategy_attempts"
-let c_pruned = Obs.Metrics.counter "vp_solver.strategies_pruned"
 let h_win_index = Obs.Metrics.histogram "vp_solver.strategies_per_win"
 
 let win_counter strategy =
@@ -34,98 +33,40 @@ let win_counter strategy =
 
 let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
 
-let probe_single strategy instance y =
-  Obs.Trace.span "probe" ~args:(probe_args y) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  Obs.Metrics.incr c_attempts;
-  match pack_at_yield strategy instance y with
-  | None -> None
-  | Some placement ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr c_feasible;
-        Obs.Metrics.incr (win_counter strategy);
-        Obs.Metrics.observe h_win_index 1
-      end;
-      Some placement
-
-let probe_multi strategies instance y =
-  Obs.Trace.span "probe" ~args:(probe_args y) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  let rec attempt idx = function
-    | [] -> None
-    | strategy :: rest -> (
-        Obs.Metrics.incr c_attempts;
-        match pack_at_yield strategy instance y with
-        | None -> attempt (idx + 1) rest
-        | Some placement ->
-            if Obs.Metrics.enabled () then begin
-              Obs.Metrics.incr c_feasible;
-              Obs.Metrics.incr (win_counter strategy);
-              Obs.Metrics.observe h_win_index idx
-            end;
-            Obs.Trace.instant "win"
-              ~args:
-                (("strategy", Packing.Strategy.name strategy) :: probe_args y);
-            Some placement)
-  in
-  attempt 1 strategies
-
 (* Probe-shared packing kernel (DESIGN.md §11). Every strategy attempt of
-   one fixed-yield probe sees the same item demands, so the kernel builds
-   the item array once per solve and refills its demand vectors in place
-   per probe (a fused [r + y*n] pass over the instance's flattened
-   buffers), recycles one bin array via [Bin.reset] instead of
-   reallocating per attempt, and memoizes per-probe sort orders and
-   Permutation-Pack item permutations through [Strategy.cache].
+   one fixed-yield probe sees the same item demands, so the kernel holds
+   one item array whose demand vectors are refilled in place per probe (a
+   fused [r + y*n] pass over the instance's flattened buffers), recycles
+   one bin array via [Bin.reset] instead of reallocating per attempt, and
+   memoizes per-probe sort orders and Permutation-Pack item permutations
+   through [Strategy.cache].
 
-   Bit-identity with the naive path: refilled demands use the exact
-   [axpy] expression fresh allocation uses; reset bins equal fresh bins;
-   memoized sorts are the same stable sorts over the same values; and the
-   scratch-backed Permutation-Pack selection compares the same keys with
-   the same tie-breaks. Locked down by test_kernel_diff.ml.
-
-   Monotone strategy pruning — skip a strategy at probe [y] once it has
-   failed at some [y' <= y] — is also implemented, but as an *opt-in*
-   ([~prune:true] / VMALLOC_PROBE_PRUNE=1). Its premise, per-strategy
-   monotone feasibility, is strictly stronger than the combined-oracle
-   monotonicity the binary search assumes, and differential sweeps at
-   Table-1 scale falsified it: packing heuristics are anomalous, so a
-   strategy that fails at [y'] can succeed at [y > y'] when its sort
-   order flips, and an exact skip-with-verification scheme would re-run
-   every skipped attempt and save nothing. Measured on the Table-1
-   workload the rule fires a handful of times per solve (feasible probes
-   win at index ~1-2; infeasible probes arrive in decreasing yield order,
-   so their failures never enable a skip), so the default path gives up
-   almost nothing by leaving it off — and keeps its outputs bit-identical
-   to the naive path. *)
+   Bit-identity with the naive fresh-allocation path ([pack_at_yield] per
+   strategy): refilled demands use the exact [axpy] expression fresh
+   allocation uses; reset bins equal fresh bins; memoized sorts are the
+   same stable sorts over the same values; and the scratch-backed
+   Permutation-Pack selection compares the same keys with the same
+   tie-breaks. Locked down by test_kernel_diff.ml. *)
 type kernel = {
-  mutable k_instance : Model.Instance.t;
-      (* mutable: scratch-pool rebinding re-points a retired solve's
-         kernel at the next solve's instance *)
   k_items : Packing.Item.t array;
   k_bins : Packing.Bin.t array;
   k_cache : Packing.Strategy.cache;
-  mutable k_fail : float array;
-      (* per strategy: lowest yield this solve has seen it fail at *)
   mutable k_yield : float;  (* yield k_items currently hold; nan = none *)
 }
 
-let make_kernel instance ~n_strategies =
+let make_kernel instance =
   let dims = instance.Model.Instance.dims in
   {
-    k_instance = instance;
     k_items =
       Array.init (Model.Instance.n_services instance) (fun j ->
           Packing.Item.v ~id:j ~demand:(Vec.Epair.zero dims));
     k_bins = fresh_bins instance;
     k_cache = Packing.Strategy.cache ();
-    k_fail = Array.make (max 1 n_strategies) infinity;
     k_yield = Float.nan;
   }
 
-let refill k yld =
+let refill inst k yld =
   if not (k.k_yield = yld) then begin
-    let inst = k.k_instance in
     let dims = inst.Model.Instance.dims in
     Array.iteri
       (fun j (it : Packing.Item.t) ->
@@ -140,178 +81,47 @@ let refill k yld =
     k.k_yield <- yld
   end
 
-(* Per-domain kernel scratch pools (DESIGN.md §16). The speculative probe
-   search evaluates one solve's probes on several domains at once, so the
-   scratch must be domain-local; under the batched scheduler many
-   concurrent solves (tokens) additionally interleave on every domain, so
-   each domain keeps a small token-keyed working set instead of PR 5's
-   single latest-solve slot — and a free list of kernels whose solves
-   have retired, to be *rebound* to the next same-shaped solve instead of
-   allocated afresh. Results are domain-count independent — every kernel,
-   fresh or rebound, computes the same bits (rebinding restores exactly
-   the freshly-made state: [Bin.rebind] bins, [Strategy.cache_reset]
-   memos, pristine failure table, no held yield) — only the reuse/memo
-   *hit* counters can vary with probe-task placement, like
-   [binary_search.speculative_waste] already does. *)
-type kernel_pool = {
-  mutable entries : (int * kernel) list;  (* most recent solve first *)
-  mutable free : kernel list;  (* retired kernels awaiting rebinding *)
+(* The kernels of one solve. The speculative search runs several probes
+   of a solve at once, so a probe takes a free kernel — or makes one when
+   none is free — and gives it back when done: a solve never holds more
+   kernels than it ran concurrent probes, and they die with it. Every
+   kernel computes the same bits, so results do not depend on which probe
+   got which kernel. *)
+type kernels = {
+  instance : Model.Instance.t;
+  lock : Mutex.t;
+  mutable free : kernel list;
 }
 
-(* Working-set bound per domain: above the live-token count of any sane
-   batch, so eviction is a memory backstop for long-lived processes that
-   never retire tokens (standalone solves), not a churn mechanism —
-   keeping it comfortably above the trial counts of the byte-identity
-   tests also keeps eviction (whose count depends on task placement) out
-   of their snapshots. *)
-let entries_cap = 64
-let free_cap = 32
-
-let kernel_pools : kernel_pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { entries = []; free = [] })
-
-let solve_tokens = Atomic.make 0
-
-(* Retired solve tokens, published by the batched driver when a request
-   completes. Domains cannot reach into each other's domain-local pools,
-   so retirement is a shared mark that every domain applies lazily (on
-   its next kernel miss), moving dead entries to its free list. Bounded:
-   a full table is dropped wholesale — losing pending marks only delays
-   reuse until the entries cap evicts, it never affects results. *)
-let retired : (int, unit) Hashtbl.t = Hashtbl.create 64
-let retired_mutex = Mutex.create ()
-let retired_cap = 8192
-
-let retire_token token =
-  Mutex.lock retired_mutex;
-  if Hashtbl.length retired >= retired_cap then Hashtbl.reset retired;
-  Hashtbl.replace retired token ();
-  Mutex.unlock retired_mutex
-
-let sweep_retired pool =
-  if pool.entries <> [] then begin
-    Mutex.lock retired_mutex;
-    let dead, live =
-      List.partition (fun (t, _) -> Hashtbl.mem retired t) pool.entries
-    in
-    Mutex.unlock retired_mutex;
-    if dead <> [] then begin
-      pool.entries <- live;
-      List.iter
-        (fun (_, k) ->
-          if List.length pool.free < free_cap then pool.free <- k :: pool.free)
-        dead
-    end
-  end
-
-let c_scratch = Obs.Metrics.counter "scheduler.scratch_reuses"
-
-let shape_matches k instance =
-  Array.length k.k_items = Model.Instance.n_services instance
-  && Array.length k.k_bins = Model.Instance.n_nodes instance
-  && (Array.length k.k_bins = 0
-     || Packing.Bin.dim k.k_bins.(0) = instance.Model.Instance.dims)
-
-(* Restore a recycled kernel to exactly the state [make_kernel] would
-   build for [instance]: re-point the bins at the new nodes' capacities,
-   drop every sort/permutation memo (the bin memos alias the old bins),
-   reset the failure table, and forget the held yield so the first probe
-   refills the item demands from the new instance's buffers. *)
-let rebind_kernel k instance ~n_strategies =
-  k.k_instance <- instance;
-  Array.iteri
-    (fun h (b : Packing.Bin.t) ->
-      Packing.Bin.rebind b
-        ~capacity:(Model.Instance.node instance h).Model.Node.capacity)
-    k.k_bins;
-  Packing.Strategy.cache_reset k.k_cache;
-  let n = max 1 n_strategies in
-  if Array.length k.k_fail = n then
-    Array.fill k.k_fail 0 n infinity
-  else k.k_fail <- Array.make n infinity;
-  k.k_yield <- Float.nan
-
-let take_free pool instance =
-  let rec go acc = function
-    | [] -> None
-    | k :: rest when shape_matches k instance ->
-        pool.free <- List.rev_append acc rest;
-        Some k
-    | k :: rest -> go (k :: acc) rest
+let take ks =
+  let k =
+    Mutex.protect ks.lock (fun () ->
+        match ks.free with
+        | k :: rest ->
+            ks.free <- rest;
+            Some k
+        | [] -> None)
   in
-  go [] pool.free
+  match k with Some k -> k | None -> make_kernel ks.instance
 
-let evict_oldest pool =
-  match List.rev pool.entries with
-  | [] -> ()
-  | (_, k) :: rev_rest ->
-      pool.entries <- List.rev rev_rest;
-      if List.length pool.free < free_cap then pool.free <- k :: pool.free
+let give ks k = Mutex.protect ks.lock (fun () -> ks.free <- k :: ks.free)
 
-let kernel_for ~token instance ~n_strategies =
-  let pool = Domain.DLS.get kernel_pools in
-  match List.assoc_opt token pool.entries with
-  | Some k -> k
-  | None ->
-      sweep_retired pool;
-      if List.length pool.entries >= entries_cap then evict_oldest pool;
-      let k =
-        match take_free pool instance with
-        | Some k ->
-            rebind_kernel k instance ~n_strategies;
-            Obs.Metrics.incr c_scratch;
-            k
-        | None -> make_kernel instance ~n_strategies
-      in
-      pool.entries <- (token, k) :: pool.entries;
-      k
-
-let attempt_kernel k strategy ~prune ~index ~yld =
-  if prune && k.k_fail.(index) <= yld then begin
-    Obs.Metrics.incr c_pruned;
-    None
-  end
-  else begin
-    Obs.Metrics.incr c_attempts;
-    Array.iter Packing.Bin.reset k.k_bins;
-    match
-      Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
-        ~items:k.k_items
-    with
-    | None ->
-        if yld < k.k_fail.(index) then k.k_fail.(index) <- yld;
-        None
-    | some -> some
-  end
-
-let probe_single_kernel ~token strategy instance yld =
+(* One fixed-yield probe: the strategies in order until one packs. *)
+let probe ks strategies yld =
   Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
   Obs.Metrics.incr c_oracle;
-  let k = kernel_for ~token instance ~n_strategies:1 in
-  refill k yld;
-  match attempt_kernel k strategy ~prune:false ~index:0 ~yld with
-  | None -> None
-  | Some placement ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr c_feasible;
-        Obs.Metrics.incr (win_counter strategy);
-        Obs.Metrics.observe h_win_index 1
-      end;
-      Some placement
-
-let probe_multi_kernel ~token ~prune strategies ~n_strategies instance yld =
-  Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  let k = kernel_for ~token instance ~n_strategies in
-  refill k yld;
-  (* [idx] counts performed attempts (the strategies_per_win bill);
-     [i] indexes the full list for the pruning table. *)
-  let rec attempt i idx = function
+  let k = take ks in
+  refill ks.instance k yld;
+  let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (
-        let skipped = prune && k.k_fail.(i) <= yld in
-        match attempt_kernel k strategy ~prune ~index:i ~yld with
-        | None -> attempt (i + 1) (if skipped then idx else idx + 1) rest
+        Obs.Metrics.incr c_attempts;
+        Array.iter Packing.Bin.reset k.k_bins;
+        match
+          Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
+            ~items:k.k_items
+        with
+        | None -> attempt (idx + 1) rest
         | Some placement ->
             if Obs.Metrics.enabled () then begin
               Obs.Metrics.incr c_feasible;
@@ -324,32 +134,14 @@ let probe_multi_kernel ~token ~prune strategies ~n_strategies instance yld =
                 :: probe_args yld);
             Some placement)
   in
-  attempt 0 1 strategies
+  let result = attempt 1 strategies in
+  give ks k;
+  result
 
-(* VMALLOC_NO_PROBE_CACHE=1 restores the naive fresh-allocation probe path
-   (no shared scratch, no sort memos, no pruning) — the escape hatch the
-   differential tests diff against. Read per solve so tests can toggle it;
-   the [?kernel] argument overrides the environment either way. *)
-let kernel_disabled_env () =
-  match Sys.getenv_opt "VMALLOC_NO_PROBE_CACHE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
+let oracle strategies instance =
+  probe { instance; lock = Mutex.create (); free = [] } strategies
 
-let use_kernel = function
-  | Some choice -> choice
-  | None -> not (kernel_disabled_env ())
-
-(* Monotone pruning is opt-in (see the kernel comment above): default off,
-   enabled per process with VMALLOC_PROBE_PRUNE=1 or per solve with
-   [~prune:true]; the argument overrides the environment either way. *)
-let prune_enabled_env () =
-  match Sys.getenv_opt "VMALLOC_PROBE_PRUNE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let use_prune = function
-  | Some choice -> choice
-  | None -> prune_enabled_env ()
+let batch_oracle = oracle
 
 let evaluate instance placement =
   match Model.Placement.min_yield instance placement with
@@ -360,53 +152,25 @@ let finish instance = function
   | None -> None
   | Some (placement, _probed_yield) -> evaluate instance placement
 
-(* Probe oracles are pure as observed from outside (the kernel's scratch
-   is domain-local and every domain computes identical bits; the naive
-   path allocates fresh items and bins per call), so a pool of size > 1
-   can run the speculative multi-probe search and still return
-   bit-identical results. *)
+(* Probe oracles are pure as observed from outside (kernels are per solve
+   and every kernel computes identical bits), so a pool of size > 1 can
+   run the speculative multi-probe search and still return bit-identical
+   results. *)
 let search ?tolerance ?pool ?on_round oracle =
   match pool with
   | Some pool when Par.Pool.size pool > 1 ->
       Binary_search.maximize_par ?tolerance ?on_round ~pool oracle
   | Some _ | None -> Binary_search.maximize ?tolerance ?on_round oracle
 
-let solve ?tolerance ?pool ?on_round ?kernel strategy instance =
+let solve ?tolerance ?pool ?on_round strategy instance =
   Obs.Trace.span "solve" ~args:[ ("strategy", Packing.Strategy.name strategy) ]
   @@ fun () ->
-  let oracle =
-    if use_kernel kernel then
-      let token = Atomic.fetch_and_add solve_tokens 1 in
-      probe_single_kernel ~token strategy instance
-    else probe_single strategy instance
-  in
-  search ?tolerance ?pool ?on_round oracle |> finish instance
+  search ?tolerance ?pool ?on_round (oracle [ strategy ] instance)
+  |> finish instance
 
-(* Oracle factory for the batched solve driver ({!Batch}): the same
-   probe path [solve_multi] uses, but handed out raw so a
-   {!Binary_search.plan} can be stepped by {!Par.Scheduler}, plus the
-   retirement hook that releases the solve's kernels into the per-domain
-   free pools once the request completes. *)
-let batch_oracle ?kernel ?prune strategies instance =
-  if use_kernel kernel then begin
-    let token = Atomic.fetch_and_add solve_tokens 1 in
-    ( probe_multi_kernel ~token ~prune:(use_prune prune) strategies
-        ~n_strategies:(List.length strategies)
-        instance,
-      fun () -> retire_token token )
-  end
-  else (probe_multi strategies instance, fun () -> ())
-
-let solve_multi ?tolerance ?pool ?on_round ?kernel ?prune strategies instance =
+let solve_multi ?tolerance ?pool ?on_round strategies instance =
   Obs.Trace.span "solve_multi"
     ~args:[ ("strategies", string_of_int (List.length strategies)) ]
   @@ fun () ->
-  let oracle =
-    if use_kernel kernel then
-      let token = Atomic.fetch_and_add solve_tokens 1 in
-      probe_multi_kernel ~token ~prune:(use_prune prune) strategies
-        ~n_strategies:(List.length strategies)
-        instance
-    else probe_multi strategies instance
-  in
-  search ?tolerance ?pool ?on_round oracle |> finish instance
+  search ?tolerance ?pool ?on_round (oracle strategies instance)
+  |> finish instance

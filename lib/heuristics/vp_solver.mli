@@ -5,6 +5,12 @@
     [(rᵉ + y·nᵉ, rᵃ + y·nᵃ)] and every node a bin; a successful packing is
     a valid placement at that yield.
 
+    Every probe of a solve runs through the probe-shared packing kernel
+    (DESIGN.md §11), the one production probe path; the solve owns its
+    kernels. The naive fresh-allocation path it must match bit-for-bit is
+    {!pack_at_yield} per strategy, which the test suite's oracle drives
+    under the same search.
+
     Packing strategies are one kind of yield-probe oracle; the LP
     relaxation is the other ({!Milp.relaxed_yield_search}, which threads a
     warm-start basis through {!Binary_search.maximize_warm} instead of a
@@ -31,7 +37,6 @@ val solve :
   ?tolerance:float ->
   ?pool:Par.Pool.t ->
   ?on_round:(float array -> unit) ->
-  ?kernel:bool ->
   Packing.Strategy.t ->
   Model.Instance.t ->
   solution option
@@ -40,58 +45,35 @@ val solve :
     same solution bit-for-bit, fewer oracle rounds. [on_round] observes
     each round's probed yields (instrumentation).
 
-    By default probes run through the probe-shared packing kernel
-    (DESIGN.md §11): per-solve item/bin scratch refilled in place,
-    memoized sort orders and Permutation-Pack item permutations —
-    bit-identical to the naive fresh-allocation path, just cheaper. Set
-    the [VMALLOC_NO_PROBE_CACHE=1] environment variable (read per solve)
-    or pass [~kernel:false] to restore the naive path; [~kernel]
-    overrides the environment in both directions. Kernel sort-memo hits
-    land on the [vp_solver.items_cache_hits] counter. *)
+    Probes run through the probe-shared packing kernel (DESIGN.md §11):
+    item/bin scratch refilled in place, memoized sort orders and
+    Permutation-Pack item permutations — bit-identical to {!pack_at_yield}
+    per probe, just cheaper (the test suite locks it against that naive
+    path). Each solve owns its kernels: a probe takes a free one or makes
+    one, so a solve holds at most one per concurrent probe, and they are
+    dropped with the solve. Kernel sort-memo hits land on the
+    [vp_solver.items_cache_hits] counter. *)
 
 val solve_multi :
   ?tolerance:float ->
   ?pool:Par.Pool.t ->
   ?on_round:(float array -> unit) ->
-  ?kernel:bool ->
-  ?prune:bool ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
   solution option
 (** Binary-search where each probe tries the strategies in order and
     succeeds as soon as one packs — the META* construction (§3.5.3,
     §3.5.5). The achieved minimum yield is evaluated on the final
-    placement. [pool] / [on_round] / [kernel] as in {!solve}.
-
-    [prune] enables monotone strategy pruning on the kernel path: a
-    strategy that failed at yield [y'] is skipped at any probe
-    [y >= y'], counted on [vp_solver.strategies_pruned]. Off by default
-    (enable per process with [VMALLOC_PROBE_PRUNE=1]; the argument
-    overrides the environment): the skip is only exact if each
-    strategy's feasibility is monotone in the yield, and differential
-    sweeps falsified that premise at Table-1 scale — pruned solves can
-    return a different (still valid) placement than the naive path, so
-    the mode trades the bit-identity guarantee for the skipped
-    attempts. *)
+    placement. [pool] / [on_round] as in {!solve}. *)
 
 val batch_oracle :
-  ?kernel:bool ->
-  ?prune:bool ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
-  (float -> Model.Placement.t option) * (unit -> unit)
-(** The raw fixed-yield probe oracle behind {!solve_multi} (kernel-backed
-    unless disabled, see {!solve}) together with its retirement hook, for
-    callers that drive the yield search themselves — the batched solve
-    driver ({!Batch}) stepping a {!Binary_search.plan} under
-    {!Par.Scheduler}. Call the hook exactly once, after the last probe:
-    it releases the solve's per-domain kernel scratch into the domain
-    free pools, from which a later same-shaped solve is {e rebound}
-    instead of allocated (counted on [scheduler.scratch_reuses]);
-    rebinding restores a freshly-built kernel's state exactly, so reuse
-    never changes results. Standalone {!solve}/{!solve_multi} never
-    retire — their kernels age out of the bounded per-domain working set
-    instead — keeping their counter totals domain-count invariant. *)
+  float -> Model.Placement.t option
+(** The raw fixed-yield probe oracle behind {!solve_multi}, with kernels
+    of its own, for callers that drive the yield search themselves — the
+    batched solve driver ({!Batch}) stepping a {!Binary_search.plan}
+    under {!Par.Scheduler}. Safe to call from several domains at once. *)
 
 val evaluate : Model.Instance.t -> Model.Placement.t -> solution option
 (** Water-fill a placement into a [solution] (shared by greedy and rounding

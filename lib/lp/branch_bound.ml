@@ -22,9 +22,6 @@ let branching_variable (p : Problem.t) x =
       let dist = Float.abs f in
       (* distance to nearest integer, in [0, 0.5] *)
       if dist > !best_frac then begin
-        (* prefer the variable closest to 0.5 *)
-        let score = 0.5 -. Float.abs (0.5 -. Float.abs f) in
-        ignore score;
         best := v;
         best_frac := dist
       end

@@ -14,28 +14,12 @@ let degenerate_step = 1e-9
 
 (* Consecutive degenerate pivots before pricing switches permanently to
    Bland's rule for the rest of the phase (the streak is the cycling
-   signature — see Dense_simplex for the same policy on the oracle). *)
+   signature). *)
 let bland_after_degenerate = 16
 
-(* Eta-file length at which the dense-LU backend (VMALLOC_DENSE_LU=1)
-   refactorizes from scratch. Each raw eta both slows FTRAN/BTRAN and
-   compounds rounding error, so the file is bounded; a dense LU of the
-   (small) basis every [refactor_every] pivots costs
-   O(m^3 / refactor_every) amortized flops per pivot. *)
-let refactor_every = 64
-
-(* The sparse backend refactorizes adaptively instead: after
-   [ft_update_cap] Forrest-Tomlin updates (each appends one row eta), or
-   as soon as update fill pushes the stored factor past
-   [fill_growth_limit] times its fresh size — whichever a given basis
-   sequence hits first. Both triggers are pure functions of the pivot
-   sequence, so the refactorization schedule is deterministic. *)
-let ft_update_cap = 100
-let fill_growth_limit = 3
-
 (* Work counters (lib/obs). The first three share names with the dense
-   oracle (registration is idempotent), so bench/CI assertions hold
-   whichever solver serves a solve; the rest only move here. *)
+   tableau oracle the tests compare against (registration is idempotent),
+   so counter assertions hold whichever solver served a solve. *)
 let c_pivots = Obs.Metrics.counter "simplex.pivots"
 let c_phase1_iters = Obs.Metrics.counter "simplex.phase1_iterations"
 let c_degenerate = Obs.Metrics.counter "simplex.degenerate_pivots"
@@ -142,819 +126,593 @@ let col_dot std j w =
   if j < std.n then Problem.Csc.col_dot std.csc j w
   else w.((j - std.n) mod std.m)
 
-(* Dense LU with partial pivoting of the m x m basis matrix — the
-   VMALLOC_DENSE_LU=1 backend, kept as the factorization-level
-   differential oracle. [lu] stores L (unit diagonal, below) and U (on and
-   above); [piv.(k)] is the row k was swapped with at step k; [flops]
-   counts the multiply-subtracts the elimination spent. *)
-module Lu = struct
-  type t = { lu : float array array; piv : int array; size : int;
-             flops : int }
+(* The basis-inverse representation, abstracted so the solver has one
+   production instance ({!Sparse} below) and tests can instantiate others
+   as differential oracles. [update] records the replacement of the basis
+   column at [pos] by the column last passed through [ftran_entering] and
+   answers whether the caller must refactorize now. *)
+module type FACTORIZATION = sig
+  type t
 
-  exception Singular
-
-  let factor m fill =
-    let a = Array.init m (fun _ -> Array.make m 0.) in
-    fill a;
-    (* Per-column magnitude of the original matrix: the singularity test
-       below is relative to it, so a well-conditioned but small-magnitude
-       basis (e.g. one from a row-scaled LP) factors fine where the old
-       absolute 1e-11 cutoff spuriously rejected it. *)
-    let scale = Array.make m 0. in
-    for j = 0 to m - 1 do
-      for i = 0 to m - 1 do
-        let av = Float.abs a.(i).(j) in
-        if av > scale.(j) then scale.(j) <- av
-      done
-    done;
-    let piv = Array.make m 0 in
-    let flops = ref 0 in
-    for k = 0 to m - 1 do
-      let best = ref k in
-      for i = k + 1 to m - 1 do
-        if Float.abs a.(i).(k) > Float.abs a.(!best).(k) then best := i
-      done;
-      if scale.(k) = 0. || Float.abs a.(!best).(k) < 1e-11 *. scale.(k)
-      then raise Singular;
-      piv.(k) <- !best;
-      if !best <> k then begin
-        let t = a.(k) in
-        a.(k) <- a.(!best);
-        a.(!best) <- t
-      end;
-      let ak = a.(k) in
-      let akk = ak.(k) in
-      for i = k + 1 to m - 1 do
-        let ai = a.(i) in
-        let f = ai.(k) /. akk in
-        ai.(k) <- f;
-        if f <> 0. then begin
-          flops := !flops + 1 + (m - 1 - k);
-          for j = k + 1 to m - 1 do
-            ai.(j) <- ai.(j) -. (f *. ak.(j))
-          done
-        end
-      done
-    done;
-    { lu = a; piv; size = m; flops = !flops }
-
-  (* v := B^-1 v  (PB = LU: apply P, solve L, solve U). *)
-  let ftran t v =
-    let m = t.size and a = t.lu in
-    for k = 0 to m - 1 do
-      let p = t.piv.(k) in
-      if p <> k then begin
-        let x = v.(k) in
-        v.(k) <- v.(p);
-        v.(p) <- x
-      end
-    done;
-    for k = 0 to m - 1 do
-      let vk = v.(k) in
-      if vk <> 0. then
-        for i = k + 1 to m - 1 do
-          v.(i) <- v.(i) -. (a.(i).(k) *. vk)
-        done
-    done;
-    for k = m - 1 downto 0 do
-      let s = ref v.(k) in
-      let ak = a.(k) in
-      for j = k + 1 to m - 1 do
-        s := !s -. (ak.(j) *. v.(j))
-      done;
-      v.(k) <- !s /. ak.(k)
-    done
-
-  (* v := B^-T v  (solve U^T, solve L^T, apply P^-1). *)
-  let btran t v =
-    let m = t.size and a = t.lu in
-    for k = 0 to m - 1 do
-      let s = ref v.(k) in
-      for j = 0 to k - 1 do
-        s := !s -. (a.(j).(k) *. v.(j))
-      done;
-      v.(k) <- !s /. a.(k).(k)
-    done;
-    for k = m - 1 downto 0 do
-      let s = ref v.(k) in
-      for i = k + 1 to m - 1 do
-        s := !s -. (a.(i).(k) *. v.(i))
-      done;
-      v.(k) <- !s
-    done;
-    for k = m - 1 downto 0 do
-      let p = t.piv.(k) in
-      if p <> k then begin
-        let x = v.(k) in
-        v.(k) <- v.(p);
-        v.(p) <- x
-      end
-    done
+  val factor : size:int -> col:(int -> (int -> float -> unit) -> unit) -> t
+  val ftran : t -> float array -> unit
+  val ftran_entering : t -> float array -> unit
+  val btran : t -> float array -> unit
+  val update : t -> pos:int -> bool
+  val flops : t -> int
+  val fill_in : t -> int
+  val fresh_is_canonical : bool
 end
 
-(* One product-form update: after the pivot B_new^-1 = E B_old^-1 where E is
-   the identity with column [e_row] replaced by the eta vector derived from
-   the FTRANed entering column [d] ([e_piv] = d.(e_row), off-pivot nonzeros
-   in [e_idx]/[e_val]). *)
-type eta = {
-  e_row : int;
-  e_piv : float;
-  e_idx : int array;
-  e_val : float array;
-}
+module type SOLVER = sig
+  val solve : ?max_iterations:int -> ?warm_basis:basis -> Problem.t -> result
 
-let dummy_eta = { e_row = 0; e_piv = 1.; e_idx = [||]; e_val = [||] }
+  val solve_basis :
+    ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
+    result * basis option
+end
 
-(* Basis-inverse maintenance backend. The default is {!Sparse_lu}
-   (Markowitz LU, Forrest-Tomlin updates, adaptive refactorization);
-   [VMALLOC_DENSE_LU=1] selects the original dense LU + raw eta file,
-   kept verbatim as the factorization-level differential oracle. *)
-type backend =
-  | Dense of { mutable lu : Lu.t; etas : eta array; mutable n_etas : int }
-  | Sparse of { mutable slu : Sparse_lu.t }
-
-type state = {
-  std : std;
-  bas : int array;        (* m: basic column per row *)
-  stat : int array;       (* n_cols *)
-  xb : float array;       (* m: value of bas.(i) *)
-  rep : backend;
-}
-
-let apply_eta_fwd eta v =
-  let t = v.(eta.e_row) /. eta.e_piv in
-  if t <> 0. then begin
-    let idx = eta.e_idx and vals = eta.e_val in
-    for k = 0 to Array.length idx - 1 do
-      v.(idx.(k)) <- v.(idx.(k)) -. (vals.(k) *. t)
-    done
-  end;
-  v.(eta.e_row) <- t
-
-let apply_eta_rev eta v =
-  let idx = eta.e_idx and vals = eta.e_val in
-  let acc = ref v.(eta.e_row) in
-  for k = 0 to Array.length idx - 1 do
-    acc := !acc -. (v.(idx.(k)) *. vals.(k))
-  done;
-  v.(eta.e_row) <- !acc /. eta.e_piv
-
-let ftran st v =
-  match st.rep with
-  | Dense d ->
-      Lu.ftran d.lu v;
-      for k = 0 to d.n_etas - 1 do
-        apply_eta_fwd d.etas.(k) v
-      done
-  | Sparse s -> Sparse_lu.ftran s.slu v
-
-let btran st v =
-  match st.rep with
-  | Dense d ->
-      for k = d.n_etas - 1 downto 0 do
-        apply_eta_rev d.etas.(k) v
-      done;
-      Lu.btran d.lu v
-  | Sparse s -> Sparse_lu.btran s.slu v
-
-let nb_val st j =
-  if st.stat.(j) = st_upper then st.std.up.(j) else st.std.lo.(j)
-
-let sparse_factor_basis std bas =
-  Sparse_lu.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f) ()
-
-let dense_factor_basis std bas =
-  Lu.factor std.m (fun bmat ->
-      for k = 0 to std.m - 1 do
-        iter_col std bas.(k) (fun i a -> bmat.(i).(k) <- bmat.(i).(k) +. a)
-      done)
-
-(* b - sum over nonbasic j of A_j x_j: the rhs of B xB = r. *)
-let residual st =
-  let std = st.std in
-  let r = Array.copy std.b in
-  for j = 0 to std.n_cols - 1 do
-    if st.stat.(j) <> st_basic then begin
-      let v = nb_val st j in
-      if v <> 0. then iter_col std j (fun i a -> r.(i) <- r.(i) -. (a *. v))
-    end
-  done;
-  r
-
-(* xB = B^-1 residual, through the backend's current factor. *)
-let compute_xb st =
-  let r = residual st in
-  ftran st r;
-  Array.blit r 0 st.xb 0 st.std.m
-
-(* xB recomputed through one fresh sparse factorization of the current
-   basis: a pure function of the discrete (bas, stat) state, independent
-   of the backend and of the eta history that led here. Called at phase
-   boundaries and optimal endpoints by BOTH backends — this is what makes
-   the sparse default and the VMALLOC_DENSE_LU leg return
-   bitwise-identical solutions whenever they pivot through the same
-   bases. Deliberately unmetered: only backend factorizations count as
-   refactorizations. *)
-let canonicalize_xb st =
-  match sparse_factor_basis st.std st.bas with
+(* Solve B x_B = [r] in place through one fresh sparse factorization of
+   the basis [bas]: a pure function of the discrete (bas, stat) state,
+   independent of the factorization instance and of the update history
+   that led here, so every instance that pivots through the same bases
+   returns the same bits. [false], with [r] untouched, when the basis is
+   numerically singular. Deliberately unmetered: only instance
+   factorizations count as refactorizations. *)
+let canonical_xb std bas r =
+  match
+    Sparse_lu.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f) ()
+  with
   | slu ->
-      let r = residual st in
       Sparse_lu.ftran slu r;
-      Array.blit r 0 st.xb 0 st.std.m
-  | exception Sparse_lu.Singular -> compute_xb st
+      true
+  | exception Sparse_lu.Singular -> false
 
-(* Right after a backend (re)factorization the sparse backend's
-   [compute_xb] already equals the canonical recompute (same
-   factorization of the same basis, no etas yet), so installs skip the
-   extra factor. *)
-let canonicalize_xb_fresh st =
-  match st.rep with
-  | Dense _ -> canonicalize_xb st
-  | Sparse _ -> compute_xb st
-
-let refactor st =
-  Obs.Metrics.incr c_refactor;
-  match st.rep with
-  | Dense d ->
-      let lu = dense_factor_basis st.std st.bas in
-      Obs.Metrics.add c_lu_flops lu.Lu.flops;
-      d.lu <- lu;
-      d.n_etas <- 0
-  | Sparse s ->
-      let slu = sparse_factor_basis st.std st.bas in
-      Obs.Metrics.add c_lu_flops (Sparse_lu.flops slu);
-      Obs.Metrics.add c_fill (Sparse_lu.fill_in slu);
-      s.slu <- slu
-
-(* Record one basis change with the backend: a raw eta (dense) or a
-   Forrest-Tomlin update (sparse), refactorizing on the backend's
-   trigger — eta-file length for dense; update count, fill growth, or a
-   degenerate replacement diagonal for sparse. *)
-let push_eta st r d_col =
-  match st.rep with
-  | Dense d ->
-      let cnt = ref 0 in
-      for i = 0 to Array.length d_col - 1 do
-        if i <> r && Float.abs d_col.(i) > 1e-12 then incr cnt
-      done;
-      let idx = Array.make !cnt 0 and vals = Array.make !cnt 0. in
-      let k = ref 0 in
-      for i = 0 to Array.length d_col - 1 do
-        if i <> r && Float.abs d_col.(i) > 1e-12 then begin
-          idx.(!k) <- i;
-          vals.(!k) <- d_col.(i);
-          incr k
-        end
-      done;
-      d.etas.(d.n_etas) <- { e_row = r; e_piv = d_col.(r); e_idx = idx;
-                             e_val = vals };
-      d.n_etas <- d.n_etas + 1;
-      if d.n_etas >= refactor_every then begin
-        refactor st;
-        compute_xb st
-      end
-  | Sparse s -> (
-      match Sparse_lu.update s.slu ~pos:r with
-      | () ->
-          Obs.Metrics.incr c_ft;
-          let slu = s.slu in
-          if
-            Sparse_lu.updates slu >= ft_update_cap
-            || Sparse_lu.nnz slu
-               > fill_growth_limit
-                 * (Sparse_lu.basis_nnz slu + Sparse_lu.fill_in slu
-                   + st.std.m)
-          then begin
-            refactor st;
-            compute_xb st
-          end
-      | exception Sparse_lu.Unstable ->
-          refactor st;
-          compute_xb st)
-
-(* FTRAN of column [j]. Only ever called on entering columns, each
-   followed by at most one [push_eta] before the next solve, so the
-   sparse backend stashes the Forrest-Tomlin spike here. *)
-let ftran_col st j =
-  let v = Array.make st.std.m 0. in
-  iter_col st.std j (fun i a -> v.(i) <- v.(i) +. a);
-  (match st.rep with
-  | Dense _ -> ftran st v
-  | Sparse s -> Sparse_lu.ftran_entering s.slu v);
-  v
-
-let unit_btran st r =
-  let v = Array.make st.std.m 0. in
-  v.(r) <- 1.;
-  btran st v;
-  v
-
-(* Reduced costs d_j = c_j - y . A_j with y = B^-T c_B, for every nonbasic
-   column (basic entries left at 0). Recomputed from scratch each pricing
-   round: O(m^2) for the BTRAN plus O(nnz) for the dot products, which the
-   FTRAN of the chosen column matches anyway. *)
-let reduced_costs st cost =
-  let std = st.std in
-  let y = Array.make std.m 0. in
-  for i = 0 to std.m - 1 do
-    y.(i) <- cost.(st.bas.(i))
-  done;
-  btran st y;
-  let d = Array.make std.n_cols 0. in
-  for j = 0 to std.n_cols - 1 do
-    if st.stat.(j) <> st_basic then d.(j) <- cost.(j) -. col_dot std j y
-  done;
-  d
-
-exception Iteration_limit
-
-type phase_outcome = P_optimal | P_unbounded
-
-(* Primal bounded-variable simplex on cost vector [cost]. Artificials never
-   enter (their bounds are fixed outside phase 1, and inside phase 1 they
-   only leave). Dantzig pricing; permanent switch to Bland's rule after a
-   degenerate-pivot streak or an iteration budget. *)
-let primal_phase st ~cost ?iters_counter ~max_iterations () =
-  let std = st.std in
-  let m = std.m in
-  let bland_after_iters = max 5_000 (10 * (m + std.n_cols)) in
-  let iters = ref 0 in
-  let bland = ref false in
-  let streak = ref 0 in
-  let fixed j = std.up.(j) -. std.lo.(j) <= 0. in
-  let rec loop () =
-    incr iters;
-    (match iters_counter with
-    | Some c -> Obs.Metrics.incr c
-    | None -> ());
-    if !iters > max_iterations then raise Iteration_limit;
-    if (not !bland) && !iters > bland_after_iters then begin
-      bland := true;
-      Obs.Metrics.incr c_bland
-    end;
-    let d = reduced_costs st cost in
-    let eligible j =
-      j < std.art_start
-      && st.stat.(j) <> st_basic
-      && (not (fixed j))
-      && ((st.stat.(j) = st_lower && d.(j) < -.reduced_cost_tol)
-         || (st.stat.(j) = st_upper && d.(j) > reduced_cost_tol))
-    in
-    let entering =
-      if !bland then begin
-        let rec find j =
-          if j >= std.art_start then None
-          else if eligible j then Some j
-          else find (j + 1)
-        in
-        find 0
-      end
-      else begin
-        let best = ref (-1) and best_v = ref reduced_cost_tol in
-        for j = 0 to std.art_start - 1 do
-          if eligible j && Float.abs d.(j) > !best_v then begin
-            best := j;
-            best_v := Float.abs d.(j)
-          end
-        done;
-        if !best >= 0 then Some !best else None
-      end
-    in
-    match entering with
-    | None -> P_optimal
-    | Some j ->
-        let from_lower = st.stat.(j) = st_lower in
-        let dir = if from_lower then 1. else -1. in
-        let d_col = ftran_col st j in
-        (* Ratio test: x_j moves by t >= 0 in direction [dir]; basic i
-           changes at rate -(dir * d_col.(i)). *)
-        let best = ref (-1) and best_r = ref infinity
-        and best_a = ref 0. and best_bound = ref st_lower in
-        for i = 0 to m - 1 do
-          let a = dir *. d_col.(i) in
-          if a > pivot_tol then begin
-            let lo_i = std.lo.(st.bas.(i)) in
-            if Float.is_finite lo_i then begin
-              let r = (st.xb.(i) -. lo_i) /. a in
-              let r = if r < 0. then 0. else r in
-              if
-                r < !best_r -. 1e-12
-                || (r <= !best_r +. 1e-12
-                    && !best >= 0
-                    && (if !bland then st.bas.(i) < st.bas.(!best)
-                       else
-                         a > !best_a +. 1e-12
-                         || (a >= !best_a -. 1e-12
-                            && st.bas.(i) < st.bas.(!best))))
-              then begin
-                best := i;
-                best_r := r;
-                best_a := a;
-                best_bound := st_lower
-              end
-            end
-          end
-          else if a < -.pivot_tol then begin
-            let up_i = std.up.(st.bas.(i)) in
-            if Float.is_finite up_i then begin
-              let r = (up_i -. st.xb.(i)) /. -.a in
-              let r = if r < 0. then 0. else r in
-              let abs_a = -.a in
-              if
-                r < !best_r -. 1e-12
-                || (r <= !best_r +. 1e-12
-                    && !best >= 0
-                    && (if !bland then st.bas.(i) < st.bas.(!best)
-                       else
-                         abs_a > !best_a +. 1e-12
-                         || (abs_a >= !best_a -. 1e-12
-                            && st.bas.(i) < st.bas.(!best))))
-              then begin
-                best := i;
-                best_r := r;
-                best_a := abs_a;
-                best_bound := st_upper
-              end
-            end
-          end
-        done;
-        let range = std.up.(j) -. std.lo.(j) in
-        if Float.min range !best_r = infinity then P_unbounded
-        else if range <= !best_r then begin
-          (* Bound flip: j runs to its opposite bound, no basis change. *)
-          for i = 0 to m - 1 do
-            st.xb.(i) <- st.xb.(i) -. (dir *. d_col.(i) *. range)
-          done;
-          st.stat.(j) <- (if from_lower then st_upper else st_lower);
-          streak := 0;
-          loop ()
-        end
-        else begin
-          let t = !best_r in
-          let r = !best in
-          for i = 0 to m - 1 do
-            st.xb.(i) <- st.xb.(i) -. (dir *. d_col.(i) *. t)
-          done;
-          let l = st.bas.(r) in
-          st.bas.(r) <- j;
-          st.xb.(r) <- nb_val st j +. (dir *. t);
-          st.stat.(j) <- st_basic;
-          st.stat.(l) <- !best_bound;
-          Obs.Metrics.incr c_pivots;
-          Pivot_clock.tick ();
-          if t <= degenerate_step then begin
-            Obs.Metrics.incr c_degenerate;
-            incr streak;
-            if (not !bland) && !streak >= bland_after_degenerate then begin
-              bland := true;
-              Obs.Metrics.incr c_bland
-            end
-          end
-          else streak := 0;
-          push_eta st r d_col;
-          loop ()
-        end
-  in
-  loop ()
-
-(* Dual simplex: restore primal feasibility while keeping the (given) cost
-   vector's dual feasibility — the warm-start workhorse. Leaving row by
-   largest bound violation; entering by the bounded-variable dual ratio test
-   (min |d_j| / |alpha_j| over sign-eligible nonbasics). *)
-let dual_phase st ~cost ~max_iterations =
-  let std = st.std in
-  let m = std.m in
-  let iters = ref 0 in
-  let fixed j = std.up.(j) -. std.lo.(j) <= 0. in
-  let rec loop () =
-    incr iters;
-    if !iters > max_iterations then raise Iteration_limit;
-    let r = ref (-1) and viol = ref feasibility_tol in
-    for i = 0 to m - 1 do
-      let j = st.bas.(i) in
-      let v = Float.max (std.lo.(j) -. st.xb.(i)) (st.xb.(i) -. std.up.(j)) in
-      if v > !viol then begin
-        r := i;
-        viol := v
-      end
-    done;
-    if !r < 0 then `Feasible
-    else begin
-      let r = !r in
-      let jl = st.bas.(r) in
-      let sigma = if st.xb.(r) < std.lo.(jl) then 1. else -1. in
-      let w = unit_btran st r in
-      let d = reduced_costs st cost in
-      let best = ref (-1) and best_ratio = ref infinity
-      and best_alpha = ref 0. in
-      for j = 0 to std.n_cols - 1 do
-        if st.stat.(j) <> st_basic && not (fixed j) then begin
-          let alpha = sigma *. col_dot std j w in
-          if
-            (st.stat.(j) = st_lower && alpha < -.pivot_tol)
-            || (st.stat.(j) = st_upper && alpha > pivot_tol)
-          then begin
-            let ratio = Float.abs d.(j) /. Float.abs alpha in
-            if
-              ratio < !best_ratio -. 1e-12
-              || (ratio <= !best_ratio +. 1e-12
-                  && Float.abs alpha > Float.abs !best_alpha +. 1e-12)
-            then begin
-              best := j;
-              best_ratio := ratio;
-              best_alpha := alpha
-            end
-          end
-        end
-      done;
-      if !best < 0 then `Infeasible
-      else begin
-        let j = !best in
-        let d_col = ftran_col st j in
-        let alpha_r = d_col.(r) in
-        if Float.abs alpha_r < 1e-11 then
-          (* BTRAN/FTRAN numerical disagreement; treat as a failed warm
-             start rather than risking a wrong-direction step. *)
-          raise Iteration_limit
-        else begin
-          let beta = if sigma > 0. then std.lo.(jl) else std.up.(jl) in
-          let t = (st.xb.(r) -. beta) /. alpha_r in
-          for i = 0 to m - 1 do
-            st.xb.(i) <- st.xb.(i) -. (t *. d_col.(i))
-          done;
-          st.bas.(r) <- j;
-          st.xb.(r) <- nb_val st j +. t;
-          st.stat.(j) <- st_basic;
-          st.stat.(jl) <- (if sigma > 0. then st_lower else st_upper);
-          Obs.Metrics.incr c_pivots;
-          Pivot_clock.tick ();
-          if Float.abs t <= degenerate_step then Obs.Metrics.incr c_degenerate;
-          push_eta st r d_col;
-          loop ()
-        end
-      end
-    end
-  in
-  loop ()
-
-(* After phase 1, drive artificials out of the basis where a non-artificial
-   pivot exists (zero-step exchange); truly redundant rows keep their
-   artificial basic at 0, harmless because artificial bounds are [0,0] from
-   here on. *)
-let expel_artificials st =
-  let std = st.std in
-  for r = 0 to std.m - 1 do
-    if st.bas.(r) >= std.art_start then begin
-      let w = unit_btran st r in
-      let j = ref (-1) and k = ref 0 in
-      while !j < 0 && !k < std.art_start do
-        if st.stat.(!k) <> st_basic && Float.abs (col_dot std !k w) > 1e-7
-        then j := !k;
-        incr k
-      done;
-      if !j >= 0 then begin
-        let jj = !j in
-        let d_col = ftran_col st jj in
-        if Float.abs d_col.(r) > 1e-9 then begin
-          let art = st.bas.(r) in
-          st.bas.(r) <- jj;
-          st.xb.(r) <- nb_val st jj;
-          st.stat.(jj) <- st_basic;
-          st.stat.(art) <- st_lower;
-          Obs.Metrics.incr c_pivots;
-          Pivot_clock.tick ();
-          Obs.Metrics.incr c_degenerate;
-          push_eta st r d_col
-        end
-      end
-    end
-  done
-
-let capture key st =
-  {
-    bas_key = key;
-    bas_m = st.std.m;
-    bas_cols = Array.copy st.bas;
-    bas_stat = Array.copy st.stat;
+module Make (F : FACTORIZATION) = struct
+  type state = {
+    std : std;
+    bas : int array;        (* m: basic column per row *)
+    stat : int array;       (* n_cols *)
+    xb : float array;       (* m: value of bas.(i) *)
+    mutable lu : F.t;
   }
 
-let extract (p : Problem.t) st =
-  let std = st.std in
-  let x = Array.copy p.lower in
-  for v = 0 to std.n - 1 do
-    if st.stat.(v) = st_upper then x.(v) <- p.upper.(v)
-  done;
-  for i = 0 to std.m - 1 do
-    let j = st.bas.(i) in
-    if j < std.n then begin
-      let v = st.xb.(i) in
-      let v = if Float.abs v < feasibility_tol then 0. else v in
-      x.(j) <- p.lower.(j) +. v
-    end
-  done;
-  (* Clamp tiny bound violations from floating-point drift. *)
-  for v = 0 to std.n - 1 do
-    if x.(v) < p.lower.(v) then x.(v) <- p.lower.(v);
-    if x.(v) > p.upper.(v) then x.(v) <- p.upper.(v)
-  done;
-  Optimal { objective = Problem.objective_value p x; x }
+  let ftran st v = F.ftran st.lu v
 
-let default_iterations std = max 20_000 (50 * (std.m + std.n_cols))
+  let btran st v = F.btran st.lu v
 
-(* VMALLOC_DENSE_LU=1 keeps the revised method but routes basis
-   maintenance through the original dense LU + raw eta file — the
-   factorization-level differential oracle (the whole-solver oracle stays
-   VMALLOC_DENSE_LP=1). Read per solve so tests can toggle it. *)
-let dense_lu_requested () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LU" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+  let nb_val st j =
+    if st.stat.(j) = st_upper then st.std.up.(j) else st.std.lo.(j)
 
-(* Cold start: classic two-phase. The initial basis is the logical of every
-   row whose rhs its bounds admit, else that row's artificial widened to the
-   rhs's side ([0, inf) with cost +1, or (-inf, 0] with cost -1) — the
-   column layout itself never depends on the rhs. *)
-let solve_cold ~key ~max_iterations (p : Problem.t) std =
-  let m = std.m in
-  let stat = Array.make std.n_cols st_lower in
-  for j = 0 to std.n_cols - 1 do
-    if not (Float.is_finite std.lo.(j)) then stat.(j) <- st_upper
-  done;
-  let bas = Array.make m 0 in
-  let xb = Array.make m 0. in
-  let need_phase1 = ref false in
-  let phase1_cost = Array.make std.n_cols 0. in
-  for i = 0 to m - 1 do
-    let logical = std.n + i and art = std.n + m + i in
-    let bi = std.b.(i) in
-    if std.lo.(logical) -. 1e-12 <= bi && bi <= std.up.(logical) +. 1e-12
-    then begin
-      bas.(i) <- logical;
-      stat.(logical) <- st_basic
-    end
-    else begin
-      need_phase1 := true;
-      bas.(i) <- art;
-      stat.(art) <- st_basic;
-      if bi >= 0. then begin
-        std.lo.(art) <- 0.;
-        std.up.(art) <- infinity;
-        phase1_cost.(art) <- 1.
+  let factor_basis std bas =
+    F.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f)
+
+  (* A metered factorization: every one after the cold install's
+     (identity) basis counts. *)
+  let metered_factor std bas =
+    Obs.Metrics.incr c_refactor;
+    let lu = factor_basis std bas in
+    Obs.Metrics.add c_lu_flops (F.flops lu);
+    Obs.Metrics.add c_fill (F.fill_in lu);
+    lu
+
+  (* b - sum over nonbasic j of A_j x_j: the rhs of B xB = r. *)
+  let residual st =
+    let std = st.std in
+    let r = Array.copy std.b in
+    for j = 0 to std.n_cols - 1 do
+      if st.stat.(j) <> st_basic then begin
+        let v = nb_val st j in
+        if v <> 0. then iter_col std j (fun i a -> r.(i) <- r.(i) -. (a *. v))
+      end
+    done;
+    r
+
+  (* xB = B^-1 residual, through the current factor. *)
+  let compute_xb st =
+    let r = residual st in
+    ftran st r;
+    Array.blit r 0 st.xb 0 st.std.m
+
+  (* Called at phase boundaries and optimal endpoints, so returned points
+     are a function of the final discrete basis alone. *)
+  let canonicalize_xb st =
+    let r = residual st in
+    if canonical_xb st.std st.bas r then Array.blit r 0 st.xb 0 st.std.m
+    else compute_xb st
+
+  (* Right after a factorization: when the instance's fresh factor is the
+     canonical one, [compute_xb] already equals the canonical recompute
+     (same factorization of the same basis, no updates yet), so installs
+     skip the second factorization. *)
+  let canonicalize_xb_fresh st =
+    if F.fresh_is_canonical then compute_xb st else canonicalize_xb st
+
+  let refactor st =
+    st.lu <- metered_factor st.std st.bas;
+    compute_xb st
+
+  (* Record one basis change (row [r] now holds the column last FTRANed
+     by [ftran_col]), refactorizing on the instance's trigger. *)
+  let push_eta st r = if F.update st.lu ~pos:r then refactor st
+
+  (* FTRAN of column [j]. Only ever called on entering columns, each
+     followed by at most one [push_eta] before the next one, so the
+     instance may stash what its update needs here. *)
+  let ftran_col st j =
+    let v = Array.make st.std.m 0. in
+    iter_col st.std j (fun i a -> v.(i) <- v.(i) +. a);
+    F.ftran_entering st.lu v;
+    v
+
+  let unit_btran st r =
+    let v = Array.make st.std.m 0. in
+    v.(r) <- 1.;
+    btran st v;
+    v
+
+  (* Reduced costs d_j = c_j - y . A_j with y = B^-T c_B, for every nonbasic
+     column (basic entries left at 0). Recomputed from scratch each pricing
+     round: O(m^2) for the BTRAN plus O(nnz) for the dot products, which the
+     FTRAN of the chosen column matches anyway. *)
+  let reduced_costs st cost =
+    let std = st.std in
+    let y = Array.make std.m 0. in
+    for i = 0 to std.m - 1 do
+      y.(i) <- cost.(st.bas.(i))
+    done;
+    btran st y;
+    let d = Array.make std.n_cols 0. in
+    for j = 0 to std.n_cols - 1 do
+      if st.stat.(j) <> st_basic then d.(j) <- cost.(j) -. col_dot std j y
+    done;
+    d
+
+  exception Iteration_limit
+
+  type phase_outcome = P_optimal | P_unbounded
+
+  (* Primal bounded-variable simplex on cost vector [cost]. Artificials never
+     enter (their bounds are fixed outside phase 1, and inside phase 1 they
+     only leave). Dantzig pricing; permanent switch to Bland's rule after a
+     degenerate-pivot streak or an iteration budget. *)
+  let primal_phase st ~cost ?iters_counter ~max_iterations () =
+    let std = st.std in
+    let m = std.m in
+    let bland_after_iters = max 5_000 (10 * (m + std.n_cols)) in
+    let iters = ref 0 in
+    let bland = ref false in
+    let streak = ref 0 in
+    let fixed j = std.up.(j) -. std.lo.(j) <= 0. in
+    let rec loop () =
+      incr iters;
+      (match iters_counter with
+      | Some c -> Obs.Metrics.incr c
+      | None -> ());
+      if !iters > max_iterations then raise Iteration_limit;
+      if (not !bland) && !iters > bland_after_iters then begin
+        bland := true;
+        Obs.Metrics.incr c_bland
+      end;
+      let d = reduced_costs st cost in
+      let eligible j =
+        j < std.art_start
+        && st.stat.(j) <> st_basic
+        && (not (fixed j))
+        && ((st.stat.(j) = st_lower && d.(j) < -.reduced_cost_tol)
+           || (st.stat.(j) = st_upper && d.(j) > reduced_cost_tol))
+      in
+      let entering =
+        if !bland then begin
+          let rec find j =
+            if j >= std.art_start then None
+            else if eligible j then Some j
+            else find (j + 1)
+          in
+          find 0
+        end
+        else begin
+          let best = ref (-1) and best_v = ref reduced_cost_tol in
+          for j = 0 to std.art_start - 1 do
+            if eligible j && Float.abs d.(j) > !best_v then begin
+              best := j;
+              best_v := Float.abs d.(j)
+            end
+          done;
+          if !best >= 0 then Some !best else None
+        end
+      in
+      match entering with
+      | None -> P_optimal
+      | Some j ->
+          let from_lower = st.stat.(j) = st_lower in
+          let dir = if from_lower then 1. else -1. in
+          let d_col = ftran_col st j in
+          (* Ratio test: x_j moves by t >= 0 in direction [dir]; basic i
+             changes at rate -(dir * d_col.(i)). *)
+          let best = ref (-1) and best_r = ref infinity
+          and best_a = ref 0. and best_bound = ref st_lower in
+          for i = 0 to m - 1 do
+            let a = dir *. d_col.(i) in
+            if a > pivot_tol then begin
+              let lo_i = std.lo.(st.bas.(i)) in
+              if Float.is_finite lo_i then begin
+                let r = (st.xb.(i) -. lo_i) /. a in
+                let r = if r < 0. then 0. else r in
+                if
+                  r < !best_r -. 1e-12
+                  || (r <= !best_r +. 1e-12
+                      && !best >= 0
+                      && (if !bland then st.bas.(i) < st.bas.(!best)
+                         else
+                           a > !best_a +. 1e-12
+                           || (a >= !best_a -. 1e-12
+                              && st.bas.(i) < st.bas.(!best))))
+                then begin
+                  best := i;
+                  best_r := r;
+                  best_a := a;
+                  best_bound := st_lower
+                end
+              end
+            end
+            else if a < -.pivot_tol then begin
+              let up_i = std.up.(st.bas.(i)) in
+              if Float.is_finite up_i then begin
+                let r = (up_i -. st.xb.(i)) /. -.a in
+                let r = if r < 0. then 0. else r in
+                let abs_a = -.a in
+                if
+                  r < !best_r -. 1e-12
+                  || (r <= !best_r +. 1e-12
+                      && !best >= 0
+                      && (if !bland then st.bas.(i) < st.bas.(!best)
+                         else
+                           abs_a > !best_a +. 1e-12
+                           || (abs_a >= !best_a -. 1e-12
+                              && st.bas.(i) < st.bas.(!best))))
+                then begin
+                  best := i;
+                  best_r := r;
+                  best_a := abs_a;
+                  best_bound := st_upper
+                end
+              end
+            end
+          done;
+          let range = std.up.(j) -. std.lo.(j) in
+          if Float.min range !best_r = infinity then P_unbounded
+          else if range <= !best_r then begin
+            (* Bound flip: j runs to its opposite bound, no basis change. *)
+            for i = 0 to m - 1 do
+              st.xb.(i) <- st.xb.(i) -. (dir *. d_col.(i) *. range)
+            done;
+            st.stat.(j) <- (if from_lower then st_upper else st_lower);
+            streak := 0;
+            loop ()
+          end
+          else begin
+            let t = !best_r in
+            let r = !best in
+            for i = 0 to m - 1 do
+              st.xb.(i) <- st.xb.(i) -. (dir *. d_col.(i) *. t)
+            done;
+            let l = st.bas.(r) in
+            st.bas.(r) <- j;
+            st.xb.(r) <- nb_val st j +. (dir *. t);
+            st.stat.(j) <- st_basic;
+            st.stat.(l) <- !best_bound;
+            Obs.Metrics.incr c_pivots;
+            Pivot_clock.tick ();
+            if t <= degenerate_step then begin
+              Obs.Metrics.incr c_degenerate;
+              incr streak;
+              if (not !bland) && !streak >= bland_after_degenerate then begin
+                bland := true;
+                Obs.Metrics.incr c_bland
+              end
+            end
+            else streak := 0;
+            push_eta st r;
+            loop ()
+          end
+    in
+    loop ()
+
+  (* Dual simplex: restore primal feasibility while keeping the (given) cost
+     vector's dual feasibility — the warm-start workhorse. Leaving row by
+     largest bound violation; entering by the bounded-variable dual ratio test
+     (min |d_j| / |alpha_j| over sign-eligible nonbasics). *)
+  let dual_phase st ~cost ~max_iterations =
+    let std = st.std in
+    let m = std.m in
+    let iters = ref 0 in
+    let fixed j = std.up.(j) -. std.lo.(j) <= 0. in
+    let rec loop () =
+      incr iters;
+      if !iters > max_iterations then raise Iteration_limit;
+      let r = ref (-1) and viol = ref feasibility_tol in
+      for i = 0 to m - 1 do
+        let j = st.bas.(i) in
+        let v = Float.max (std.lo.(j) -. st.xb.(i)) (st.xb.(i) -. std.up.(j)) in
+        if v > !viol then begin
+          r := i;
+          viol := v
+        end
+      done;
+      if !r < 0 then `Feasible
+      else begin
+        let r = !r in
+        let jl = st.bas.(r) in
+        let sigma = if st.xb.(r) < std.lo.(jl) then 1. else -1. in
+        let w = unit_btran st r in
+        let d = reduced_costs st cost in
+        let best = ref (-1) and best_ratio = ref infinity
+        and best_alpha = ref 0. in
+        for j = 0 to std.n_cols - 1 do
+          if st.stat.(j) <> st_basic && not (fixed j) then begin
+            let alpha = sigma *. col_dot std j w in
+            if
+              (st.stat.(j) = st_lower && alpha < -.pivot_tol)
+              || (st.stat.(j) = st_upper && alpha > pivot_tol)
+            then begin
+              let ratio = Float.abs d.(j) /. Float.abs alpha in
+              if
+                ratio < !best_ratio -. 1e-12
+                || (ratio <= !best_ratio +. 1e-12
+                    && Float.abs alpha > Float.abs !best_alpha +. 1e-12)
+              then begin
+                best := j;
+                best_ratio := ratio;
+                best_alpha := alpha
+              end
+            end
+          end
+        done;
+        if !best < 0 then `Infeasible
+        else begin
+          let j = !best in
+          let d_col = ftran_col st j in
+          let alpha_r = d_col.(r) in
+          if Float.abs alpha_r < 1e-11 then
+            (* BTRAN/FTRAN numerical disagreement; treat as a failed warm
+               start rather than risking a wrong-direction step. *)
+            raise Iteration_limit
+          else begin
+            let beta = if sigma > 0. then std.lo.(jl) else std.up.(jl) in
+            let t = (st.xb.(r) -. beta) /. alpha_r in
+            for i = 0 to m - 1 do
+              st.xb.(i) <- st.xb.(i) -. (t *. d_col.(i))
+            done;
+            st.bas.(r) <- j;
+            st.xb.(r) <- nb_val st j +. t;
+            st.stat.(j) <- st_basic;
+            st.stat.(jl) <- (if sigma > 0. then st_lower else st_upper);
+            Obs.Metrics.incr c_pivots;
+            Pivot_clock.tick ();
+            if Float.abs t <= degenerate_step then Obs.Metrics.incr c_degenerate;
+            push_eta st r;
+            loop ()
+          end
+        end
+      end
+    in
+    loop ()
+
+  (* After phase 1, drive artificials out of the basis where a non-artificial
+     pivot exists (zero-step exchange); truly redundant rows keep their
+     artificial basic at 0, harmless because artificial bounds are [0,0] from
+     here on. *)
+  let expel_artificials st =
+    let std = st.std in
+    for r = 0 to std.m - 1 do
+      if st.bas.(r) >= std.art_start then begin
+        let w = unit_btran st r in
+        let j = ref (-1) and k = ref 0 in
+        while !j < 0 && !k < std.art_start do
+          if st.stat.(!k) <> st_basic && Float.abs (col_dot std !k w) > 1e-7
+          then j := !k;
+          incr k
+        done;
+        if !j >= 0 then begin
+          let jj = !j in
+          let d_col = ftran_col st jj in
+          if Float.abs d_col.(r) > 1e-9 then begin
+            let art = st.bas.(r) in
+            st.bas.(r) <- jj;
+            st.xb.(r) <- nb_val st jj;
+            st.stat.(jj) <- st_basic;
+            st.stat.(art) <- st_lower;
+            Obs.Metrics.incr c_pivots;
+            Pivot_clock.tick ();
+            Obs.Metrics.incr c_degenerate;
+            push_eta st r
+          end
+        end
+      end
+    done
+
+  let capture key st =
+    {
+      bas_key = key;
+      bas_m = st.std.m;
+      bas_cols = Array.copy st.bas;
+      bas_stat = Array.copy st.stat;
+    }
+
+  let extract (p : Problem.t) st =
+    let std = st.std in
+    let x = Array.copy p.lower in
+    for v = 0 to std.n - 1 do
+      if st.stat.(v) = st_upper then x.(v) <- p.upper.(v)
+    done;
+    for i = 0 to std.m - 1 do
+      let j = st.bas.(i) in
+      if j < std.n then begin
+        let v = st.xb.(i) in
+        let v = if Float.abs v < feasibility_tol then 0. else v in
+        x.(j) <- p.lower.(j) +. v
+      end
+    done;
+    (* Clamp tiny bound violations from floating-point drift. *)
+    for v = 0 to std.n - 1 do
+      if x.(v) < p.lower.(v) then x.(v) <- p.lower.(v);
+      if x.(v) > p.upper.(v) then x.(v) <- p.upper.(v)
+    done;
+    Optimal { objective = Problem.objective_value p x; x }
+
+  let default_iterations std = max 20_000 (50 * (std.m + std.n_cols))
+
+  (* Cold start: classic two-phase. The initial basis is the logical of every
+     row whose rhs its bounds admit, else that row's artificial widened to the
+     rhs's side ([0, inf) with cost +1, or (-inf, 0] with cost -1) — the
+     column layout itself never depends on the rhs. *)
+  let solve_cold ~key ~max_iterations (p : Problem.t) std =
+    let m = std.m in
+    let stat = Array.make std.n_cols st_lower in
+    for j = 0 to std.n_cols - 1 do
+      if not (Float.is_finite std.lo.(j)) then stat.(j) <- st_upper
+    done;
+    let bas = Array.make m 0 in
+    let xb = Array.make m 0. in
+    let need_phase1 = ref false in
+    let phase1_cost = Array.make std.n_cols 0. in
+    for i = 0 to m - 1 do
+      let logical = std.n + i and art = std.n + m + i in
+      let bi = std.b.(i) in
+      if std.lo.(logical) -. 1e-12 <= bi && bi <= std.up.(logical) +. 1e-12
+      then begin
+        bas.(i) <- logical;
+        stat.(logical) <- st_basic
       end
       else begin
-        std.lo.(art) <- neg_infinity;
-        std.up.(art) <- 0.;
-        phase1_cost.(art) <- -1.
-      end
-    end;
-    xb.(i) <- bi
-  done;
-  (* The initial basis matrix is the identity (logicals and artificials
-     are unit columns), so its factorization is near-free under either
-     backend. Neither is metered — parity with the warm path, where only
-     genuine refactorizations tick the counter. *)
-  let rep =
-    if dense_lu_requested () then
-      Dense
-        { lu = dense_factor_basis std bas;
-          etas = Array.make refactor_every dummy_eta;
-          n_etas = 0 }
-    else Sparse { slu = sparse_factor_basis std bas }
-  in
-  let st = { std; bas; stat; xb; rep } in
-  if !need_phase1 then begin
-    (match
-       primal_phase st ~cost:phase1_cost ~iters_counter:c_phase1_iters
-         ~max_iterations ()
-     with
-    | P_optimal -> ()
-    | P_unbounded ->
-        (* Phase 1 objective is bounded below by 0; cannot happen. *)
-        assert false);
-    (* The feasibility verdict below compares xb against a tolerance;
-       canonicalize first so the verdict is a function of the discrete
-       basis, not of the backend's eta history. *)
-    canonicalize_xb st;
-    let infeas = ref 0. in
-    for i = 0 to m - 1 do
-      if st.bas.(i) >= std.art_start then
-        infeas := !infeas +. Float.abs st.xb.(i)
+        need_phase1 := true;
+        bas.(i) <- art;
+        stat.(art) <- st_basic;
+        if bi >= 0. then begin
+          std.lo.(art) <- 0.;
+          std.up.(art) <- infinity;
+          phase1_cost.(art) <- 1.
+        end
+        else begin
+          std.lo.(art) <- neg_infinity;
+          std.up.(art) <- 0.;
+          phase1_cost.(art) <- -1.
+        end
+      end;
+      xb.(i) <- bi
     done;
-    if !infeas > feasibility_tol then (Infeasible, None)
-    else begin
-      (* Pin every artificial back to [0,0] and clear it from the basis
-         where possible before phase 2. *)
+    (* The initial basis matrix is the identity (logicals and artificials
+       are unit columns), so its factorization is near-free and unmetered —
+       parity with the warm path, where only genuine refactorizations tick
+       the counter. *)
+    let st = { std; bas; stat; xb; lu = factor_basis std bas } in
+    if !need_phase1 then begin
+      (match
+         primal_phase st ~cost:phase1_cost ~iters_counter:c_phase1_iters
+           ~max_iterations ()
+       with
+      | P_optimal -> ()
+      | P_unbounded ->
+          (* Phase 1 objective is bounded below by 0; cannot happen. *)
+          assert false);
+      (* The feasibility verdict below compares xb against a tolerance;
+         canonicalize first so the verdict is a function of the discrete
+         basis, not of the factor's update history. *)
+      canonicalize_xb st;
+      let infeas = ref 0. in
       for i = 0 to m - 1 do
-        let art = std.n + m + i in
-        std.lo.(art) <- 0.;
-        std.up.(art) <- 0.
+        if st.bas.(i) >= std.art_start then
+          infeas := !infeas +. Float.abs st.xb.(i)
       done;
-      expel_artificials st;
+      if !infeas > feasibility_tol then (Infeasible, None)
+      else begin
+        (* Pin every artificial back to [0,0] and clear it from the basis
+           where possible before phase 2. *)
+        for i = 0 to m - 1 do
+          let art = std.n + m + i in
+          std.lo.(art) <- 0.;
+          std.up.(art) <- 0.
+        done;
+        expel_artificials st;
+        match primal_phase st ~cost:std.cost ~max_iterations () with
+        | P_unbounded -> (Unbounded, None)
+        | P_optimal ->
+            canonicalize_xb st;
+            (extract p st, Some (capture key st))
+      end
+    end
+    else
       match primal_phase st ~cost:std.cost ~max_iterations () with
       | P_unbounded -> (Unbounded, None)
       | P_optimal ->
           canonicalize_xb st;
           (extract p st, Some (capture key st))
-    end
-  end
-  else
-    match primal_phase st ~cost:std.cost ~max_iterations () with
-    | P_unbounded -> (Unbounded, None)
-    | P_optimal ->
-        canonicalize_xb st;
-        (extract p st, Some (capture key st))
 
-exception Incompatible_basis
+  exception Incompatible_basis
 
-(* Warm start: install the basis, refactorize, restore dual feasibility of
-   the phase-2 costs by bound-flipping nonbasics where needed, then run the
-   dual simplex until primal feasible (or proven infeasible) and finish with
-   a primal clean-up phase. Any structural mismatch or numerical trouble
-   raises and the caller falls back to a cold start. *)
-let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
-  if bz.bas_key <> key || bz.bas_m <> std.m
-     || Array.length bz.bas_stat <> std.n_cols
-  then raise Incompatible_basis;
-  let m = std.m in
-  let stat = Array.copy bz.bas_stat in
-  let bas = Array.copy bz.bas_cols in
-  let seen = Array.make std.n_cols false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= std.n_cols || seen.(j) || stat.(j) <> st_basic then
-        raise Incompatible_basis;
-      seen.(j) <- true)
-    bas;
-  let basic_count = ref 0 in
-  for j = 0 to std.n_cols - 1 do
-    match stat.(j) with
-    | s when s = st_basic -> incr basic_count
-    | s when s = st_lower ->
-        if not (Float.is_finite std.lo.(j)) then raise Incompatible_basis
-    | s when s = st_upper ->
-        if not (Float.is_finite std.up.(j)) then raise Incompatible_basis
-    | _ -> raise Incompatible_basis
-  done;
-  if !basic_count <> m then raise Incompatible_basis;
-  Obs.Metrics.incr c_refactor;
-  let rep =
-    if dense_lu_requested () then begin
-      let lu = dense_factor_basis std bas in
-      Obs.Metrics.add c_lu_flops lu.Lu.flops;
-      Dense
-        { lu; etas = Array.make refactor_every dummy_eta; n_etas = 0 }
-    end
-    else begin
-      let slu = sparse_factor_basis std bas in
-      Obs.Metrics.add c_lu_flops (Sparse_lu.flops slu);
-      Obs.Metrics.add c_fill (Sparse_lu.fill_in slu);
-      Sparse { slu }
-    end
-  in
-  let st = { std; bas; stat; xb = Array.make m 0.; rep } in
-  canonicalize_xb_fresh st;
-  (* Bound-flip nonbasics whose reduced cost has the wrong sign for their
-     bound; a variable with no opposite finite bound cannot be repaired. *)
-  let d = reduced_costs st std.cost in
-  let flips = ref 0 in
-  for j = 0 to std.n_cols - 1 do
-    if st.stat.(j) = st_lower && d.(j) < -.feasibility_tol then begin
-      if not (Float.is_finite std.up.(j)) then raise Incompatible_basis;
-      st.stat.(j) <- st_upper;
-      incr flips
-    end
-    else if st.stat.(j) = st_upper && d.(j) > feasibility_tol then begin
-      if not (Float.is_finite std.lo.(j)) then raise Incompatible_basis;
-      st.stat.(j) <- st_lower;
-      incr flips
-    end
-  done;
-  if !flips > 0 then canonicalize_xb_fresh st;
-  Obs.Metrics.incr c_warm;
-  match dual_phase st ~cost:std.cost ~max_iterations with
-  | `Infeasible -> (Infeasible, Some (capture key st))
-  | `Feasible -> (
-      match primal_phase st ~cost:std.cost ~max_iterations () with
-      | P_unbounded -> (Unbounded, None)
-      | P_optimal ->
-          canonicalize_xb st;
-          (extract p st, Some (capture key st)))
+  (* Warm start: install the basis, refactorize, restore dual feasibility of
+     the phase-2 costs by bound-flipping nonbasics where needed, then run the
+     dual simplex until primal feasible (or proven infeasible) and finish with
+     a primal clean-up phase. Any structural mismatch or numerical trouble
+     raises and the caller falls back to a cold start. *)
+  let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
+    if bz.bas_key <> key || bz.bas_m <> std.m
+       || Array.length bz.bas_stat <> std.n_cols
+    then raise Incompatible_basis;
+    let m = std.m in
+    let stat = Array.copy bz.bas_stat in
+    let bas = Array.copy bz.bas_cols in
+    let seen = Array.make std.n_cols false in
+    Array.iter
+      (fun j ->
+        if j < 0 || j >= std.n_cols || seen.(j) || stat.(j) <> st_basic then
+          raise Incompatible_basis;
+        seen.(j) <- true)
+      bas;
+    let basic_count = ref 0 in
+    for j = 0 to std.n_cols - 1 do
+      match stat.(j) with
+      | s when s = st_basic -> incr basic_count
+      | s when s = st_lower ->
+          if not (Float.is_finite std.lo.(j)) then raise Incompatible_basis
+      | s when s = st_upper ->
+          if not (Float.is_finite std.up.(j)) then raise Incompatible_basis
+      | _ -> raise Incompatible_basis
+    done;
+    if !basic_count <> m then raise Incompatible_basis;
+    let st =
+      { std; bas; stat; xb = Array.make m 0.; lu = metered_factor std bas }
+    in
+    canonicalize_xb_fresh st;
+    (* Bound-flip nonbasics whose reduced cost has the wrong sign for their
+       bound; a variable with no opposite finite bound cannot be repaired. *)
+    let d = reduced_costs st std.cost in
+    let flips = ref 0 in
+    for j = 0 to std.n_cols - 1 do
+      if st.stat.(j) = st_lower && d.(j) < -.feasibility_tol then begin
+        if not (Float.is_finite std.up.(j)) then raise Incompatible_basis;
+        st.stat.(j) <- st_upper;
+        incr flips
+      end
+      else if st.stat.(j) = st_upper && d.(j) > feasibility_tol then begin
+        if not (Float.is_finite std.lo.(j)) then raise Incompatible_basis;
+        st.stat.(j) <- st_lower;
+        incr flips
+      end
+    done;
+    if !flips > 0 then canonicalize_xb_fresh st;
+    Obs.Metrics.incr c_warm;
+    match dual_phase st ~cost:std.cost ~max_iterations with
+    | `Infeasible -> (Infeasible, Some (capture key st))
+    | `Feasible -> (
+        match primal_phase st ~cost:std.cost ~max_iterations () with
+        | P_unbounded -> (Unbounded, None)
+        | P_optimal ->
+            canonicalize_xb st;
+            (extract p st, Some (capture key st)))
 
-let dense_requested () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LP" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let convert_dense = function
-  | Dense_simplex.Optimal { Dense_simplex.objective; x } ->
-      Optimal { objective; x }
-  | Dense_simplex.Infeasible -> Infeasible
-  | Dense_simplex.Unbounded -> Unbounded
-
-let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
-  if dense_requested () then
-    (convert_dense (Dense_simplex.solve ?max_iterations p), None)
-  else begin
+  let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
     let std = build p in
     let key = layout_key p in
     let max_iterations =
@@ -967,7 +725,7 @@ let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
       | result -> result
       | exception Iteration_limit ->
           failwith "Lp.Simplex: iteration limit exceeded"
-      | exception (Lu.Singular | Sparse_lu.Singular) ->
+      | exception Sparse_lu.Singular ->
           failwith "Lp.Simplex: numerically singular basis"
     in
     match warm_basis with
@@ -975,9 +733,8 @@ let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
     | Some bz -> (
         match solve_warm ~key ~max_iterations p std bz with
         | result -> result
-        | exception
-            (Incompatible_basis | Iteration_limit | Lu.Singular
-            | Sparse_lu.Singular) ->
+        | exception (Incompatible_basis | Iteration_limit | Sparse_lu.Singular)
+          ->
             (* The warm path never widens artificial bounds, so a cold
                start on the same [std] is safe after any warm failure.
                Counted: a nonzero [simplex.warm_fallbacks] on a probe
@@ -985,7 +742,41 @@ let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
                solves. *)
             Obs.Metrics.incr c_warm_fallbacks;
             cold ())
-  end
 
-let solve ?max_iterations ?warm_basis (p : Problem.t) =
-  fst (solve_basis ?max_iterations ?warm_basis p)
+  let solve ?max_iterations ?warm_basis (p : Problem.t) =
+    fst (solve_basis ?max_iterations ?warm_basis p)
+end
+
+(* The production instance: Markowitz sparse LU with Forrest-Tomlin
+   updates, refactorized adaptively — after [ft_update_cap] updates (each
+   appends one row eta), as soon as update fill pushes the stored factor
+   past [fill_growth_limit] times its fresh size, or on a degenerate
+   replacement diagonal, whichever a given basis sequence hits first.
+   Every trigger is a pure function of the pivot sequence, so the
+   refactorization schedule is deterministic. *)
+module Sparse = struct
+  type t = Sparse_lu.t
+
+  let ft_update_cap = 100
+  let fill_growth_limit = 3
+  let factor ~size ~col = Sparse_lu.factor ~size ~col ()
+  let ftran = Sparse_lu.ftran
+  let ftran_entering = Sparse_lu.ftran_entering
+  let btran = Sparse_lu.btran
+
+  let update t ~pos =
+    match Sparse_lu.update t ~pos with
+    | () ->
+        Obs.Metrics.incr c_ft;
+        Sparse_lu.updates t >= ft_update_cap
+        || Sparse_lu.nnz t
+           > fill_growth_limit
+             * (Sparse_lu.basis_nnz t + Sparse_lu.fill_in t + Sparse_lu.size t)
+    | exception Sparse_lu.Unstable -> true
+
+  let flops = Sparse_lu.flops
+  let fill_in = Sparse_lu.fill_in
+  let fresh_is_canonical = true
+end
+
+include Make (Sparse)

@@ -1,27 +1,26 @@
 (** Sparse revised simplex with bounded variables and warm starts.
 
     Solves the rational relaxation of a {!Problem.t} (integrality flags are
-    ignored — use {!Branch_bound} for MILPs). Unlike the dense tableau kept
-    in {!Dense_simplex}, this is a revised method:
+    ignored — use {!Branch_bound} for MILPs). A revised method:
 
     - the constraint matrix is stored once in CSC form
       ({!Problem.Csc}); finite upper bounds stay {e variable} bounds
       handled by the bounded-variable ratio test (including bound flips),
       never explicit rows;
-    - the basis inverse is a product form over a {!Sparse_lu} factor: a
-      Markowitz-ordered sparse LU of the basis (fill-in counted under
-      [simplex.lu_fill_in], factorization work under [simplex.lu_flops]),
-      updated one Forrest–Tomlin row eta per pivot
-      ([simplex.ft_updates]) and refactorized {e adaptively} — after
-      [ft_update_cap] updates, on stored-factor fill growth, or on a
-      degenerate replacement diagonal — counted under
-      [simplex.refactorizations];
+    - the basis inverse is kept by a {!FACTORIZATION}. The one production
+      instance, behind {!solve} and {!solve_basis}, is a {!Sparse_lu}
+      factor: a Markowitz-ordered sparse LU of the basis (fill-in counted
+      under [simplex.lu_fill_in], factorization work under
+      [simplex.lu_flops]), updated one Forrest–Tomlin row eta per pivot
+      ([simplex.ft_updates]) and refactorized {e adaptively} — after 100
+      updates, on stored-factor fill growth, or on a degenerate
+      replacement diagonal — counted under [simplex.refactorizations];
     - at phase boundaries and optimal endpoints the basic solution is
-      recomputed through one fresh canonical factorization, making the
-      returned point a pure function of the final discrete basis: the
-      sparse backend and the dense-LU backend below return
-      bitwise-identical solutions whenever they pivot through the same
-      bases (locked by the differential suite);
+      recomputed through one fresh canonical (sparse) factorization,
+      making the returned point a pure function of the final discrete
+      basis: any two instances of {!Make} return bitwise-identical
+      solutions whenever they pivot through the same bases (the test
+      suite locks the sparse instance against a dense-LU one);
     - Dantzig pricing with a permanent switch to Bland's rule after a
       consecutive degenerate-pivot streak (or an iteration budget),
       counted under [simplex.bland_switches];
@@ -37,13 +36,7 @@
       suites assert it stays 0), so warm starts can change pivot counts
       but never verdicts beyond the solver's tolerances.
 
-    Two environment escape hatches, each also a CI leg:
-    [VMALLOC_DENSE_LP=1] routes every solve through {!Dense_simplex}
-    (ignoring [?warm_basis]) — the whole-solver differential oracle; and
-    [VMALLOC_DENSE_LU=1] keeps the revised method but maintains the basis
-    with the original dense LU + raw eta file refactorized every 64
-    pivots — the factorization-level oracle the bit-identity tests
-    compare against. See DESIGN.md §12 and §15. *)
+    See DESIGN.md §12 and §15. *)
 
 type solution = { objective : float; x : float array }
 
@@ -55,24 +48,59 @@ type basis
     with a fingerprint of the column layout it belongs to. Immutable and
     reusable across any number of later solves. *)
 
-val solve :
-  ?max_iterations:int -> ?warm_basis:basis -> Problem.t -> result
-(** Solve the LP relaxation. [max_iterations] (default
-    [max 20_000 (50 * (m + n))], per phase) bounds each simplex phase; if a
-    cold solve exhausts it the solver raises [Failure] (anti-hang guard,
-    never observed on the test corpus) — a warm solve falls back to cold
-    first. [warm_basis] must come from a problem with the same variable
-    count and constraint-relation sequence (rhs, bounds and objective may
-    differ); incompatible bases are silently ignored (cold start). *)
+(** The basis-inverse representation the solver is parameterized over.
+    [factor ~size ~col] factors the [size]×[size] basis whose column [k]
+    is iterated by [col k f] as [f row value] calls, raising
+    {!Sparse_lu.Singular} when it is numerically singular. [ftran] and
+    [btran] solve [B x = v] and [Bᵀ y = v] in place (as
+    {!Sparse_lu.ftran}/{!Sparse_lu.btran}); [ftran_entering] is [ftran]
+    on the entering column of a pivot, and [update t ~pos] then replaces
+    basis position [pos] by that column, returning [true] when the solver
+    must refactorize now instead. [flops] and [fill_in] meter one
+    factorization ([simplex.lu_flops], [simplex.lu_fill_in]).
+    [fresh_is_canonical] says a fresh [factor] is the sparse canonical
+    factorization itself, so the solver need not factor a second time to
+    canonicalize a freshly installed basis. *)
+module type FACTORIZATION = sig
+  type t
 
-val solve_basis :
-  ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
-  result * basis option
-(** Like {!solve}, additionally returning the final basis for reuse:
-    [Some b] on [Optimal] (cold or warm) and on warm-started [Infeasible]
-    (the dual-feasible basis that proved infeasibility — still a good start
-    for the next probe); [None] on [Unbounded], on cold [Infeasible], and
-    always under [VMALLOC_DENSE_LP=1]. *)
+  val factor : size:int -> col:(int -> (int -> float -> unit) -> unit) -> t
+  val ftran : t -> float array -> unit
+  val ftran_entering : t -> float array -> unit
+  val btran : t -> float array -> unit
+  val update : t -> pos:int -> bool
+  val flops : t -> int
+  val fill_in : t -> int
+  val fresh_is_canonical : bool
+end
+
+module type SOLVER = sig
+  val solve :
+    ?max_iterations:int -> ?warm_basis:basis -> Problem.t -> result
+  (** Solve the LP relaxation. [max_iterations] (default
+      [max 20_000 (50 * (m + n))], per phase) bounds each simplex phase;
+      if a cold solve exhausts it the solver raises [Failure] (anti-hang
+      guard, never observed on the test corpus) — a warm solve falls back
+      to cold first. [warm_basis] must come from a problem with the same
+      variable count and constraint-relation sequence (rhs, bounds and
+      objective may differ); incompatible bases are silently ignored
+      (cold start). *)
+
+  val solve_basis :
+    ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
+    result * basis option
+  (** Like {!solve}, additionally returning the final basis for reuse:
+      [Some b] on [Optimal] (cold or warm) and on warm-started
+      [Infeasible] (the dual-feasible basis that proved infeasibility —
+      still a good start for the next probe); [None] on [Unbounded] and
+      on cold [Infeasible]. *)
+end
+
+module Make (F : FACTORIZATION) : SOLVER
+(** The revised simplex over the factorization [F]. *)
+
+include SOLVER
+(** The production solver, on {!Sparse_lu}. *)
 
 val feasibility_tol : float
 (** Tolerance used to declare phase-1 success, accept primal feasibility in

@@ -49,8 +49,14 @@ let of_string text =
                                 |> List.filter (fun t -> t <> "")) in
   let parse_float line t =
     match float_of_string_opt t with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail line (Printf.sprintf "non-finite number %S" t)
     | None -> fail line (Printf.sprintf "expected float, got %S" t)
+  in
+  (* Model constructors reject what the grammar admits (negative or
+     inconsistent capacities); report that with the line it came from. *)
+  let build line f =
+    try f () with Invalid_argument msg -> fail line msg
   in
   let parse_int line t =
     match int_of_string_opt t with
@@ -102,6 +108,7 @@ let of_string text =
               let toks = expect_keyword l "agg" toks in
               let agg, toks = take_floats l dims toks [] in
               if toks <> [] then fail l "trailing tokens";
+              build l @@ fun () ->
               Node.v ~id
                 ~capacity:
                   (Vec.Epair.v
@@ -136,6 +143,7 @@ let of_string text =
               let toks = expect_keyword l "need-agg" toks in
               let na, toks = take_floats l dims toks [] in
               if toks <> [] then fail l "trailing tokens";
+              build l @@ fun () ->
               Service.v ~id
                 ~requirement:
                   (Vec.Epair.v

@@ -19,7 +19,9 @@
 val to_string : Instance.t -> string
 
 val of_string : string -> (Instance.t, string) result
-(** Parse; the error carries a line number and reason. *)
+(** Parse; the error carries a line number and reason. Non-finite numbers
+    ([nan], [inf]) are rejected, as is anything {!Node.v} or {!Service.v}
+    rejects. *)
 
 val write_file : string -> Instance.t -> unit
 

@@ -6,6 +6,8 @@ let v ~id ~capacity =
   for i = 0 to d - 1 do
     let e = Vector.get capacity.Epair.elementary i
     and a = Vector.get capacity.Epair.aggregate i in
+    if not (Float.is_finite e && Float.is_finite a) then
+      invalid_arg (Printf.sprintf "Node.v: non-finite capacity in dim %d" i);
     if e < 0. || a < 0. then
       invalid_arg (Printf.sprintf "Node.v: negative capacity in dim %d" i);
     if e > a +. Vector.eps then

@@ -10,8 +10,9 @@
 type t = { id : int; capacity : Vec.Epair.t }
 
 val v : id:int -> capacity:Vec.Epair.t -> t
-(** Raises [Invalid_argument] on negative capacities or when any elementary
-    capacity exceeds the corresponding aggregate capacity. *)
+(** Raises [Invalid_argument] on non-finite or negative capacities, or when
+    any elementary capacity exceeds the corresponding aggregate
+    capacity. *)
 
 val make_cores :
   id:int -> cores:int -> cpu:float -> mem:float -> t

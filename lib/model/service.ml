@@ -1,9 +1,16 @@
 type t = { id : int; requirement : Vec.Epair.t; need : Vec.Epair.t }
 
-let check_nonneg what (p : Vec.Epair.t) =
+(* Component by component: a NaN fails every comparison, so a fold such
+   as [Vector.min_component] could let it through. *)
+let check_components what (p : Vec.Epair.t) =
   let check v =
-    if Vec.Vector.min_component v < 0. then
-      invalid_arg (Printf.sprintf "Service.v: negative %s component" what)
+    for i = 0 to Vec.Vector.dim v - 1 do
+      let x = Vec.Vector.get v i in
+      if not (Float.is_finite x) then
+        invalid_arg (Printf.sprintf "Service.v: non-finite %s component" what);
+      if x < 0. then
+        invalid_arg (Printf.sprintf "Service.v: negative %s component" what)
+    done
   in
   check p.Vec.Epair.elementary;
   check p.Vec.Epair.aggregate
@@ -11,8 +18,8 @@ let check_nonneg what (p : Vec.Epair.t) =
 let v ~id ~requirement ~need =
   if Vec.Epair.dim requirement <> Vec.Epair.dim need then
     invalid_arg "Service.v: requirement/need dimension mismatch";
-  check_nonneg "requirement" requirement;
-  check_nonneg "need" need;
+  check_components "requirement" requirement;
+  check_components "need" need;
   { id; requirement; need }
 
 let cpu_dim = 0

@@ -9,8 +9,8 @@
 type t = { id : int; requirement : Vec.Epair.t; need : Vec.Epair.t }
 
 val v : id:int -> requirement:Vec.Epair.t -> need:Vec.Epair.t -> t
-(** Raises [Invalid_argument] on dimension mismatches or negative
-    components. *)
+(** Raises [Invalid_argument] on dimension mismatches or non-finite or
+    negative components. *)
 
 val cpu_dim : int
 (** Dimension index of CPU ([0]) in the 2-D convenience layout shared by

@@ -1,6 +1,6 @@
 type t = {
   id : int;
-  mutable capacity : Vec.Epair.t;
+  capacity : Vec.Epair.t;
   load : float array;
   mutable contents : int list;
   mutable sum_load : float;
@@ -38,17 +38,6 @@ let reset t =
   t.contents <- [];
   t.sum_load <- fold_load t.load;
   t.sum_remaining <- fold_remaining t.capacity t.load
-
-(* Re-point a recycled bin at another node's capacity (the kernel scratch
-   pool rebinding one solve's bins to the next solve's instance). The
-   load array is reused, so the new capacity must have the same dimension
-   — shape-matching is the caller's lookup key, and the assert keeps a
-   mismatch from silently corrupting the running sums. After [rebind] the
-   bin is indistinguishable from [v ~id ~capacity]. *)
-let rebind t ~capacity =
-  assert (Vec.Epair.dim capacity = Array.length t.load);
-  t.capacity <- capacity;
-  reset t
 
 let dim t = Vec.Epair.dim t.capacity
 

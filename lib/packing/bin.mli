@@ -6,9 +6,7 @@
 
 type t = private {
   id : int;
-  mutable capacity : Vec.Epair.t;
-      (** fixed for a bin's lifetime with a node, re-pointed only by
-          {!rebind} when a scratch-pool kernel is recycled across solves *)
+  capacity : Vec.Epair.t;
   load : float array;  (** aggregate load per dimension, mutated by [place] *)
   mutable contents : int list;  (** item ids, most recent first *)
   mutable sum_load : float;
@@ -26,12 +24,6 @@ val v : id:int -> capacity:Vec.Epair.t -> t
 val reset : t -> unit
 (** Return the bin to its freshly created state (zero load, no contents)
     without reallocating — the probe kernel's per-attempt recycle. *)
-
-val rebind : t -> capacity:Vec.Epair.t -> unit
-(** [reset] plus re-pointing the bin at a new capacity of the {e same}
-    dimension — the kernel scratch pool's cross-solve recycle. The result
-    is indistinguishable from a fresh [v ~id ~capacity]. Asserts on a
-    dimension mismatch (callers key reuse on matching shape). *)
 
 val dim : t -> int
 

@@ -47,18 +47,6 @@ let cache_new_probe c =
   c.sorted_items <- [];
   Permutation_pack.scratch_new_probe c.pp_scratch
 
-(* Full invalidation for rebinding the cache to a *different* item/bin
-   pair (the per-domain kernel scratch pool, DESIGN.md §16): unlike
-   [cache_new_probe] the bin-order memos must go too — they alias the
-   previous instance's bins, whose capacities the new instance does not
-   share. After a reset the cache is observationally a fresh one (the
-   Permutation-Pack scratch keeps only its buffer capacity, which is
-   data-independent). *)
-let cache_reset c =
-  c.sorted_items <- [];
-  c.sorted_bins <- [];
-  Permutation_pack.scratch_new_probe c.pp_scratch
-
 let items_in_order cache order items =
   match cache with
   | None -> Vec.Metric.sort order Item.size items

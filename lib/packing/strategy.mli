@@ -46,13 +46,6 @@ val cache_new_probe : cache -> unit
 (** Drop the item-order memos (call after refilling item demands for a new
     probe); bin-order memos are kept. *)
 
-val cache_reset : cache -> unit
-(** Drop {e every} memo — item orders, bin orders, Permutation-Pack
-    permutations — leaving the cache observationally fresh. Required when
-    a cache is rebound to a different item/bin pair (the kernel scratch
-    pool): the bin-order memos alias the previous bins, so keeping them
-    across instances would be unsound. *)
-
 val run : ?cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
   int array option
 (** Execute one strategy on fresh copies of nothing — [bins] are mutated.

@@ -28,7 +28,7 @@ val default : config
 val generate : ?rng:Prng.Rng.t -> config -> Model.Instance.t
 (** Deterministic given the rng (default seed 42). Raises
     [Invalid_argument] on nonsensical parameters ([hosts/services <= 0],
-    [cov < 0], [slack] outside (0, 1)). *)
+    [cov] negative or non-finite, [slack] outside (0, 1) or NaN). *)
 
 val generate_platform : rng:Prng.Rng.t -> config -> Model.Node.t array
 val generate_services :

@@ -36,12 +36,13 @@ let validate config =
     invalid_arg "Generator_nd: no resources";
   if config.hosts <= 0 then invalid_arg "Generator_nd: hosts";
   if config.services <= 0 then invalid_arg "Generator_nd: services";
-  if config.cov < 0. then invalid_arg "Generator_nd: cov";
+  if not (Float.is_finite config.cov && config.cov >= 0.) then
+    invalid_arg "Generator_nd: cov";
   Array.iter
     (fun r ->
       if r.elements < 1 then
         invalid_arg (Printf.sprintf "Generator_nd: %s: elements < 1" r.name);
-      if r.utilization <= 0. || r.utilization > 1. then
+      if not (r.utilization > 0. && r.utilization <= 1.) then
         invalid_arg
           (Printf.sprintf "Generator_nd: %s: utilization out of (0, 1]"
              r.name))

@@ -48,5 +48,6 @@ type config = {
 
 val generate : ?rng:Prng.Rng.t -> config -> Model.Instance.t
 (** Deterministic given the rng (default seed 42). Raises
-    [Invalid_argument] on empty resources, non-positive sizes, elements < 1,
-    or utilization outside (0, 1]. *)
+    [Invalid_argument] on empty resources, non-positive sizes, a negative
+    or non-finite [cov], elements < 1, or utilization outside (0, 1]
+    (NaN included). *)

@@ -9,8 +9,8 @@ let pivot_tol = 1e-9
 let reduced_cost_tol = 1e-9
 
 (* Shared counter names with the revised solver (lib/obs registration is
-   idempotent): whichever solver runs, the same counters move, so bench and
-   CI assertions do not care which implementation served a solve. *)
+   idempotent), so counter assertions read the same names whichever solver
+   served a solve. *)
 let c_pivots = Obs.Metrics.counter "simplex.pivots"
 let c_phase1_iters = Obs.Metrics.counter "simplex.phase1_iterations"
 let c_degenerate = Obs.Metrics.counter "simplex.degenerate_pivots"
@@ -21,16 +21,16 @@ let default_bland_after_degenerate = 16
 (* Internal row form: dense coefficients over the structural variables,
    relation and rhs, after lower-bound shifting and rhs sign normalization
    are applied by [prepare]. *)
-type row = { mutable a : float array; mutable rel : Problem.relation;
+type row = { mutable a : float array; mutable rel : Lp.Problem.relation;
              mutable b : float }
 
-let prepare (p : Problem.t) =
+let prepare (p : Lp.Problem.t) =
   let n = p.n_vars in
   (* Shift x = x' + lower so that all variables have lower bound 0. *)
   let shift = p.lower in
   let rows =
     List.map
-      (fun (cstr : Problem.linear_constraint) ->
+      (fun (cstr : Lp.Problem.linear_constraint) ->
         let a = Array.make n 0. in
         List.iter (fun (v, coef) -> a.(v) <- a.(v) +. coef) cstr.coeffs;
         let offset = ref 0. in
@@ -47,7 +47,7 @@ let prepare (p : Problem.t) =
     if Float.is_finite p.upper.(v) then begin
       let a = Array.make n 0. in
       a.(v) <- 1.;
-      upper_rows := { a; rel = Problem.Le; b = p.upper.(v) -. shift.(v) }
+      upper_rows := { a; rel = Lp.Problem.Le; b = p.upper.(v) -. shift.(v) }
                     :: !upper_rows
     end
   done;
@@ -60,9 +60,9 @@ let prepare (p : Problem.t) =
         r.b <- -.r.b;
         r.rel <-
           (match r.rel with
-          | Problem.Le -> Problem.Ge
-          | Problem.Ge -> Problem.Le
-          | Problem.Eq -> Problem.Eq)
+          | Lp.Problem.Le -> Lp.Problem.Ge
+          | Lp.Problem.Ge -> Lp.Problem.Le
+          | Lp.Problem.Eq -> Lp.Problem.Eq)
       end)
     rows;
   rows
@@ -85,9 +85,9 @@ let build_tableau n rows =
   Array.iter
     (fun r ->
       match r.rel with
-      | Problem.Le -> incr n_slack
-      | Problem.Ge -> incr n_slack; incr n_art
-      | Problem.Eq -> incr n_art)
+      | Lp.Problem.Le -> incr n_slack
+      | Lp.Problem.Ge -> incr n_slack; incr n_art
+      | Lp.Problem.Eq -> incr n_art)
     rows;
   let n_cols = n + !n_slack + !n_art in
   let t = Array.init m (fun _ -> Array.make (n_cols + 1) 0.) in
@@ -98,17 +98,17 @@ let build_tableau n rows =
       Array.blit r.a 0 t.(i) 0 n;
       t.(i).(n_cols) <- r.b;
       (match r.rel with
-      | Problem.Le ->
+      | Lp.Problem.Le ->
           t.(i).(!slack) <- 1.;
           basis.(i) <- !slack;
           incr slack
-      | Problem.Ge ->
+      | Lp.Problem.Ge ->
           t.(i).(!slack) <- -1.;
           incr slack;
           t.(i).(!art) <- 1.;
           basis.(i) <- !art;
           incr art
-      | Problem.Eq ->
+      | Lp.Problem.Eq ->
           t.(i).(!art) <- 1.;
           basis.(i) <- !art;
           incr art))
@@ -126,7 +126,7 @@ let build_tableau n rows =
    changes but the point does not move, the precondition for cycling. *)
 let pivot tab ~row ~col =
   Obs.Metrics.incr c_pivots;
-  Pivot_clock.tick ();
+  Lp.Pivot_clock.tick ();
   let t = tab.t and n_cols = tab.n_cols in
   let degenerate = Float.abs t.(row).(n_cols) <= feasibility_tol in
   if degenerate then Obs.Metrics.incr c_degenerate;
@@ -218,7 +218,7 @@ let run_phase ?(blocked = fun _ -> false) ?iters_counter
     | Some c -> Obs.Metrics.incr c
     | None -> ());
     if !iters > max_iterations then
-      failwith "Lp.Dense_simplex: iteration limit exceeded";
+      failwith "Dense_simplex: iteration limit exceeded";
     match choose_entering () with
     | None -> ()
     | Some col -> (
@@ -273,7 +273,7 @@ let expel_artificials tab =
     end
   done
 
-let solve ?max_iterations ?bland_after_degenerate (p : Problem.t) =
+let solve ?max_iterations ?bland_after_degenerate (p : Lp.Problem.t) =
   let n = p.n_vars in
   let rows = prepare p in
   let tab = build_tableau n rows in
@@ -302,7 +302,7 @@ let solve ?max_iterations ?bland_after_degenerate (p : Problem.t) =
   else begin
     expel_artificials tab;
     (* Phase 2 on the real objective, in minimization convention. *)
-    let sign = match p.sense with Problem.Minimize -> 1. | Maximize -> -1. in
+    let sign = match p.sense with Lp.Problem.Minimize -> 1. | Maximize -> -1. in
     let phase2_cost = Array.make tab.n_cols 0. in
     (* Costs apply to shifted variables; the constant sign *. c'lower is
        re-added when reporting. *)
@@ -328,5 +328,5 @@ let solve ?max_iterations ?bland_after_degenerate (p : Problem.t) =
           if x.(v) < p.lower.(v) then x.(v) <- p.lower.(v);
           if x.(v) > p.upper.(v) then x.(v) <- p.upper.(v)
         done;
-        Optimal { objective = Problem.objective_value p x; x }
+        Optimal { objective = Lp.Problem.objective_value p x; x }
   end

@@ -1,9 +1,9 @@
 (** Two-phase dense primal simplex — the reference oracle.
 
-    This is the original full-tableau solver, kept as the differential-test
-    oracle for the sparse revised {!Simplex} (and as the
-    [VMALLOC_DENSE_LP=1] escape hatch, dispatched from {!Simplex.solve}).
-    It favors obviousness over speed:
+    The original full-tableau solver, kept as the differential-test oracle
+    for the sparse revised {!Lp.Simplex} (test_simplex_diff.ml and the
+    bench [lp] section call it directly). It favors obviousness over
+    speed:
 
     - variable lower bounds are shifted out and finite upper bounds become
       explicit rows, so the working form is [min c'x, Ax {<=,>=,=} b, x >= 0];
@@ -24,9 +24,9 @@ type solution = { objective : float; x : float array }
 type result = Optimal of solution | Infeasible | Unbounded
 
 val solve :
-  ?max_iterations:int -> ?bland_after_degenerate:int -> Problem.t -> result
+  ?max_iterations:int -> ?bland_after_degenerate:int -> Lp.Problem.t -> result
 (** Solve the LP relaxation (integrality flags are ignored — use
-    {!Branch_bound} for MILPs). [max_iterations] defaults to
+    {!Lp.Branch_bound} for MILPs). [max_iterations] defaults to
     [max 20_000 (50 * (m + n))]; if exhausted the solver raises [Failure]
     (never observed on the test corpus — the bound is an anti-hang guard).
     [bland_after_degenerate] (default 16) is the consecutive-degenerate-pivot

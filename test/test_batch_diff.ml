@@ -3,10 +3,8 @@
    to solving the same jobs back-to-back sequentially — same Some/None,
    same placement, same minimum yield to the last bit — at every pool
    size and every forced speculation depth, with yield-search and direct
-   algorithms mixed in one request list. Re-running batches on one
-   scheduler also locks the per-domain kernel scratch pools: rebinding a
-   retired probe kernel to a later same-shaped job must not change any
-   result. *)
+   algorithms mixed in one request list, and however many batches one
+   scheduler has already run. *)
 
 module Batch = Heuristics.Batch
 
@@ -87,8 +85,8 @@ let pool_sizes () =
 
 (* The acceptance criterion of the batched scheduler: identical results
    at pools 1/2/4 under the adaptive depth and every forced depth.
-   Depths share one scheduler per pool, so later batches also replay
-   over scratch pools populated (and retired) by earlier ones. *)
+   Depths share one scheduler per pool, so later batches also run on a
+   scheduler earlier ones have used. *)
 let test_batched_equals_sequential () =
   List.iter
     (fun domains ->
@@ -107,10 +105,10 @@ let test_batched_equals_sequential () =
             [ None; Some 1; Some 2; Some 4 ]))
     (pool_sizes ())
 
-(* Kernel rebinding in isolation: two identical batches on one scheduler.
-   The second batch's probe kernels come (partly) from tokens the first
-   batch retired; rebinding must reproduce the first batch bit-for-bit. *)
-let test_rerun_batch_rebinds_identically () =
+(* Two identical batches on one scheduler: nothing the first batch leaves
+   behind (scheduler state, the probe-cost model the adaptive depth reads)
+   may change the second batch's results by a bit. *)
+let test_rerun_batch_identical () =
   with_pool ~domains:2 (fun pool ->
       let sched = Par.Scheduler.create ~pool in
       let first = Batch.solve_batch ~sched jobs in
@@ -165,8 +163,7 @@ let suite =
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("batched = sequential at pools x depths", test_batched_equals_sequential);
-      ("rerun on one scheduler rebinds identically",
-       test_rerun_batch_rebinds_identically);
+      ("rerun batch on one scheduler", test_rerun_batch_identical);
       ("empty batch", test_empty_batch);
       ("Table 1 mini-sweep identical batched", test_table1_batched_identical);
     ]

@@ -1,6 +1,6 @@
-(* Branch-and-bound coverage: MILP optima cross-checked between the
-   revised-simplex-backed search and the dense-oracle leg, plus unit tests
-   for the search-shape counters (nodes / infeasible / pruned). *)
+(* Branch-and-bound coverage: MILP optima cross-checked against
+   exhaustive enumeration of every integer point, plus unit tests for the
+   search-shape counters (nodes / infeasible / pruned). *)
 
 let c = Lp.Problem.c
 
@@ -19,24 +19,50 @@ let with_metrics f =
   let snap = Obs.Metrics.snapshot () in
   (result, fun name -> Obs.Metrics.Snapshot.counter_value snap name)
 
-let with_dense_env f =
-  let prev = Sys.getenv_opt "VMALLOC_DENSE_LP" in
-  Unix.putenv "VMALLOC_DENSE_LP" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "VMALLOC_DENSE_LP" (Option.value prev ~default:"0"))
-    f
+(* The optimum over every integer point of the box [lower, upper] that
+   satisfies the constraints to the revised solver's feasibility
+   tolerance; [None] when no point does. Exponential, so only for the
+   small all-integer problems of [Lp_gen.generate_milp]. *)
+let enumerate_optimum (p : Lp.Problem.t) =
+  let x = Array.copy p.lower in
+  let best = ref None in
+  let better a b =
+    match p.sense with
+    | Lp.Problem.Maximize -> a > b
+    | Lp.Problem.Minimize -> a < b
+  in
+  let rec go v =
+    if v = p.n_vars then begin
+      if Lp.Problem.is_feasible ~tol:Lp.Simplex.feasibility_tol p x then
+        let obj = Lp.Problem.objective_value p x in
+        match !best with
+        | Some b when not (better obj b) -> ()
+        | _ -> best := Some obj
+    end
+    else begin
+      let k = ref p.lower.(v) in
+      while !k <= p.upper.(v) do
+        x.(v) <- !k;
+        go (v + 1);
+        k := !k +. 1.
+      done
+    end
+  in
+  go 0;
+  !best
 
-(* Property: on random feasible bounded MILPs, the optimum found with the
-   revised LP solver equals the optimum found with the dense oracle. The
+(* Property: on random feasible bounded MILPs, branch-and-bound finds the
+   enumerated optimum. [generate_milp] makes every variable an integer in
+   [0, 1] or [0, 2], so five variables span at most 3^5 = 243 points. The
    instances are feasible by construction (integral witness), so both
-   searches must return [Optimal]. *)
+   must find one. *)
 
-let test_milp_optima_match_oracle () =
+let test_milp_optima_match_enumeration () =
   List.iter
     (fun seed ->
       let p = Lp_gen.generate_milp ~seed ~n_vars:5 ~n_cons:5 () in
       let ctx = Printf.sprintf "milp seed=%d" seed in
-      let solve () =
+      let bb =
         match Lp.Branch_bound.solve p with
         | Lp.Branch_bound.Optimal s -> s.objective
         | Lp.Branch_bound.Infeasible ->
@@ -46,12 +72,14 @@ let test_milp_optima_match_oracle () =
         | Lp.Branch_bound.Node_limit _ ->
             Alcotest.fail (ctx ^ ": unexpected node limit")
       in
-      let revised = solve () in
-      let dense = with_dense_env solve in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: revised %.9f = dense %.9f" ctx revised dense)
-        true
-        (Float.abs (revised -. dense) <= 1e-6 *. (1. +. Float.abs dense)))
+      match enumerate_optimum p with
+      | None -> Alcotest.fail (ctx ^ ": enumeration found no feasible point")
+      | Some best ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: branch-and-bound %.9f = enumeration %.9f"
+               ctx bb best)
+            true
+            (Float.abs (bb -. best) <= 1e-6 *. (1. +. Float.abs best)))
     [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 (* Infeasible-node accounting: x integer in [0,1] squeezed into [0.4, 0.6].
@@ -96,31 +124,23 @@ let test_incumbent_pruning () =
     (v "branch_bound.pruned_nodes" >= 1)
 
 (* Warm-start plumbing: a branchy MILP solved with metrics on must record
-   warm starts (children re-optimize from the parent basis) unless the
-   dense leg is active, where warm starts are ignored by design. *)
+   warm starts (children re-optimize from the parent basis). *)
 
 let test_bb_warm_starts_recorded () =
-  let dense_on =
-    match Sys.getenv_opt "VMALLOC_DENSE_LP" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
-  in
-  if not dense_on then begin
-    let p = Lp_gen.generate_milp ~seed:3 ~n_vars:6 ~n_cons:5 () in
-    let result, v = with_metrics (fun () -> Lp.Branch_bound.solve p) in
-    (match result with
-    | Lp.Branch_bound.Optimal _ -> ()
-    | _ -> Alcotest.fail "constructed-feasible MILP must be optimal");
-    if v "branch_bound.nodes" > 1 then
-      Alcotest.(check bool) "warm starts recorded" true
-        (v "simplex.warm_starts" > 0)
-  end
+  let p = Lp_gen.generate_milp ~seed:3 ~n_vars:6 ~n_cons:5 () in
+  let result, v = with_metrics (fun () -> Lp.Branch_bound.solve p) in
+  (match result with
+  | Lp.Branch_bound.Optimal _ -> ()
+  | _ -> Alcotest.fail "constructed-feasible MILP must be optimal");
+  if v "branch_bound.nodes" > 1 then
+    Alcotest.(check bool) "warm starts recorded" true
+      (v "simplex.warm_starts" > 0)
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("MILP optima match dense oracle", test_milp_optima_match_oracle);
+      ("MILP optima match enumeration", test_milp_optima_match_enumeration);
       ("infeasible-node accounting", test_infeasible_node_pruning);
       ("incumbent pruning", test_incumbent_pruning);
       ("warm starts recorded", test_bb_warm_starts_recorded);

@@ -85,6 +85,47 @@ let test_trailing_garbage () =
   let s = Model.Codec.to_string fig1_instance ^ "unexpected stuff\n" in
   expect_error s "trailing content"
 
+(* Non-finite numbers are rejected with their line, whichever field holds
+   them: a NaN would otherwise slip past every [< 0.] check and come back
+   as a plausible "no feasible placement". *)
+let test_non_finite_rejected () =
+  let node = "node 0 elt 1 1 agg 2 1\n"
+  and service v w =
+    Printf.sprintf
+      "service 0 req-elt 0 0 req-agg %s 0 need-elt 0.5 0 need-agg %s 0\n" v w
+  in
+  let text node service =
+    "vmalloc-instance 1\ndims 2\nnodes 1\n" ^ node ^ "services 1\n"
+    ^ service
+  in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (field, line, input) ->
+          match Model.Codec.of_string input with
+          | Ok _ -> Alcotest.failf "%s %s: accepted" field bad
+          | Error e ->
+              let prefix = Printf.sprintf "line %d: " line in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: %S starts with %S" field bad e prefix)
+                true
+                (String.starts_with ~prefix e))
+        [
+          ( "capacity", 4,
+            text (Printf.sprintf "node 0 elt %s 1 agg 2 1\n" bad)
+              (service "0" "1") );
+          ("requirement", 6, text node (service bad "1"));
+          ("need", 6, text node (service "0" bad));
+        ])
+    [ "nan"; "inf"; "-inf" ]
+
+(* A model constraint the grammar cannot see (elementary above aggregate)
+   is reported with its line too. *)
+let test_model_error_located () =
+  expect_error
+    "vmalloc-instance 1\ndims 1\nnodes 1\nnode 0 elt 2 agg 1\nservices 0\n"
+    "line 4: Node.v"
+
 let test_zero_services_rejected () =
   (* The model requires at least one service; the codec surfaces the model
      error as a parse diagnostic instead of raising. *)
@@ -170,6 +211,8 @@ let suite =
       ("truncated", test_truncated);
       ("trailing garbage", test_trailing_garbage);
       ("zero services rejected", test_zero_services_rejected);
+      ("non-finite numbers rejected", test_non_finite_rejected);
+      ("model errors carry their line", test_model_error_located);
       ("file roundtrip", test_file_roundtrip);
       ("missing file", test_missing_file);
     ]

@@ -306,56 +306,80 @@ let prop_rrnz_valid =
 
 (* Invariants every registry algorithm must satisfy on any reported
    solution: the placement is structurally valid and feasible at yield 0 in
-   every dimension (elementary and aggregate requirements both fit), and
-   the reported minimum yield equals an independent
+   every dimension (elementary and aggregate requirements both fit), its
+   water-filled allocation passes the MILP constraints (1)-(7), and the
+   reported minimum yield equals an independent
    [Model.Placement.min_yield] recomputation. The bound is exact (1e-9):
    all algorithms score through the same water-filling evaluation, so any
    drift indicates a stale or hand-edited [min_yield]. *)
 
-let placement_invariants ~name solve =
-  QCheck2.Test.make ~name ~count:40 small_instance_gen
+let placement_invariants ~name ~gen solve =
+  QCheck2.Test.make ~name ~count:40 gen
     (fun (seed, hosts, services, slack) ->
       let inst = gen_instance ~seed ~hosts ~services ~slack in
       match solve inst with
       | None -> true
-      | Some (sol : Heuristics.Vp_solver.solution) ->
+      | Some (sol : Heuristics.Vp_solver.solution) -> (
           Model.Placement.is_valid inst sol.placement
           && Model.Placement.feasible inst sol.placement
+          && (match Model.Placement.water_fill inst sol.placement with
+             | None -> false
+             | Some alloc ->
+                 Model.Placement.check_constraints inst alloc = Ok ())
           &&
           match Model.Placement.min_yield inst sol.placement with
           | None -> false
-          | Some y -> Float.abs (y -. sol.min_yield) <= 1e-9)
+          | Some y -> Float.abs (y -. sol.min_yield) <= 1e-9))
+
+(* The exact MILP is only tractable on tiny instances. *)
+let milp_instance_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1000 in
+    let* hosts = int_range 2 3 in
+    let* services = int_range 2 6 in
+    pure (seed, hosts, services, 0.5))
+
+let registry =
+  List.map
+    (fun name ->
+      match Heuristics.Algorithms.by_name ~seed:3 name with
+      | Some algo -> algo
+      | None -> Alcotest.failf "registry name %S does not resolve" name)
+    Heuristics.Algorithms.valid_names
+
+let is_milp (algo : Heuristics.Algorithms.t) = algo.name = "MILP"
 
 let prop_registry_invariants =
   List.map
     (fun (algo : Heuristics.Algorithms.t) ->
       placement_invariants
         ~name:(algo.name ^ ": feasible placement, yield recomputes")
+        ~gen:(if is_milp algo then milp_instance_gen else small_instance_gen)
         algo.solve)
-    (Heuristics.Algorithms.majors ~seed:3
-    @ [ Heuristics.Algorithms.metahvplight ])
+    registry
 
 let prop_heuristics_below_milp_optimum =
   QCheck2.Test.make ~name:"heuristics never beat the exact MILP" ~count:25
-    QCheck2.Gen.(
-      let* seed = int_range 0 1000 in
-      let* hosts = int_range 2 3 in
-      let* services = int_range 2 6 in
-      pure (seed, hosts, services))
-    (fun (seed, hosts, services) ->
-      let inst = gen_instance ~seed ~hosts ~services ~slack:0.5 in
+    milp_instance_gen
+    (fun (seed, hosts, services, slack) ->
+      let inst = gen_instance ~seed ~hosts ~services ~slack in
+      let heuristics = List.filter (fun a -> not (is_milp a)) registry in
       match Heuristics.Milp.solve_exact ~node_limit:50_000 inst with
       | None -> QCheck2.assume_fail () (* truncated: skip *)
       | Some None ->
           (* Infeasible: heuristics must fail too. *)
-          Heuristics.Algorithms.metahvp.solve inst = None
-      | Some (Some exact) -> (
-          match Heuristics.Algorithms.metahvp.solve inst with
-          | None -> true
-          | Some sol ->
-              (* Water-filling can exceed the MILP's uniform-yield optimum
-                 for individual services but the minimum yield cannot. *)
-              sol.min_yield <= exact.solution.min_yield +. 1e-6))
+          List.for_all
+            (fun (a : Heuristics.Algorithms.t) -> a.solve inst = None)
+            heuristics
+      | Some (Some exact) ->
+          (* Water-filling can exceed the MILP's uniform-yield optimum for
+             individual services but the minimum yield cannot. *)
+          List.for_all
+            (fun (a : Heuristics.Algorithms.t) ->
+              match a.solve inst with
+              | None -> true
+              | Some sol -> sol.min_yield <= exact.solution.min_yield +. 1e-6)
+            heuristics)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)

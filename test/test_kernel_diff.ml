@@ -1,19 +1,11 @@
 (* Differential lock-down of the probe-shared packing kernel
    (DESIGN.md §11): solves through the kernel (shared item scratch,
    memoized sort orders and Permutation-Pack item permutations, reset
-   bins) must be bit-identical to the naive fresh-allocation path
-   restored by VMALLOC_NO_PROBE_CACHE=1 / ~kernel:false — same
-   Some/None, same placement, same yield to the last bit — across random
-   instances, single-strategy (FF/BF/PP/CP) and META (VP/HVP/HVPLIGHT)
-   strategy sets, and probe-pool sizes 1/2/4.
-
-   Monotone strategy pruning is opt-in (its per-strategy monotonicity
-   premise was falsified at Table-1 scale, see vp_solver.ml), so its
-   tests are scoped to where the premise is checked to hold: a replay
-   test verifies that on this corpus no probe's naive winner was ever
-   prunable (i.e. had failed at an earlier, lower-or-equal probed
-   yield), and a prune-mode differential test confirms that there —
-   and only there — ~prune:true still reproduces the naive bits. *)
+   bins) must be bit-identical to the naive fresh-allocation path of
+   {!Oracles.Naive_probe} — same Some/None, same placement, same yield to
+   the last bit — across random instances, single-strategy (FF/BF/PP/CP)
+   and META (VP/HVP/HVPLIGHT) strategy sets, and probe-pool sizes
+   1/2/4. *)
 
 module VS = Heuristics.Vp_solver
 
@@ -93,8 +85,8 @@ let test_kernel_vs_naive_singles () =
                   check_identical
                     (Printf.sprintf "seed %d, %s, %d domains" seed sname
                        domains)
-                    (VS.solve ~pool ~kernel:true strategy inst)
-                    (VS.solve ~pool ~kernel:false strategy inst))
+                    (VS.solve ~pool strategy inst)
+                    (Oracles.Naive_probe.solve ~pool strategy inst))
                 single_strategies)
             corpus))
     pool_sizes
@@ -110,8 +102,8 @@ let test_kernel_vs_naive_meta () =
                   check_identical
                     (Printf.sprintf "seed %d, %s, %d domains" seed mname
                        domains)
-                    (VS.solve_multi ~pool ~kernel:true strategies inst)
-                    (VS.solve_multi ~pool ~kernel:false strategies inst))
+                    (VS.solve_multi ~pool strategies inst)
+                    (Oracles.Naive_probe.solve_multi ~pool strategies inst))
                 meta_sets)
             corpus))
     pool_sizes
@@ -133,141 +125,44 @@ let test_kernel_vs_naive_metahvp () =
             (fun (seed, inst) ->
               check_identical
                 (Printf.sprintf "seed %d, METAHVP, %d domains" seed domains)
-                (VS.solve_multi ~pool ~kernel:true Packing.Strategy.hvp_all
-                   inst)
-                (VS.solve_multi ~pool ~kernel:false Packing.Strategy.hvp_all
+                (VS.solve_multi ~pool Packing.Strategy.hvp_all inst)
+                (Oracles.Naive_probe.solve_multi ~pool Packing.Strategy.hvp_all
                    inst))
             picks))
     pool_sizes
 
-(* The env escape hatch itself: VMALLOC_NO_PROBE_CACHE=1 must route a
-   default solve through the naive path (same results, so the only
-   observable is the kernel's counters staying silent). *)
-let with_env_no_cache f =
-  Unix.putenv "VMALLOC_NO_PROBE_CACHE" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "VMALLOC_NO_PROBE_CACHE" "")
-    f
-
-let counter_after ~env_hatch solve =
+(* The kernel's counters against the oracle's own counts: memoization
+   never changes the probe sequence or the attempts a probe makes, it
+   only turns repeated sorts into memo hits. *)
+let test_kernel_counters () =
+  let inst = gen_instance ~seed:7 ~hosts:5 ~services:14 ~slack:0.35 in
   let was_enabled = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled false;
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ();
-      Obs.Metrics.set_enabled was_enabled)
-  @@ fun () ->
-  (if env_hatch then with_env_no_cache solve else solve ());
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.snapshot ()
-
-let test_escape_hatch_and_counters () =
-  let inst = gen_instance ~seed:7 ~hosts:5 ~services:14 ~slack:0.35 in
-  let solve ?kernel ?prune () =
-    ignore (VS.solve_multi ?kernel ?prune Packing.Strategy.hvp_light inst)
+  let snap =
+    Fun.protect ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Metrics.reset ();
+        Obs.Metrics.set_enabled was_enabled)
+    @@ fun () ->
+    ignore (VS.solve_multi Packing.Strategy.hvp_light inst);
+    Obs.Metrics.set_enabled false;
+    Obs.Metrics.snapshot ()
   in
-  (* ~kernel:true so the test means the same thing when the whole suite
-     runs under VMALLOC_NO_PROBE_CACHE=1 (the CI fallback leg). *)
-  let on = counter_after ~env_hatch:false (fun () -> solve ~kernel:true ()) in
-  let pruned =
-    counter_after ~env_hatch:false (fun () ->
-        solve ~kernel:true ~prune:true ())
-  in
-  let off = counter_after ~env_hatch:true (fun () -> solve ()) in
-  let v snap name = Obs.Metrics.Snapshot.counter_value snap name in
+  let naive = Oracles.Naive_probe.counts () in
+  ignore
+    (Oracles.Naive_probe.solve_multi ~counts:naive Packing.Strategy.hvp_light
+       inst);
+  let v name = Obs.Metrics.Snapshot.counter_value snap name in
   Alcotest.(check bool) "kernel solve hits the sort memo" true
-    (v on "vp_solver.items_cache_hits" > 0);
-  Alcotest.(check int) "pruning is opt-in: silent by default" 0
-    (v on "vp_solver.strategies_pruned");
-  Alcotest.(check bool) "~prune:true prunes strategies" true
-    (v pruned "vp_solver.strategies_pruned" > 0);
-  Alcotest.(check int) "env hatch silences pruning" 0
-    (v off "vp_solver.strategies_pruned");
-  Alcotest.(check int) "env hatch silences the sort memo" 0
-    (v off "vp_solver.items_cache_hits");
-  (* Memoization never changes, and pruning only ever removes, attempts. *)
+    (v "vp_solver.items_cache_hits" > 0);
   Alcotest.(check int) "kernel attempts = naive attempts"
-    (v off "vp_solver.strategy_attempts")
-    (v on "vp_solver.strategy_attempts");
-  Alcotest.(check bool) "pruned attempts <= naive attempts" true
-    (v pruned "vp_solver.strategy_attempts"
-    <= v off "vp_solver.strategy_attempts");
+    (Atomic.get naive.attempts)
+    (v "vp_solver.strategy_attempts");
   Alcotest.(check int) "same probe count either way"
-    (v off "vp_solver.oracle_calls")
-    (v on "vp_solver.oracle_calls")
-
-(* Opt-in pruning mode: where the replay test below validates the
-   monotonicity premise, ~prune:true must still reproduce the naive bits
-   (sequential search — the premise is checked on the sequential probe
-   sequence). *)
-let test_prune_mode_identity_on_corpus () =
-  List.iter
-    (fun (seed, inst) ->
-      List.iter
-        (fun (mname, strategies) ->
-          check_identical
-            (Printf.sprintf "seed %d, %s, pruned" seed mname)
-            (VS.solve_multi ~kernel:true ~prune:true strategies inst)
-            (VS.solve_multi ~kernel:false strategies inst))
-        meta_sets)
-    corpus
-
-(* Pruning soundness, checked directly rather than via end-to-end
-   equality: record the sequential probe sequence of a kernel solve, then
-   replay every (probe, strategy) pair through the naive oracle. For each
-   probe, the naive winner — the strategy whose placement the probe
-   returns — must not have failed at any earlier probed yield <= the
-   current one; otherwise pruning would have skipped a would-be winner
-   and changed the outcome. (This premise does NOT hold universally —
-   differential sweeps falsified it at Table-1 scale, which is why
-   pruning is opt-in — but it must hold on the instances the prune-mode
-   identity test above relies on.) *)
-let test_pruning_never_skips_a_winner () =
-  let checked = ref 0 in
-  List.iter
-    (fun (seed, inst) ->
-      List.iter
-        (fun (mname, strategies) ->
-          let probes = ref [] in
-          ignore
-            (VS.solve_multi
-               ~on_round:(fun pts ->
-                 probes := Array.to_list pts @ !probes)
-               strategies inst);
-          let probes = List.rev !probes in
-          let strategies = Array.of_list strategies in
-          (* fails.(i) = lowest yield strategy i failed at so far. *)
-          let fails = Array.make (Array.length strategies) infinity in
-          List.iter
-            (fun y ->
-              let winner = ref None in
-              Array.iteri
-                (fun i s ->
-                  if !winner = None then
-                    match VS.pack_at_yield s inst y with
-                    | Some _ -> winner := Some i
-                    | None -> if y < fails.(i) then fails.(i) <- y)
-                strategies;
-              match !winner with
-              | Some i when fails.(i) <= y ->
-                  Alcotest.failf
-                    "seed %d, %s: winner %s at probe %.17g failed earlier \
-                     at %.17g — pruning would skip it"
-                    seed mname
-                    (Packing.Strategy.name strategies.(i))
-                    y fails.(i)
-              | _ -> incr checked)
-            probes)
-        [
-          ("METAVP", Packing.Strategy.vp_all);
-          ("METAHVPLIGHT", Packing.Strategy.hvp_light);
-        ])
-    [
-      (3, gen_instance ~seed:3 ~hosts:4 ~services:12 ~slack:0.2);
-      (8, gen_instance ~seed:8 ~hosts:5 ~services:10 ~slack:0.35);
-    ];
-  Alcotest.(check bool) "replay covered probes" true (!checked > 0)
+    (Atomic.get naive.probes)
+    (v "vp_solver.oracle_calls")
 
 let suite =
   List.map
@@ -276,9 +171,5 @@ let suite =
       ("kernel = naive on FF/BF/PP/CP solves", test_kernel_vs_naive_singles);
       ("kernel = naive on METAVP/METAHVPLIGHT", test_kernel_vs_naive_meta);
       ("kernel = naive on METAHVP", test_kernel_vs_naive_metahvp);
-      ("escape hatch + kernel counters", test_escape_hatch_and_counters);
-      ("prune mode = naive where premise holds",
-       test_prune_mode_identity_on_corpus);
-      ("pruning never skips a would-be winner",
-       test_pruning_never_skips_a_winner);
+      ("escape hatch + kernel counters", test_kernel_counters);
     ]

@@ -382,8 +382,8 @@ let test_beale_bland_switchover () =
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  (match Lp.Dense_simplex.solve ~bland_after_degenerate:1 beale with
-  | Lp.Dense_simplex.Optimal s ->
+  (match Oracles.Dense_simplex.solve ~bland_after_degenerate:1 beale with
+  | Oracles.Dense_simplex.Optimal s ->
       check_float "forced-Bland optimum" (-0.05) s.objective;
       check_float "x1" 0.04 s.x.(0);
       check_float "x3" 1. s.x.(2)
@@ -394,8 +394,9 @@ let test_beale_bland_switchover () =
     (Obs.Metrics.Snapshot.counter_value snap "simplex.bland_switches" >= 1)
 
 let test_beale_default_params () =
-  (match Lp.Dense_simplex.solve beale with
-  | Lp.Dense_simplex.Optimal s -> check_float "dense optimum" (-0.05) s.objective
+  (match Oracles.Dense_simplex.solve beale with
+  | Oracles.Dense_simplex.Optimal s ->
+      check_float "dense optimum" (-0.05) s.objective
   | _ -> Alcotest.fail "dense solve of Beale LP must terminate optimal");
   match Lp.Simplex.solve beale with
   | Lp.Simplex.Optimal s -> check_float "revised optimum" (-0.05) s.objective

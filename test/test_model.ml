@@ -30,7 +30,24 @@ let test_node_invalid () =
     (fun () ->
       ignore
         (Model.Node.v ~id:0
-           ~capacity:(Vec.Epair.of_arrays [| 2.; 1. |] [| 1.; 1. |])))
+           ~capacity:(Vec.Epair.of_arrays [| 2.; 1. |] [| 1.; 1. |])));
+  (* NaN fails every comparison, so only an explicit finiteness check
+     stops it (constructors are the boundary the codec and generators
+     share). *)
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "node capacity %g" bad)
+        (Invalid_argument "Node.v: non-finite capacity in dim 1")
+        (fun () ->
+          ignore
+            (Model.Node.v ~id:0
+               ~capacity:(Vec.Epair.of_arrays [| 1.; bad |] [| 1.; bad |])));
+      Alcotest.check_raises
+        (Printf.sprintf "service need %g" bad)
+        (Invalid_argument "Service.v: non-finite need component")
+        (fun () -> ignore (Model.Service.make_2d ~id:0 ~cpu_need:(0., bad) ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_service_demand () =
   let open Vec in

@@ -311,9 +311,8 @@ let test_stream_assignment_unchanged () =
 
    Merged counts, the yield-log digest, and the simulator.* counters of a
    4-shard run are pinned at domain counts 1, 2, and 4. Only simulator.*
-   counters are pinned: they are invariant across the CI matrix legs
-   (VMALLOC_NO_PROBE_CACHE / VMALLOC_DENSE_LP perturb solver-internal
-   counters, never the event loop's). *)
+   counters are pinned: they belong to the event loop alone, so changes
+   to the solvers' internal work never move them. *)
 let samples_digest samples =
   List.fold_left
     (fun acc (t, y) ->

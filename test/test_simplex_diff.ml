@@ -1,21 +1,12 @@
-(* LP differential test harness (DESIGN.md §12).
+(* LP differential test harness (DESIGN.md §12, §15).
 
    Locks the sparse revised {!Lp.Simplex} against the dense tableau oracle
-   {!Lp.Dense_simplex} on the {!Lp_gen} random families, and locks
-   warm-started probe sequences against cold ones on Table-1-style
-   instances. Pivot-count assertions read the lib/obs counters, so they are
-   skipped when the [VMALLOC_DENSE_LP=1] CI leg routes every solve through
-   the dense oracle (warm starts are ignored there by design). *)
-
-let dense_env_on () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LP" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let dense_lu_env_on () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LU" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+   {!Oracles.Dense_simplex} on the {!Lp_gen} random families, its
+   {!Lp.Sparse_lu} factorization against a dense Gaussian reference and
+   the whole solver bitwise against the dense-LU instance
+   {!Oracles.Dense_lu}, and warm-started probe sequences against cold ones
+   on Table-1-style instances. Pivot-count assertions read the lib/obs
+   counters. *)
 
 (* Run [f] with metrics freshly enabled, returning (result, counter reader);
    restores the previous metric state afterwards. *)
@@ -71,8 +62,8 @@ let test_generator_deterministic () =
    oracle AND the construction cannot hide. *)
 
 let check_optimal_pair ~ctx p =
-  match (Lp.Dense_simplex.solve p, Lp.Simplex.solve p) with
-  | Lp.Dense_simplex.Optimal d, Lp.Simplex.Optimal r ->
+  match (Oracles.Dense_simplex.solve p, Lp.Simplex.solve p) with
+  | Oracles.Dense_simplex.Optimal d, Lp.Simplex.Optimal r ->
       let scale = 1e-6 *. (1. +. Float.abs d.objective) in
       Alcotest.(check bool)
         (ctx ^ ": objectives agree")
@@ -89,9 +80,9 @@ let check_optimal_pair ~ctx p =
   | d, r ->
       Alcotest.failf "%s: expected Optimal/Optimal, got %s/%s" ctx
         (match d with
-        | Lp.Dense_simplex.Optimal _ -> "Optimal"
-        | Lp.Dense_simplex.Infeasible -> "Infeasible"
-        | Lp.Dense_simplex.Unbounded -> "Unbounded")
+        | Oracles.Dense_simplex.Optimal _ -> "Optimal"
+        | Oracles.Dense_simplex.Infeasible -> "Infeasible"
+        | Oracles.Dense_simplex.Unbounded -> "Unbounded")
         (match r with
         | Lp.Simplex.Optimal _ -> "Optimal"
         | Lp.Simplex.Infeasible -> "Infeasible"
@@ -111,8 +102,8 @@ let test_family_infeasible () =
   List.iter
     (fun (seed, n_vars, n_cons, p) ->
       let ctx = Printf.sprintf "infeasible seed=%d %dx%d" seed n_vars n_cons in
-      (match Lp.Dense_simplex.solve p with
-      | Lp.Dense_simplex.Infeasible -> ()
+      (match Oracles.Dense_simplex.solve p with
+      | Oracles.Dense_simplex.Infeasible -> ()
       | _ -> Alcotest.fail (ctx ^ ": dense must report infeasible"));
       match Lp.Simplex.solve p with
       | Lp.Simplex.Infeasible -> ()
@@ -123,8 +114,8 @@ let test_family_unbounded () =
   List.iter
     (fun (seed, n_vars, n_cons, p) ->
       let ctx = Printf.sprintf "unbounded seed=%d %dx%d" seed n_vars n_cons in
-      (match Lp.Dense_simplex.solve p with
-      | Lp.Dense_simplex.Unbounded -> ()
+      (match Oracles.Dense_simplex.solve p with
+      | Oracles.Dense_simplex.Unbounded -> ()
       | _ -> Alcotest.fail (ctx ^ ": dense must report unbounded"));
       match Lp.Simplex.solve p with
       | Lp.Simplex.Unbounded -> ()
@@ -145,41 +136,35 @@ let test_warm_resolve_agrees () =
       let cold_pivots = pivots_of "simplex.pivots" in
       match cold with
       | Lp.Simplex.Optimal c ->
-          if dense_env_on () then
-            Alcotest.(check bool)
-              (ctx ^ ": dense leg returns no basis")
-              true (basis = None)
-          else begin
-            let b =
-              match basis with
-              | Some b -> b
-              | None -> Alcotest.fail (ctx ^ ": optimal solve must yield basis")
-            in
-            let (warm, basis'), pivots_of' =
-              with_metrics (fun () -> Lp.Simplex.solve_basis ~warm_basis:b p)
-            in
-            (match warm with
-            | Lp.Simplex.Optimal w ->
-                Alcotest.(check bool)
-                  (ctx ^ ": warm objective agrees")
-                  true
-                  (Float.abs (w.objective -. c.objective)
-                   <= 1e-6 *. (1. +. Float.abs c.objective))
-            | _ -> Alcotest.fail (ctx ^ ": warm re-solve must stay optimal"));
-            Alcotest.(check bool)
-              (ctx ^ ": warm re-solve returns basis")
-              true (basis' <> None);
-            Alcotest.(check bool) (ctx ^ ": warm start recorded") true
-              (pivots_of' "simplex.warm_starts" > 0);
-            Alcotest.(check int)
-              (ctx ^ ": no silent warm fallback")
-              0
-              (pivots_of' "simplex.warm_fallbacks");
-            Alcotest.(check bool)
-              (ctx ^ ": warm pivots <= cold pivots")
-              true
-              (pivots_of' "simplex.pivots" <= cold_pivots)
-          end
+          let b =
+            match basis with
+            | Some b -> b
+            | None -> Alcotest.fail (ctx ^ ": optimal solve must yield basis")
+          in
+          let (warm, basis'), pivots_of' =
+            with_metrics (fun () -> Lp.Simplex.solve_basis ~warm_basis:b p)
+          in
+          (match warm with
+          | Lp.Simplex.Optimal w ->
+              Alcotest.(check bool)
+                (ctx ^ ": warm objective agrees")
+                true
+                (Float.abs (w.objective -. c.objective)
+                 <= 1e-6 *. (1. +. Float.abs c.objective))
+          | _ -> Alcotest.fail (ctx ^ ": warm re-solve must stay optimal"));
+          Alcotest.(check bool)
+            (ctx ^ ": warm re-solve returns basis")
+            true (basis' <> None);
+          Alcotest.(check bool) (ctx ^ ": warm start recorded") true
+            (pivots_of' "simplex.warm_starts" > 0);
+          Alcotest.(check int)
+            (ctx ^ ": no silent warm fallback")
+            0
+            (pivots_of' "simplex.warm_fallbacks");
+          Alcotest.(check bool)
+            (ctx ^ ": warm pivots <= cold pivots")
+            true
+            (pivots_of' "simplex.pivots" <= cold_pivots)
       | _ -> Alcotest.fail (ctx ^ ": feasible family must be optimal"))
     (corpus Lp_gen.Feasible)
 
@@ -189,47 +174,24 @@ let test_warm_resolve_agrees () =
    blowup long before it hits the iteration guard. *)
 
 let test_pivot_regression_bound () =
-  if not (dense_env_on ()) then
-    List.iter
-      (fun family ->
-        let budget = 400 in
-        let _, pivots_of =
-          with_metrics (fun () ->
-              List.iter
-                (fun seed ->
-                  ignore
-                    (Lp.Simplex.solve
-                       (Lp_gen.generate ~seed ~n_vars:9 ~n_cons:12 family)))
-                seeds)
-        in
-        let pivots = pivots_of "simplex.pivots" in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %d pivots within budget %d"
-             (Lp_gen.family_name family) pivots budget)
-          true (pivots <= budget))
-      [ Lp_gen.Feasible; Lp_gen.Degenerate ]
-
-(* VMALLOC_DENSE_LP=1 dispatch: under the env toggle the facade must
-   reproduce the dense oracle exactly and return no basis. Restores the
-   variable afterwards ("0" parses as off; there is no Sys.unsetenv). *)
-
-let with_dense_env f =
-  let prev = Sys.getenv_opt "VMALLOC_DENSE_LP" in
-  Unix.putenv "VMALLOC_DENSE_LP" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "VMALLOC_DENSE_LP" (Option.value prev ~default:"0"))
-    f
-
-let test_dense_escape_hatch () =
-  let p = Lp_gen.generate ~seed:11 ~n_vars:6 ~n_cons:6 Lp_gen.Feasible in
-  with_dense_env @@ fun () ->
-  let result, basis = Lp.Simplex.solve_basis p in
-  Alcotest.(check bool) "dense leg: no basis" true (basis = None);
-  match (result, Lp.Dense_simplex.solve p) with
-  | Lp.Simplex.Optimal r, Lp.Dense_simplex.Optimal d ->
-      Alcotest.(check (float 1e-9)) "dense leg: oracle objective verbatim"
-        d.objective r.objective
-  | _ -> Alcotest.fail "dense leg must match the oracle verdict"
+  List.iter
+    (fun family ->
+      let budget = 400 in
+      let _, pivots_of =
+        with_metrics (fun () ->
+            List.iter
+              (fun seed ->
+                ignore
+                  (Lp.Simplex.solve
+                     (Lp_gen.generate ~seed ~n_vars:9 ~n_cons:12 family)))
+              seeds)
+      in
+      let pivots = pivots_of "simplex.pivots" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d pivots within budget %d"
+           (Lp_gen.family_name family) pivots budget)
+        true (pivots <= budget))
+    [ Lp_gen.Feasible; Lp_gen.Degenerate ]
 
 (* ---- Sparse_lu unit layer (DESIGN.md §15) ----------------------------
 
@@ -405,20 +367,12 @@ let test_sparse_lu_singular () =
 
 (* ---- Factorization-backend bit-identity ------------------------------
 
-   The acceptance bar of the sparse-LU PR: the Markowitz/Forrest-Tomlin
-   backend and the dense-LU backend (VMALLOC_DENSE_LU=1) must return
-   bitwise-identical results — verdict, objective and every coordinate,
-   cold and warm — on every generator family, because both pivot through
-   the same discrete bases and the final point is recomputed through one
-   canonical factorization. Pool fan-out must not change a single bit
-   either. *)
-
-let with_dense_lu_env f =
-  let prev = Sys.getenv_opt "VMALLOC_DENSE_LU" in
-  Unix.putenv "VMALLOC_DENSE_LU" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "VMALLOC_DENSE_LU" (Option.value prev ~default:"0"))
-    f
+   The Markowitz/Forrest-Tomlin instance ({!Lp.Simplex}) and the dense-LU
+   + eta-file instance ({!Oracles.Dense_lu}) must return bitwise-identical
+   results — verdict, objective and every coordinate, cold and warm — on
+   every generator family, because both pivot through the same discrete
+   bases and the final point is recomputed through one canonical
+   factorization. Pool fan-out must not change a single bit either. *)
 
 let result_bits = function
   | Lp.Simplex.Infeasible -> [ 1L ]
@@ -428,15 +382,18 @@ let result_bits = function
       :: Int64.bits_of_float objective
       :: Array.to_list (Array.map Int64.bits_of_float x)
 
-(* One problem's full discrete trace: cold solve, then a warm re-solve
-   from the captured basis when one exists. *)
-let solve_trace p =
-  let result, basis = Lp.Simplex.solve_basis p in
+(* One problem's full discrete trace under [solver]: cold solve, then a
+   warm re-solve from the captured basis when one exists. *)
+let solve_trace (module Solver : Lp.Simplex.SOLVER) p =
+  let result, basis = Solver.solve_basis p in
   result_bits result
   @
   match basis with
   | None -> [ 0L ]
-  | Some b -> 4L :: result_bits (Lp.Simplex.solve ~warm_basis:b p)
+  | Some b -> 4L :: result_bits (Solver.solve ~warm_basis:b p)
+
+let sparse_trace = solve_trace (module Lp.Simplex)
+let dense_lu_trace = solve_trace (module Oracles.Dense_lu)
 
 let bit_corpus =
   lazy
@@ -448,8 +405,8 @@ let bit_corpus =
 let test_backend_bit_identity () =
   List.iter
     (fun (family, seed, p) ->
-      let sparse = solve_trace p in
-      let dense_lu = with_dense_lu_env (fun () -> solve_trace p) in
+      let sparse = sparse_trace p in
+      let dense_lu = dense_lu_trace p in
       Alcotest.(check (list int64))
         (Printf.sprintf "%s seed=%d: sparse-LU bits = dense-LU bits"
            (Lp_gen.family_name family) seed)
@@ -460,11 +417,11 @@ let test_backend_bit_identity_pools () =
   let input =
     Array.of_list (List.map (fun (_, _, p) -> p) (Lazy.force bit_corpus))
   in
-  let traces () =
+  let traces trace =
     List.map
       (fun domains ->
         Par.Pool.with_pool ~domains (fun pool ->
-            Par.Pool.map pool input solve_trace))
+            Par.Pool.map pool input trace))
       [ 1; 2; 4 ]
   in
   let check_equal ~ctx = function
@@ -477,11 +434,11 @@ let test_backend_bit_identity_pools () =
     | [] -> assert false
   in
   let sparse =
-    check_equal ~ctx:"sparse traces pool-size invariant" (traces ())
+    check_equal ~ctx:"sparse traces pool-size invariant" (traces sparse_trace)
   in
   let dense_lu =
-    with_dense_lu_env (fun () ->
-        check_equal ~ctx:"dense-LU traces pool-size invariant" (traces ()))
+    check_equal ~ctx:"dense-LU traces pool-size invariant"
+      (traces dense_lu_trace)
   in
   Alcotest.(check bool) "sparse = dense-LU at every pool size" true
     (sparse = dense_lu)
@@ -542,34 +499,32 @@ let scale_rows s (p : Lp.Problem.t) =
   }
 
 let test_scaled_rows_warm_start () =
-  if not (dense_env_on ()) then begin
-    let instance = oversubscribed ~seed:5 ~nodes:3 ~services:6 ~factor:2. in
-    let lp, _ = Heuristics.Milp.formulation ~integer:false instance in
-    let p = scale_rows 1e-12 lp in
-    let (cold, basis), _ = with_metrics (fun () -> Lp.Simplex.solve_basis p) in
-    let cobj =
-      match cold with
-      | Lp.Simplex.Optimal c -> c.objective
-      | _ -> Alcotest.fail "scaled relaxation must stay optimal"
-    in
-    let b =
-      match basis with
-      | Some b -> b
-      | None -> Alcotest.fail "scaled cold solve must yield a basis"
-    in
-    let (warm, _), counters =
-      with_metrics (fun () -> Lp.Simplex.solve_basis ~warm_basis:b p)
-    in
-    (match warm with
-    | Lp.Simplex.Optimal w ->
-        Alcotest.(check (float 1e-6)) "scaled warm objective = cold" cobj
-          w.objective
-    | _ -> Alcotest.fail "scaled warm re-solve must stay optimal");
-    Alcotest.(check int) "scaled warm: zero fallbacks" 0
-      (counters "simplex.warm_fallbacks");
-    Alcotest.(check bool) "scaled warm: warm start recorded" true
-      (counters "simplex.warm_starts" > 0)
-  end
+  let instance = oversubscribed ~seed:5 ~nodes:3 ~services:6 ~factor:2. in
+  let lp, _ = Heuristics.Milp.formulation ~integer:false instance in
+  let p = scale_rows 1e-12 lp in
+  let (cold, basis), _ = with_metrics (fun () -> Lp.Simplex.solve_basis p) in
+  let cobj =
+    match cold with
+    | Lp.Simplex.Optimal c -> c.objective
+    | _ -> Alcotest.fail "scaled relaxation must stay optimal"
+  in
+  let b =
+    match basis with
+    | Some b -> b
+    | None -> Alcotest.fail "scaled cold solve must yield a basis"
+  in
+  let (warm, _), counters =
+    with_metrics (fun () -> Lp.Simplex.solve_basis ~warm_basis:b p)
+  in
+  (match warm with
+  | Lp.Simplex.Optimal w ->
+      Alcotest.(check (float 1e-6)) "scaled warm objective = cold" cobj
+        w.objective
+  | _ -> Alcotest.fail "scaled warm re-solve must stay optimal");
+  Alcotest.(check int) "scaled warm: zero fallbacks" 0
+    (counters "simplex.warm_fallbacks");
+  Alcotest.(check bool) "scaled warm: warm start recorded" true
+    (counters "simplex.warm_starts" > 0)
 
 let probe_instances =
   lazy
@@ -596,24 +551,21 @@ let test_probe_sequence_warm_vs_cold () =
              <= 2. *. Heuristics.Binary_search.default_tolerance)
       | None, None -> ()
       | _ -> Alcotest.fail (ctx ^ ": warm and cold verdicts differ"));
-      if not (dense_env_on ()) then begin
-        Alcotest.(check bool) (ctx ^ ": warm starts recorded") true
-          (warm_of "simplex.warm_starts" > 0);
-        Alcotest.(check int)
-          (ctx ^ ": no silent warm fallback")
-          0
-          (warm_of "simplex.warm_fallbacks");
-        if not (dense_lu_env_on ()) then
-          Alcotest.(check bool)
-            (ctx ^ ": Forrest-Tomlin updates exercised")
-            true
-            (warm_of "simplex.ft_updates" > 0);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: warm pivots %d < cold pivots %d" ctx
-             (warm_of "simplex.pivots") (cold_of "simplex.pivots"))
-          true
-          (warm_of "simplex.pivots" < cold_of "simplex.pivots")
-      end)
+      Alcotest.(check bool) (ctx ^ ": warm starts recorded") true
+        (warm_of "simplex.warm_starts" > 0);
+      Alcotest.(check int)
+        (ctx ^ ": no silent warm fallback")
+        0
+        (warm_of "simplex.warm_fallbacks");
+      Alcotest.(check bool)
+        (ctx ^ ": Forrest-Tomlin updates exercised")
+        true
+        (warm_of "simplex.ft_updates" > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: warm pivots %d < cold pivots %d" ctx
+           (warm_of "simplex.pivots") (cold_of "simplex.pivots"))
+        true
+        (warm_of "simplex.pivots" < cold_of "simplex.pivots"))
     (Lazy.force probe_instances)
 
 (* Probed rounding variants: deterministic given the seed, and their
@@ -641,28 +593,36 @@ let test_probed_rounding_deterministic () =
     (Lazy.force probe_instances)
 
 (* Full-search differential: the MILP yield search must return the same
-   yield whether its LPs run on the revised solver or the dense oracle. *)
+   yield whether its probe LPs run on the revised solver or, cold, on the
+   dense oracle — the probe schedule is {!Heuristics.Binary_search}'s
+   either way. *)
+
+let dense_yield_search instance =
+  Heuristics.Binary_search.maximize (fun yield_floor ->
+      let p, _ = Heuristics.Milp.probe_formulation instance ~yield_floor in
+      match Oracles.Dense_simplex.solve p with
+      | Oracles.Dense_simplex.Optimal _ -> Some ()
+      | Oracles.Dense_simplex.Infeasible -> None
+      | Oracles.Dense_simplex.Unbounded ->
+          Alcotest.fail "a feasibility probe cannot be unbounded")
 
 let test_probe_sequence_vs_dense_oracle () =
-  if not (dense_env_on ()) then
-    List.iter
-      (fun (seed, instance) ->
-        let ctx = Printf.sprintf "probe-vs-dense seed=%d" seed in
-        let revised = Heuristics.Milp.relaxed_yield_search instance in
-        let dense =
-          with_dense_env (fun () ->
-              Heuristics.Milp.relaxed_yield_search instance)
-        in
-        match (revised, dense) with
-        | Some (_, yr), Some (_, yd) ->
-            Alcotest.(check bool)
-              (ctx ^ ": revised and dense yields agree")
-              true
-              (Float.abs (yr -. yd)
-               <= 2. *. Heuristics.Binary_search.default_tolerance)
-        | None, None -> ()
-        | _ -> Alcotest.fail (ctx ^ ": verdicts differ across solvers"))
-      (Lazy.force probe_instances)
+  List.iter
+    (fun (seed, instance) ->
+      let ctx = Printf.sprintf "probe-vs-dense seed=%d" seed in
+      match
+        (Heuristics.Milp.relaxed_yield_search instance,
+         dense_yield_search instance)
+      with
+      | Some (_, yr), Some ((), yd) ->
+          Alcotest.(check bool)
+            (ctx ^ ": revised and dense yields agree")
+            true
+            (Float.abs (yr -. yd)
+             <= 2. *. Heuristics.Binary_search.default_tolerance)
+      | None, None -> ()
+      | _ -> Alcotest.fail (ctx ^ ": verdicts differ across solvers"))
+    (Lazy.force probe_instances)
 
 let suite =
   List.map
@@ -677,7 +637,6 @@ let suite =
       ("unbounded family agrees", test_family_unbounded);
       ("warm re-solve agrees", test_warm_resolve_agrees);
       ("pivot regression bound", test_pivot_regression_bound);
-      ("dense escape hatch", test_dense_escape_hatch);
       ("sparse LU solves", test_sparse_lu_solves);
       ("sparse LU Forrest-Tomlin update", test_sparse_lu_update);
       ("sparse LU singularity thresholds", test_sparse_lu_singular);

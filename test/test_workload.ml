@@ -122,7 +122,17 @@ let config ?(hosts = 16) ?(services = 40) ?(cov = 0.5) ?(slack = 0.4)
 let test_generator_validation () =
   Alcotest.check_raises "bad slack"
     (Invalid_argument "Generator: slack must be in (0, 1)") (fun () ->
-      ignore (Workload.Generator.generate (config ~slack:1.0 ())))
+      ignore (Workload.Generator.generate (config ~slack:1.0 ())));
+  Alcotest.check_raises "NaN slack"
+    (Invalid_argument "Generator: slack must be in (0, 1)") (fun () ->
+      ignore (Workload.Generator.generate (config ~slack:Float.nan ())));
+  List.iter
+    (fun cov ->
+      Alcotest.check_raises
+        (Printf.sprintf "cov %g" cov)
+        (Invalid_argument "Generator: cov must be finite and non-negative")
+        (fun () -> ignore (Workload.Generator.generate (config ~cov ()))))
+    [ Float.nan; Float.infinity; -0.5 ]
 
 let test_generator_sizes () =
   let inst = Workload.Generator.generate (config ()) in
