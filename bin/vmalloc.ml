@@ -132,6 +132,16 @@ let check_domains = function
             $VMALLOC_DOMAINS)"
            d)
 
+(* Runs [f] on a [domains]-wide pool. The runtime caps the domains a
+   process may run (128 on OCaml 5.1); a count past it is a usage error on
+   --domains, not a crash. *)
+let with_pool ~domains f =
+  match Par.Pool.create ~domains with
+  | exception Invalid_argument e ->
+      `Error (false, Printf.sprintf "--domains %d: %s" domains e)
+  | pool ->
+      Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
+
 let unknown_algorithm name =
   Printf.sprintf "unknown algorithm %S (valid: %s)" name
     (String.concat ", " Heuristics.Algorithms.valid_names)
@@ -281,11 +291,15 @@ let parse_batch_line ~(defaults : gen_opts) ~default_algo lineno line =
           | exception Invalid_argument e -> fail "%s" e))
 
 let load_batch_jobs ~defaults ~default_algo path =
-  let ic = open_in path in
+  let cannot_read e = Error (Printf.sprintf "cannot read %s: %s" path e) in
+  match open_in path with
+  | exception Sys_error e -> cannot_read e
+  | ic ->
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let rec go lineno acc =
     match input_line ic with
     | exception End_of_file -> Ok (List.rev acc)
+    | exception Sys_error e -> cannot_read e
     | line ->
         let line = String.trim line in
         if line = "" || line.[0] = '#' then go (lineno + 1) acc
@@ -305,13 +319,11 @@ let load_batch_jobs ~defaults ~default_algo path =
   in
   go 1 []
 
-let run_batch ~jobs ~domains ~depth =
+let run_batch ~pool jobs =
   let jobs = Array.of_list jobs in
   let t0 = Unix.gettimeofday () in
   let results =
-    Par.Pool.with_pool ~domains (fun pool ->
-        let sched = Par.Scheduler.create ~pool in
-        Heuristics.Batch.solve_batch ?depth ~sched jobs)
+    Heuristics.Batch.solve_batch ~sched:(Par.Scheduler.create ~pool) jobs
   in
   let dt = Unix.gettimeofday () -. t0 in
   Array.iteri
@@ -325,7 +337,7 @@ let run_batch ~jobs ~domains ~depth =
             jobs.(i).Heuristics.Batch.algo.name)
     results;
   Printf.printf "%d jobs on %d domain(s): %.3fs total, %.3fs/job\n"
-    (Array.length jobs) domains dt
+    (Array.length jobs) (Par.Pool.size pool) dt
     (dt /. float_of_int (max 1 (Array.length jobs)))
 
 let solve_cmd =
@@ -344,13 +356,6 @@ let solve_cmd =
                    pool; results print in line order and are bit-identical \
                    to solving each line separately.")
   in
-  let depth =
-    Arg.(value & opt (some int) None
-         & info [ "depth" ] ~docv:"M"
-             ~doc:"With --batch: force the speculation depth of every \
-                   yield-search round instead of the adaptive cost-model \
-                   choice (results are bit-identical at any value).")
-  in
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
@@ -367,7 +372,7 @@ let solve_cmd =
                    chrome://tracing or Perfetto).")
   in
   let run file opts algo_name verbose domains stats trace trace_folded
-      stats_out batch depth =
+      stats_out batch =
     match check_domains domains with
     | Error e -> `Error (false, e)
     | Ok domains -> (
@@ -425,8 +430,9 @@ let solve_cmd =
                       `Error
                         (false, Printf.sprintf "%s: no jobs" batch_file)
                   | Ok jobs ->
-                      run_batch ~jobs ~domains ~depth;
-                      finish ())
+                      with_pool ~domains (fun pool ->
+                          run_batch ~pool jobs;
+                          finish ()))
             | None -> (
                 match load_or_generate file opts with
                 | Error e -> `Error (false, e)
@@ -436,33 +442,34 @@ let solve_cmd =
                     with
                     | None -> `Error (false, unknown_algorithm algo_name)
                     | Some algo ->
-                        let solve () =
-                          if domains > 1 then
-                            Par.Pool.with_pool ~domains (fun pool ->
-                                algo.solve ~pool inst)
-                          else algo.solve inst
+                        let solve pool =
+                          let t0 = Sys.time () in
+                          let result = algo.solve ?pool inst in
+                          let dt = Sys.time () -. t0 in
+                          (match result with
+                          | None ->
+                              Printf.printf
+                                "%s: no feasible placement (%.3fs)\n"
+                                algo.name dt
+                          | Some sol ->
+                              Printf.printf
+                                "%s: minimum yield %.4f (%.3fs)\n" algo.name
+                                sol.min_yield dt;
+                              if verbose then begin
+                                match
+                                  Model.Placement.water_fill inst
+                                    sol.placement
+                                with
+                                | None -> ()
+                                | Some alloc ->
+                                    print_string
+                                      (Model.Report.render inst alloc)
+                              end);
+                          finish ()
                         in
-                        let t0 = Sys.time () in
-                        let result = solve () in
-                        let dt = Sys.time () -. t0 in
-                        (match result with
-                        | None ->
-                            Printf.printf
-                              "%s: no feasible placement (%.3fs)\n" algo.name
-                              dt
-                        | Some sol ->
-                            Printf.printf "%s: minimum yield %.4f (%.3fs)\n"
-                              algo.name sol.min_yield dt;
-                            if verbose then begin
-                              match
-                                Model.Placement.water_fill inst sol.placement
-                              with
-                              | None -> ()
-                              | Some alloc ->
-                                  print_string
-                                    (Model.Report.render inst alloc)
-                            end);
-                        finish ()))))
+                        if domains > 1 then
+                          with_pool ~domains (fun pool -> solve (Some pool))
+                        else solve None))))
   in
   Cmd.v
     (Cmd.info "solve"
@@ -472,7 +479,7 @@ let solve_cmd =
              --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
                $ verbose $ domains $ stats_term $ trace $ trace_folded_term
-               $ stats_out_term $ batch $ depth))
+               $ stats_out_term $ batch))
 
 (* compare *)
 
@@ -517,18 +524,17 @@ let compare_cmd =
             in
             (* One task per algorithm; rows — and, with [--stats], the
                per-task metric sinks — land in registry order either way. *)
+            with_pool ~domains @@ fun pool ->
             let rows =
-              Par.Pool.with_pool ~domains (fun pool ->
-                  Par.Pool.map pool all
-                    (fun (algo : Heuristics.Algorithms.t) ->
-                      let t0 = Unix.gettimeofday () in
-                      let cell =
-                        match algo.solve inst with
-                        | Some sol -> Printf.sprintf "%.4f" sol.min_yield
-                        | None -> "fail"
-                      in
-                      [ algo.name; cell;
-                        Printf.sprintf "%.3f" (Unix.gettimeofday () -. t0) ]))
+              Par.Pool.map pool all (fun (algo : Heuristics.Algorithms.t) ->
+                  let t0 = Unix.gettimeofday () in
+                  let cell =
+                    match algo.solve inst with
+                    | Some sol -> Printf.sprintf "%.4f" sol.min_yield
+                    | None -> "fail"
+                  in
+                  [ algo.name; cell;
+                    Printf.sprintf "%.3f" (Unix.gettimeofday () -. t0) ])
             in
             Array.iter (Stats.Table.add_row table) rows;
             Stats.Table.print table;
@@ -689,8 +695,14 @@ let simulate_cmd =
               (Sharing.Adaptive_threshold.create ~quantile:90. ()))
       else
         match float_of_string_opt threshold with
-        | Some t when t >= 0. -> Ok (Simulator.Engine.Fixed t)
-        | _ -> Error ("bad threshold: " ^ threshold)
+        | Some t when Float.is_finite t && t >= 0. ->
+            Ok (Simulator.Engine.Fixed t)
+        | _ ->
+            Error
+              (Printf.sprintf
+                 "bad threshold: %s (expected a finite number >= 0 or \
+                  'adaptive')"
+                 threshold)
     in
     let placement_mode =
       match Simulator.Policy.of_string policy with
@@ -733,10 +745,14 @@ let simulate_cmd =
         `Error (false, e)
     | Ok threshold, Ok domains, Ok placement, Ok algorithm, Ok partition -> (
         let want_timeline = timeline <> None || timeline_prom <> None in
-        if want_timeline && timeline_interval <= 0. then
+        if
+          want_timeline
+          && not (Float.is_finite timeline_interval && timeline_interval > 0.)
+        then
           `Error
             ( false,
-              Printf.sprintf "--timeline-interval %g: must be positive"
+              Printf.sprintf
+                "--timeline-interval %g: must be positive and finite"
                 timeline_interval )
         else
         let tl_ref = ref None in
@@ -787,56 +803,55 @@ let simulate_cmd =
         let timeline_interval =
           if want_timeline then Some timeline_interval else None
         in
-        let simulate () =
-          if domains > 1 && shards > 1 then
-            Par.Pool.with_pool ~domains (fun pool ->
-                Simulator.Sharded.run ~pool ~seed ~shards ~partition
-                  ?timeline_interval config ~platform)
-          else
-            Simulator.Sharded.run ~seed ~shards ~partition ?timeline_interval
-              config ~platform
+        let simulate pool =
+          match
+            Simulator.Sharded.run ?pool ~seed ~shards ~partition
+              ?timeline_interval config ~platform
+          with
+          | { merged; _ } as result ->
+              if shards > 1 then Printf.printf "shards: %d\n" shards;
+              if placement <> Simulator.Policy.Resolve then
+                Printf.printf "policy: %s (repair budget %d)\n"
+                  (Simulator.Policy.to_string placement)
+                  repair_budget;
+              Printf.printf
+                "horizon %.0f: %d arrivals (%d rejected), %d departures\n\
+                 %d reallocations (%d failed), %d migrations\n\
+                 time-averaged minimum yield: %.4f\n\
+                 final threshold: %.3f\n"
+                horizon merged.arrivals merged.rejected merged.departures
+                merged.reallocations merged.failed_reallocations
+                merged.migrations merged.mean_min_yield merged.final_threshold;
+              tl_ref := result.Simulator.Sharded.timeline;
+              if stats then print_stats ();
+              if tracing then Obs.Trace.stop ();
+              flush_sinks ();
+              Option.iter
+                (fun path ->
+                  Printf.eprintf "wrote trace %s (%d events)\n%!" path
+                    (Obs.Trace.event_count ()))
+                trace;
+              Option.iter
+                (fun path -> Printf.eprintf "wrote folded stacks %s\n%!" path)
+                trace_folded;
+              Option.iter
+                (fun path -> Printf.eprintf "wrote stats %s\n%!" path)
+                stats_out;
+              (match !tl_ref with
+              | Some tl ->
+                  let note path =
+                    Printf.eprintf "wrote timeline %s (%d samples)\n%!" path
+                      (Obs.Timeline.length tl)
+                  in
+                  Option.iter note timeline;
+                  Option.iter note timeline_prom
+              | None -> ());
+              `Ok ()
+          | exception Invalid_argument e -> `Error (false, e)
         in
-        match simulate () with
-        | { merged; _ } as result ->
-            if shards > 1 then Printf.printf "shards: %d\n" shards;
-            if placement <> Simulator.Policy.Resolve then
-              Printf.printf "policy: %s (repair budget %d)\n"
-                (Simulator.Policy.to_string placement)
-                repair_budget;
-            Printf.printf
-              "horizon %.0f: %d arrivals (%d rejected), %d departures\n\
-               %d reallocations (%d failed), %d migrations\n\
-               time-averaged minimum yield: %.4f\n\
-               final threshold: %.3f\n"
-              horizon merged.arrivals merged.rejected merged.departures
-              merged.reallocations merged.failed_reallocations
-              merged.migrations merged.mean_min_yield merged.final_threshold;
-            tl_ref := result.Simulator.Sharded.timeline;
-            if stats then print_stats ();
-            if tracing then Obs.Trace.stop ();
-            flush_sinks ();
-            Option.iter
-              (fun path ->
-                Printf.eprintf "wrote trace %s (%d events)\n%!" path
-                  (Obs.Trace.event_count ()))
-              trace;
-            Option.iter
-              (fun path -> Printf.eprintf "wrote folded stacks %s\n%!" path)
-              trace_folded;
-            Option.iter
-              (fun path -> Printf.eprintf "wrote stats %s\n%!" path)
-              stats_out;
-            (match !tl_ref with
-            | Some tl ->
-                let note path =
-                  Printf.eprintf "wrote timeline %s (%d samples)\n%!" path
-                    (Obs.Timeline.length tl)
-                in
-                Option.iter note timeline;
-                Option.iter note timeline_prom
-            | None -> ());
-            `Ok ()
-        | exception Invalid_argument e -> `Error (false, e)))
+        if domains > 1 && shards > 1 then
+          with_pool ~domains (fun pool -> simulate (Some pool))
+        else simulate None))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -850,66 +865,6 @@ let simulate_cmd =
                $ stats_term $ trace $ policy $ repair_budget $ algo
                $ partition $ trace_folded_term $ stats_out_term $ timeline
                $ timeline_prom $ timeline_interval))
-
-(* report *)
-
-let report_cmd =
-  let history =
-    Arg.(value & opt string "bench/history"
-         & info [ "history" ] ~docv:"DIR"
-             ~doc:"Bench history directory (one \
-                   $(b,<git-rev>-<n>.json) archive per bench run).")
-  in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"REV"
-             ~doc:"Baseline git rev for deltas and the regression gate \
-                   (default: the oldest rev in the history).")
-  in
-  let max_regression =
-    Arg.(value & opt float 25.
-         & info [ "max-regression" ] ~docv:"PCT"
-             ~doc:"Fail when a gated (deterministic counter) metric's \
-                   latest value exceeds the baseline by more than $(docv) \
-                   percent. Wall-clock metrics are never gated.")
-  in
-  let run history baseline max_regression =
-    match Obs.Report.load ~dir:history with
-    | Error e -> `Error (false, e)
-    | Ok t -> (
-        let baseline =
-          match baseline with
-          | Some rev -> rev
-          | None -> (Obs.Report.revs t).(0)
-        in
-        match Obs.Report.render ~baseline t with
-        | Error e -> `Error (false, e)
-        | Ok table -> (
-            print_string table;
-            match
-              Obs.Report.gate ~baseline ~max_regression_pct:max_regression t
-            with
-            | Error e -> `Error (false, e)
-            | Ok [] ->
-                Printf.printf
-                  "\ngate: ok (no gated metric above baseline %s +%g%%)\n"
-                  baseline max_regression;
-                `Ok ()
-            | Ok failures ->
-                print_newline ();
-                print_string (Obs.Report.render_failures failures);
-                `Error
-                  ( false,
-                    Printf.sprintf
-                      "%d gated metric(s) regressed past %g%% of baseline %s"
-                      (List.length failures) max_regression baseline )))
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Render the bench-history observatory (per-metric sparkline \
-             trends across revs, deltas vs a baseline) and gate the \
-             deterministic counter metrics against regressions.")
-    Term.(ret (const run $ history $ baseline $ max_regression))
 
 (* theorem *)
 
@@ -934,4 +889,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; solve_cmd; compare_cmd; inspect_cmd; simulate_cmd;
-            report_cmd; theorem_cmd ]))
+            theorem_cmd ]))

@@ -82,8 +82,7 @@ module Csc : sig
   val nnz : matrix -> int
 
   val col_nnz : matrix -> int -> int
-  (** Stored entries of one column — O(1); the sparse-LU bench arm and
-      fill diagnostics use it to report basis column populations. *)
+  (** Stored entries of one column — O(1). *)
 
   val density : matrix -> float
   (** [nnz / (n_rows * n_cols)], 0 for an empty matrix. *)

@@ -60,8 +60,8 @@ val fill_in : t -> int
 
 val flops : t -> int
 (** Multiply–subtract operations spent by {!factor} (divisions included).
-    Constant over the factor's lifetime; the dense LU's equivalent count
-    is what the bench [sparse_lu] arm compares against. *)
+    Constant over the factor's lifetime; the dense-LU test oracle counts
+    the same work, and the differential tests compare the two. *)
 
 val updates : t -> int
 (** Forrest–Tomlin updates applied since {!factor}. *)

@@ -1,8 +1,8 @@
-(* Minimal recursive-descent JSON reader for the bench-history observatory.
-   The repo deliberately has no JSON dependency — emitters hand-print their
-   output — so the one consumer (Report) gets this small parser: full JSON
-   syntax, floats for every number, decoded string escapes (non-ASCII
-   \u escapes become '?'; the bench emitters never produce them). *)
+(* Minimal recursive-descent JSON reader. The repo deliberately has no
+   JSON dependency — emitters hand-print their output — so readers get
+   this small parser: full JSON syntax, floats for every number, decoded
+   string escapes (non-ASCII \u escapes become '?'; the emitters never
+   produce them). *)
 
 type t =
   | Null
@@ -190,4 +190,3 @@ let to_num = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List l -> l | _ -> []
-let obj_items = function Obj items -> items | _ -> []

@@ -1,10 +1,12 @@
-(** Minimal JSON reader (bench-history observatory).
+(** Minimal JSON reader.
 
-    The repo's emitters hand-print their JSON; this is the matching
-    hand-rolled parser for the one consumer that reads JSON back —
-    {!Obs.Report} over [bench/history/]. Full JSON syntax; every number
-    becomes a [float]; string escapes are decoded (non-ASCII [\u]
-    escapes degrade to ['?'], which the bench emitters never produce). *)
+    The repo's emitters ({!Metrics.Snapshot.to_json}, {!Trace.to_json},
+    {!Timeline.to_jsonl}) hand-print their JSON; this is the matching
+    hand-rolled parser for code that reads it back, such as the repo
+    benchmark's per-layer metrics. Full JSON syntax; every number becomes
+    a [float]; string escapes are decoded (non-ASCII [\u] escapes degrade
+    to ['?'], which the emitters never produce). Total: malformed input
+    is an [Error], never an exception. *)
 
 type t =
   | Null
@@ -22,13 +24,9 @@ val member : string -> t -> t option
 (** Object member lookup; [None] on non-objects and missing keys. *)
 
 val to_num : t -> float option
-(** The number, or [Some 0. / Some 1.] for booleans (bench files encode
-    flags like [identical] as booleans); [None] otherwise. *)
+(** The number, or [Some 0. / Some 1.] for booleans; [None] otherwise. *)
 
 val to_str : t -> string option
 
 val to_list : t -> t list
 (** Elements of a [List], [[]] for any other constructor. *)
-
-val obj_items : t -> (string * t) list
-(** Members of an [Obj], [[]] for any other constructor. *)

@@ -101,7 +101,7 @@ module Snapshot : sig
   val to_json : t -> string
   (** The snapshot as a JSON object
       [{"counters": {...}, "histograms": {...}}] with keys sorted by
-      name (the [obs] block of [BENCH_par.json]). *)
+      name (what [--stats-out] writes; {!Json.parse} reads it back). *)
 
   val equal : t -> t -> bool
 end

@@ -56,6 +56,18 @@ let with_executing pool f =
   Domain.DLS.set executing (Some pool);
   Fun.protect ~finally:(fun () -> Domain.DLS.set executing saved) f
 
+let shutdown pool =
+  Mutex.lock pool.mutex;
+  pool.closed <- true;
+  Condition.broadcast pool.nonempty;
+  Mutex.unlock pool.mutex;
+  Array.iter Domain.join pool.workers;
+  pool.workers <- [||]
+
+(* The runtime caps the domains a process may run (128 on OCaml 5.1) and
+   [Domain.spawn] fails past it. The workers spawned before the failure
+   are joined here: left running, they would hold domain slots and make
+   every later pool in the process fail too. *)
 let create ~domains =
   let size = max 1 domains in
   let pool =
@@ -68,8 +80,20 @@ let create ~domains =
       closed = false;
     }
   in
-  pool.workers <-
-    Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
+  let spawned = ref [] in
+  (try
+     for _ = 2 to size do
+       spawned := Domain.spawn (fun () -> worker_loop pool) :: !spawned
+     done
+   with Failure msg ->
+     let started = List.length !spawned in
+     pool.workers <- Array.of_list !spawned;
+     shutdown pool;
+     invalid_arg
+       (Printf.sprintf
+          "Par.Pool.create: cannot run %d domains (%s after %d workers)"
+          size msg started));
+  pool.workers <- Array.of_list (List.rev !spawned);
   pool
 
 let size pool = pool.size
@@ -183,14 +207,6 @@ let map_reduce pool ?chunk arr ~map:f ~fold ~init =
     in
     Array.fold_left (Array.fold_left fold) init mapped
   end
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.closed <- true;
-  Condition.broadcast pool.nonempty;
-  Mutex.unlock pool.mutex;
-  Array.iter Domain.join pool.workers;
-  pool.workers <- [||]
 
 let with_pool ~domains f =
   let pool = create ~domains in

@@ -20,7 +20,10 @@ type t
 val create : domains:int -> t
 (** [create ~domains] spawns [domains - 1] worker domains (the caller is
     the remaining member). [domains] is clamped below at 1. Pools are
-    cheap but not free — create one per run, not per trial batch. *)
+    cheap but not free — create one per run, not per trial batch.
+
+    @raise Invalid_argument naming the count when the runtime cannot run
+    that many domains; the workers already spawned are shut down first. *)
 
 val size : t -> int
 (** Total parallelism, including the calling domain; [>= 1]. *)

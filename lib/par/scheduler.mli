@@ -17,8 +17,8 @@
 
     Counters: [scheduler.requests] (requests admitted), and
     [scheduler.rounds_interleaved] (pool rounds executed — the
-    deterministic unit the bench's batched-throughput gate compares
-    against the serial run's [binary_search.rounds]). Every executed
+    deterministic unit test_batch_diff.ml compares against the serial
+    run's [binary_search.rounds]). Every executed
     round also feeds the measured per-task cost model ({!Obs.Cost}) that
     the adaptive speculation depth reads. *)
 

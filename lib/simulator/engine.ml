@@ -94,18 +94,24 @@ let c_bins_touched = Obs.Metrics.counter "simulator.bins_touched"
 let h_epoch_yield = Obs.Metrics.histogram "simulator.epoch_min_yield_permille"
 let h_realloc_services = Obs.Metrics.histogram "simulator.reallocation_services"
 
+(* Every float check is written so that NaN fails it, and infinities are
+   rejected explicitly: a non-finite horizon or rate otherwise runs
+   forever or returns a plausible-looking empty run. *)
 let validate config ~platform =
-  if config.horizon <= 0. then invalid_arg "Engine.run: horizon";
-  if config.arrival_rate <= 0. then invalid_arg "Engine.run: arrival_rate";
-  if config.mean_lifetime <= 0. then invalid_arg "Engine.run: mean_lifetime";
-  if config.reallocation_period <= 0. then
-    invalid_arg "Engine.run: reallocation_period";
-  if config.max_error < 0. then invalid_arg "Engine.run: max_error";
-  if config.per_core_need <= 0. then invalid_arg "Engine.run: per_core_need";
-  if config.memory_scale <= 0. then invalid_arg "Engine.run: memory_scale";
-  if config.repair_budget < 0 then invalid_arg "Engine.run: repair_budget";
-  if config.yield_gap < 0. || config.yield_gap >= 1. then
-    invalid_arg "Engine.run: yield_gap";
+  let check field ok = if not ok then invalid_arg ("Engine.run: " ^ field) in
+  let positive field v = check field (Float.is_finite v && v > 0.) in
+  positive "horizon" config.horizon;
+  positive "arrival_rate" config.arrival_rate;
+  positive "mean_lifetime" config.mean_lifetime;
+  positive "reallocation_period" config.reallocation_period;
+  check "max_error" (Float.is_finite config.max_error && config.max_error >= 0.);
+  positive "per_core_need" config.per_core_need;
+  positive "memory_scale" config.memory_scale;
+  check "repair_budget" (config.repair_budget >= 0);
+  check "yield_gap" (config.yield_gap >= 0. && config.yield_gap < 1.);
+  (match config.threshold with
+  | Fixed t -> check "threshold" (Float.is_finite t)
+  | Adaptive _ -> ());
   (* The admission path and [service_of_live] assume the 2-D (CPU, memory)
      layout of [Model.Service.make_2d]; reject anything else up front
      rather than silently misreading a capacity component. *)

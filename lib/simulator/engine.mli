@@ -103,8 +103,10 @@ val run :
   platform:Model.Node.t array ->
   stats
 (** Simulate. Deterministic given the rng (default seed 0). Raises
-    [Invalid_argument] on non-positive horizon, rates, or periods, on a
-    negative repair budget or a yield gap outside [0, 1), and on any
+    [Invalid_argument] naming the field on a non-finite or non-positive
+    horizon, rate, period, per-core need or memory scale, on a non-finite
+    or negative error, on a non-finite fixed threshold, on a negative
+    repair budget or a yield gap outside [0, 1) (NaN included), and on any
     platform that is empty or not 2-D — the admission path reads the
     memory capacity at {!Model.Service.mem_dim} and would silently
     misread any other dimension layout.

@@ -1,8 +1,5 @@
-(* Seeded random-LP family generator.
-
-   Shared by the differential test suite (test_simplex_diff.ml,
-   test_branch_bound.ml) and the bench `lp` section, which is why it is a
-   small dune library rather than a test module. Every family is built
+(* Seeded random-LP family generator for the differential test suite
+   (test_simplex_diff.ml, test_branch_bound.ml). Every family is built
    around a known witness so the feasibility class is guaranteed by
    construction, not discovered by a solver:
 

@@ -2,9 +2,8 @@
 
     Each family guarantees its feasibility class by construction (known
     witness point / explicit contradiction / explicit ray), so tests can
-    assert solver verdicts without trusting either solver. Shared between
-    the test suite and the bench [lp] section. Deterministic: generation is
-    a pure function of the seed. *)
+    assert solver verdicts without trusting either solver. Deterministic:
+    generation is a pure function of the seed. *)
 
 type family =
   | Feasible  (** interior witness, finite bounds — always [Optimal] *)

@@ -1,9 +1,8 @@
 (** Two-phase dense primal simplex — the reference oracle.
 
     The original full-tableau solver, kept as the differential-test oracle
-    for the sparse revised {!Lp.Simplex} (test_simplex_diff.ml and the
-    bench [lp] section call it directly). It favors obviousness over
-    speed:
+    for the sparse revised {!Lp.Simplex} (the differential tests call it
+    directly). It favors obviousness over speed:
 
     - variable lower bounds are shifted out and finite upper bounds become
       explicit rows, so the working form is [min c'x, Ax {<=,>=,=} b, x >= 0];

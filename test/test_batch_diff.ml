@@ -121,6 +121,41 @@ let test_rerun_batch_identical () =
         second;
       check_batch "rerun (vs sequential)" second)
 
+(* The scheduler's point, in pool rounds: 16 tenants sharing a 4-domain
+   pool finish in at most half the rounds their yield searches take back
+   to back. With 16 live tenants on 4 domains, occupancy pins the adaptive
+   depth to 1, so the round count is a pure function of the jobs and is
+   pinned. *)
+let tenant_jobs =
+  Array.init 16 (fun i ->
+      {
+        Batch.algo =
+          algo ~seed:i (if i mod 4 = 3 then "metagreedy" else "metahvplight");
+        instance = gen_instance ~seed:i ~hosts:4 ~services:12 ~slack:0.4;
+      })
+
+let test_batch_round_savings () =
+  let (), serial =
+    Counters.with_metrics (fun () ->
+        Array.iter
+          (fun j -> ignore (j.Batch.algo.solve j.Batch.instance))
+          tenant_jobs)
+  in
+  let (), pooled =
+    Counters.with_metrics (fun () ->
+        with_pool ~domains:4 (fun pool ->
+            let sched = Par.Scheduler.create ~pool in
+            ignore (Batch.solve_batch ~sched tenant_jobs)))
+  in
+  let serial = serial "binary_search.rounds" in
+  let interleaved = pooled "scheduler.rounds_interleaved" in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 x %d pool rounds <= %d back-to-back rounds" interleaved
+       serial)
+    true
+    (2 * interleaved <= serial);
+  Alcotest.(check int) "pool rounds (golden)" 16 interleaved
+
 let test_empty_batch () =
   with_pool ~domains:2 (fun pool ->
       let sched = Par.Scheduler.create ~pool in
@@ -166,4 +201,5 @@ let suite =
       ("rerun batch on one scheduler", test_rerun_batch_identical);
       ("empty batch", test_empty_batch);
       ("Table 1 mini-sweep identical batched", test_table1_batched_identical);
+      ("16 tenants halve the pool rounds", test_batch_round_savings);
     ]

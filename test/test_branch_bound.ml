@@ -4,20 +4,7 @@
 
 let c = Lp.Problem.c
 
-let with_metrics f =
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ();
-      Obs.Metrics.set_enabled was_enabled)
-  @@ fun () ->
-  let result = f () in
-  Obs.Metrics.set_enabled false;
-  let snap = Obs.Metrics.snapshot () in
-  (result, fun name -> Obs.Metrics.Snapshot.counter_value snap name)
+let with_metrics = Counters.with_metrics
 
 (* The optimum over every integer point of the box [lower, upper] that
    satisfies the constraints to the revised solver's feasibility

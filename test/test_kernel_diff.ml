@@ -136,25 +136,14 @@ let test_kernel_vs_naive_metahvp () =
    only turns repeated sorts into memo hits. *)
 let test_kernel_counters () =
   let inst = gen_instance ~seed:7 ~hosts:5 ~services:14 ~slack:0.35 in
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  let snap =
-    Fun.protect ~finally:(fun () ->
-        Obs.Metrics.set_enabled false;
-        Obs.Metrics.reset ();
-        Obs.Metrics.set_enabled was_enabled)
-    @@ fun () ->
-    ignore (VS.solve_multi Packing.Strategy.hvp_light inst);
-    Obs.Metrics.set_enabled false;
-    Obs.Metrics.snapshot ()
+  let _, v =
+    Counters.with_metrics (fun () ->
+        VS.solve_multi Packing.Strategy.hvp_light inst)
   in
   let naive = Oracles.Naive_probe.counts () in
   ignore
     (Oracles.Naive_probe.solve_multi ~counts:naive Packing.Strategy.hvp_light
        inst);
-  let v name = Obs.Metrics.Snapshot.counter_value snap name in
   Alcotest.(check bool) "kernel solve hits the sort memo" true
     (v "vp_solver.items_cache_hits" > 0);
   Alcotest.(check int) "kernel attempts = naive attempts"
@@ -164,6 +153,41 @@ let test_kernel_counters () =
     (Atomic.get naive.probes)
     (v "vp_solver.oracle_calls")
 
+(* Golden work counters of the META solvers, each solved sequentially on
+   a mid-size Table-1 corpus point (10 hosts x 40 services, cov 0.5,
+   slack 0.4, rep 0). A change that moves one on purpose updates it here
+   and says why. *)
+let golden_counters =
+  [ "binary_search.rounds"; "vp_solver.oracle_calls";
+    "vp_solver.strategy_attempts"; "packing.bins_examined" ]
+
+let test_golden_meta_counters () =
+  let inst =
+    Experiments.Corpus.instance
+      {
+        Experiments.Corpus.hosts = 10;
+        services = 40;
+        cov = 0.5;
+        slack = 0.4;
+        cpu_homogeneous = false;
+        mem_homogeneous = false;
+        rep = 0;
+      }
+  in
+  List.iter
+    (fun ((algo : Heuristics.Algorithms.t), pins) ->
+      let _, counter = Counters.with_metrics (fun () -> algo.solve inst) in
+      List.iter2
+        (fun name pin ->
+          Alcotest.(check int) (algo.name ^ ": " ^ name) pin (counter name))
+        golden_counters pins)
+    Heuristics.Algorithms.
+      [
+        (metavp, [ 16; 16; 208; 35_549 ]);
+        (metahvp, [ 16; 16; 1_534; 152_831 ]);
+        (metahvplight, [ 16; 16; 370; 47_377 ]);
+      ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -172,4 +196,5 @@ let suite =
       ("kernel = naive on METAVP/METAHVPLIGHT", test_kernel_vs_naive_meta);
       ("kernel = naive on METAHVP", test_kernel_vs_naive_metahvp);
       ("escape hatch + kernel counters", test_kernel_counters);
+      ("golden META work counters", test_golden_meta_counters);
     ]

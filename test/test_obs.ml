@@ -1,8 +1,9 @@
 (* lib/obs lock-down: the disabled path records nothing, enabled counters
    and histograms total correctly, Pool.map's task-sink merge keeps merged
    snapshots byte-identical at any domain count (including a real Table 1
-   sweep — the ISSUE's acceptance criterion), and the span tracer
-   round-trips through its Chrome JSON export. *)
+   sweep), the span tracer round-trips through its Chrome JSON export,
+   and Obs.Json reads any text without raising and reads a snapshot back
+   to its counter values. *)
 
 (* Every test toggles the global flag, so save/restore it — the rest of
    the suite must keep running under whatever VMALLOC_OBS selected. *)
@@ -255,6 +256,87 @@ let test_trace_folded_pool_invariant () =
   Alcotest.(check string) "folded: 1 vs 2 domains" f1 f2;
   Alcotest.(check string) "folded: 1 vs 4 domains" f1 f4
 
+(* ---- Obs.Json totality and snapshot round-trip ------------------------ *)
+
+(* Fixed test counters (the registry is global and never shrinks), two of
+   them with names that need JSON escapes. *)
+let json_counters =
+  Array.map Obs.Metrics.counter
+    [| "test.json.a"; "test.json.b"; "test.json \"quoted\"";
+       "test.json back\\slash"; "test.json.e" |]
+
+let json_hist = Obs.Metrics.histogram "test.json.hist"
+
+(* A snapshot holding exactly the given counter increments plus a few
+   histogram observations. *)
+let snapshot_of adds =
+  with_enabled true @@ fun () ->
+  Obs.Metrics.reset ();
+  List.iteri
+    (fun i n ->
+      Obs.Metrics.add json_counters.(i mod Array.length json_counters) n;
+      Obs.Metrics.observe json_hist n)
+    adds;
+  let snap = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  snap
+
+let gen_adds = QCheck2.Gen.(list_size (int_range 0 8) (int_range 0 1_000_000))
+
+let parses_or_errors text =
+  match Obs.Json.parse text with Ok _ | Error _ -> true
+
+(* Random text made of JSON's own tokens and fragments reaches the
+   parser's inner states (strings, escapes, numbers, literals, nesting,
+   each cut short); arbitrary bytes cover the rest. *)
+let gen_json_soup =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 30)
+         (oneof
+            [
+              oneofl
+                [ "{"; "}"; "["; "]"; ","; ":"; " "; "\""; "\\"; "\\u";
+                  "\\u00"; "\\n"; "true"; "fals"; "null"; "-"; "0"; "1.5";
+                  "e+"; "E" ];
+              map (String.make 1) char;
+            ])))
+
+let prop_json_total =
+  QCheck2.Test.make ~name:"json parser is total on arbitrary text" ~count:1000
+    gen_json_soup parses_or_errors
+
+(* Every prefix and every one-byte mutation of a real snapshot export. *)
+let prop_json_total_on_damaged_snapshots =
+  QCheck2.Test.make ~name:"json parser is total on damaged snapshots"
+    ~count:300
+    QCheck2.Gen.(triple gen_adds (int_range 0 10_000) char)
+    (fun (adds, cut, c) ->
+      let full = Obs.Metrics.Snapshot.to_json (snapshot_of adds) in
+      let n = String.length full in
+      let mutated = Bytes.of_string full in
+      Bytes.set mutated (cut mod n) c;
+      parses_or_errors (String.sub full 0 (cut mod (n + 1)))
+      && parses_or_errors (Bytes.to_string mutated))
+
+let prop_snapshot_json_roundtrip =
+  QCheck2.Test.make ~name:"snapshot JSON parses back to its counters"
+    ~count:200 gen_adds (fun adds ->
+      let snap = snapshot_of adds in
+      match Obs.Json.parse (Obs.Metrics.Snapshot.to_json snap) with
+      | Error e -> QCheck2.Test.fail_reportf "export does not parse: %s" e
+      | Ok doc ->
+          let parsed =
+            match Obs.Json.member "counters" doc with
+            | Some (Obs.Json.Obj items) ->
+                List.map (fun (k, v) -> (k, Obs.Json.to_num v)) items
+            | _ -> []
+          in
+          parsed
+          = List.map
+              (fun (k, v) -> (k, Some (Float.of_int v)))
+              (Obs.Metrics.Snapshot.counters snap))
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -271,3 +353,6 @@ let suite =
       ("folded stacks identical at 1/2/4 domains",
        test_trace_folded_pool_invariant);
     ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_json_total; prop_json_total_on_damaged_snapshots;
+        prop_snapshot_json_roundtrip ]

@@ -235,6 +235,22 @@ let test_with_pool_shutdown_on_exception () =
       if i <> j then Alcotest.failf "exception mangled: Boom %d -> Boom %d" i j
   done
 
+(* Past the runtime's domain cap (128 on OCaml 5.1) [create] must raise
+   Invalid_argument and join the workers it did spawn: leaked, they would
+   hold domain slots and make the next pool in the process fail too. *)
+let test_create_past_domain_cap () =
+  (match Par.Pool.create ~domains:1000 with
+  | pool ->
+      Par.Pool.shutdown pool;
+      Alcotest.fail "1000 domains should exceed the runtime's cap"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the count: %S" msg)
+        true
+        (String.starts_with
+           ~prefix:"Par.Pool.create: cannot run 1000 domains" msg));
+  check_map_matches ~domains:2 17
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -255,4 +271,5 @@ let suite =
       ("domains_from_env parsing sweep", test_domains_from_env_parsing);
       ("with_pool joins workers on exception",
        test_with_pool_shutdown_on_exception);
+      ("create past the domain cap cleans up", test_create_past_domain_cap);
     ]

@@ -206,6 +206,54 @@ let test_repair_counters_engage () =
     (counter "simulator.bins_touched" > 0);
   Alcotest.(check bool) "repair passes" true (counter "simulator.repairs" > 0)
 
+(* The probe policies' point, in bins touched per event: on the bench
+   [online] section's two-class platform and workload scaled down tenfold
+   (100 hosts, 3 arrivals per time unit), greedy-random and best-fit each
+   touch at least 5x fewer bins per arrival/departure than the full
+   re-solve path, whose admission scan alone walks every node. The counts
+   are deterministic and pinned. *)
+let test_probe_policies_touch_fewer_bins () =
+  let hosts = 100 in
+  let platform =
+    Array.init hosts (fun id ->
+        if id < hosts / 2 then
+          Model.Node.make_cores ~id ~cores:4 ~cpu:0.4 ~mem:0.4
+        else Model.Node.make_cores ~id ~cores:4 ~cpu:0.8 ~mem:0.8)
+  in
+  let config =
+    {
+      config with
+      horizon = 60.;
+      arrival_rate = 3.;
+      mean_lifetime = 30.;
+      reallocation_period = 10.;
+      max_error = 0.08;
+      memory_scale = 0.5;
+    }
+  in
+  let bins_per_event placement =
+    let (stats : Simulator.Engine.stats), counter =
+      Counters.with_metrics (fun () ->
+          Simulator.Engine.run ~rng:(Prng.Rng.create ~seed:11)
+            { config with placement } ~platform)
+    in
+    let bins = counter "simulator.bins_touched" in
+    (bins, float_of_int bins /. float_of_int (stats.arrivals + stats.departures))
+  in
+  let resolve_bins, resolve = bins_per_event Simulator.Policy.Resolve in
+  Alcotest.(check int) "resolve bins touched (golden)" 18400 resolve_bins;
+  List.iter
+    (fun (placement, pin) ->
+      let name = Simulator.Policy.to_string placement in
+      let bins, per_event = bins_per_event placement in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f bins/event x 5 <= resolve's %.1f" name
+           per_event resolve)
+        true
+        (5. *. per_event <= resolve);
+      Alcotest.(check int) (name ^ " bins touched (golden)") pin bins)
+    [ (Simulator.Policy.Greedy_random, 537); (Simulator.Policy.Best_fit, 2133) ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -216,4 +264,6 @@ let suite =
       ( "sharded incremental = full recompute",
         test_sharded_incremental_matches_full );
       ("repair counters engage", test_repair_counters_engage);
+      ( "probe policies touch 5x fewer bins",
+        test_probe_policies_touch_fewer_bins );
     ]

@@ -8,22 +8,7 @@
    on Table-1-style instances. Pivot-count assertions read the lib/obs
    counters. *)
 
-(* Run [f] with metrics freshly enabled, returning (result, counter reader);
-   restores the previous metric state afterwards. *)
-let with_metrics f =
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ();
-      Obs.Metrics.set_enabled was_enabled)
-  @@ fun () ->
-  let result = f () in
-  Obs.Metrics.set_enabled false;
-  let snap = Obs.Metrics.snapshot () in
-  (result, fun name -> Obs.Metrics.Snapshot.counter_value snap name)
+let with_metrics = Counters.with_metrics
 
 let sizes = [ (4, 3); (6, 6); (9, 12) ]
 let seeds = [ 0; 1; 2; 3; 4 ]
@@ -443,6 +428,31 @@ let test_backend_bit_identity_pools () =
   Alcotest.(check bool) "sparse = dense-LU at every pool size" true
     (sparse = dense_lu)
 
+(* The Markowitz ordering's payoff as the work counters see it: on a
+   banded LP, a cold solve plus three warm re-solves from its optimal
+   basis take at most half the factorization flops of the dense-LU
+   instance pivoting through the same bases. *)
+let test_sparse_lu_flops_vs_dense () =
+  let p = Lp_gen.generate ~seed:0 ~n_vars:80 ~n_cons:60 Lp_gen.Banded in
+  let flops (module Solver : Lp.Simplex.SOLVER) =
+    let (), counter =
+      with_metrics (fun () ->
+          match Solver.solve_basis p with
+          | _, Some b ->
+              for _ = 1 to 3 do
+                ignore (Solver.solve ~warm_basis:b p)
+              done
+          | _, None -> Alcotest.fail "banded LP must yield a basis")
+    in
+    counter "simplex.lu_flops"
+  in
+  let sparse = flops (module Lp.Simplex) in
+  let dense = flops (module Oracles.Dense_lu) in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 x sparse-LU %d flops <= dense-LU %d flops" sparse dense)
+    true
+    (2 * sparse <= dense)
+
 (* Table-1-style probe sequences: the warm-started yield search must agree
    with the cold one on the answer while spending strictly fewer pivots.
    The paper generator scales CPU need to exactly match capacity, so its
@@ -536,6 +546,10 @@ let probe_instances =
 let run_search ~warm instance =
   with_metrics (fun () -> Heuristics.Milp.relaxed_yield_search ~warm instance)
 
+(* Golden (cold, warm) total pivots of each seed's search. A change that
+   moves them on purpose updates them here and says why. *)
+let probe_pivot_pins = [ (1, (515, 82)); (2, (557, 91)); (3, (514, 81)) ]
+
 let test_probe_sequence_warm_vs_cold () =
   List.iter
     (fun (seed, instance) ->
@@ -565,7 +579,12 @@ let test_probe_sequence_warm_vs_cold () =
         (Printf.sprintf "%s: warm pivots %d < cold pivots %d" ctx
            (warm_of "simplex.pivots") (cold_of "simplex.pivots"))
         true
-        (warm_of "simplex.pivots" < cold_of "simplex.pivots"))
+        (warm_of "simplex.pivots" < cold_of "simplex.pivots");
+      let cold_pin, warm_pin = List.assoc seed probe_pivot_pins in
+      Alcotest.(check int) (ctx ^ ": cold pivots (golden)") cold_pin
+        (cold_of "simplex.pivots");
+      Alcotest.(check int) (ctx ^ ": warm pivots (golden)") warm_pin
+        (warm_of "simplex.pivots"))
     (Lazy.force probe_instances)
 
 (* Probed rounding variants: deterministic given the seed, and their
@@ -646,4 +665,5 @@ let suite =
       ("probe sequence warm vs cold", test_probe_sequence_warm_vs_cold);
       ("probed rounding deterministic", test_probed_rounding_deterministic);
       ("probe sequence vs dense oracle", test_probe_sequence_vs_dense_oracle);
+      ("sparse LU halves dense-LU flops", test_sparse_lu_flops_vs_dense);
     ]

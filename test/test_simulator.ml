@@ -368,13 +368,32 @@ let test_engine_adaptive_threshold_moves () =
   Alcotest.(check bool) "threshold below clamp" true
     (stats.final_threshold <= 0.5)
 
+(* Each bad config names its field. NaN slips through a plain [<= 0.]
+   test and an infinite horizon never returns, so both get cases. *)
 let test_engine_validation () =
-  Alcotest.check_raises "horizon" (Invalid_argument "Engine.run: horizon")
-    (fun () ->
-      ignore
-        (Simulator.Engine.run
-           { quick_config with horizon = 0. }
-           ~platform))
+  let c = quick_config in
+  List.iter
+    (fun (field, config) ->
+      Alcotest.check_raises field
+        (Invalid_argument ("Engine.run: " ^ field))
+        (fun () -> ignore (Simulator.Engine.run config ~platform)))
+    [
+      ("horizon", { c with horizon = 0. });
+      ("horizon", { c with horizon = Float.nan });
+      ("horizon", { c with horizon = Float.infinity });
+      ("arrival_rate", { c with arrival_rate = Float.nan });
+      ("arrival_rate", { c with arrival_rate = Float.infinity });
+      ("mean_lifetime", { c with mean_lifetime = Float.nan });
+      ("reallocation_period", { c with reallocation_period = Float.nan });
+      ("max_error", { c with max_error = Float.nan });
+      ("max_error", { c with max_error = Float.infinity });
+      ("per_core_need", { c with per_core_need = Float.nan });
+      ("memory_scale", { c with memory_scale = Float.infinity });
+      ("yield_gap", { c with yield_gap = Float.nan });
+      ( "threshold",
+        { c with threshold = Simulator.Engine.Fixed Float.infinity } );
+      ("threshold", { c with threshold = Simulator.Engine.Fixed Float.nan });
+    ]
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
