@@ -161,7 +161,7 @@ end
    factorizations count as refactorizations. *)
 let canonical_xb std bas r =
   match
-    Sparse_lu.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f) ()
+    Sparse_lu.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f)
   with
   | slu ->
       Sparse_lu.ftran slu r;
@@ -175,7 +175,20 @@ module Make (F : FACTORIZATION) = struct
     stat : int array;       (* n_cols *)
     xb : float array;       (* m: value of bas.(i) *)
     mutable lu : F.t;
+    y : float array;        (* m: pricing duals, rewritten by reduced_costs *)
+    d : float array;        (* n_cols: reduced costs, rewritten likewise *)
   }
+
+  let make_state std ~bas ~stat ~xb lu =
+    {
+      std;
+      bas;
+      stat;
+      xb;
+      lu;
+      y = Array.make std.m 0.;
+      d = Array.make std.n_cols 0.;
+    }
 
   let ftran st v = F.ftran st.lu v
 
@@ -252,19 +265,21 @@ module Make (F : FACTORIZATION) = struct
     v
 
   (* Reduced costs d_j = c_j - y . A_j with y = B^-T c_B, for every nonbasic
-     column (basic entries left at 0). Recomputed from scratch each pricing
-     round: O(m^2) for the BTRAN plus O(nnz) for the dot products, which the
-     FTRAN of the chosen column matches anyway. *)
+     column (basic entries 0). Recomputed from scratch each pricing round:
+     O(m^2) for the BTRAN plus O(nnz) for the dot products, which the FTRAN
+     of the chosen column matches anyway. Both vectors live in the solve
+     state and every entry is rewritten, so pricing allocates nothing; the
+     returned [st.d] is valid until the next call. *)
   let reduced_costs st cost =
     let std = st.std in
-    let y = Array.make std.m 0. in
+    let y = st.y and d = st.d in
     for i = 0 to std.m - 1 do
       y.(i) <- cost.(st.bas.(i))
     done;
     btran st y;
-    let d = Array.make std.n_cols 0. in
     for j = 0 to std.n_cols - 1 do
-      if st.stat.(j) <> st_basic then d.(j) <- cost.(j) -. col_dot std j y
+      d.(j) <-
+        (if st.stat.(j) <> st_basic then cost.(j) -. col_dot std j y else 0.)
     done;
     d
 
@@ -606,7 +621,7 @@ module Make (F : FACTORIZATION) = struct
        are unit columns), so its factorization is near-free and unmetered —
        parity with the warm path, where only genuine refactorizations tick
        the counter. *)
-    let st = { std; bas; stat; xb; lu = factor_basis std bas } in
+    let st = make_state std ~bas ~stat ~xb (factor_basis std bas) in
     if !need_phase1 then begin
       (match
          primal_phase st ~cost:phase1_cost ~iters_counter:c_phase1_iters
@@ -682,7 +697,7 @@ module Make (F : FACTORIZATION) = struct
     done;
     if !basic_count <> m then raise Incompatible_basis;
     let st =
-      { std; bas; stat; xb = Array.make m 0.; lu = metered_factor std bas }
+      make_state std ~bas ~stat ~xb:(Array.make m 0.) (metered_factor std bas)
     in
     canonicalize_xb_fresh st;
     (* Bound-flip nonbasics whose reduced cost has the wrong sign for their
@@ -759,7 +774,7 @@ module Sparse = struct
 
   let ft_update_cap = 100
   let fill_growth_limit = 3
-  let factor ~size ~col = Sparse_lu.factor ~size ~col ()
+  let factor = Sparse_lu.factor
   let ftran = Sparse_lu.ftran
   let ftran_entering = Sparse_lu.ftran_entering
   let btran = Sparse_lu.btran

@@ -21,6 +21,11 @@
    position before its new entries are inserted). *)
 
 let rel_singular_tol = 1e-11
+
+(* Threshold-pivoting relaxation: an entry is pivot-eligible when it is
+   within this factor of its column's largest active entry. *)
+let tau = 0.1
+
 let unstable_tol = 1e-10
 
 exception Singular
@@ -60,6 +65,16 @@ let pairs_swap a b =
   b.va <- va;
   b.len <- len
 
+(* Index of column [j] in the column-sorted row [r], or [r.len] when the
+   row does not hold it. *)
+let pairs_find r j =
+  let lo = ref 0 and hi = ref r.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if r.ia.(mid) < j then lo := mid + 1 else hi := mid
+  done;
+  if !lo < r.len && r.ia.(!lo) = j then !lo else r.len
+
 type ints = { mutable a : int array; mutable n : int }
 
 let ints_make () = { a = [||]; n = 0 }
@@ -73,6 +88,95 @@ let ints_push s i =
   end;
   s.a.(s.n) <- i;
   s.n <- s.n + 1
+
+(* Sorts [s] ascending in place; a list that is already sorted, the usual
+   case, costs one pass and no allocation. *)
+let ints_sort s =
+  let sorted = ref true in
+  for e = 1 to s.n - 1 do
+    if s.a.(e - 1) > s.a.(e) then sorted := false
+  done;
+  if not !sorted then begin
+    let a = Array.sub s.a 0 s.n in
+    Array.sort Int.compare a;
+    Array.blit a 0 s.a 0 s.n
+  end
+
+(* Pivot candidates of [factor]: a binary min-heap of quadruples
+   (cost, j·m + i, row stamp, column stamp) flattened into one int array,
+   ordered by (cost, column, row). *)
+type heap = { mutable h : int array; mutable hn : int }
+
+let heap_push hp cost key rs cs =
+  if 4 * (hp.hn + 1) > Array.length hp.h then begin
+    let h = Array.make (max 64 (2 * Array.length hp.h)) 0 in
+    Array.blit hp.h 0 h 0 (4 * hp.hn);
+    hp.h <- h
+  end;
+  let h = hp.h in
+  let i = ref hp.hn in
+  hp.hn <- hp.hn + 1;
+  let climbing = ref true in
+  while !climbing && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pc = h.(4 * p) in
+    if cost < pc || (cost = pc && key < h.((4 * p) + 1)) then begin
+      let b = 4 * !i and bp = 4 * p in
+      h.(b) <- pc;
+      h.(b + 1) <- h.(bp + 1);
+      h.(b + 2) <- h.(bp + 2);
+      h.(b + 3) <- h.(bp + 3);
+      i := p
+    end
+    else climbing := false
+  done;
+  let b = 4 * !i in
+  h.(b) <- cost;
+  h.(b + 1) <- key;
+  h.(b + 2) <- rs;
+  h.(b + 3) <- cs
+
+(* Drops the minimum, whose fields the caller has read from [h.(0..3)]. *)
+let heap_pop hp =
+  let h = hp.h in
+  let n = hp.hn - 1 in
+  hp.hn <- n;
+  if n > 0 then begin
+    let lb = 4 * n in
+    let cost = h.(lb) and key = h.(lb + 1) in
+    let rs = h.(lb + 2) and cs = h.(lb + 3) in
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let c =
+          if l + 1 < n then begin
+            let cl = h.(4 * l) and cr = h.(4 * (l + 1)) in
+            if cr < cl || (cr = cl && h.((4 * (l + 1)) + 1) < h.((4 * l) + 1))
+            then l + 1
+            else l
+          end
+          else l
+        in
+        let cc = h.(4 * c) in
+        if cc < cost || (cc = cost && h.((4 * c) + 1) < key) then begin
+          let b = 4 * !i and bc = 4 * c in
+          h.(b) <- cc;
+          h.(b + 1) <- h.(bc + 1);
+          h.(b + 2) <- h.(bc + 2);
+          h.(b + 3) <- h.(bc + 3);
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    let b = 4 * !i in
+    h.(b) <- cost;
+    h.(b + 1) <- key;
+    h.(b + 2) <- rs;
+    h.(b + 3) <- cs
+  end
 
 (* One Forrest–Tomlin row eta: after L (and earlier etas), subtract
    [coefs.(q) * v.(slots.(q))] from [v.(tgt)]. *)
@@ -113,14 +217,29 @@ let fill_in t = t.v_fresh_nnz - t.v_basis_nnz
 let flops t = t.v_flops
 let updates t = t.v_updates
 
-let factor ?(tau = 0.1) ~size:m ~col () =
+(* Right-looking elimination in time proportional to the entries each step
+   touches. The active submatrix is held twice: sorted rows with values
+   ([rows]) and, per column, the list of active rows holding it ([cols],
+   kept exact: no pivoted row, no row whose entry cancelled, no repeats).
+   Step k changes only the rows holding the pivot column and the counts
+   and maxima of the columns of the pivot row (its U row), so only those
+   are recomputed. Every eligible entry sits in [heap] under its Markowitz
+   key, stamped with the step that last changed its row ([row_stamp]) and
+   its column ([col_stamp]); an entry whose stamps no longer match is
+   stale and skipped when popped, and the pivoted row and column get the
+   stamp -1. The pivot, the merges, the L column order (ascending rows),
+   the U rows and the counters are those of a full rescan of the active
+   submatrix at every step. *)
+let factor ~size:m ~col =
   let rows = Array.init m (fun _ -> pairs_make ()) in
+  let cols = Array.init m (fun _ -> ints_make ()) in
   let col_scale = Array.make m 0. in
   let basis_nnz = ref 0 in
   for j = 0 to m - 1 do
     col j (fun i v ->
         if v <> 0. then begin
           pairs_push rows.(i) j v;
+          ints_push cols.(j) i;
           incr basis_nnz;
           let av = Float.abs v in
           if av > col_scale.(j) then col_scale.(j) <- av
@@ -129,8 +248,24 @@ let factor ?(tau = 0.1) ~size:m ~col () =
   for j = 0 to m - 1 do
     if col_scale.(j) = 0. then raise Singular
   done;
-  let active_row = Array.make m true and active_col = Array.make m true in
-  let col_cnt = Array.make m 0 and col_max = Array.make m 0. in
+  let col_cnt = Array.init m (fun j -> cols.(j).n) in
+  let col_max = Array.copy col_scale in
+  let row_stamp = Array.make m 0 and col_stamp = Array.make m 0 in
+  let heap = { h = [||]; hn = 0 } in
+  (* Markowitz pivot among threshold-eligible entries; deterministic
+     lexicographic tie-break on (cost, column, row). *)
+  let push_entry i j a =
+    if Float.abs a >= tau *. col_max.(j) then
+      heap_push heap
+        ((rows.(i).len - 1) * (col_cnt.(j) - 1))
+        ((j * m) + i) row_stamp.(i) col_stamp.(j)
+  in
+  for i = 0 to m - 1 do
+    let r = rows.(i) in
+    for e = 0 to r.len - 1 do
+      push_entry i r.ia.(e) r.va.(e)
+    done
+  done;
   let pr = Array.make m 0 and pc = Array.make m 0 in
   let l_ptr = Array.make (m + 1) 0 in
   let l = pairs_make () in
@@ -138,116 +273,129 @@ let factor ?(tau = 0.1) ~size:m ~col () =
   let diag = Array.make m 0. in
   let flops = ref 0 in
   let scratch = pairs_make () in
+  let elim = ints_make () in
+  let unchanged = pairs_make () in
   for k = 0 to m - 1 do
-    (* Column counts and maxima over the active submatrix. *)
-    for j = 0 to m - 1 do
-      col_cnt.(j) <- 0;
-      col_max.(j) <- 0.
+    (* Every active column's max entry is threshold-eligible, so while the
+       singularity test below holds the heap has a live entry. *)
+    let pi = ref (-1) and pj = ref (-1) in
+    while !pi < 0 do
+      assert (heap.hn > 0);
+      let key = heap.h.(1) in
+      let i = key mod m and j = key / m in
+      if row_stamp.(i) = heap.h.(2) && col_stamp.(j) = heap.h.(3) then begin
+        pi := i;
+        pj := j
+      end;
+      heap_pop heap
     done;
-    for i = 0 to m - 1 do
-      if active_row.(i) then begin
-        let r = rows.(i) in
-        for e = 0 to r.len - 1 do
-          let j = r.ia.(e) in
-          col_cnt.(j) <- col_cnt.(j) + 1;
-          let av = Float.abs r.va.(e) in
-          if av > col_max.(j) then col_max.(j) <- av
-        done
-      end
-    done;
-    (* A column whose remaining entries are all tiny relative to its
-       original magnitude is numerically dependent on the columns already
-       pivoted — singular, whatever its absolute scale. *)
-    for j = 0 to m - 1 do
-      if active_col.(j) && col_max.(j) < rel_singular_tol *. col_scale.(j)
-      then raise Singular
-    done;
-    (* Markowitz pivot among threshold-eligible entries; deterministic
-       lexicographic tie-break on (cost, column, row). *)
-    let bi = ref (-1) and bj = ref (-1) and bcost = ref max_int
-    and bval = ref 0. in
-    for i = 0 to m - 1 do
-      if active_row.(i) then begin
-        let r = rows.(i) in
-        let rlen = r.len in
-        for e = 0 to rlen - 1 do
-          let j = r.ia.(e) in
-          if Float.abs r.va.(e) >= tau *. col_max.(j) then begin
-            let cost = (rlen - 1) * (col_cnt.(j) - 1) in
-            if
-              cost < !bcost
-              || (cost = !bcost && (j < !bj || (j = !bj && i < !bi)))
-            then begin
-              bi := i;
-              bj := j;
-              bcost := cost;
-              bval := r.va.(e)
-            end
-          end
-        done
-      end
-    done;
-    (* Every active column's max entry is threshold-eligible, so the
-       singularity sweep above guarantees a pivot exists. *)
-    assert (!bi >= 0);
-    let pi = !bi and pj = !bj in
-    let piv = !bval in
+    let pi = !pi and pj = !pj in
     pr.(k) <- pi;
     pc.(k) <- pj;
-    active_row.(pi) <- false;
-    active_col.(pj) <- false;
-    diag.(k) <- piv;
+    row_stamp.(pi) <- -1;
+    col_stamp.(pj) <- -1;
     (* The pivot row (minus the pivot) becomes U row k. Its surviving
        columns are pivoted at later steps, giving the triangularity
        invariant. *)
     let u = urows.(k) in
     let prow = rows.(pi) in
+    let piv = ref 0. in
     for e = 0 to prow.len - 1 do
       if prow.ia.(e) <> pj then pairs_push u prow.ia.(e) prow.va.(e)
+      else piv := prow.va.(e)
     done;
-    (* Eliminate column pj from the remaining rows by a sorted merge
-       against the pivot row; exact cancellations are dropped so fill-in
-       reflects structural nonzeros only. *)
-    for i = 0 to m - 1 do
-      if active_row.(i) then begin
-        let r = rows.(i) in
-        let has = ref false and f = ref 0. in
-        for e = 0 to r.len - 1 do
-          if r.ia.(e) = pj then begin
-            has := true;
-            f := r.va.(e) /. piv
-          end
-        done;
-        if !has then begin
-          let f = !f in
-          pairs_push l i f;
-          flops := !flops + 1 + u.len;
-          pairs_clear scratch;
-          let a = ref 0 and bq = ref 0 in
-          while !a < r.len || !bq < u.len do
-            let ca = if !a < r.len then r.ia.(!a) else max_int in
-            let cb = if !bq < u.len then u.ia.(!bq) else max_int in
-            if ca < cb then begin
-              if ca <> pj then pairs_push scratch ca r.va.(!a);
-              incr a
-            end
-            else if cb < ca then begin
-              let v = -.(f *. u.va.(!bq)) in
-              if v <> 0. then pairs_push scratch cb v;
-              incr bq
-            end
-            else begin
-              let v = r.va.(!a) -. (f *. u.va.(!bq)) in
-              if v <> 0. then pairs_push scratch ca v;
-              incr a;
-              incr bq
-            end
-          done;
-          pairs_swap r scratch
+    let piv = !piv in
+    diag.(k) <- piv;
+    (* Eliminate column pj from the other rows holding it, in ascending
+       row order (the order of L's column k, which BTRAN sums in), by a
+       sorted merge against the pivot row; exact cancellations are dropped
+       so fill-in reflects structural nonzeros only. *)
+    let cj = cols.(pj) in
+    elim.n <- 0;
+    for q = 0 to cj.n - 1 do
+      if cj.a.(q) <> pi then ints_push elim cj.a.(q)
+    done;
+    ints_sort elim;
+    for q = 0 to elim.n - 1 do
+      let i = elim.a.(q) in
+      let r = rows.(i) in
+      let f = r.va.(pairs_find r pj) /. piv in
+      pairs_push l i f;
+      flops := !flops + 1 + u.len;
+      pairs_clear scratch;
+      let a = ref 0 and bq = ref 0 in
+      while !a < r.len || !bq < u.len do
+        let ca = if !a < r.len then r.ia.(!a) else max_int in
+        let cb = if !bq < u.len then u.ia.(!bq) else max_int in
+        if ca < cb then begin
+          if ca <> pj then pairs_push scratch ca r.va.(!a);
+          incr a
         end
-      end
+        else if cb < ca then begin
+          let v = -.(f *. u.va.(!bq)) in
+          if v <> 0. then begin
+            pairs_push scratch cb v;
+            ints_push cols.(cb) i
+          end;
+          incr bq
+        end
+        else begin
+          let v = r.va.(!a) -. (f *. u.va.(!bq)) in
+          if v <> 0. then pairs_push scratch ca v;
+          incr a;
+          incr bq
+        end
+      done;
+      pairs_swap r scratch;
+      row_stamp.(i) <- k + 1
     done;
-    l_ptr.(k + 1) <- l.len
+    l_ptr.(k + 1) <- l.len;
+    (* Recount the pivot row's columns, the only ones whose active entries
+       changed, dropping the pivot row and rows whose entry cancelled. A
+       row joins a column's list only by fill, which needs the entry to be
+       absent, and each list is made exact here at every step that touches
+       it, so a row that cancels an entry and regains it by later fill is
+       listed once. A column whose remaining entries are all tiny relative
+       to its original magnitude is numerically dependent on the columns
+       already pivoted — singular, whatever its absolute scale. Its
+       unchanged rows get fresh candidates here; the changed rows get them
+       below, once every count is final. *)
+    for e = 0 to u.len - 1 do
+      let j = u.ia.(e) in
+      let cj = cols.(j) in
+      let n = ref 0 and mx = ref 0. in
+      pairs_clear unchanged;
+      for q = 0 to cj.n - 1 do
+        let i = cj.a.(q) in
+        if row_stamp.(i) >= 0 then begin
+          let r = rows.(i) in
+          let p = pairs_find r j in
+          if p < r.len then begin
+            cj.a.(!n) <- i;
+            incr n;
+            let v = r.va.(p) in
+            if row_stamp.(i) <> k + 1 then pairs_push unchanged i v;
+            let av = Float.abs v in
+            if av > !mx then mx := av
+          end
+        end
+      done;
+      cj.n <- !n;
+      if !mx < rel_singular_tol *. col_scale.(j) then raise Singular;
+      col_cnt.(j) <- !n;
+      col_max.(j) <- !mx;
+      col_stamp.(j) <- k + 1;
+      for q = 0 to unchanged.len - 1 do
+        push_entry unchanged.ia.(q) j unchanged.va.(q)
+      done
+    done;
+    for q = 0 to elim.n - 1 do
+      let i = elim.a.(q) in
+      let r = rows.(i) in
+      for e = 0 to r.len - 1 do
+        push_entry i r.ia.(e) r.va.(e)
+      done
+    done
   done;
   let slot_of_bpos = Array.make m 0 in
   for k = 0 to m - 1 do

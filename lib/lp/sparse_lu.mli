@@ -5,10 +5,30 @@
     matrix: at each step the pivot is chosen to minimize the Markowitz
     count [(row_nnz-1)·(col_nnz-1)] among entries passing a *threshold
     partial pivoting* test within their column ([|a| ≥ τ·colmax],
-    τ = 0.1), so fill-in stays near the nonzero count on the banded /
+    τ = 0.1), ties broken lexicographically on (cost, column, row), so
+    fill-in stays near the nonzero count on the banded /
     block-structured bases the yield-probe LPs produce. L and U are stored
     sparsely (column etas for L, per-row dynamic arrays for U), and
     [ftran]/[btran] skip structural zeros end-to-end.
+
+    Each elimination step costs in proportion to the entries it touches.
+    The active submatrix is kept both as sorted rows and as a column-wise
+    index (the active rows holding each column); row lengths, column
+    counts and column maxima are maintained incrementally, and a column's
+    count, maximum and singularity test are recomputed only when the
+    column lies in the pivot row, the only columns a step changes. The
+    pivot comes off a binary heap of eligible entries keyed on
+    (cost, column, row), whose entries carry the step that last changed
+    their row and column and are dropped when stale. So a step costs
+    O((Σ merged row lengths + Σ pivot-row column counts)·log h), h the
+    heap size, rather than a rescan of the whole active submatrix, and
+    the output — pivot sequence, L column order, U rows, [flops],
+    [fill_in], [nnz] and the {!Singular} verdict — is bit-identical to
+    that rescan. The "pivot-sequence pins" of [test/test_simplex_diff.ml]
+    check this: totals of pivots, refactorizations, factor flops and
+    fill-in plus an MD5 of the result bits, over the LP generator corpus
+    and over a 10×40 paper relaxation, computed with the rescan; the
+    "factor bits pin" does the same for the factor's own output.
 
     A pivot replaces one basis column; [update] applies a Forrest–Tomlin
     product-form update instead of refactorizing: the spiked column moves
@@ -36,14 +56,12 @@ exception Unstable
     too small relative to the spike — the caller should refactorize. The
     factor is left unchanged. *)
 
-val factor :
-  ?tau:float -> size:int -> col:(int -> (int -> float -> unit) -> unit) ->
-  unit -> t
-(** [factor ~size ~col ()] factors the [size]×[size] matrix whose column
-    [k] is iterated by [col k f] as [f row value] calls (distinct rows,
-    ascending). [tau] (default [0.1]) is the threshold-pivoting relaxation
-    factor: entries within [tau] of their column max are pivot-eligible,
-    and the Markowitz count breaks the tie. Raises {!Singular}. *)
+val factor : size:int -> col:(int -> (int -> float -> unit) -> unit) -> t
+(** [factor ~size ~col] factors the [size]×[size] matrix whose column [k]
+    is iterated by [col k f] as [f row value] calls (distinct rows,
+    ascending). Entries within τ = 0.1 of their column max are
+    pivot-eligible, and the Markowitz count picks among them. Raises
+    {!Singular}. *)
 
 val size : t -> int
 

@@ -3,10 +3,10 @@
    Locks the sparse revised {!Lp.Simplex} against the dense tableau oracle
    {!Oracles.Dense_simplex} on the {!Lp_gen} random families, its
    {!Lp.Sparse_lu} factorization against a dense Gaussian reference and
-   the whole solver bitwise against the dense-LU instance
-   {!Oracles.Dense_lu}, and warm-started probe sequences against cold ones
-   on Table-1-style instances. Pivot-count assertions read the lib/obs
-   counters. *)
+   golden pins of its pivot sequence, the whole solver bitwise against
+   the dense-LU instance {!Oracles.Dense_lu}, and warm-started probe
+   sequences against cold ones on Table-1-style instances. Pivot-count
+   assertions read the lib/obs counters. *)
 
 let with_metrics = Counters.with_metrics
 
@@ -243,7 +243,6 @@ let factor_dense_cols a =
       for i = 0 to m - 1 do
         if a.(i).(j) <> 0. then f i a.(i).(j)
       done)
-    ()
 
 let check_vec ~ctx expected got =
   Array.iteri
@@ -254,28 +253,33 @@ let check_vec ~ctx expected got =
           got.(i))
     expected
 
+(* A fresh factor [slu] of [a]: its nnz accounting, and FTRAN and BTRAN of
+   random right-hand sides against dense solves. *)
+let check_fresh_factor ~ctx rng a slu =
+  let m = Array.length a in
+  Alcotest.(check int) (ctx ^ ": size") m (Lp.Sparse_lu.size slu);
+  Alcotest.(check int)
+    (ctx ^ ": nnz = basis + fill")
+    (Lp.Sparse_lu.basis_nnz slu + Lp.Sparse_lu.fill_in slu)
+    (Lp.Sparse_lu.nnz slu);
+  Alcotest.(check int) (ctx ^ ": no updates yet") 0 (Lp.Sparse_lu.updates slu);
+  let b = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
+  let v = Array.copy b in
+  Lp.Sparse_lu.ftran slu v;
+  check_vec ~ctx:(ctx ^ " ftran") (dense_solve a b) v;
+  let c = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
+  let y = Array.copy c in
+  Lp.Sparse_lu.btran slu y;
+  check_vec ~ctx:(ctx ^ " btran") (dense_solve (transpose a) c) y
+
 let test_sparse_lu_solves () =
   List.iter
     (fun (m, seed, density) ->
-      let ctx = Printf.sprintf "slu m=%d seed=%d" m seed in
       let rng = Prng.Rng.create ~seed in
       let a = random_matrix rng m ~density in
-      let slu = factor_dense_cols a in
-      Alcotest.(check int) (ctx ^ ": size") m (Lp.Sparse_lu.size slu);
-      Alcotest.(check int)
-        (ctx ^ ": nnz = basis + fill")
-        (Lp.Sparse_lu.basis_nnz slu + Lp.Sparse_lu.fill_in slu)
-        (Lp.Sparse_lu.nnz slu);
-      Alcotest.(check int) (ctx ^ ": no updates yet") 0
-        (Lp.Sparse_lu.updates slu);
-      let b = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
-      let v = Array.copy b in
-      Lp.Sparse_lu.ftran slu v;
-      check_vec ~ctx:(ctx ^ " ftran") (dense_solve a b) v;
-      let c = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
-      let y = Array.copy c in
-      Lp.Sparse_lu.btran slu y;
-      check_vec ~ctx:(ctx ^ " btran") (dense_solve (transpose a) c) y)
+      check_fresh_factor
+        ~ctx:(Printf.sprintf "slu m=%d seed=%d" m seed)
+        rng a (factor_dense_cols a))
     [ (1, 3, 1.0); (2, 4, 0.8); (5, 5, 0.5); (12, 6, 0.3); (25, 7, 0.15) ]
 
 let test_sparse_lu_update () =
@@ -317,9 +321,7 @@ let test_sparse_lu_singular () =
   (* A zero column is singular... *)
   (try
      ignore
-       (Lp.Sparse_lu.factor ~size:2
-          ~col:(fun j f -> if j = 0 then f 0 1.)
-          ());
+       (Lp.Sparse_lu.factor ~size:2 ~col:(fun j f -> if j = 0 then f 0 1.));
      Alcotest.fail "zero column must raise Singular"
    with Lp.Sparse_lu.Singular -> ());
   (* ... as is a duplicated column, whatever its magnitude ... *)
@@ -349,6 +351,180 @@ let test_sparse_lu_singular () =
         Alcotest.failf "scaled ftran: component %d: expected %g, got %g" i e
           v.(i))
     (dense_solve scaled b)
+
+(* ---- Cases the factor's incremental bookkeeping can get wrong ---------
+
+   Hand-built matrices (row-major, r = row, c = column) whose entries are
+   binary fractions, so cancellations are exact zeros. Each expected
+   (flops, fill-in) is what the Markowitz rule with its (cost, column,
+   row) tie-break yields on the pivot order the comment walks through; a
+   miscounted column, a stale column maximum or another tie-break moves a
+   pivot and changes them. [None]: the factor must raise [Singular]. *)
+
+let bookkeeping_cases =
+  [
+    ( "cancel then refill",
+      (* Step 0 pivots (r1, c0), and r4's c2 cancels: -1 - (-1/2)(2) = 0.
+         Step 1 pivots (r3, c1) and fills r4's c2 again. Counting r4 twice
+         in c2 would cost 11 flops. *)
+      [|
+        [| 0.; 0.; -1.; -0.5; 1. |];
+        [| -1.; 0.; 2.; -1.; 0. |];
+        [| 0.; 0.; 1.; 0.5; 0. |];
+        [| 0.; 1.; -1.; 2.; 0. |];
+        [| 0.5; -0.5; -1.; 0.; -1. |];
+      |],
+      Some (10, 0) );
+    ( "column emptied by cancellation",
+      (* c1 = 2 c0. Step 0 pivots the singleton (r1, c2), step 1 (r0, c0);
+         r2's c1 then cancels, 1 - (-1)(-1) = 0, and c1 has no entry
+         left. *)
+      [| [| -0.5; -1.; 0. |]; [| 0.; 0.; 2. |]; [| 0.5; 1.; 0. |] |],
+      None );
+    ( "equal costs: column, then row",
+      (* Step 0 pivots the singleton (r2, c1). At step 1 all nine entries
+         cost 4: column 0 wins, and in it r0 wins by row although r1 and r3
+         are larger. r3's c3 then cancels, and at step 2 (r3, c2) and
+         (r1, c3) both cost 0: column 2 wins although row 1 is lower.
+         Breaking ties by row first gives (6, -1); by magnitude, (8, 0). *)
+      [|
+        [| -0.5; 0.; -0.5; 0.5 |];
+        [| 2.; 0.; 0.5; 0.5 |];
+        [| 0.; -0.5; 0.; 0. |];
+        [| -1.; 0.; 1.; 1. |];
+      |],
+      Some (7, -1) );
+    ( "row singleton failing the threshold",
+      (* r0 costs 0 but 1/16 < 0.1 x 1, so the singleton waits until step
+         1 pivots r1 out of c0; taking it at step 0 would cost 2 flops. *)
+      [| [| 0.0625; 0.; 0. |]; [| 1.; 1.; 0. |]; [| 0.; 1.; 1. |] |],
+      Some (0, 0) );
+  ]
+
+let test_sparse_lu_bookkeeping () =
+  List.iter
+    (fun (ctx, a, expected) ->
+      match (factor_dense_cols a, expected) with
+      | slu, Some (flops, fill) ->
+          check_fresh_factor ~ctx (Prng.Rng.create ~seed:31) a slu;
+          Alcotest.(check int) (ctx ^ ": flops") flops (Lp.Sparse_lu.flops slu);
+          Alcotest.(check int) (ctx ^ ": fill-in") fill
+            (Lp.Sparse_lu.fill_in slu)
+      | _, None -> Alcotest.failf "%s: must raise Singular" ctx
+      | exception Lp.Sparse_lu.Singular ->
+          if expected <> None then Alcotest.failf "%s: raised Singular" ctx)
+    bookkeeping_cases
+
+(* LP-shaped bases: unit (logical) columns at distinct rows mixed with
+   sparse structural columns, each holding one of the rows no unit column
+   covers plus up to four random rows, columns in random order; [value]
+   draws the structural entries. *)
+let lp_shaped_matrix ~value ~m ~seed =
+  let rng = Prng.Rng.create ~seed in
+  let pick () = value rng in
+  let own = Array.init m Fun.id and cols = Array.init m Fun.id in
+  Prng.Rng.shuffle rng own;
+  Prng.Rng.shuffle rng cols;
+  let structural = Prng.Rng.int rng (m + 1) in
+  let a = Array.init m (fun _ -> Array.make m 0.) in
+  Array.iteri
+    (fun k j ->
+      if k < structural then begin
+        a.(own.(k)).(j) <- pick ();
+        for _ = 1 to Prng.Rng.int rng 5 do
+          a.(Prng.Rng.int rng m).(j) <- pick ()
+        done
+      end
+      else a.(own.(k)).(j) <- 1.)
+    cols;
+  a
+
+(* A few binary fractions, so eliminations cancel exactly and refill. *)
+let binary_fraction =
+  let fractions = [| 1.; -1.; 0.5; -0.5; 2.; -2.; 0.25; 1.5 |] in
+  fun rng -> fractions.(Prng.Rng.int rng (Array.length fractions))
+
+let norm_inf v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. v
+
+(* ||a x - b||_inf. *)
+let residual a x b =
+  norm_inf
+    (Array.mapi
+       (fun i row ->
+         let acc = ref (-.b.(i)) in
+         Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
+         !acc)
+       a)
+
+(* [x] solves [a x = b] as well as a dense solve does: its residual is
+   within 100x the dense solution's, plus 1e-12 (||a|| ||x|| + ||b||).
+   Comparing residuals, not solutions, keeps the check independent of the
+   conditioning: chains of ratio-2 entries give some of these bases
+   solutions near 1e9, where two backward-stable solves can differ in
+   the 8th digit of a small component. *)
+let solves_like_dense a b x =
+  let xd = dense_solve a b in
+  let norm_a =
+    Array.fold_left
+      (fun acc row ->
+        Float.max acc (Array.fold_left (fun s v -> s +. Float.abs v) 0. row))
+      0. a
+  in
+  let scale = (norm_a *. norm_inf xd) +. norm_inf b in
+  residual a x b <= (100. *. residual a xd b) +. (1e-12 *. scale)
+
+let prop_lp_shaped_factor =
+  QCheck2.Test.make
+    ~name:"factor of LP-shaped bases: Singular or dense-like solves"
+    ~count:200
+    QCheck2.Gen.(pair (int_range 1 200) (int_range 0 1_000_000))
+    (fun (m, seed) ->
+      let a = lp_shaped_matrix ~value:binary_fraction ~m ~seed in
+      match factor_dense_cols a with
+      | exception Lp.Sparse_lu.Singular -> true
+      | slu ->
+          let rng = Prng.Rng.create ~seed in
+          let b = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
+          let x = Array.copy b in
+          Lp.Sparse_lu.ftran slu x;
+          let c = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
+          let y = Array.copy c in
+          Lp.Sparse_lu.btran slu y;
+          solves_like_dense a b x && solves_like_dense (transpose a) c y)
+
+(* Golden MD5 of [flops], [fill_in] and the FTRAN and BTRAN bits of 40
+   LP-shaped bases with non-dyadic entries, so that the order of every sum
+   shows in the last bits: BTRAN sums each L column in ascending row
+   order. Computed with the factorization that rescanned the active
+   submatrix at every step. *)
+let factor_bits_pin = "6c34b470ea10fb170f2a68d6fd9989ed"
+
+let test_factor_bits_pin () =
+  let b = Buffer.create 65536 in
+  let add_float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  List.iter
+    (fun m ->
+      for seed = 0 to 9 do
+        let value rng =
+          Prng.Rng.uniform_range rng 0.5 2.
+          *. if Prng.Rng.uniform rng < 0.5 then -1. else 1.
+        in
+        let a = lp_shaped_matrix ~value ~m ~seed in
+        match factor_dense_cols a with
+        | slu ->
+            Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.flops slu));
+            Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.fill_in slu));
+            let v = Array.init m (fun i -> 1. /. float_of_int (i + 1)) in
+            let y = Array.copy v in
+            Lp.Sparse_lu.ftran slu v;
+            Lp.Sparse_lu.btran slu y;
+            Array.iter add_float v;
+            Array.iter add_float y
+        | exception Lp.Sparse_lu.Singular -> Buffer.add_string b "singular"
+      done)
+    [ 50; 100; 150; 200 ];
+  Alcotest.(check string) "factor bits MD5 (golden)" factor_bits_pin
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- Factorization-backend bit-identity ------------------------------
 
@@ -427,6 +603,59 @@ let test_backend_bit_identity_pools () =
   in
   Alcotest.(check bool) "sparse = dense-LU at every pool size" true
     (sparse = dense_lu)
+
+(* ---- Pivot-sequence pins ----------------------------------------------
+
+   Golden totals computed with the factorization that rescanned the whole
+   active submatrix at every elimination step. The incremental factor
+   must reproduce every factor bit for bit; [simplex.lu_flops] and
+   [simplex.lu_fill_in] depend on the pivot order inside each factor, so
+   these pins fail if any pivot moves, and the MD5 of the result bits
+   fails if any answer does. *)
+
+let pinned_counters =
+  [ "simplex.pivots"; "simplex.refactorizations"; "simplex.lu_flops";
+    "simplex.lu_fill_in" ]
+
+let bits_md5 bits =
+  let b = Buffer.create 4096 in
+  List.iter (Buffer.add_int64_le b) bits;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_pins ~ctx (counts, md5) (bits, counter) =
+  List.iter2
+    (fun name pin ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s (golden)" ctx name) pin
+        (counter name))
+    pinned_counters counts;
+  Alcotest.(check string) (ctx ^ ": result bits MD5 (golden)") md5
+    (bits_md5 bits)
+
+(* Every generator family, cold solve plus warm re-solve. *)
+let corpus_pins = ([ 466; 69; 486; 20 ], "1a773e50dcef5b7a265114a41384cd16")
+
+let test_corpus_pivot_pins () =
+  check_pins ~ctx:"lp_gen corpus" corpus_pins
+    (with_metrics (fun () ->
+         List.concat_map (fun (_, _, p) -> sparse_trace p)
+           (Lazy.force bit_corpus)))
+
+(* One cold solve of the relaxation of a 10x40 paper instance, as
+   [Heuristics.Milp.relaxed_bound] and RRNZ make it: bases of 669 rows,
+   where the factor does most of its work. *)
+let relaxation_pins =
+  ([ 1470; 14; 10768; 1049 ], "09f1fd6ae2e03deaf6d43a9307ba6e81")
+
+let test_relaxation_pivot_pins () =
+  let instance =
+    Workload.Generator.generate ~rng:(Prng.Rng.create ~seed:3)
+      { Workload.Generator.default with
+        hosts = 10; services = 40; cov = 0.5; slack = 0.5 }
+  in
+  check_pins ~ctx:"10x40 relaxation" relaxation_pins
+    (with_metrics (fun () ->
+         let lp, _ = Heuristics.Milp.formulation ~integer:false instance in
+         result_bits (Lp.Simplex.solve lp)))
 
 (* The Markowitz ordering's payoff as the work counters see it: on a
    banded LP, a cold solve plus three warm re-solves from its optimal
@@ -666,4 +895,9 @@ let suite =
       ("probed rounding deterministic", test_probed_rounding_deterministic);
       ("probe sequence vs dense oracle", test_probe_sequence_vs_dense_oracle);
       ("sparse LU halves dense-LU flops", test_sparse_lu_flops_vs_dense);
+      ("corpus pivot-sequence pins", test_corpus_pivot_pins);
+      ("10x40 relaxation pivot-sequence pins", test_relaxation_pivot_pins);
+      ("sparse LU bookkeeping cases", test_sparse_lu_bookkeeping);
+      ("sparse LU factor bits pin", test_factor_bits_pin);
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_lp_shaped_factor ]
