@@ -359,10 +359,12 @@ let solve_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains for speculative parallel yield probes \
-                   (0 = read \\$VMALLOC_DOMAINS, defaulting to the \
-                   recommended domain count; 1 = sequential). The result \
-                   is bit-identical at any value.")
+             ~doc:"Worker domains of the $(b,--batch) pool (0 = read \
+                   \\$VMALLOC_DOMAINS, defaulting to the recommended \
+                   domain count; 1 = sequential). Results are \
+                   bit-identical at any value. A single solve runs \
+                   sequentially, so without $(b,--batch) any value other \
+                   than 1 is a usage error.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -373,7 +375,15 @@ let solve_cmd =
   in
   let run file opts algo_name verbose domains stats trace trace_folded
       stats_out batch =
-    match check_domains domains with
+    match
+      if batch = None && domains <> 1 then
+        Error
+          (Printf.sprintf
+             "--domains %d: only a --batch solve uses a pool; a single \
+              solve runs sequentially (drop --domains or pass --batch)"
+             domains)
+      else check_domains domains
+    with
     | Error e -> `Error (false, e)
     | Ok domains -> (
         match
@@ -442,41 +452,35 @@ let solve_cmd =
                     with
                     | None -> `Error (false, unknown_algorithm algo_name)
                     | Some algo ->
-                        let solve pool =
-                          let t0 = Sys.time () in
-                          let result = algo.solve ?pool inst in
-                          let dt = Sys.time () -. t0 in
-                          (match result with
-                          | None ->
-                              Printf.printf
-                                "%s: no feasible placement (%.3fs)\n"
-                                algo.name dt
-                          | Some sol ->
-                              Printf.printf
-                                "%s: minimum yield %.4f (%.3fs)\n" algo.name
-                                sol.min_yield dt;
-                              if verbose then begin
-                                match
-                                  Model.Placement.water_fill inst
-                                    sol.placement
-                                with
-                                | None -> ()
-                                | Some alloc ->
-                                    print_string
-                                      (Model.Report.render inst alloc)
-                              end);
-                          finish ()
-                        in
-                        if domains > 1 then
-                          with_pool ~domains (fun pool -> solve (Some pool))
-                        else solve None))))
+                        let t0 = Sys.time () in
+                        let result = algo.solve inst in
+                        let dt = Sys.time () -. t0 in
+                        (match result with
+                        | None ->
+                            Printf.printf
+                              "%s: no feasible placement (%.3fs)\n"
+                              algo.name dt
+                        | Some sol ->
+                            Printf.printf
+                              "%s: minimum yield %.4f (%.3fs)\n" algo.name
+                              sol.min_yield dt;
+                            if verbose then begin
+                              match
+                                Model.Placement.water_fill inst
+                                  sol.placement
+                              with
+                              | None -> ()
+                              | Some alloc ->
+                                  print_string
+                                    (Model.Report.render inst alloc)
+                            end);
+                        finish ()))))
   in
   Cmd.v
     (Cmd.info "solve"
-       ~doc:"Place services with one algorithm (--domains > 1 runs the \
-             yield search's probes in parallel; --batch multiplexes many \
-             jobs over one pool; --stats / --stats-out / --trace / \
-             --trace-folded observe the run).")
+       ~doc:"Place services with one algorithm (--batch multiplexes many \
+             jobs over one pool of --domains worker domains; --stats / \
+             --stats-out / --trace / --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
                $ verbose $ domains $ stats_term $ trace $ trace_folded_term
                $ stats_out_term $ batch))

@@ -21,47 +21,50 @@ let timed f =
    trace viewer, not just in the mean wall times. *)
 let c_trials = Obs.Metrics.counter "experiments.light.trials"
 
-let solve_traced name (algo : Heuristics.Algorithms.t) ?pool inst =
+let solve_traced name (algo : Heuristics.Algorithms.t) inst =
   Obs.Trace.span "trial" ~args:[ ("algorithm", name) ] @@ fun () ->
-  timed (fun () -> algo.solve ?pool inst)
+  timed (fun () -> algo.solve inst)
 
 let run ?(progress = fun _ -> ()) ?pool (scale : Scale.t) =
   let instances =
-    Corpus.sweep ~hosts:scale.light_hosts ~services:scale.light_services
-      ~covs:[ 0.25; 0.5; 1.0 ] ~slacks:[ 0.3; 0.5 ] ~reps:scale.light_reps ()
+    Array.of_list
+      (Corpus.sweep ~hosts:scale.light_hosts ~services:scale.light_services
+         ~covs:[ 0.25; 0.5; 1.0 ] ~slacks:[ 0.3; 0.5 ]
+         ~reps:scale.light_reps ())
   in
-  let n = List.length instances in
+  let n = Array.length instances in
   progress
     (Printf.sprintf "light: %d hosts, %d services, %d instances"
        scale.light_hosts scale.light_services n);
+  let trials =
+    Run.map ?pool instances (fun (_, inst) ->
+        Obs.Metrics.incr c_trials;
+        let hvp = solve_traced "METAHVP" Heuristics.Algorithms.metahvp inst in
+        let light =
+          solve_traced "METAHVPLIGHT" Heuristics.Algorithms.metahvplight inst
+        in
+        (hvp, light))
+  in
+  (* Folded in instance order, so the float sums are the sequential
+     ones at any pool size. *)
   let both = ref 0 and only_hvp = ref 0 and only_light = ref 0 in
   let yield_hvp = ref 0. and yield_light = ref 0. in
   let time_hvp = ref 0. and time_light = ref 0. in
-  List.iteri
-    (fun i (_, inst) ->
-      (* The pool accelerates each solve from the inside (speculative
-         yield probes) — bit-identical results, fewer oracle rounds. *)
-      Obs.Metrics.incr c_trials;
-      let hvp, t_hvp =
-        solve_traced "METAHVP" Heuristics.Algorithms.metahvp ?pool inst
-      in
-      let light, t_light =
-        solve_traced "METAHVPLIGHT" Heuristics.Algorithms.metahvplight ?pool
-          inst
-      in
+  Array.iter
+    (fun ((hvp, t_hvp), (light, t_light)) ->
       time_hvp := !time_hvp +. t_hvp;
       time_light := !time_light +. t_light;
-      (match (hvp, light) with
-      | Some a, Some b ->
+      match (hvp, light) with
+      | ( Some (a : Heuristics.Vp_solver.solution),
+          Some (b : Heuristics.Vp_solver.solution) ) ->
           incr both;
           yield_hvp := !yield_hvp +. a.min_yield;
           yield_light := !yield_light +. b.min_yield
       | Some _, None -> incr only_hvp
       | None, Some _ -> incr only_light
-      | None, None -> ());
-      if (i + 1) mod 4 = 0 then
-        progress (Printf.sprintf "light: %d/%d done" (i + 1) n))
-    instances;
+      | None, None -> ())
+    trials;
+  progress (Printf.sprintf "light: %d instances done" n);
   let fdiv a b = if b = 0 then 0. else a /. float_of_int b in
   {
     hosts = scale.light_hosts;

@@ -15,8 +15,8 @@ type result = {
 }
 
 val run : ?progress:(string -> unit) -> ?pool:Par.Pool.t -> Scale.t -> result
-(** With a [pool] of size > 1, each METAHVP / METAHVPLIGHT solve runs its
-    yield search speculatively over the pool — counts and yields are
-    bit-identical to the sequential run, only the timings change. *)
+(** With a [pool], trials (one instance solved by both algorithms) fan out
+    over its domains — counts and yields are bit-identical to the
+    sequential run, only the timings change. *)
 
 val report : result -> string

@@ -18,9 +18,8 @@ let timed f =
    outcome — stamped with the executing domain. *)
 let c_trials = Obs.Metrics.counter "experiments.table1.trials"
 
-let run ?(progress = fun _ -> ()) ?pool ?probe_pool ?sched (scale : Scale.t) =
+let run ?(progress = fun _ -> ()) ?pool (scale : Scale.t) =
   let algorithms = Array.of_list (Heuristics.Algorithms.majors ~seed:1) in
-  let n_algos = Array.length algorithms in
   List.map
     (fun services ->
       (* The corpus (and with it every per-spec RNG stream) is derived
@@ -41,45 +40,16 @@ let run ?(progress = fun _ -> ()) ?pool ?probe_pool ?sched (scale : Scale.t) =
                Printf.sprintf " on %d domains" (Par.Pool.size p)
            | _ -> ""));
       let per_instance =
-        match sched with
-        | Some sched ->
-            (* Batched mode: the whole scenario — every (instance,
-               algorithm) trial — is one multi-tenant workload on the
-               scheduler's pool; probe rounds of all trials interleave.
-               Yields are bit-identical to the sequential run (the batch
-               driver's contract); per-trial wall times are unobservable
-               inside an interleaved run, so the batch wall time is
-               apportioned evenly across the trials. *)
-            let jobs =
-              Array.init (n * n_algos) (fun t ->
-                  let _, inst = instances.(t / n_algos) in
-                  { Heuristics.Batch.algo = algorithms.(t mod n_algos);
-                    instance = inst })
-            in
-            let outs, elapsed =
-              timed (fun () -> Heuristics.Batch.solve_batch ~sched jobs)
-            in
-            let dt = elapsed /. float_of_int (max 1 (Array.length jobs)) in
-            Array.init n (fun i ->
-                Array.init n_algos (fun a ->
-                    Obs.Metrics.incr c_trials;
-                    (outs.((i * n_algos) + a), dt)))
-        | None ->
-            (* [pool] fans trials out; [probe_pool] instead accelerates
-               each trial's yield search from the inside. Both leave the
-               yields (and so the report) bit-identical to the sequential
-               run. *)
-            Run.map ?pool instances (fun (_, inst) ->
-                Array.map
-                  (fun (algo : Heuristics.Algorithms.t) ->
-                    Obs.Metrics.incr c_trials;
-                    Obs.Trace.span "trial"
-                      ~args:
-                        [ ("algorithm", algo.name);
-                          ("services", string_of_int services) ]
-                      (fun () ->
-                        timed (fun () -> algo.solve ?pool:probe_pool inst)))
-                  algorithms)
+        Run.map ?pool instances (fun (_, inst) ->
+            Array.map
+              (fun (algo : Heuristics.Algorithms.t) ->
+                Obs.Metrics.incr c_trials;
+                Obs.Trace.span "trial"
+                  ~args:
+                    [ ("algorithm", algo.name);
+                      ("services", string_of_int services) ]
+                  (fun () -> timed (fun () -> algo.solve inst)))
+              algorithms)
       in
       let yields = Array.map (fun _ -> Array.make n None) algorithms in
       let time_sum = Array.make (Array.length algorithms) 0. in

@@ -12,23 +12,11 @@ type scenario = {
 }
 
 val run :
-  ?progress:(string -> unit) ->
-  ?pool:Par.Pool.t ->
-  ?probe_pool:Par.Pool.t ->
-  ?sched:Par.Scheduler.t ->
-  Scale.t ->
-  scenario list
+  ?progress:(string -> unit) -> ?pool:Par.Pool.t -> Scale.t -> scenario list
 (** One scenario per entry of [scale.table1_services]; instances sweep the
     scale's CoV and slack lists. With a [pool], trials fan out over its
-    domains; with a [probe_pool], each trial's yield binary search instead
-    probes speculatively over that pool ({!Heuristics.Binary_search}
-    [.maximize_par]); with a [sched], each scenario's full trial set runs
-    as one batched multi-tenant workload ({!Heuristics.Batch.solve_batch})
-    whose probe rounds interleave on the scheduler's pool — [sched]
-    supersedes the other two, pass exactly one. Every mode leaves the
-    yields (and thus {!report_table1}) identical to the sequential run —
-    only [mean_runtime] varies with machine load (in batched mode it is
-    the batch wall time apportioned evenly over the trials). *)
+    domains; the yields (and thus {!report_table1}) are identical to the
+    sequential run — only [mean_runtime] varies with machine load. *)
 
 val report_table1 : scenario list -> string
 (** The (Y_{A,B}, S_{A,B}) matrices, one per scenario — paper Table 1. *)

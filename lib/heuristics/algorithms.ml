@@ -5,43 +5,34 @@ type kind =
 type t = {
   name : string;
   kind : kind;
-  solve : ?pool:Par.Pool.t -> Model.Instance.t -> Vp_solver.solution option;
+  solve : Model.Instance.t -> Vp_solver.solution option;
 }
 
-(* Algorithms with no yield binary search ignore the pool. *)
-let no_pool solve ?pool:_ instance = solve instance
-
 let metagreedy =
-  { name = "METAGREEDY"; kind = Direct; solve = no_pool Greedy.metagreedy }
+  { name = "METAGREEDY"; kind = Direct; solve = Greedy.metagreedy }
 
 let metavp =
   { name = "METAVP";
     kind = Yield_search Packing.Strategy.vp_all;
-    solve =
-      (fun ?pool instance ->
-        Vp_solver.solve_multi ?pool Packing.Strategy.vp_all instance) }
+    solve = Vp_solver.solve_multi Packing.Strategy.vp_all }
 
 let metahvp =
   { name = "METAHVP";
     kind = Yield_search Packing.Strategy.hvp_all;
-    solve =
-      (fun ?pool instance ->
-        Vp_solver.solve_multi ?pool Packing.Strategy.hvp_all instance) }
+    solve = Vp_solver.solve_multi Packing.Strategy.hvp_all }
 
 let metahvplight =
   { name = "METAHVPLIGHT";
     kind = Yield_search Packing.Strategy.hvp_light;
-    solve =
-      (fun ?pool instance ->
-        Vp_solver.solve_multi ?pool Packing.Strategy.hvp_light instance) }
+    solve = Vp_solver.solve_multi Packing.Strategy.hvp_light }
 
 let rrnd ~seed =
   {
     name = "RRND";
     kind = Direct;
     solve =
-      no_pool (fun instance ->
-          Rounding.rrnd ~rng:(Prng.Rng.create ~seed) instance);
+      (fun instance ->
+        Rounding.rrnd ~rng:(Prng.Rng.create ~seed) instance);
   }
 
 let rrnz ~seed =
@@ -49,8 +40,8 @@ let rrnz ~seed =
     name = "RRNZ";
     kind = Direct;
     solve =
-      no_pool (fun instance ->
-          Rounding.rrnz ~rng:(Prng.Rng.create ~seed) instance);
+      (fun instance ->
+        Rounding.rrnz ~rng:(Prng.Rng.create ~seed) instance);
   }
 
 let rrnd_probed ~seed =
@@ -58,8 +49,8 @@ let rrnd_probed ~seed =
     name = "RRND-PROBED";
     kind = Direct;
     solve =
-      no_pool (fun instance ->
-          Rounding.rrnd_probed ~rng:(Prng.Rng.create ~seed) instance);
+      (fun instance ->
+        Rounding.rrnd_probed ~rng:(Prng.Rng.create ~seed) instance);
   }
 
 let rrnz_probed ~seed =
@@ -67,8 +58,8 @@ let rrnz_probed ~seed =
     name = "RRNZ-PROBED";
     kind = Direct;
     solve =
-      no_pool (fun instance ->
-          Rounding.rrnz_probed ~rng:(Prng.Rng.create ~seed) instance);
+      (fun instance ->
+        Rounding.rrnz_probed ~rng:(Prng.Rng.create ~seed) instance);
   }
 
 let exact_milp ?node_limit () =
@@ -76,17 +67,16 @@ let exact_milp ?node_limit () =
     name = "MILP";
     kind = Direct;
     solve =
-      no_pool (fun instance ->
-          match Milp.solve_exact ?node_limit instance with
-          | Some (Some e) -> Some e.Milp.solution
-          | Some None | None -> None);
+      (fun instance ->
+        match Milp.solve_exact ?node_limit instance with
+        | Some (Some e) -> Some e.Milp.solution
+        | Some None | None -> None);
   }
 
 let single_vp strategy =
   { name = Packing.Strategy.name strategy;
     kind = Yield_search [ strategy ];
-    solve =
-      (fun ?pool instance -> Vp_solver.solve ?pool strategy instance) }
+    solve = Vp_solver.solve strategy }
 
 let single_greedy sort place =
   {
@@ -94,7 +84,7 @@ let single_greedy sort place =
       Printf.sprintf "GREEDY-%s/%s" (Greedy.sort_name sort)
         (Greedy.place_name place);
     kind = Direct;
-    solve = no_pool (Greedy.solve sort place);
+    solve = Greedy.solve sort place;
   }
 
 let majors ~seed =

@@ -13,15 +13,11 @@ type kind =
 type t = {
   name : string;
   kind : kind;
-  solve : ?pool:Par.Pool.t -> Model.Instance.t -> Vp_solver.solution option;
+  solve : Model.Instance.t -> Vp_solver.solution option;
 }
-(** [solve ?pool instance]: with a [pool] of size > 1 the binary-search
-    algorithms (METAVP / METAHVP / METAHVPLIGHT and {!single_vp}) run
-    their yield search speculatively over the pool
-    ({!Binary_search.maximize_par}) — the result is bit-identical at any
-    pool size. Algorithms without a yield search ignore the pool.
-    [kind] describes the same split structurally, for drivers that need
-    to step the search themselves rather than call [solve]. *)
+(** [solve instance] runs the algorithm sequentially on the calling
+    domain. [kind] tells drivers that step the yield search themselves
+    ({!Batch}) which algorithms they can step rather than call [solve]. *)
 
 val metagreedy : t
 (** Best of the 49 greedy combinations (§3.4). *)

@@ -81,12 +81,12 @@ let refill inst k yld =
     k.k_yield <- yld
   end
 
-(* The kernels of one solve. The speculative search runs several probes
-   of a solve at once, so a probe takes a free kernel — or makes one when
-   none is free — and gives it back when done: a solve never holds more
-   kernels than it ran concurrent probes, and they die with it. Every
-   kernel computes the same bits, so results do not depend on which probe
-   got which kernel. *)
+(* The kernels of one solve. The oracle may be called from several
+   domains at once ({!batch_oracle}), so a probe takes a free kernel — or
+   makes one when none is free — and gives it back when done: a solve
+   never holds more kernels than it ran concurrent probes, and they die
+   with it. Every kernel computes the same bits, so results do not depend
+   on which probe got which kernel. *)
 type kernels = {
   instance : Model.Instance.t;
   lock : Mutex.t;
@@ -152,25 +152,15 @@ let finish instance = function
   | None -> None
   | Some (placement, _probed_yield) -> evaluate instance placement
 
-(* Probe oracles are pure as observed from outside (kernels are per solve
-   and every kernel computes identical bits), so a pool of size > 1 can
-   run the speculative multi-probe search and still return bit-identical
-   results. *)
-let search ?tolerance ?pool ?on_round oracle =
-  match pool with
-  | Some pool when Par.Pool.size pool > 1 ->
-      Binary_search.maximize_par ?tolerance ?on_round ~pool oracle
-  | Some _ | None -> Binary_search.maximize ?tolerance ?on_round oracle
-
-let solve ?tolerance ?pool ?on_round strategy instance =
+let solve ?tolerance strategy instance =
   Obs.Trace.span "solve" ~args:[ ("strategy", Packing.Strategy.name strategy) ]
   @@ fun () ->
-  search ?tolerance ?pool ?on_round (oracle [ strategy ] instance)
+  Binary_search.maximize ?tolerance (oracle [ strategy ] instance)
   |> finish instance
 
-let solve_multi ?tolerance ?pool ?on_round strategies instance =
+let solve_multi ?tolerance strategies instance =
   Obs.Trace.span "solve_multi"
     ~args:[ ("strategies", string_of_int (List.length strategies)) ]
   @@ fun () ->
-  search ?tolerance ?pool ?on_round (oracle strategies instance)
+  Binary_search.maximize ?tolerance (oracle strategies instance)
   |> finish instance

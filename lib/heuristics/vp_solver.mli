@@ -34,16 +34,9 @@ val pack_at_yield :
 (** One fixed-yield feasibility probe with a single strategy. *)
 
 val solve :
-  ?tolerance:float ->
-  ?pool:Par.Pool.t ->
-  ?on_round:(float array -> unit) ->
-  Packing.Strategy.t ->
-  Model.Instance.t ->
-  solution option
-(** Binary-search the yield with a single strategy as oracle. With a
-    [pool] of size > 1 the search runs {!Binary_search.maximize_par} —
-    same solution bit-for-bit, fewer oracle rounds. [on_round] observes
-    each round's probed yields (instrumentation).
+  ?tolerance:float -> Packing.Strategy.t -> Model.Instance.t -> solution option
+(** Binary-search the yield ({!Binary_search.maximize}) with a single
+    strategy as oracle.
 
     Probes run through the probe-shared packing kernel (DESIGN.md §11):
     item/bin scratch refilled in place, memoized sort orders and
@@ -56,15 +49,13 @@ val solve :
 
 val solve_multi :
   ?tolerance:float ->
-  ?pool:Par.Pool.t ->
-  ?on_round:(float array -> unit) ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
   solution option
 (** Binary-search where each probe tries the strategies in order and
     succeeds as soon as one packs — the META* construction (§3.5.3,
     §3.5.5). The achieved minimum yield is evaluated on the final
-    placement. [pool] / [on_round] as in {!solve}. *)
+    placement. *)
 
 val batch_oracle :
   Packing.Strategy.t list ->

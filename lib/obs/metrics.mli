@@ -15,15 +15,7 @@
       count, the merged totals — and the rendered {!Snapshot} — are
       byte-identical at any [VMALLOC_DOMAINS]. Nothing in this module
       ever records a wall-clock time; timestamps live only in
-      {!Obs.Trace} exports.
-
-    The speculative probe search ({!Heuristics.Binary_search.maximize_par})
-    is the one instrumented path whose {e work} depends on a pool size: a
-    probe pool of size k evaluates off-path candidate yields that the
-    sequential search never reaches. Those operations really happen and are
-    really counted (plus summarized under [binary_search.speculative_waste]);
-    counters are invariant in the {e trial fan-out} domain count, not in the
-    probe-pool size. *)
+      {!Obs.Trace} exports. *)
 
 type counter
 (** Handle to a registered counter (a monotone int). *)

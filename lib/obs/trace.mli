@@ -4,7 +4,7 @@
     process-global buffer and exports them in the Chrome trace-event JSON
     format, so a solver run can be opened in [chrome://tracing] or
     Perfetto. Each event carries the recording domain's id as its [tid],
-    which makes speculative probe fan-out visible as parallel tracks.
+    which makes pool fan-out visible as parallel tracks.
 
     Tracing is the {e intentionally nondeterministic} half of [Obs]:
     timestamps and durations appear only in the exported file, never on

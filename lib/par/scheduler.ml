@@ -19,21 +19,12 @@ type round = (unit -> unit) array
 
 type request = unit -> round option
 
-type t = {
-  pool : Pool.t;
-  mutable live : int;
-      (* requests not yet finished in the current [run]; 1 when idle so
-         occupancy-derived shares degenerate to the standalone case *)
-}
+type t = { pool : Pool.t }
 
 let c_requests = Obs.Metrics.counter "scheduler.requests"
 let c_rounds = Obs.Metrics.counter "scheduler.rounds_interleaved"
 
-let create ~pool = { pool; live = 1 }
-
-let pool t = t.pool
-
-let occupancy t = t.live
+let create ~pool = { pool }
 
 let run t requests =
   let n = Array.length requests in
@@ -41,12 +32,7 @@ let run t requests =
     Obs.Metrics.add c_requests n;
     let finished = Array.make n false in
     let remaining = ref n in
-    Fun.protect ~finally:(fun () -> t.live <- 1) @@ fun () ->
     while !remaining > 0 do
-      (* Occupancy is sampled once per round, before any step runs, so
-         every request's depth policy sees the same (deterministic)
-         value whatever order requests finish in. *)
-      t.live <- !remaining;
       let batches = ref [] in
       for i = 0 to n - 1 do
         if not finished.(i) then
@@ -57,13 +43,9 @@ let run t requests =
           | Some tasks -> batches := tasks :: !batches
       done;
       let tasks = Array.concat (List.rev !batches) in
-      let n_tasks = Array.length tasks in
-      if n_tasks > 0 then begin
+      if Array.length tasks > 0 then begin
         Obs.Metrics.incr c_rounds;
-        let t0 = Obs.Cost.now_ns () in
-        ignore (Pool.map t.pool tasks (fun task -> task ()));
-        Obs.Cost.observe ~tasks:n_tasks
-          ~elapsed_ns:(Obs.Cost.now_ns () -. t0)
+        ignore (Pool.map t.pool tasks (fun task -> task ()))
       end
     done
   end

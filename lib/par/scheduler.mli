@@ -18,9 +18,7 @@
     Counters: [scheduler.requests] (requests admitted), and
     [scheduler.rounds_interleaved] (pool rounds executed — the
     deterministic unit test_batch_diff.ml compares against the serial
-    run's [binary_search.rounds]). Every executed
-    round also feeds the measured per-task cost model ({!Obs.Cost}) that
-    the adaptive speculation depth reads. *)
+    run's [binary_search.rounds]). *)
 
 type round = (unit -> unit) array
 (** One request's tasks for one global round. Each task must store its
@@ -40,14 +38,6 @@ type t
 val create : pool:Pool.t -> t
 (** A scheduler multiplexing requests over [pool]. Cheap; the pool is
     not owned — the caller keeps responsibility for shutting it down. *)
-
-val pool : t -> Pool.t
-
-val occupancy : t -> int
-(** Number of live requests in the currently executing {!run} round
-    ([1] when idle). Sampled once per round before any request steps, so
-    every request of a round observes the same value — the pool-share
-    input to {!Binary_search.adaptive_depth}. *)
 
 val run : t -> request array -> unit
 (** Drive all [requests] to completion. Requests are stepped in arrival

@@ -1,8 +1,8 @@
-(* [with_metrics f] runs [f] against freshly reset, enabled metric sinks
-   and returns its result with a reader of the counters it recorded. The
+(* [with_snapshot f] runs [f] against freshly reset, enabled metric sinks
+   and returns its result with the snapshot of what it recorded. The
    previous metric state is restored afterwards, so the rest of the suite
    keeps running under whatever VMALLOC_OBS selected. *)
-let with_metrics f =
+let with_snapshot f =
   let was_enabled = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled false;
   Obs.Metrics.reset ();
@@ -14,5 +14,9 @@ let with_metrics f =
   @@ fun () ->
   let result = f () in
   Obs.Metrics.set_enabled false;
-  let snap = Obs.Metrics.snapshot () in
+  (result, Obs.Metrics.snapshot ())
+
+(* [with_metrics f] is [with_snapshot f] with a reader of the counters. *)
+let with_metrics f =
+  let result, snap = with_snapshot f in
   (result, fun name -> Obs.Metrics.Snapshot.counter_value snap name)

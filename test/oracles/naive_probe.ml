@@ -10,16 +10,11 @@ let probe ?counts strategies instance y =
       Heuristics.Vp_solver.pack_at_yield strategy instance y)
     strategies
 
-let solve_multi ?tolerance ?pool ?counts strategies instance =
+let solve_multi ?tolerance ?counts strategies instance =
   let oracle = probe ?counts strategies instance in
-  let found =
-    match pool with
-    | Some pool when Par.Pool.size pool > 1 ->
-        Heuristics.Binary_search.maximize_par ?tolerance ~pool oracle
-    | Some _ | None -> Heuristics.Binary_search.maximize ?tolerance oracle
-  in
-  Option.bind found (fun (placement, _probed_yield) ->
+  Option.bind (Heuristics.Binary_search.maximize ?tolerance oracle)
+    (fun (placement, _probed_yield) ->
       Heuristics.Vp_solver.evaluate instance placement)
 
-let solve ?tolerance ?pool ?counts strategy instance =
-  solve_multi ?tolerance ?pool ?counts [ strategy ] instance
+let solve ?tolerance ?counts strategy instance =
+  solve_multi ?tolerance ?counts [ strategy ] instance

@@ -4,7 +4,6 @@
     Every probe tries {!Heuristics.Vp_solver.pack_at_yield} over the
     strategies in order — fresh items and bins per attempt, no sort memos,
     no shared scratch — under the same {!Heuristics.Binary_search.maximize}
-    (or {!Heuristics.Binary_search.maximize_par} on a pool of size > 1)
     the kernel-backed solvers run, so results must match theirs
     bit-for-bit. It records no library metrics; pass [counts] to count its
     probes and strategy attempts instead. *)
@@ -16,7 +15,6 @@ val counts : unit -> counts
 
 val solve_multi :
   ?tolerance:float ->
-  ?pool:Par.Pool.t ->
   ?counts:counts ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
@@ -25,7 +23,6 @@ val solve_multi :
 
 val solve :
   ?tolerance:float ->
-  ?pool:Par.Pool.t ->
   ?counts:counts ->
   Packing.Strategy.t ->
   Model.Instance.t ->

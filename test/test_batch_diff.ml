@@ -2,9 +2,8 @@
    (DESIGN.md §16): [Batch.solve_batch] must return results bit-identical
    to solving the same jobs back-to-back sequentially — same Some/None,
    same placement, same minimum yield to the last bit — at every pool
-   size and every forced speculation depth, with yield-search and direct
-   algorithms mixed in one request list, and however many batches one
-   scheduler has already run. *)
+   size, with yield-search and direct algorithms mixed in one request
+   list, and however many batches one scheduler has already run. *)
 
 module Batch = Heuristics.Batch
 
@@ -77,37 +76,26 @@ let check_batch msg results =
     results
 
 let pool_sizes () =
-  (* 1 = the degenerate sequential path; 2 and 4 give the adaptive depth
-     model spare capacity to spend. The env-derived size makes the CI
-     VMALLOC_DOMAINS={1,2} matrix leg vary what this suite runs. *)
+  (* 1 = the degenerate sequential path; 2 and 4 run tenants' probes
+     concurrently. The env-derived size makes the CI VMALLOC_DOMAINS={1,2}
+     matrix leg vary what this suite runs. *)
   let env = min 4 (Par.Pool.domains_from_env ()) in
   List.sort_uniq compare [ 1; 2; 4; env ]
 
 (* The acceptance criterion of the batched scheduler: identical results
-   at pools 1/2/4 under the adaptive depth and every forced depth.
-   Depths share one scheduler per pool, so later batches also run on a
-   scheduler earlier ones have used. *)
+   at pools 1/2/4. *)
 let test_batched_equals_sequential () =
   List.iter
     (fun domains ->
       with_pool ~domains (fun pool ->
           let sched = Par.Scheduler.create ~pool in
-          List.iter
-            (fun depth ->
-              let label =
-                match depth with
-                | None -> "adaptive"
-                | Some d -> string_of_int d
-              in
-              check_batch
-                (Printf.sprintf "pool %d, depth %s" domains label)
-                (Batch.solve_batch ?depth ~sched jobs))
-            [ None; Some 1; Some 2; Some 4 ]))
+          check_batch
+            (Printf.sprintf "pool %d" domains)
+            (Batch.solve_batch ~sched jobs)))
     (pool_sizes ())
 
 (* Two identical batches on one scheduler: nothing the first batch leaves
-   behind (scheduler state, the probe-cost model the adaptive depth reads)
-   may change the second batch's results by a bit. *)
+   behind may change the second batch's results by a bit. *)
 let test_rerun_batch_identical () =
   with_pool ~domains:2 (fun pool ->
       let sched = Par.Scheduler.create ~pool in
@@ -123,9 +111,8 @@ let test_rerun_batch_identical () =
 
 (* The scheduler's point, in pool rounds: 16 tenants sharing a 4-domain
    pool finish in at most half the rounds their yield searches take back
-   to back. With 16 live tenants on 4 domains, occupancy pins the adaptive
-   depth to 1, so the round count is a pure function of the jobs and is
-   pinned. *)
+   to back. Each yield-search tenant contributes one probe per round, so
+   the round count is a pure function of the jobs and is pinned. *)
 let tenant_jobs =
   Array.init 16 (fun i ->
       {
@@ -163,43 +150,61 @@ let test_empty_batch () =
         "no jobs, no results" 0
         (Array.length (Batch.solve_batch ~sched [||])))
 
-(* End-to-end through the experiment driver: a Table 1 mini-sweep in
-   batched mode — every trial of a scenario as one tenant — must print
-   the exact report of the plain sequential run at any pool size. *)
-let mini_scale =
-  {
-    Experiments.Scale.small with
-    label = "mini";
-    table1_hosts = 4;
-    table1_services = [ 6 ];
-    table1_covs = [ 0.5 ];
-    table1_slacks = [ 0.5 ];
-    table1_reps = 2;
-  }
-
-let test_table1_batched_identical () =
-  let sequential =
-    Experiments.Table1.report_table1 (Experiments.Table1.run mini_scale)
+(* Counters measure work, and a batched tenant probes exactly the points
+   its sequential search probes whatever the pool size, so the whole
+   rendered snapshot of three batches — mixed tenants, 16 tenants, and a
+   lone yield-search tenant with the pool to itself — is the same at
+   every pool size. *)
+let test_counters_pool_invariant () =
+  let render domains =
+    let (), snap =
+      Counters.with_snapshot (fun () ->
+          with_pool ~domains (fun pool ->
+              let sched = Par.Scheduler.create ~pool in
+              List.iter
+                (fun batch -> ignore (Batch.solve_batch ~sched batch))
+                [ jobs; tenant_jobs; [| jobs.(0) |] ]))
+    in
+    Obs.Metrics.Snapshot.render snap
   in
+  let reference = render 1 in
   List.iter
     (fun domains ->
-      with_pool ~domains (fun pool ->
-          let sched = Par.Scheduler.create ~pool in
-          Alcotest.(check string)
-            (Printf.sprintf "table1 report identical batched at %d domains"
-               domains)
-            sequential
-            (Experiments.Table1.report_table1
-               (Experiments.Table1.run ~sched mini_scale))))
-    [ 1; 2; 4 ]
+      Alcotest.(check string)
+        (Printf.sprintf "snapshot at pool %d = pool 1" domains)
+        reference (render domains))
+    [ 2; 4 ]
+
+(* The scheduler's exception contract: a tenant that raises aborts the
+   batch with its exception, and the scheduler then runs the next batch
+   as if nothing had happened. *)
+exception Tenant_failed
+
+let test_raising_tenant () =
+  let raising =
+    {
+      Batch.algo =
+        { Heuristics.Algorithms.name = "RAISES";
+          kind = Heuristics.Algorithms.Direct;
+          solve = (fun _ -> raise Tenant_failed) };
+      instance = jobs.(0).Batch.instance;
+    }
+  in
+  with_pool ~domains:2 (fun pool ->
+      let sched = Par.Scheduler.create ~pool in
+      Alcotest.check_raises "tenant exception propagates" Tenant_failed
+        (fun () ->
+          ignore (Batch.solve_batch ~sched (Array.append jobs [| raising |])));
+      check_batch "after a raising tenant" (Batch.solve_batch ~sched jobs))
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("batched = sequential at pools x depths", test_batched_equals_sequential);
+      ("batched = sequential at pools 1/2/4", test_batched_equals_sequential);
       ("rerun batch on one scheduler", test_rerun_batch_identical);
       ("empty batch", test_empty_batch);
-      ("Table 1 mini-sweep identical batched", test_table1_batched_identical);
+      ("counters invariant in the pool size", test_counters_pool_invariant);
       ("16 tenants halve the pool rounds", test_batch_round_savings);
+      ("raising tenant propagates, scheduler reusable", test_raising_tenant);
     ]

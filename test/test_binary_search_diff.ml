@@ -1,14 +1,12 @@
-(* Differential lock-down of the speculative k-probe yield search:
-   [Binary_search.maximize_par] must return bit-identical results to
-   [maximize] — same Some/None, same placement, same yield to the last
-   bit — for real packing oracles at every pool size, including the
-   infeasible-at-0 and feasible-at-1 fast paths; and it must win its
-   speed-up in oracle *rounds* without ever needing more rounds than the
-   sequential search needs probes. *)
+(* Differential lock-down of the yield search: [Binary_search.maximize],
+   which steps the [Binary_search.plan] state machine, must return
+   bit-identical results to the plain bisection loop of
+   [Oracles.Bisect.maximize] — same Some/None, same placement, same yield
+   to the last bit — for real packing oracles, including the
+   infeasible-at-0 and feasible-at-1 fast paths, and must announce the
+   same probe sequence. *)
 
 module BS = Heuristics.Binary_search
-
-let with_pool = Par.Pool.with_pool
 
 (* One packing oracle per base algorithm of the paper: FF, BF, PP, CP. *)
 let oracle_strategies =
@@ -71,47 +69,34 @@ let corpus =
          let slack = slacks.(seed mod Array.length slacks) in
          (seed, gen_instance ~seed ~hosts ~services ~slack))
 
-let check_identical msg seq par =
-  match (seq, par) with
+let check_identical msg oracle plan =
+  match (oracle, plan) with
   | None, None -> ()
   | Some (p1, y1), Some (p2, y2) ->
       if p1 <> p2 then Alcotest.failf "%s: placements differ" msg;
       if Int64.bits_of_float y1 <> Int64.bits_of_float y2 then
         Alcotest.failf "%s: yields differ (%.17g vs %.17g)" msg y1 y2
-  | Some _, None -> Alcotest.failf "%s: sequential Some, parallel None" msg
-  | None, Some _ -> Alcotest.failf "%s: sequential None, parallel Some" msg
-
-let pool_sizes () =
-  (* 1 = the degenerate sequential path; 2 and 4 exercise speculation
-     depths 2 and 3. The env-derived size makes the CI
-     VMALLOC_DOMAINS={1,2} matrix leg vary what this suite runs. *)
-  let env = min 4 (Par.Pool.domains_from_env ()) in
-  List.sort_uniq compare [ 1; 2; 4; env ]
+  | Some _, None -> Alcotest.failf "%s: loop Some, plan None" msg
+  | None, Some _ -> Alcotest.failf "%s: loop None, plan Some" msg
 
 let test_differential_packing_oracles () =
   let feasible = ref 0 and infeasible = ref 0 and at_one = ref 0 in
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              List.iter
-                (fun (oname, strategy) ->
-                  let oracle = Heuristics.Vp_solver.pack_at_yield strategy inst in
-                  let seq = BS.maximize oracle in
-                  let par = BS.maximize_par ~pool oracle in
-                  (match seq with
-                  | None -> incr infeasible
-                  | Some (_, y) ->
-                      incr feasible;
-                      if y = 1. then incr at_one);
-                  check_identical
-                    (Printf.sprintf "seed %d, %s oracle, %d domains" seed
-                       oname domains)
-                    seq par)
-                oracle_strategies)
-            corpus))
-    (pool_sizes ());
+    (fun (seed, inst) ->
+      List.iter
+        (fun (oname, strategy) ->
+          let oracle = Heuristics.Vp_solver.pack_at_yield strategy inst in
+          let reference = Oracles.Bisect.maximize oracle in
+          (match reference with
+          | None -> incr infeasible
+          | Some (_, y) ->
+              incr feasible;
+              if y = 1. then incr at_one);
+          check_identical
+            (Printf.sprintf "seed %d, %s oracle" seed oname)
+            reference (BS.maximize oracle))
+        oracle_strategies)
+    corpus;
   (* The sweep must genuinely cover all three outcome classes. *)
   Alcotest.(check bool) "sweep hit feasible instances" true (!feasible > 0);
   Alcotest.(check bool) "sweep hit infeasible-at-0 instances" true
@@ -121,298 +106,68 @@ let test_differential_packing_oracles () =
 (* The two fast paths, pinned deterministically (no reliance on what the
    generator happens to produce), plus non-default tolerances. *)
 let test_differential_fast_paths () =
+  check_identical "always-feasible oracle"
+    (Oracles.Bisect.maximize (fun y -> Some y))
+    (BS.maximize (fun y -> Some y));
+  check_identical "never-feasible oracle"
+    (Oracles.Bisect.maximize (fun _ -> None))
+    (BS.maximize (fun _ -> None));
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          check_identical "always-feasible oracle"
-            (BS.maximize (fun y -> Some y))
-            (BS.maximize_par ~pool (fun y -> Some y));
-          check_identical "never-feasible oracle"
-            (BS.maximize (fun _ -> None))
-            (BS.maximize_par ~pool (fun _ -> None));
-          List.iter
-            (fun tolerance ->
-              let target = 0.37 in
-              let oracle y = if y <= target then Some y else None in
-              check_identical
-                (Printf.sprintf "threshold oracle, tolerance %g" tolerance)
-                (BS.maximize ~tolerance oracle)
-                (BS.maximize_par ~tolerance ~pool oracle))
-            (* 0. exercises the non-positive clamp on both sides. *)
-            [ 1e-2; 1e-3; 3e-4; 0. ]))
-    (pool_sizes ())
+    (fun tolerance ->
+      let target = 0.37 in
+      let oracle y = if y <= target then Some y else None in
+      check_identical
+        (Printf.sprintf "threshold oracle, tolerance %g" tolerance)
+        (Oracles.Bisect.maximize ~tolerance oracle)
+        (BS.maximize ~tolerance oracle))
+    (* 0. exercises the non-positive clamp on both sides. *)
+    [ 1e-2; 1e-3; 3e-4; 0. ]
 
 (* Exact announced-probe sequences, pinned point by point. Oracle feasible
    iff y <= 0.3 at tolerance 0.2 — wide enough to trace by hand:
-
-   sequential   [1]; [0]; [0.5]; [0.25]; [0.375]        (bracket 0.25..0.375)
-   k=2 (n=3)    [1]; [0]; [0.5 0.25 0.75]; [0.375]
-   k=4 (n=7)    [1]; [0]; [0.5 0.25 0.75 0.125 0.375 0.625 0.875]
-
-   The speculative batches are the next bisection levels below the current
-   bracket in heap order (children of i at 2i+1/2i+2); the on-path points
-   (0.5, 0.25, 0.375) appear bit-identically inside them. After the k=2
-   first fan resolves, the bracket is 0.25..0.5 — one bisection level from
-   the tolerance — so the remaining-levels cap shrinks the second fan to
-   the single on-path point instead of speculating past the stop. *)
-let show_rounds rounds =
-  String.concat "; "
-    (List.map
-       (fun pts ->
-         "["
-         ^ String.concat " "
-             (List.map (Printf.sprintf "%.17g") (Array.to_list pts))
-         ^ "]")
-       rounds)
+   1; 0; 0.5; 0.25; 0.375, leaving the bracket 0.25..0.375. *)
+let show_probes probes =
+  String.concat "; " (List.map (Printf.sprintf "%.17g") probes)
 
 let record f =
-  let rounds = ref [] in
-  ignore (f (fun pts -> rounds := Array.copy pts :: !rounds));
-  show_rounds (List.rev !rounds)
+  let probes = ref [] in
+  ignore (f (fun y -> probes := y :: !probes));
+  show_probes (List.rev !probes)
 
 let test_probe_sequences () =
   let tolerance = 0.2 in
   let oracle y = if y <= 0.3 then Some y else None in
-  let expect rounds = show_rounds (List.map Array.of_list rounds) in
-  let seq_expected = expect [ [ 1. ]; [ 0. ]; [ 0.5 ]; [ 0.25 ]; [ 0.375 ] ] in
-  Alcotest.(check string) "sequential probe sequence" seq_expected
+  let expected = show_probes [ 1.; 0.; 0.5; 0.25; 0.375 ] in
+  Alcotest.(check string) "maximize probe sequence" expected
     (record (fun on_round -> BS.maximize ~tolerance ~on_round oracle));
-  let par ~domains on_round =
-    with_pool ~domains (fun pool ->
-        BS.maximize_par ~tolerance ~pool ~on_round oracle)
-  in
-  Alcotest.(check string) "pool size 1 degenerates to the sequential sequence"
-    seq_expected
-    (record (fun on_round -> par ~domains:1 on_round));
-  Alcotest.(check string)
-    "pool size 2: 3-point fan, then a capped single-point round"
-    (expect [ [ 1. ]; [ 0. ]; [ 0.5; 0.25; 0.75 ]; [ 0.375 ] ])
-    (record (fun on_round -> par ~domains:2 on_round));
-  Alcotest.(check string) "pool size 4: one 7-point speculative round"
-    (expect
-       [ [ 1. ]; [ 0. ];
-         [ 0.5; 0.25; 0.75; 0.125; 0.375; 0.625; 0.875 ] ])
-    (record (fun on_round -> par ~domains:4 on_round))
+  Alcotest.(check string) "bisection loop probe sequence" expected
+    (record (fun on_round ->
+         Oracles.Bisect.maximize ~tolerance ~on_round oracle))
 
-(* The fast paths announce exactly the endpoint probes — [|1.|] alone when
-   feasible at 1, [|1.|]; [|0.|] when infeasible at 0 — identically on both
-   searches at every pool size. *)
+(* The fast paths announce exactly the endpoint probes — 1 alone when
+   feasible at 1, 1 then 0 when infeasible at 0 — identically on both
+   searches. *)
 let test_probe_sequence_endpoints () =
-  let feasible_at_1 = "[1]" and infeasible_at_0 = "[1]; [0]" in
-  Alcotest.(check string) "maximize feasible-at-1" feasible_at_1
-    (record (fun on_round -> BS.maximize ~on_round (fun y -> Some y)));
-  Alcotest.(check string) "maximize infeasible-at-0" infeasible_at_0
-    (record (fun on_round -> BS.maximize ~on_round (fun _ -> None)));
+  let feasible_at_1 = "1" and infeasible_at_0 = "1; 0" in
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "maximize_par feasible-at-1 (k=%d)" domains)
-            feasible_at_1
-            (record (fun on_round ->
-                 BS.maximize_par ~pool ~on_round (fun y -> Some y)));
-          Alcotest.(check string)
-            (Printf.sprintf "maximize_par infeasible-at-0 (k=%d)" domains)
-            infeasible_at_0
-            (record (fun on_round ->
-                 BS.maximize_par ~pool ~on_round (fun _ -> None)))))
-    [ 1; 2; 4 ]
-
-(* Round/probe regression: with a k-domain pool each Pool.map round resolves
-   ⌈log₂(k+1)⌉ bisection levels, so the number of oracle rounds (the
-   latency-critical serial steps; counted via [on_round]) must never exceed
-   the sequential probe count and must meet the ⌈log_{k+1}(1/tol)⌉ + 2
-   bound. The oracle call counter additionally checks the speculative
-   fan-out stays within one tree per round: per-round batches have at most
-   2k - 1 probes. *)
-
-let round_bound ~k ~tolerance =
-  let inv = 1. /. tolerance in
-  let rec go rounds reach =
-    if reach >= inv then rounds else go (rounds + 1) (reach *. float_of_int (k + 1))
-  in
-  go 0 1. + 2
-
-let test_round_regression () =
-  let tolerances = [ 1e-2; 1e-3; BS.default_tolerance ] in
-  let target = 0.37 in
-  List.iter
-    (fun k ->
-      with_pool ~domains:k (fun pool ->
-          List.iter
-            (fun tolerance ->
-              let calls = ref 0 in
-              let oracle y =
-                incr calls;
-                if y <= target then Some y else None
-              in
-              let seq_probes = ref 0 in
-              ignore
-                (BS.maximize ~tolerance
-                   ~on_round:(fun _ -> incr seq_probes)
-                   oracle);
-              Alcotest.(check int)
-                (Printf.sprintf "sequential rounds = oracle calls (tol %g)"
-                   tolerance)
-                !calls !seq_probes;
-              let par_rounds = ref 0 in
-              let max_batch = ref 0 in
-              ignore
-                (BS.maximize_par ~tolerance ~pool
-                   ~on_round:(fun batch ->
-                     incr par_rounds;
-                     max_batch := max !max_batch (Array.length batch))
-                   oracle);
-              let msg fmt =
-                Printf.ksprintf
-                  (fun s -> Printf.sprintf "%s (k=%d, tol %g)" s k tolerance)
-                  fmt
-              in
-              Alcotest.(check bool)
-                (msg "par rounds %d <= seq probes %d" !par_rounds !seq_probes)
-                true
-                (!par_rounds <= !seq_probes);
-              Alcotest.(check bool)
-                (msg "par rounds %d <= bound %d" !par_rounds
-                   (round_bound ~k ~tolerance))
-                true
-                (!par_rounds <= round_bound ~k ~tolerance);
-              Alcotest.(check bool)
-                (msg "batch size %d <= 2k-1" !max_batch)
-                true
-                (!max_batch <= max 1 ((2 * k) - 1)))
-            tolerances))
-    [ 1; 2; 4 ]
-
-(* Forced speculation depths: any [~depth] must leave the result
-   bit-identical to the sequential search — depth only trades probes for
-   rounds. Swept over real packing oracles on a corpus slice so the
-   on-path points exercise genuine bracket updates, not just the
-   synthetic threshold. *)
-let test_forced_depth_differential () =
-  let slice =
-    List.filteri (fun i _ -> i mod 5 = 0) corpus
-  in
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun depth ->
-              List.iter
-                (fun (seed, inst) ->
-                  List.iter
-                    (fun (oname, strategy) ->
-                      let oracle =
-                        Heuristics.Vp_solver.pack_at_yield strategy inst
-                      in
-                      check_identical
-                        (Printf.sprintf
-                           "seed %d, %s oracle, %d domains, depth %d" seed
-                           oname domains depth)
-                        (BS.maximize oracle)
-                        (BS.maximize_par ~pool ~depth oracle))
-                    oracle_strategies)
-                slice)
-            [ 1; 2; 3; 5 ]))
-    (pool_sizes ())
-
-(* Probe accounting: the parallel search calls the oracle exactly
-   [sequential probes + speculative waste] times — every extra call is an
-   off-path speculative point, none are silently dropped or repeated. *)
-let test_probe_accounting () =
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
-  @@ fun () ->
-  let target = 0.37 in
-  let waste () =
-    Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
-      "binary_search.speculative_waste"
-  in
-  List.iter
-    (fun k ->
-      with_pool ~domains:k (fun pool ->
-          List.iter
-            (fun tolerance ->
-              let seq_calls = ref 0 in
-              ignore
-                (BS.maximize ~tolerance (fun y ->
-                     incr seq_calls;
-                     if y <= target then Some y else None));
-              let par_calls = ref 0 in
-              let waste0 = waste () in
-              ignore
-                (BS.maximize_par ~tolerance ~pool (fun y ->
-                     incr par_calls;
-                     if y <= target then Some y else None));
-              Alcotest.(check int)
-                (Printf.sprintf
-                   "par calls = seq calls + waste (k=%d, tol %g)" k tolerance)
-                (!seq_calls + (waste () - waste0))
-                !par_calls)
-            [ 1e-2; 1e-3; BS.default_tolerance ]))
-    [ 1; 2; 4 ]
-
-(* The same regression on a real packing search end-to-end: METAHVPLIGHT's
-   multi-strategy oracle on an instance whose optimum lies strictly inside
-   (0, 1), so the full bisection runs. *)
-let test_round_regression_packing () =
-  let inst = gen_instance ~seed:7 ~hosts:5 ~services:14 ~slack:0.35 in
-  let strategies = Packing.Strategy.hvp_light in
-  let seq_probes = ref 0 in
-  let seq =
-    Heuristics.Vp_solver.solve_multi
-      ~on_round:(fun _ -> incr seq_probes)
-      strategies inst
-  in
-  (match seq with
-  | Some sol when sol.min_yield > 0. && sol.min_yield < 1. -> ()
-  | Some _ -> Alcotest.fail "expected an interior optimum (fast path hit)"
-  | None -> Alcotest.fail "expected a feasible instance");
-  List.iter
-    (fun k ->
-      with_pool ~domains:k (fun pool ->
-          let par_rounds = ref 0 in
-          let par =
-            Heuristics.Vp_solver.solve_multi ~pool
-              ~on_round:(fun _ -> incr par_rounds)
-              strategies inst
-          in
-          (match (seq, par) with
-          | Some a, Some b ->
-              Alcotest.(check bool)
-                (Printf.sprintf "same placement (k=%d)" k)
-                true
-                (a.placement = b.placement
-                && Int64.bits_of_float a.min_yield
-                   = Int64.bits_of_float b.min_yield)
-          | _ -> Alcotest.fail "Some/None disagreement");
-          Alcotest.(check bool)
-            (Printf.sprintf "METAHVPLIGHT rounds %d <= seq probes %d (k=%d)"
-               !par_rounds !seq_probes k)
-            true
-            (!par_rounds <= !seq_probes);
-          Alcotest.(check bool)
-            (Printf.sprintf "METAHVPLIGHT rounds %d within bound %d (k=%d)"
-               !par_rounds
-               (round_bound ~k ~tolerance:BS.default_tolerance)
-               k)
-            true
-            (!par_rounds <= round_bound ~k ~tolerance:BS.default_tolerance))
-        )
-    [ 2; 4 ]
+    (fun (name, search) ->
+      Alcotest.(check string) (name ^ " feasible-at-1") feasible_at_1
+        (record (fun on_round -> search on_round (fun y -> Some y)));
+      Alcotest.(check string) (name ^ " infeasible-at-0") infeasible_at_0
+        (record (fun on_round -> search on_round (fun _ -> None))))
+    [
+      ("maximize", fun on_round oracle -> BS.maximize ~on_round oracle);
+      ("bisection loop",
+       fun on_round oracle -> Oracles.Bisect.maximize ~on_round oracle);
+    ]
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("maximize_par = maximize on FF/BF/PP/CP oracles",
+      ("maximize = Bisect on FF/BF/PP/CP oracles",
        test_differential_packing_oracles);
-      ("maximize_par fast paths and tolerances", test_differential_fast_paths);
+      ("fast paths and tolerances", test_differential_fast_paths);
       ("exact announced probe sequences", test_probe_sequences);
       ("endpoint probe announcements", test_probe_sequence_endpoints);
-      ("forced depths stay bit-identical", test_forced_depth_differential);
-      ("probe accounting: par = seq + waste", test_probe_accounting);
-      ("round count: bound and <= sequential probes", test_round_regression);
-      ("round count on a packing search", test_round_regression_packing);
     ]

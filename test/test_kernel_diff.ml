@@ -3,13 +3,10 @@
    memoized sort orders and Permutation-Pack item permutations, reset
    bins) must be bit-identical to the naive fresh-allocation path of
    {!Oracles.Naive_probe} — same Some/None, same placement, same yield to
-   the last bit — across random instances, single-strategy (FF/BF/PP/CP)
-   and META (VP/HVP/HVPLIGHT) strategy sets, and probe-pool sizes
-   1/2/4. *)
+   the last bit — across random instances and single-strategy
+   (FF/BF/PP/CP) and META (VP/HVP/HVPLIGHT) strategy sets. *)
 
 module VS = Heuristics.Vp_solver
-
-let with_pool = Par.Pool.with_pool
 
 let single_strategies =
   let open Packing.Strategy in
@@ -72,64 +69,44 @@ let check_identical msg kernel naive =
   | Some _, None -> Alcotest.failf "%s: kernel Some, naive None" msg
   | None, Some _ -> Alcotest.failf "%s: kernel None, naive Some" msg
 
-let pool_sizes = [ 1; 2; 4 ]
-
 let test_kernel_vs_naive_singles () =
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              List.iter
-                (fun (sname, strategy) ->
-                  check_identical
-                    (Printf.sprintf "seed %d, %s, %d domains" seed sname
-                       domains)
-                    (VS.solve ~pool strategy inst)
-                    (Oracles.Naive_probe.solve ~pool strategy inst))
-                single_strategies)
-            corpus))
-    pool_sizes
+    (fun (seed, inst) ->
+      List.iter
+        (fun (sname, strategy) ->
+          check_identical
+            (Printf.sprintf "seed %d, %s" seed sname)
+            (VS.solve strategy inst)
+            (Oracles.Naive_probe.solve strategy inst))
+        single_strategies)
+    corpus
 
 let test_kernel_vs_naive_meta () =
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              List.iter
-                (fun (mname, strategies) ->
-                  check_identical
-                    (Printf.sprintf "seed %d, %s, %d domains" seed mname
-                       domains)
-                    (VS.solve_multi ~pool strategies inst)
-                    (Oracles.Naive_probe.solve_multi ~pool strategies inst))
-                meta_sets)
-            corpus))
-    pool_sizes
+    (fun (seed, inst) ->
+      List.iter
+        (fun (mname, strategies) ->
+          check_identical
+            (Printf.sprintf "seed %d, %s" seed mname)
+            (VS.solve_multi strategies inst)
+            (Oracles.Naive_probe.solve_multi strategies inst))
+        meta_sets)
+    corpus
 
 (* The full 253-strategy METAHVP set is the expensive one; lock it down on
-   a few instances spanning the three regimes, at every pool size. *)
+   a few instances spanning the three regimes. *)
 let test_kernel_vs_naive_metahvp () =
-  let picks =
+  List.iter
+    (fun (seed, inst) ->
+      check_identical
+        (Printf.sprintf "seed %d, METAHVP" seed)
+        (VS.solve_multi Packing.Strategy.hvp_all inst)
+        (Oracles.Naive_probe.solve_multi Packing.Strategy.hvp_all inst))
     [
       (0, gen_instance ~seed:0 ~hosts:4 ~services:10 ~slack:0.05);
       (1, gen_instance ~seed:1 ~hosts:5 ~services:14 ~slack:0.35);
       (2, gen_instance ~seed:2 ~hosts:3 ~services:8 ~slack:0.9);
     ]
-  in
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              check_identical
-                (Printf.sprintf "seed %d, METAHVP, %d domains" seed domains)
-                (VS.solve_multi ~pool Packing.Strategy.hvp_all inst)
-                (Oracles.Naive_probe.solve_multi ~pool Packing.Strategy.hvp_all
-                   inst))
-            picks))
-    pool_sizes
 
 (* The kernel's counters against the oracle's own counts: memoization
    never changes the probe sequence or the attempts a probe makes, it

@@ -70,32 +70,6 @@ let test_map_propagates_exception () =
             (Par.Pool.map pool input (fun i ->
                  if i = 5 then raise (Boom 5) else i))))
 
-(* A raising oracle inside the speculative yield search: the exception must
-   surface through [Binary_search.maximize_par]'s Pool.map round, and the
-   pool must stay usable afterwards — both for a bare map and for another
-   speculative search. *)
-let test_maximize_par_raising_oracle () =
-  with_pool ~domains:2 (fun pool ->
-      let oracle y =
-        if y = 1. then None
-        else if y = 0. then Some y
-        else raise (Boom 7)
-      in
-      Alcotest.check_raises "oracle exception propagates" (Boom 7) (fun () ->
-          ignore (Heuristics.Binary_search.maximize_par ~pool oracle));
-      let input = Array.init 16 (fun i -> i) in
-      Alcotest.(check (array int)) "pool still maps"
-        (Array.map succ input)
-        (Par.Pool.map pool input succ);
-      let target = 0.37 in
-      let sane y = if y <= target then Some y else None in
-      match Heuristics.Binary_search.maximize_par ~pool sane with
-      | Some (_, y) ->
-          Alcotest.(check bool) "pool still searches" true
-            (y <= target
-            && target -. y <= 2. *. Heuristics.Binary_search.default_tolerance)
-      | None -> Alcotest.fail "search after error should succeed")
-
 (* A task that maps on its own pool again would deadlock or starve (one
    job queue, and the task occupies the claim loop), so the re-entry must
    be rejected loudly — at every pool size, including the sequential
@@ -178,24 +152,6 @@ let test_table1_parallel_identical () =
             (report (Some pool))))
     [ 2; 4 ]
 
-(* Same contract for the other way the pool can be used: accelerating each
-   trial's yield search from the inside (probe_pool) instead of fanning
-   trials out. *)
-let test_table1_probe_pool_identical () =
-  let sequential =
-    Experiments.Table1.report_table1 (Experiments.Table1.run mini_scale)
-  in
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "table1 report identical with %d-domain probes"
-               domains)
-            sequential
-            (Experiments.Table1.report_table1
-               (Experiments.Table1.run ~probe_pool:pool mini_scale))))
-    [ 2; 4 ]
-
 let test_domains_from_env_default_positive () =
   (* Whatever the machine, the resolved default must be a usable size. *)
   Alcotest.(check bool) "positive" true (Par.Pool.domains_from_env () >= 1)
@@ -263,10 +219,8 @@ let suite =
       ("nested map on the same pool rejected", test_nested_map_same_pool_rejected);
       ("nested map on a different pool allowed",
        test_nested_map_different_pool_allowed);
-      ("maximize_par propagates oracle exceptions", test_maximize_par_raising_oracle);
       ("pool reusable after an error", test_pool_reusable_after_error);
       ("Table 1 mini-sweep identical in parallel", test_table1_parallel_identical);
-      ("Table 1 mini-sweep identical with probe pool", test_table1_probe_pool_identical);
       ("domains_from_env is positive", test_domains_from_env_default_positive);
       ("domains_from_env parsing sweep", test_domains_from_env_parsing);
       ("with_pool joins workers on exception",
