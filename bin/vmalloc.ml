@@ -323,7 +323,7 @@ let run_batch ~pool jobs =
   let jobs = Array.of_list jobs in
   let t0 = Unix.gettimeofday () in
   let results =
-    Heuristics.Batch.solve_batch ~sched:(Par.Scheduler.create ~pool) jobs
+    Heuristics.Batch.solve_batch ~sched:pool jobs
   in
   let dt = Unix.gettimeofday () -. t0 in
   Array.iteri
@@ -352,9 +352,9 @@ let solve_cmd =
                    one job per non-empty, non-# line of $(docv) — either a \
                    bare instance-file path or key=value overrides (hosts, \
                    services, cov, slack, seed, algo) of this command's \
-                   options. Probe rounds of all jobs interleave on the \
-                   pool; results print in line order and are bit-identical \
-                   to solving each line separately.")
+                   options. Each job runs as one task on the pool; \
+                   results print in line order and are bit-identical to \
+                   solving each line separately.")
   in
   let domains =
     Arg.(value & opt int 1
@@ -478,8 +478,8 @@ let solve_cmd =
   in
   Cmd.v
     (Cmd.info "solve"
-       ~doc:"Place services with one algorithm (--batch multiplexes many \
-             jobs over one pool of --domains worker domains; --stats / \
+       ~doc:"Place services with one algorithm (--batch fans many jobs \
+             out over one pool of --domains worker domains; --stats / \
              --stats-out / --trace / --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
                $ verbose $ domains $ stats_term $ trace $ trace_folded_term

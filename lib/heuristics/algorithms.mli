@@ -5,10 +5,9 @@
 
 type kind =
   | Yield_search of Packing.Strategy.t list
-      (** a yield binary search whose probe tries the strategies in
-          order — steppable, so the batched driver ({!Batch}) can
-          interleave its rounds with other requests' *)
-  | Direct  (** runs start-to-finish as one opaque task *)
+      (** a yield binary search ({!Vp_solver.solve_multi}) whose probe
+          tries the strategies in order *)
+  | Direct  (** any other algorithm: greedy, LP rounding, exact MILP *)
 
 type t = {
   name : string;
@@ -16,8 +15,9 @@ type t = {
   solve : Model.Instance.t -> Vp_solver.solution option;
 }
 (** [solve instance] runs the algorithm sequentially on the calling
-    domain. [kind] tells drivers that step the yield search themselves
-    ({!Batch}) which algorithms they can step rather than call [solve]. *)
+    domain; every caller, the batched solve ({!Batch}) included, uses it.
+    [kind] only describes the algorithm, for callers that report work by
+    algorithm family. *)
 
 val metagreedy : t
 (** Best of the 49 greedy combinations (§3.4). *)

@@ -1,12 +1,8 @@
 (** Multi-tenant batched solving over one domain pool.
 
-    Adapts {!Algorithms} onto {!Par.Scheduler} requests: a yield-search
-    algorithm ({!Algorithms.Yield_search}) steps its {!Binary_search.plan}
-    and contributes one probe task per pool round, so the probes of all
-    jobs interleave fairly in each round, while an {!Algorithms.Direct}
-    algorithm runs as a single one-shot task. Each yield search owns its
-    probe kernels ({!Vp_solver.batch_oracle}), which are dropped when it
-    completes.
+    A batch is a tenant fan-out: each job is one pool task running its
+    algorithm's sequential [solve], so every tenant does exactly the work,
+    and owns exactly the probe kernel, of its standalone solve.
 
     Results are bit-identical to solving the same jobs back-to-back
     sequentially, at any pool size — locked by test/test_batch_diff.ml. *)
@@ -14,10 +10,8 @@
 type job = { algo : Algorithms.t; instance : Model.Instance.t }
 
 val solve_batch :
-  ?tolerance:float ->
-  sched:Par.Scheduler.t ->
-  job array ->
-  Vp_solver.solution option array
-(** Drive all [jobs] to completion over the scheduler's pool; results in
-    input order. [tolerance] as in {!Vp_solver.solve_multi}. If a job
-    raises, the exception propagates as {!Par.Scheduler.run} documents. *)
+  sched:Par.Pool.t -> job array -> Vp_solver.solution option array
+(** Solve all [jobs] as tasks of the pool [sched] (a {!Par.Scheduler.t} is
+    that pool); results in input order. If jobs raise, the exception of
+    the first raising job propagates once every job has finished
+    ({!Par.Pool.map}), and the pool stays usable. *)

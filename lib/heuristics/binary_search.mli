@@ -6,15 +6,13 @@
     which the oracle succeeds. The search stops when the bracketing interval
     is narrower than the paper's threshold 1e-4.
 
-    The search is one steppable state machine, {!plan}, that emits exactly
-    one probe per step: first 1, then 0, then midpoints
-    [0.5 *. (lo +. hi)] while [hi -. lo > tolerance]. {!maximize_warm}
-    and {!maximize} drive it sequentially; the batched scheduler
-    ({!Batch}) steps many plans at once, one probe per tenant per pool
-    round. Packing oracles are {e not} monotone in the yield (a heuristic
-    can pack at 0.6 yet fail at 0.5), so every driver must probe the same
-    points and take the same branch decisions to return the same answer —
-    which one machine guarantees. *)
+    The search probes one yield at a time, each point chosen from the
+    previous verdicts: first 1, then 0, then midpoints
+    [0.5 *. (lo +. hi)] while [hi -. lo > tolerance]. Packing oracles are
+    {e not} monotone in the yield (a heuristic can pack at 0.6 yet fail at
+    0.5), so the answer is defined by exactly these points and branch
+    decisions; a batched solve ({!Batch}) runs whole searches side by
+    side, never the probes of one search. *)
 
 val default_tolerance : float
 (** 1e-4, the paper's threshold. *)
@@ -46,23 +44,3 @@ val maximize_warm :
     {!maximize}'s. Used to carry LP warm-start bases across successive
     yield probes ({!Milp.relaxed_yield_search}): probe [k+1] re-optimizes
     from probe [k]'s basis instead of solving from scratch. *)
-
-type 'a plan
-(** A steppable yield search over oracles of type [float -> 'a option] —
-    the state machine every driver steps. *)
-
-val plan : ?tolerance:float -> ?on_round:(float -> unit) -> unit -> 'a plan
-(** A fresh search; [tolerance] and [on_round] as in {!maximize}. Each
-    emitted probe counts one [binary_search.rounds] and one
-    [binary_search.probes]. *)
-
-val plan_next : 'a plan -> prev:'a option -> float option
-(** Consume the verdict of the outstanding probe and emit the next yield
-    to probe, or [None] when the search is finished. [prev] is ignored on
-    the first call (pass [None]); afterwards it must be the oracle's
-    verdict at the yield the previous call returned. *)
-
-val plan_result : 'a plan -> ('a * float) option
-(** The search outcome — meaningful once {!plan_next} returned [None]:
-    the solution at the highest successful probe, or [None] when yield 0
-    already failed. *)

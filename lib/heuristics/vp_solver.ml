@@ -81,37 +81,13 @@ let refill inst k yld =
     k.k_yield <- yld
   end
 
-(* The kernels of one solve. The oracle may be called from several
-   domains at once ({!batch_oracle}), so a probe takes a free kernel — or
-   makes one when none is free — and gives it back when done: a solve
-   never holds more kernels than it ran concurrent probes, and they die
-   with it. Every kernel computes the same bits, so results do not depend
-   on which probe got which kernel. *)
-type kernels = {
-  instance : Model.Instance.t;
-  lock : Mutex.t;
-  mutable free : kernel list;
-}
-
-let take ks =
-  let k =
-    Mutex.protect ks.lock (fun () ->
-        match ks.free with
-        | k :: rest ->
-            ks.free <- rest;
-            Some k
-        | [] -> None)
-  in
-  match k with Some k -> k | None -> make_kernel ks.instance
-
-let give ks k = Mutex.protect ks.lock (fun () -> ks.free <- k :: ks.free)
-
-(* One fixed-yield probe: the strategies in order until one packs. *)
-let probe ks strategies yld =
+(* One fixed-yield probe: the strategies in order until one packs. The
+   solve's one kernel serves every probe, which the search runs one after
+   another on the calling domain. *)
+let probe instance k strategies yld =
   Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
   Obs.Metrics.incr c_oracle;
-  let k = take ks in
-  refill ks.instance k yld;
+  refill instance k yld;
   let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (
@@ -134,14 +110,10 @@ let probe ks strategies yld =
                 :: probe_args yld);
             Some placement)
   in
-  let result = attempt 1 strategies in
-  give ks k;
-  result
+  attempt 1 strategies
 
 let oracle strategies instance =
-  probe { instance; lock = Mutex.create (); free = [] } strategies
-
-let batch_oracle = oracle
+  probe instance (make_kernel instance) strategies
 
 let evaluate instance placement =
   match Model.Placement.min_yield instance placement with

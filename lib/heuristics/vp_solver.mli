@@ -6,8 +6,8 @@
     a valid placement at that yield.
 
     Every probe of a solve runs through the probe-shared packing kernel
-    (DESIGN.md §11), the one production probe path; the solve owns its
-    kernels. The naive fresh-allocation path it must match bit-for-bit is
+    (DESIGN.md §11), the one production probe path; each solve owns one
+    kernel. The naive fresh-allocation path it must match bit-for-bit is
     {!pack_at_yield} per strategy, which the test suite's oracle drives
     under the same search.
 
@@ -42,10 +42,9 @@ val solve :
     item/bin scratch refilled in place, memoized sort orders and
     Permutation-Pack item permutations — bit-identical to {!pack_at_yield}
     per probe, just cheaper (the test suite locks it against that naive
-    path). Each solve owns its kernels: a probe takes a free one or makes
-    one, so a solve holds at most one per concurrent probe, and they are
-    dropped with the solve. Kernel sort-memo hits land on the
-    [vp_solver.items_cache_hits] counter. *)
+    path). Each solve makes one kernel, which its probes reuse one after
+    another and which is dropped with the solve. Kernel sort-memo hits
+    land on the [vp_solver.items_cache_hits] counter. *)
 
 val solve_multi :
   ?tolerance:float ->
@@ -56,15 +55,6 @@ val solve_multi :
     succeeds as soon as one packs — the META* construction (§3.5.3,
     §3.5.5). The achieved minimum yield is evaluated on the final
     placement. *)
-
-val batch_oracle :
-  Packing.Strategy.t list ->
-  Model.Instance.t ->
-  float -> Model.Placement.t option
-(** The raw fixed-yield probe oracle behind {!solve_multi}, with kernels
-    of its own, for callers that drive the yield search themselves — the
-    batched solve driver ({!Batch}) stepping a {!Binary_search.plan}
-    under {!Par.Scheduler}. Safe to call from several domains at once. *)
 
 val evaluate : Model.Instance.t -> Model.Placement.t -> solution option
 (** Water-fill a placement into a [solution] (shared by greedy and rounding

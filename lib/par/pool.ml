@@ -121,14 +121,15 @@ let map pool arr f =
     let sinks = if obs then Array.make n None else [||] in
     let next = Atomic.make 0 in
     let completed = Atomic.make 0 in
-    let error = Atomic.make None in
+    let errors = Array.make n None in
     let done_mutex = Mutex.create () in
     let done_cond = Condition.create () in
     (* Each participant claims indices from the shared counter until the
-       array is exhausted; results land at their input index, so output
-       order never depends on the interleaving. Every index is processed
-       even after a task raised — completion therefore always reaches [n],
-       which keeps the wait below deadlock-free. *)
+       array is exhausted; results and exceptions land at their input
+       index, so neither the output nor the exception raised depends on
+       the interleaving. Every index is processed even after a task
+       raised — completion therefore always reaches [n], which keeps the
+       wait below deadlock-free. *)
     let run_tasks () =
       with_executing pool @@ fun () ->
       let rec loop () =
@@ -144,8 +145,7 @@ let map pool arr f =
           in
           (match task () with
           | v -> results.(i) <- Some v
-          | exception e ->
-              ignore (Atomic.compare_and_set error None (Some e)));
+          | exception e -> errors.(i) <- Some e);
           let c = 1 + Atomic.fetch_and_add completed 1 in
           if c = n then begin
             Mutex.lock done_mutex;
@@ -170,42 +170,20 @@ let map pool arr f =
       Condition.wait done_cond done_mutex
     done;
     Mutex.unlock done_mutex;
-    (* The completion barrier above orders every task-sink write before
-       these reads; merging in input order makes the fold deterministic. *)
+    (* The completion barrier above orders every task's sink, result and
+       exception write before these reads; merging in input order makes
+       the fold deterministic, and raising the lowest failing index is
+       what the sequential [Array.map] would raise. *)
     if obs then
       Array.iter
         (function Some s -> Obs.Metrics.merge_into_current s | None -> ())
         sinks;
-    match Atomic.get error with
-    | Some e -> raise e
-    | None ->
-        Array.map
-          (function
-            | Some v -> v
-            | None -> assert false (* completed = n fills every slot *))
-          results
-  end
-
-let default_chunk pool n = max 1 (n / (pool.size * 4))
-
-let map_reduce pool ?chunk arr ~map:f ~fold ~init =
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | Some _ | None -> default_chunk pool n
-    in
-    let n_chunks = (n + chunk - 1) / chunk in
-    let chunks = Array.init n_chunks (fun c -> c) in
-    let mapped =
-      map pool chunks (fun c ->
-          let lo = c * chunk in
-          let len = min chunk (n - lo) in
-          Array.init len (fun i -> f arr.(lo + i)))
-    in
-    Array.fold_left (Array.fold_left fold) init mapped
+    Array.iter (function Some e -> raise e | None -> ()) errors;
+    Array.map
+      (function
+        | Some v -> v
+        | None -> assert false (* completed = n fills every slot *))
+      results
   end
 
 let with_pool ~domains f =

@@ -1,8 +1,10 @@
-(** Fixed-size domain pool for deterministic experiment fan-out.
+(** Fixed-size domain pool for deterministic fan-out of independent work.
 
     The paper's evaluation is embarrassingly parallel — hundreds of
     independent (instance, algorithm) trials — so the experiment drivers
-    hand their trial arrays to a pool of OCaml 5 domains. Determinism is
+    hand their trial arrays to a pool of OCaml 5 domains; a batched solve
+    ([Heuristics.Batch]) maps its tenants and the sharded simulator its
+    shards the same way, one task each. Determinism is
     preserved by construction: every trial owns an RNG stream derived
     {e before} dispatch (from the stable per-spec hashes in
     {!Experiments.Corpus} or an explicit {!Prng.Rng.split}), tasks never
@@ -32,8 +34,9 @@ val map : t -> 'a array -> ('a -> 'b) -> 'b array
 (** [map pool arr f] applies [f] to every element, fanning the work over
     the pool's domains, and returns the results {e in input order}. The
     calling domain works too, so this makes progress with any pool size.
-    If any [f] raises, the first exception (in claim order) is re-raised
-    in the caller after all in-flight tasks finish. Tasks must not
+    If any [f] raises, the exception of the lowest failing index is
+    re-raised in the caller after every task has finished — the one
+    [Array.map] would raise, whatever the pool size. Tasks must not
     themselves call into the same pool: a nested [map] on the pool whose
     task is executing raises [Invalid_argument] (detected per domain, on
     every pool size — previously this failed silently or starved). Maps
@@ -44,20 +47,6 @@ val map : t -> 'a array -> ('a -> 'b) -> 'b array
     sink {e in input order} after the round, so metric totals are
     byte-identical to the sequential run at any pool size (the enabled
     flag is sampled once per map; do not toggle it mid-map). *)
-
-val map_reduce :
-  t ->
-  ?chunk:int ->
-  'a array ->
-  map:('a -> 'b) ->
-  fold:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'acc
-(** Chunked map + sequential in-order fold: the array is cut into chunks
-    of [chunk] elements (default: a size targeting ~4 chunks per domain),
-    each chunk is mapped as one task, and [fold] consumes the mapped
-    values left-to-right in input order — so the result is identical to
-    [Array.fold_left] over [Array.map], whatever the pool size. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool is unusable after. *)

@@ -1,5 +1,5 @@
-(** The sequential bisection loop — the differential oracle of the
-    steppable yield search {!Heuristics.Binary_search.plan}.
+(** The sequential bisection loop — the differential oracle of the yield
+    search {!Heuristics.Binary_search.maximize}.
 
     A plain [while] loop over the bracket: probe 1, then 0, then the
     midpoint [0.5 *. (lo +. hi)] while [hi -. lo > tolerance].

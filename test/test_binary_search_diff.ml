@@ -1,10 +1,10 @@
-(* Differential lock-down of the yield search: [Binary_search.maximize],
-   which steps the [Binary_search.plan] state machine, must return
-   bit-identical results to the plain bisection loop of
+(* Differential lock-down of the yield search: [Binary_search.maximize]
+   must return bit-identical results to the plain bisection loop of
    [Oracles.Bisect.maximize] — same Some/None, same placement, same yield
    to the last bit — for real packing oracles, including the
    infeasible-at-0 and feasible-at-1 fast paths, and must announce the
-   same probe sequence. *)
+   same probe sequence. [Binary_search.maximize_warm] must announce that
+   sequence too while threading its state through every probe. *)
 
 module BS = Heuristics.Binary_search
 
@@ -134,6 +134,28 @@ let record f =
   ignore (f (fun y -> probes := y :: !probes));
   show_probes (List.rev !probes)
 
+(* [maximize_warm] under a counting accumulator: the probe receiving
+   state n hands n + 1 on, and its solution carries n. Returns the
+   announced probes, the state each probe received, and the result. *)
+let warm_counting ?tolerance feasible =
+  let probes = ref [] and states = ref [] in
+  let result =
+    BS.maximize_warm ?tolerance
+      ~on_round:(fun y -> probes := y :: !probes)
+      ~init:0
+      (fun n y ->
+        states := n :: !states;
+        (n + 1, if feasible y then Some n else None))
+  in
+  (show_probes (List.rev !probes), List.rev !states, result)
+
+let check_warm msg ~probes ~states ~result (p, s, r) =
+  Alcotest.(check string) (msg ^ " probe sequence") probes p;
+  Alcotest.(check (list int)) (msg ^ " states received") states s;
+  Alcotest.(check (option (pair int (float 0.))))
+    (msg ^ " result carries the best probe's state")
+    result r
+
 let test_probe_sequences () =
   let tolerance = 0.2 in
   let oracle y = if y <= 0.3 then Some y else None in
@@ -142,7 +164,12 @@ let test_probe_sequences () =
     (record (fun on_round -> BS.maximize ~tolerance ~on_round oracle));
   Alcotest.(check string) "bisection loop probe sequence" expected
     (record (fun on_round ->
-         Oracles.Bisect.maximize ~tolerance ~on_round oracle))
+         Oracles.Bisect.maximize ~tolerance ~on_round oracle));
+  (* The state passes through the infeasible probes at 1, 0.5 and 0.375
+     too; the best probe, at 0.25, received state 3. *)
+  check_warm "maximize_warm" ~probes:expected ~states:[ 0; 1; 2; 3; 4 ]
+    ~result:(Some (3, 0.25))
+    (warm_counting ~tolerance (fun y -> y <= 0.3))
 
 (* The fast paths announce exactly the endpoint probes — 1 alone when
    feasible at 1, 1 then 0 when infeasible at 0 — identically on both
@@ -159,7 +186,13 @@ let test_probe_sequence_endpoints () =
       ("maximize", fun on_round oracle -> BS.maximize ~on_round oracle);
       ("bisection loop",
        fun on_round oracle -> Oracles.Bisect.maximize ~on_round oracle);
-    ]
+    ];
+  check_warm "maximize_warm feasible-at-1" ~probes:feasible_at_1
+    ~states:[ 0 ] ~result:(Some (0, 1.))
+    (warm_counting (fun _ -> true));
+  check_warm "maximize_warm infeasible-at-0" ~probes:infeasible_at_0
+    ~states:[ 0; 1 ] ~result:None
+    (warm_counting (fun _ -> false))
 
 let suite =
   List.map

@@ -42,33 +42,43 @@ let test_map_preserves_order_under_skew () =
         (Array.map f input)
         (Par.Pool.map pool input f))
 
-let test_map_reduce_sum () =
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          let n = 500 in
-          let input = Array.init n (fun i -> i + 1) in
-          let total =
-            Par.Pool.map_reduce pool input
-              ~map:(fun x -> x * x)
-              ~fold:(fun acc x -> acc + x)
-              ~init:0
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "sum of squares (domains=%d)" domains)
-            (n * (n + 1) * ((2 * n) + 1) / 6)
-            total))
-    [ 1; 3 ]
-
 exception Boom of int
 
+(* With two failing tasks the lowest index's exception wins, as in
+   [Array.map], even when the higher index raises first: index 1 raises at
+   once, index 0 waits for it (at most 50 ms) and only then raises. *)
 let test_map_propagates_exception () =
   with_pool ~domains:2 (fun pool ->
       let input = Array.init 32 (fun i -> i) in
       Alcotest.check_raises "first failure re-raised" (Boom 5) (fun () ->
           ignore
             (Par.Pool.map pool input (fun i ->
-                 if i = 5 then raise (Boom 5) else i))))
+                 if i = 5 then raise (Boom 5) else i))));
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          let raised = Atomic.make false in
+          let task i =
+            if i = 1 then begin
+              Atomic.set raised true;
+              raise (Boom 1)
+            end
+            else begin
+              let deadline = Unix.gettimeofday () +. 0.05 in
+              while
+                (not (Atomic.get raised)) && Unix.gettimeofday () < deadline
+              do
+                Domain.cpu_relax ()
+              done;
+              raise (Boom 0)
+            end
+          in
+          Alcotest.check_raises
+            (Printf.sprintf "lowest failing index re-raised (domains=%d)"
+               domains)
+            (Boom 0)
+            (fun () -> ignore (Par.Pool.map pool [| 0; 1 |] task))))
+    [ 1; 2; 4 ]
 
 (* A task that maps on its own pool again would deadlock or starve (one
    job queue, and the task occupies the claim loop), so the re-entry must
@@ -214,7 +224,6 @@ let suite =
       ("create clamps to >= 1 domain", test_create_clamps);
       ("map = Array.map at 1/2/4 domains", test_map_matches_sequential);
       ("map preserves order under skew", test_map_preserves_order_under_skew);
-      ("map_reduce sums chunks in order", test_map_reduce_sum);
       ("map propagates exceptions", test_map_propagates_exception);
       ("nested map on the same pool rejected", test_nested_map_same_pool_rejected);
       ("nested map on a different pool allowed",
