@@ -257,7 +257,7 @@ let all_sections =
 
 let () =
   let scale = Experiments.Scale.from_env () in
-  let domains = Experiments.Scale.domains_from_env () in
+  let domains = Par.Pool.domains_from_env () in
   if domains > 1 then pool := Some (Par.Pool.create ~domains);
   let requested =
     match Array.to_list Sys.argv with

@@ -123,7 +123,7 @@ let generate_cmd =
    anything negative is a usage error, reported on one line with nonzero
    exit rather than silently clamped. *)
 let check_domains = function
-  | 0 -> Ok (Experiments.Scale.domains_from_env ())
+  | 0 -> Ok (Par.Pool.domains_from_env ())
   | d when d > 0 -> Ok d
   | d ->
       Error
@@ -154,78 +154,137 @@ let algo_term =
                  metahvp, metahvplight, or milp (exact, small instances \
                  only).")
 
-let stats_term =
-  Arg.(value & flag
-       & info [ "stats" ]
-           ~doc:"Collect the deterministic operation counters (oracle \
-                 probes, strategy wins, bins examined, ...) during the run \
-                 and print the merged snapshot after the result.")
-
-let print_stats () =
-  print_string (Obs.Metrics.Snapshot.render (Obs.Metrics.snapshot ()))
-
-(* ---- Output sinks ---------------------------------------------------- *)
+(* ---- Observation ----------------------------------------------------- *)
 
 (* Every file-producing option (--trace, --trace-folded, --timeline,
    --timeline-prom, --stats-out) goes through one registry: the path is
    validated writable up front — a typo'd directory is a one-line usage
    error before the run, not a lost trace after it — and the content is
    flushed by an at_exit hook, so even a run that dies mid-way leaves
-   whatever was captured on disk. Each sink is written exactly once
-   (commands flush explicitly on the normal path; at_exit is the safety
-   net). *)
-let sinks : (string * (unit -> string) * bool ref) list ref = ref []
-let sinks_hooked = ref false
+   whatever was captured on disk. Each file is written exactly once: a
+   flush empties the registry, so the hook writes only what the normal
+   path did not. *)
+let pending : (string * (unit -> string)) list ref = ref []
 
-let flush_sinks () =
+let flush_files () =
+  let files = List.rev !pending in
+  pending := [];
   List.iter
-    (fun (path, render, written) ->
-      if not !written then begin
-        written := true;
-        try
-          let oc = open_out path in
-          output_string oc (render ());
-          close_out oc
-        with Sys_error _ -> ()
-      end)
-    (List.rev !sinks)
+    (fun (path, render) ->
+      try
+        let oc = open_out path in
+        output_string oc (render ());
+        close_out oc
+      with Sys_error _ -> ())
+    files
 
-let register_sink path render =
-  match open_out path with
-  | exception Sys_error e -> Error e
-  | oc ->
-      close_out oc;
-      if not !sinks_hooked then begin
-        sinks_hooked := true;
-        at_exit flush_sinks
+let () = at_exit flush_files
+
+(* Registers [(path, render, _)] files left to right, stopping at the
+   first unwritable path. *)
+let rec register_files = function
+  | [] -> Ok ()
+  | (path, render, _) :: rest -> (
+      match open_out path with
+      | exception Sys_error e -> Error e
+      | oc ->
+          close_out oc;
+          pending := (path, render) :: !pending;
+          register_files rest)
+
+(* What a run is asked to observe: the counter snapshot, printed after the
+   result (--stats) or written as JSON (--stats-out), and the span trace,
+   written as Chrome trace-event JSON (--trace) or collapsed stacks
+   (--trace-folded). *)
+type observe = {
+  stats : bool;
+  stats_out : string option;
+  trace : string option;
+  trace_folded : string option;
+}
+
+(* The term of those options; [trace_doc] documents --trace, and without
+   it the command offers neither trace option. *)
+let observe_term ?trace_doc () =
+  let stats =
+    Arg.(value & flag
+         & info [ "stats" ]
+             ~doc:"Collect the deterministic operation counters (oracle \
+                   probes, strategy wins, bins examined, ...) during the \
+                   run and print the merged snapshot after the result.")
+  in
+  let stats_out =
+    Arg.(value & opt (some string) None
+         & info [ "stats-out" ] ~docv:"FILE"
+             ~doc:"Write the merged counter/histogram snapshot as JSON to \
+                   $(docv) when the run ends (implies counter collection, \
+                   with or without --stats).")
+  in
+  let make stats stats_out trace trace_folded =
+    { stats; stats_out; trace; trace_folded }
+  in
+  let term = Term.(const make $ stats $ stats_out) in
+  match trace_doc with
+  | None -> Term.(term $ const None $ const None)
+  | Some doc ->
+      let trace =
+        Arg.(value & opt (some string) None
+             & info [ "trace" ] ~docv:"FILE" ~doc)
+      in
+      let trace_folded =
+        Arg.(value & opt (some string) None
+             & info [ "trace-folded" ] ~docv:"FILE"
+                 ~doc:"Fold the span trace into collapsed stacks — one \
+                       $(b,root;child;leaf self-microseconds) line per \
+                       distinct stack, the format flamegraph.pl and \
+                       speedscope consume — and write them to $(docv).")
+      in
+      Term.(term $ trace $ trace_folded)
+
+(* [observed o ~files run] runs [run] observed as [o] asks. It registers
+   o's files, then [files] — a subcommand's own (path, render, stderr
+   note) triples — and turns on the counters and the tracer. After a run
+   that returns [`Ok], it prints the snapshot, stops the tracer, writes
+   every file and notes each one on stderr. *)
+let observed o ?(files = []) run =
+  let trace_note path =
+    Printf.sprintf "wrote trace %s (%d events)" path (Obs.Trace.event_count ())
+  in
+  let snapshot_json () =
+    Obs.Metrics.Snapshot.to_json (Obs.Metrics.snapshot ())
+  in
+  let files =
+    List.filter_map
+      (fun (path, render, note) ->
+        Option.map (fun path -> (path, render, note)) path)
+      ([
+         (o.trace, Obs.Trace.to_json, trace_note);
+         ( o.trace_folded,
+           (fun () -> Obs.Trace.to_folded ()),
+           Printf.sprintf "wrote folded stacks %s" );
+         (o.stats_out, snapshot_json, Printf.sprintf "wrote stats %s");
+       ]
+      @ files)
+  in
+  match register_files files with
+  | Error e -> `Error (false, e)
+  | Ok () -> (
+      if o.stats || o.stats_out <> None then begin
+        Obs.Metrics.reset ();
+        Obs.Metrics.set_enabled true
       end;
-      sinks := (path, render, ref false) :: !sinks;
-      Ok ()
-
-(* [register_sinks [(path_opt, render); ...]] registers the present ones
-   left to right, stopping at the first unwritable path. *)
-let register_sinks specs =
-  List.fold_left
-    (fun acc (path, render) ->
-      match (acc, path) with
-      | Error _, _ | _, None -> acc
-      | Ok (), Some path -> register_sink path render)
-    (Ok ()) specs
-
-let stats_out_term =
-  Arg.(value & opt (some string) None
-       & info [ "stats-out" ] ~docv:"FILE"
-           ~doc:"Write the merged counter/histogram snapshot as JSON to \
-                 $(docv) when the run ends (implies counter collection, \
-                 with or without --stats).")
-
-let trace_folded_term =
-  Arg.(value & opt (some string) None
-       & info [ "trace-folded" ] ~docv:"FILE"
-           ~doc:"Fold the span trace into collapsed stacks — one \
-                 $(b,root;child;leaf self-microseconds) line per distinct \
-                 stack, the format flamegraph.pl and speedscope consume — \
-                 and write them to $(docv).")
+      let tracing = o.trace <> None || o.trace_folded <> None in
+      if tracing then Obs.Trace.start ();
+      match run () with
+      | `Ok _ as ok ->
+          if o.stats then
+            print_string
+              (Obs.Metrics.Snapshot.render (Obs.Metrics.snapshot ()));
+          if tracing then Obs.Trace.stop ();
+          flush_files ();
+          List.iter (fun (path, _, note) -> prerr_endline (note path)) files;
+          ok
+      | error -> error)
 
 (* ---- solve --batch --------------------------------------------------- *)
 
@@ -366,15 +425,14 @@ let solve_cmd =
                    sequentially, so without $(b,--batch) any value other \
                    than 1 is a usage error.")
   in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record a span trace of the solve and write it to \
-                   $(docv) in Chrome trace-event JSON (open in \
-                   chrome://tracing or Perfetto).")
+  let obs =
+    observe_term
+      ~trace_doc:"Record a span trace of the solve and write it to $(docv) \
+                  in Chrome trace-event JSON (open in chrome://tracing or \
+                  Perfetto)."
+      ()
   in
-  let run file opts algo_name verbose domains stats trace trace_folded
-      stats_out batch =
+  let run file opts algo_name verbose domains obs batch =
     match
       if batch = None && domains <> 1 then
         Error
@@ -386,95 +444,53 @@ let solve_cmd =
     with
     | Error e -> `Error (false, e)
     | Ok domains -> (
-        match
-          register_sinks
-            [
-              (trace, fun () -> Obs.Trace.to_json ());
-              (trace_folded, fun () -> Obs.Trace.to_folded ());
-              ( stats_out,
-                fun () ->
-                  Obs.Metrics.Snapshot.to_json (Obs.Metrics.snapshot ()) );
-            ]
-        with
-        | Error e -> `Error (false, e)
-        | Ok () -> (
-            if stats || stats_out <> None then begin
-              Obs.Metrics.reset ();
-              Obs.Metrics.set_enabled true
-            end;
-            let tracing = trace <> None || trace_folded <> None in
-            if tracing then Obs.Trace.start ();
-            let finish () =
-              if stats then print_stats ();
-              if tracing then Obs.Trace.stop ();
-              flush_sinks ();
-              Option.iter
-                (fun path ->
-                  Printf.eprintf "wrote trace %s (%d events)\n%!" path
-                    (Obs.Trace.event_count ()))
-                trace;
-              Option.iter
-                (fun path ->
-                  Printf.eprintf "wrote folded stacks %s\n%!" path)
-                trace_folded;
-              Option.iter
-                (fun path -> Printf.eprintf "wrote stats %s\n%!" path)
-                stats_out;
-              `Ok ()
-            in
-            match batch with
-            | Some batch_file -> (
-                if file <> None then
-                  `Error
-                    ( false,
-                      "--batch and a positional INSTANCE are mutually \
-                       exclusive (reference instance files from the batch \
-                       lines instead)" )
-                else
-                  match
-                    load_batch_jobs ~defaults:opts ~default_algo:algo_name
-                      batch_file
-                  with
-                  | Error e -> `Error (false, e)
-                  | Ok [] ->
-                      `Error
-                        (false, Printf.sprintf "%s: no jobs" batch_file)
-                  | Ok jobs ->
-                      with_pool ~domains (fun pool ->
-                          run_batch ~pool jobs;
-                          finish ()))
-            | None -> (
-                match load_or_generate file opts with
-                | Error e -> `Error (false, e)
-                | Ok inst -> (
-                    match
-                      Heuristics.Algorithms.by_name ~seed:opts.seed algo_name
-                    with
-                    | None -> `Error (false, unknown_algorithm algo_name)
-                    | Some algo ->
-                        let t0 = Sys.time () in
-                        let result = algo.solve inst in
-                        let dt = Sys.time () -. t0 in
-                        (match result with
-                        | None ->
-                            Printf.printf
-                              "%s: no feasible placement (%.3fs)\n"
-                              algo.name dt
-                        | Some sol ->
-                            Printf.printf
-                              "%s: minimum yield %.4f (%.3fs)\n" algo.name
-                              sol.min_yield dt;
-                            if verbose then begin
-                              match
-                                Model.Placement.water_fill inst
-                                  sol.placement
-                              with
-                              | None -> ()
-                              | Some alloc ->
-                                  print_string
-                                    (Model.Report.render inst alloc)
-                            end);
-                        finish ()))))
+        observed obs @@ fun () ->
+        match batch with
+        | Some batch_file -> (
+            if file <> None then
+              `Error
+                ( false,
+                  "--batch and a positional INSTANCE are mutually exclusive \
+                   (reference instance files from the batch lines instead)" )
+            else
+              match
+                load_batch_jobs ~defaults:opts ~default_algo:algo_name
+                  batch_file
+              with
+              | Error e -> `Error (false, e)
+              | Ok [] -> `Error (false, Printf.sprintf "%s: no jobs" batch_file)
+              | Ok jobs ->
+                  with_pool ~domains (fun pool ->
+                      run_batch ~pool jobs;
+                      `Ok ()))
+        | None -> (
+            match load_or_generate file opts with
+            | Error e -> `Error (false, e)
+            | Ok inst -> (
+                match
+                  Heuristics.Algorithms.by_name ~seed:opts.seed algo_name
+                with
+                | None -> `Error (false, unknown_algorithm algo_name)
+                | Some algo ->
+                    let t0 = Sys.time () in
+                    let result = algo.solve inst in
+                    let dt = Sys.time () -. t0 in
+                    (match result with
+                    | None ->
+                        Printf.printf "%s: no feasible placement (%.3fs)\n"
+                          algo.name dt
+                    | Some sol ->
+                        Printf.printf "%s: minimum yield %.4f (%.3fs)\n"
+                          algo.name sol.min_yield dt;
+                        if verbose then begin
+                          match
+                            Model.Placement.water_fill inst sol.placement
+                          with
+                          | None -> ()
+                          | Some alloc ->
+                              print_string (Model.Report.render inst alloc)
+                        end);
+                    `Ok ())))
   in
   Cmd.v
     (Cmd.info "solve"
@@ -482,8 +498,7 @@ let solve_cmd =
              out over one pool of --domains worker domains; --stats / \
              --stats-out / --trace / --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
-               $ verbose $ domains $ stats_term $ trace $ trace_folded_term
-               $ stats_out_term $ batch))
+               $ verbose $ domains $ obs $ batch))
 
 (* compare *)
 
@@ -495,28 +510,14 @@ let domains_term =
                  recommended domain count; 1 = sequential).")
 
 let compare_cmd =
-  let run file opts domains stats stats_out =
+  let run file opts domains obs =
     match load_or_generate file opts with
     | Error e -> `Error (false, e)
     | Ok inst -> (
         match check_domains domains with
         | Error e -> `Error (false, e)
-        | Ok domains -> (
-            match
-              register_sinks
-                [
-                  ( stats_out,
-                    fun () ->
-                      Obs.Metrics.Snapshot.to_json (Obs.Metrics.snapshot ())
-                  );
-                ]
-            with
-            | Error e -> `Error (false, e)
-            | Ok () ->
-            if stats || stats_out <> None then begin
-              Obs.Metrics.reset ();
-              Obs.Metrics.set_enabled true
-            end;
+        | Ok domains ->
+            observed obs @@ fun () ->
             let table =
               Stats.Table.create
                 ~headers:[ "algorithm"; "min yield"; "time (s)" ]
@@ -526,8 +527,8 @@ let compare_cmd =
                 (Heuristics.Algorithms.majors ~seed:opts.seed
                 @ [ Heuristics.Algorithms.metahvplight ])
             in
-            (* One task per algorithm; rows — and, with [--stats], the
-               per-task metric sinks — land in registry order either way. *)
+            (* One task per algorithm; rows land in registry order either
+               way. *)
             with_pool ~domains @@ fun pool ->
             let rows =
               Par.Pool.map pool all (fun (algo : Heuristics.Algorithms.t) ->
@@ -542,12 +543,7 @@ let compare_cmd =
             in
             Array.iter (Stats.Table.add_row table) rows;
             Stats.Table.print table;
-            if stats then print_stats ();
-            flush_sinks ();
-            Option.iter
-              (fun path -> Printf.eprintf "wrote stats %s\n%!" path)
-              stats_out;
-            `Ok ()))
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "compare"
@@ -555,7 +551,7 @@ let compare_cmd =
              with --domains > 1; --stats prints the merged operation \
              counters, --stats-out writes them as JSON).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ domains_term
-               $ stats_term $ stats_out_term))
+               $ observe_term ()))
 
 (* inspect *)
 
@@ -635,11 +631,11 @@ let simulate_cmd =
                    domain count; 1 = sequential). The merged output is \
                    byte-identical at any value.")
   in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record shard/reallocation spans and write them to \
-                   $(docv) in Chrome trace-event JSON.")
+  let obs =
+    observe_term
+      ~trace_doc:"Record shard/reallocation spans and write them to $(docv) \
+                  in Chrome trace-event JSON."
+      ()
   in
   let policy =
     Arg.(value & opt string "resolve"
@@ -691,8 +687,8 @@ let simulate_cmd =
                    --timeline-prom.")
   in
   let run horizon arrival_rate mean_lifetime period max_error threshold hosts
-      seed shards domains stats trace policy repair_budget algo partition
-      trace_folded stats_out timeline timeline_prom timeline_interval =
+      seed shards domains obs policy repair_budget algo partition timeline
+      timeline_prom timeline_interval =
     let threshold_mode =
       if String.lowercase_ascii threshold = "adaptive" then
         Ok (Simulator.Engine.Adaptive
@@ -759,24 +755,21 @@ let simulate_cmd =
                 "--timeline-interval %g: must be positive and finite"
                 timeline_interval )
         else
-        let tl_ref = ref None in
-        let tl_render f () =
-          match !tl_ref with Some tl -> f tl | None -> ""
+        let tl = ref None in
+        let timeline_file path render =
+          ( path,
+            (fun () -> Option.fold ~none:"" ~some:render !tl),
+            fun path ->
+              Printf.sprintf "wrote timeline %s (%d samples)" path
+                (Option.fold ~none:0 ~some:Obs.Timeline.length !tl) )
         in
-        match
-          register_sinks
+        observed obs
+          ~files:
             [
-              (trace, fun () -> Obs.Trace.to_json ());
-              (trace_folded, fun () -> Obs.Trace.to_folded ());
-              ( stats_out,
-                fun () ->
-                  Obs.Metrics.Snapshot.to_json (Obs.Metrics.snapshot ()) );
-              (timeline, tl_render Obs.Timeline.to_jsonl);
-              (timeline_prom, tl_render Obs.Timeline.to_prom);
+              timeline_file timeline Obs.Timeline.to_jsonl;
+              timeline_file timeline_prom Obs.Timeline.to_prom;
             ]
-        with
-        | Error e -> `Error (false, e)
-        | Ok () -> (
+        @@ fun () ->
         let platform =
           Array.init hosts (fun id ->
               if id < hosts / 2 then
@@ -798,12 +791,6 @@ let simulate_cmd =
             algorithm;
           }
         in
-        if stats || stats_out <> None then begin
-          Obs.Metrics.reset ();
-          Obs.Metrics.set_enabled true
-        end;
-        let tracing = trace <> None || trace_folded <> None in
-        if tracing then Obs.Trace.start ();
         let timeline_interval =
           if want_timeline then Some timeline_interval else None
         in
@@ -826,36 +813,13 @@ let simulate_cmd =
                 horizon merged.arrivals merged.rejected merged.departures
                 merged.reallocations merged.failed_reallocations
                 merged.migrations merged.mean_min_yield merged.final_threshold;
-              tl_ref := result.Simulator.Sharded.timeline;
-              if stats then print_stats ();
-              if tracing then Obs.Trace.stop ();
-              flush_sinks ();
-              Option.iter
-                (fun path ->
-                  Printf.eprintf "wrote trace %s (%d events)\n%!" path
-                    (Obs.Trace.event_count ()))
-                trace;
-              Option.iter
-                (fun path -> Printf.eprintf "wrote folded stacks %s\n%!" path)
-                trace_folded;
-              Option.iter
-                (fun path -> Printf.eprintf "wrote stats %s\n%!" path)
-                stats_out;
-              (match !tl_ref with
-              | Some tl ->
-                  let note path =
-                    Printf.eprintf "wrote timeline %s (%d samples)\n%!" path
-                      (Obs.Timeline.length tl)
-                  in
-                  Option.iter note timeline;
-                  Option.iter note timeline_prom
-              | None -> ());
+              tl := result.Simulator.Sharded.timeline;
               `Ok ()
           | exception Invalid_argument e -> `Error (false, e)
         in
         if domains > 1 && shards > 1 then
           with_pool ~domains (fun pool -> simulate (Some pool))
-        else simulate None))
+        else simulate None)
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -866,8 +830,7 @@ let simulate_cmd =
              the run).")
     Term.(ret (const run $ horizon $ arrival_rate $ mean_lifetime $ period
                $ max_error $ threshold $ hosts $ seed $ shards $ domains
-               $ stats_term $ trace $ policy $ repair_budget $ algo
-               $ partition $ trace_folded_term $ stats_out_term $ timeline
+               $ obs $ policy $ repair_budget $ algo $ partition $ timeline
                $ timeline_prom $ timeline_interval))
 
 (* theorem *)

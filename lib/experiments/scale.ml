@@ -107,12 +107,6 @@ let paper =
     light_reps = 2;
   }
 
-(* Companion knob to VMALLOC_SCALE: how many domains the drivers fan trials
-   over. Parsing lives in Par.Pool (the CLI uses it without this module);
-   re-exported here so the bench reads its whole configuration from one
-   place. *)
-let domains_from_env = Par.Pool.domains_from_env
-
 let from_env () =
   match Sys.getenv_opt "VMALLOC_SCALE" with
   | Some "medium" -> medium

@@ -49,8 +49,3 @@ val paper : t
 
 val from_env : unit -> t
 (** Reads [VMALLOC_SCALE] / [FULL]; defaults to {!small}. *)
-
-val domains_from_env : unit -> int
-(** Trial parallelism: [VMALLOC_DOMAINS] if set ([1] = legacy sequential
-    path), else [Domain.recommended_domain_count ()]. Alias of
-    {!Par.Pool.domains_from_env}. *)

@@ -6,26 +6,22 @@ let default_tolerance = 1e-4
 let clamp_tolerance tolerance =
   if tolerance <= 0. then default_tolerance else tolerance
 
-(* Every probe passes through [announce], so the round/probe counters live
-   here. A round holds exactly one probe, so the two always agree; both
-   stay because golden pins and the benchmark read them by name. *)
+(* Every probe passes through [probe] below, so the round/probe counters
+   live here. A round holds exactly one probe, so the two always agree;
+   both stay because golden pins and the benchmark read them by name. *)
 let c_rounds = Obs.Metrics.counter "binary_search.rounds"
 let c_probes = Obs.Metrics.counter "binary_search.probes"
-
-let announce on_round y =
-  Obs.Metrics.incr c_rounds;
-  Obs.Metrics.incr c_probes;
-  match on_round with Some f -> f y | None -> ()
 
 (* State-threading search: the oracle receives an accumulator alongside
    the probed yield and returns the updated accumulator with the verdict.
    The state rides along (LP warm-start bases in
    {!Milp.relaxed_yield_search}), it never steers the search, so warm and
    cold searches take the same probe path. *)
-let maximize_warm ?(tolerance = default_tolerance) ?on_round ~init oracle =
+let maximize_warm ?(tolerance = default_tolerance) ~init oracle =
   let tolerance = clamp_tolerance tolerance in
   let probe state y =
-    announce on_round y;
+    Obs.Metrics.incr c_rounds;
+    Obs.Metrics.incr c_probes;
     oracle state y
   in
   let rec bisect state best lo hi =
@@ -44,6 +40,6 @@ let maximize_warm ?(tolerance = default_tolerance) ?on_round ~init oracle =
       | _, None -> None
       | state, Some sol -> bisect state (sol, 0.) 0. 1.)
 
-let maximize ?tolerance ?on_round oracle =
-  maximize_warm ?tolerance ?on_round ~init:()
+let maximize ?tolerance oracle =
+  maximize_warm ?tolerance ~init:()
     (fun () y -> ((), oracle y))

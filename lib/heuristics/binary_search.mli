@@ -19,7 +19,6 @@ val default_tolerance : float
 
 val maximize :
   ?tolerance:float ->
-  ?on_round:(float -> unit) ->
   (float -> 'a option) ->
   ('a * float) option
 (** [maximize oracle] probes yields in [0, 1]. Returns the solution produced
@@ -27,12 +26,10 @@ val maximize :
     the oracle already fails at yield 0. The oracle is first probed at 1
     (instances with slack can often run everything at full performance),
     then at 0, then bisected. A non-positive [tolerance] is clamped to
-    {!default_tolerance} (it would otherwise never terminate). [on_round]
-    is called with each yield before it is probed; instrumentation only. *)
+    {!default_tolerance} (it would otherwise never terminate). *)
 
 val maximize_warm :
   ?tolerance:float ->
-  ?on_round:(float -> unit) ->
   init:'w ->
   ('w -> float -> 'w * 'a option) ->
   ('a * float) option

@@ -1,8 +1,8 @@
 (* Minimal recursive-descent JSON reader. The repo deliberately has no
-   JSON dependency — emitters hand-print their output — so readers get
-   this small parser: full JSON syntax, floats for every number, decoded
-   string escapes (non-ASCII \u escapes become '?'; the emitters never
-   produce them). *)
+   JSON dependency — emitters hand-print their output, quoting strings
+   with [escape] — so readers get this small parser: full JSON syntax,
+   floats for every number, decoded string escapes (non-ASCII \u escapes
+   become '?'; the emitters never produce them). *)
 
 type t =
   | Null
@@ -11,6 +11,17 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+let escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 exception Fail of string
 

@@ -7,11 +7,6 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let enabled_from_env () =
-  match Sys.getenv_opt "VMALLOC_OBS" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* --- registry ------------------------------------------------------- *)
 
 type counter = int
@@ -51,60 +46,12 @@ type sink = {
   mutable hists : hist_data option array;
 }
 
-let fresh_sink () = { counts = [||]; hists = [||] }
-
-(* Every domain's default sink is registered here so that [snapshot] and
-   [reset] can reach counts accumulated on worker domains. Counter merging
-   is a commutative sum, so the (nondeterministic) registration order of
-   this list never shows in a snapshot. *)
-let sinks_mutex = Mutex.create ()
-let domain_sinks : sink list ref = ref []
-
-let default_sink_key =
-  Domain.DLS.new_key (fun () ->
-      let s = fresh_sink () in
-      Mutex.lock sinks_mutex;
-      domain_sinks := s :: !domain_sinks;
-      Mutex.unlock sinks_mutex;
-      s)
-
-(* [Some s] while a task sink from [with_sink] is installed. *)
-let current_key : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current () =
-  match Domain.DLS.get current_key with
-  | Some s -> s
-  | None -> Domain.DLS.get default_sink_key
-
-let with_sink s f =
-  let saved = Domain.DLS.get current_key in
-  Domain.DLS.set current_key (Some s);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) f
+let empty_sink () = { counts = [||]; hists = [||] }
 
 let grow a len =
   let b = Array.make len 0 in
   Array.blit a 0 b 0 (Array.length a);
   b
-
-let add c n =
-  if Atomic.get enabled_flag then begin
-    let s = current () in
-    if Array.length s.counts <= c then s.counts <- grow s.counts (c + 8);
-    s.counts.(c) <- s.counts.(c) + n
-  end
-
-let incr c = add c 1
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and x = ref v in
-    while !x > 0 do
-      Stdlib.incr b;
-      x := !x lsr 1
-    done;
-    min !b (n_buckets - 1)
-  end
 
 let hist_slot s h =
   if Array.length s.hists <= h then begin
@@ -118,15 +65,6 @@ let hist_slot s h =
       let d = { buckets = Array.make n_buckets 0; count = 0; sum = 0 } in
       s.hists.(h) <- Some d;
       d
-
-let observe h v =
-  if Atomic.get enabled_flag then begin
-    let d = hist_slot (current ()) h in
-    let b = bucket_of v in
-    d.buckets.(b) <- d.buckets.(b) + 1;
-    d.count <- d.count + 1;
-    d.sum <- d.sum + v
-  end
 
 let merge_into ~dst ~src =
   Array.iteri
@@ -148,7 +86,62 @@ let merge_into ~dst ~src =
           t.sum <- t.sum + d.sum)
     src.hists
 
-let merge_into_current src = merge_into ~dst:(current ()) ~src
+(* Each domain records into its own sink, registered in [live] on the
+   domain's first increment so that [snapshot] and [reset] reach it. When
+   the domain exits, its sink is added into [retired] and dropped from
+   [live] in one critical section, so a snapshot counts it exactly once
+   and the registry holds one sink per live domain plus [retired]. Every
+   merge is an integer sum, so neither the registration order nor which
+   domain counted what can show in a snapshot. *)
+let sinks_mutex = Mutex.create ()
+let live : sink list ref = ref []
+let retired = empty_sink ()
+
+let retire s =
+  Mutex.lock sinks_mutex;
+  merge_into ~dst:retired ~src:s;
+  live := List.filter (fun l -> l != s) !live;
+  Mutex.unlock sinks_mutex
+
+let sink_key =
+  Domain.DLS.new_key (fun () ->
+      let s = empty_sink () in
+      Mutex.lock sinks_mutex;
+      live := s :: !live;
+      Mutex.unlock sinks_mutex;
+      Domain.at_exit (fun () -> retire s);
+      s)
+
+let current () = Domain.DLS.get sink_key
+
+let add c n =
+  if Atomic.get enabled_flag then begin
+    let s = current () in
+    if Array.length s.counts <= c then s.counts <- grow s.counts (c + 8);
+    s.counts.(c) <- s.counts.(c) + n
+  end
+
+let incr c = add c 1
+
+let bucket_of v =
+  if v <= 0 then 0
+  else begin
+    let b = ref 0 and x = ref v in
+    while !x > 0 do
+      Stdlib.incr b;
+      x := !x lsr 1
+    done;
+    min !b (n_buckets - 1)
+  end
+
+let observe h v =
+  if Atomic.get enabled_flag then begin
+    let d = hist_slot (current ()) h in
+    let b = bucket_of v in
+    d.buckets.(b) <- d.buckets.(b) + 1;
+    d.count <- d.count + 1;
+    d.sum <- d.sum + v
+  end
 
 (* --- snapshots ------------------------------------------------------ *)
 
@@ -189,24 +182,13 @@ module Snapshot = struct
       t.s_hists;
     Buffer.contents buf
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let to_json t =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\"counters\": {";
     List.iteri
       (fun i (name, v) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (json_escape name) v))
+        Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (Json.escape name) v))
       t.s_counters;
     Buffer.add_string buf "}, \"histograms\": {";
     List.iteri
@@ -214,7 +196,7 @@ module Snapshot = struct
         if i > 0 then Buffer.add_string buf ", ";
         Buffer.add_string buf
           (Printf.sprintf "\"%s\": {\"count\": %d, \"sum\": %d, \"buckets\": {"
-             (json_escape name) h.h_count h.h_sum);
+             (Json.escape name) h.h_count h.h_sum);
         List.iteri
           (fun j (b, n) ->
             if j > 0 then Buffer.add_string buf ", ";
@@ -230,14 +212,10 @@ module Snapshot = struct
 end
 
 let snapshot () =
-  let merged = fresh_sink () in
+  let merged = empty_sink () in
   Mutex.lock sinks_mutex;
-  let sinks = !domain_sinks in
+  List.iter (fun src -> merge_into ~dst:merged ~src) (retired :: !live);
   Mutex.unlock sinks_mutex;
-  (* The calling domain may be inside a [with_sink] scope (not the usual
-     case); its current sink is merged only if it is a registered default
-     sink, which [current] guarantees outside such scopes. *)
-  List.iter (fun src -> merge_into ~dst:merged ~src) sinks;
   Mutex.lock reg_mutex;
   let c_names = Array.copy !counter_names in
   let h_names = Array.copy !hist_names in
@@ -277,6 +255,6 @@ let reset () =
   List.iter
     (fun s ->
       Array.fill s.counts 0 (Array.length s.counts) 0;
-      Array.iteri (fun i _ -> s.hists.(i) <- None) s.hists)
-    !domain_sinks;
+      Array.fill s.hists 0 (Array.length s.hists) None)
+    (retired :: !live);
   Mutex.unlock sinks_mutex

@@ -7,15 +7,16 @@
       single atomic-flag load and branch; no allocation, no lookup, no
       lock. The registry handles themselves are created once at module
       initialization.
-    - {b Deterministic when enabled.} Increments land in a per-domain
-      {e sink} (never a shared cell), and {!Par.Pool.map} runs each task
-      against a fresh task-local sink, merging the task sinks into the
-      caller's sink {e in task-input order} after the round. Because the
-      instrumented code performs the same operations whatever the domain
-      count, the merged totals — and the rendered {!Snapshot} — are
-      byte-identical at any [VMALLOC_DOMAINS]. Nothing in this module
-      ever records a wall-clock time; timestamps live only in
-      {!Obs.Trace} exports. *)
+    - {b Deterministic when enabled.} Each domain counts into its own
+      {e sink} (never a shared cell); {!snapshot} sums every domain's
+      sink, including those of domains that have exited, whose counts are
+      folded into one retired total as they exit. Counters and histogram
+      buckets are integer sums, so the totals cannot depend on which
+      domain ran which task, or in what order: because the instrumented
+      code performs the same operations whatever the domain count, the
+      rendered {!Snapshot} is byte-identical at any [VMALLOC_DOMAINS].
+      Nothing in this module ever records a wall-clock time; timestamps
+      live only in {!Obs.Trace} exports. *)
 
 type counter
 (** Handle to a registered counter (a monotone int). *)
@@ -45,33 +46,7 @@ val enabled : unit -> bool
 (** Whether the sinks are live (default: disabled). *)
 
 val set_enabled : bool -> unit
-(** Toggle the global metrics flag. Do not toggle while a {!Par.Pool.map}
-    is in flight — the pool samples the flag once per map. *)
-
-val enabled_from_env : unit -> bool
-(** [true] iff [VMALLOC_OBS] is set to [1], [true], or [yes] — the
-    conventional way to run the test suite or a bench with sinks live. *)
-
-(** {1 Sinks}
-
-    Used by {!Par.Pool} to make parallel counting deterministic; normal
-    instrumentation code never touches these. *)
-
-type sink
-(** A private accumulation buffer. Each domain owns a default sink;
-    {!with_sink} temporarily installs a task-local one. A sink must only
-    ever be written from one domain at a time. *)
-
-val fresh_sink : unit -> sink
-(** An empty, unregistered sink (for one task's deltas). *)
-
-val with_sink : sink -> (unit -> 'a) -> 'a
-(** [with_sink s f] runs [f] with [s] installed as the current domain's
-    sink, restoring the previous sink afterwards (also on exceptions). *)
-
-val merge_into_current : sink -> unit
-(** Fold a task sink's deltas into the current domain's sink. Callers are
-    responsible for merge order (input order for determinism). *)
+(** Toggle the global metrics flag. *)
 
 (** {1 Snapshots} *)
 
@@ -99,8 +74,10 @@ module Snapshot : sig
 end
 
 val snapshot : unit -> Snapshot.t
-(** Merge every domain's sink into one view. Call only while no
-    {!Par.Pool.map} is in flight. *)
+(** Sum every domain's sink, and the retired total of exited domains,
+    into one view. Take snapshots while no {!Par.Pool.map} is in
+    flight. *)
 
 val reset : unit -> unit
-(** Zero every domain sink (registrations are kept). *)
+(** Zero every domain's sink and the retired total (registrations are
+    kept). *)

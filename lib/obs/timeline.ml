@@ -42,17 +42,6 @@ let fmt_float v = Printf.sprintf "%.12g" v
    value. *)
 let json_float v = if Float.is_finite v then fmt_float v else "null"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   (* Self-describing header line, then one object per sample. *)
@@ -63,7 +52,7 @@ let to_jsonl t =
        (String.concat ", "
           (Array.to_list
              (Array.map
-                (fun c -> Printf.sprintf "\"%s\"" (json_escape c))
+                (fun c -> Printf.sprintf "\"%s\"" (Json.escape c))
                 t.cols))));
   List.iter
     (fun (time, values) ->
@@ -71,7 +60,7 @@ let to_jsonl t =
       Array.iteri
         (fun i v ->
           Buffer.add_string buf
-            (Printf.sprintf ", \"%s\": %s" (json_escape t.cols.(i))
+            (Printf.sprintf ", \"%s\": %s" (Json.escape t.cols.(i))
                (json_float v)))
         values;
       Buffer.add_string buf "}\n")
@@ -100,7 +89,7 @@ let to_prom t =
       let name = prom_name col in
       Buffer.add_string buf
         (Printf.sprintf "# HELP %s vmalloc sim-clock gauge %s\n" name
-           (json_escape col));
+           (Json.escape col));
       Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
       List.iter
         (fun (time, values) ->

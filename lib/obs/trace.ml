@@ -49,17 +49,6 @@ let event_count () =
   Mutex.unlock buf_mutex;
   n
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Timestamps come from a monotonic clock and durations from subtraction,
    but a corrupted or hand-built event must not poison the whole trace
    file: JSON has no NaN/Inf token, so non-finite values emit [null]. *)
@@ -71,7 +60,7 @@ let event_to_json ev =
     (Printf.sprintf
        "{\"name\": \"%s\", \"cat\": \"vmalloc\", \"ph\": \"%c\", \"ts\": \
         %s, "
-       (json_escape ev.name) ev.ph (json_us ev.ts));
+       (Json.escape ev.name) ev.ph (json_us ev.ts));
   if ev.ph = 'X' then
     Buffer.add_string buf (Printf.sprintf "\"dur\": %s, " (json_us ev.dur));
   if ev.ph = 'i' then Buffer.add_string buf "\"s\": \"t\", ";
@@ -81,7 +70,7 @@ let event_to_json ev =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
+        (Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v)))
     ev.args;
   Buffer.add_string buf "}}";
   Buffer.contents buf

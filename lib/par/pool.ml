@@ -112,13 +112,6 @@ let map pool arr f =
   if pool.size = 1 || n <= 1 then with_executing pool (fun () -> Array.map f arr)
   else begin
     let results = Array.make n None in
-    (* When metrics are live, each task runs against a fresh sink so that
-       counts accumulated on worker domains can be folded back into the
-       caller's sink in task-input order — the merged totals are then the
-       sequential ones whatever the interleaving (the flag is sampled once
-       so a mid-map toggle cannot half-wrap the round). *)
-    let obs = Obs.Metrics.enabled () in
-    let sinks = if obs then Array.make n None else [||] in
     let next = Atomic.make 0 in
     let completed = Atomic.make 0 in
     let errors = Array.make n None in
@@ -135,15 +128,7 @@ let map pool arr f =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          let task () =
-            if obs then begin
-              let s = Obs.Metrics.fresh_sink () in
-              sinks.(i) <- Some s;
-              Obs.Metrics.with_sink s (fun () -> f arr.(i))
-            end
-            else f arr.(i)
-          in
-          (match task () with
+          (match f arr.(i) with
           | v -> results.(i) <- Some v
           | exception e -> errors.(i) <- Some e);
           let c = 1 + Atomic.fetch_and_add completed 1 in
@@ -170,14 +155,9 @@ let map pool arr f =
       Condition.wait done_cond done_mutex
     done;
     Mutex.unlock done_mutex;
-    (* The completion barrier above orders every task's sink, result and
-       exception write before these reads; merging in input order makes
-       the fold deterministic, and raising the lowest failing index is
-       what the sequential [Array.map] would raise. *)
-    if obs then
-      Array.iter
-        (function Some s -> Obs.Metrics.merge_into_current s | None -> ())
-        sinks;
+    (* The completion barrier above orders every task's result and
+       exception write before these reads; raising the lowest failing
+       index is what the sequential [Array.map] would raise. *)
     Array.iter (function Some e -> raise e | None -> ()) errors;
     Array.map
       (function

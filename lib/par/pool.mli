@@ -10,7 +10,9 @@
     {!Experiments.Corpus} or an explicit {!Prng.Rng.split}), tasks never
     share mutable state, and {!map} returns results in input order, so the
     fold that aggregates them observes exactly the sequential order. A pool
-    of size 1 short-circuits to [Array.map] — the legacy path.
+    of size 1 short-circuits to [Array.map] — the legacy path. The pool
+    knows nothing of metrics: a task's counters land in its domain's own
+    sink, and lib/obs sums every domain's sink when it takes a snapshot.
 
     Built on the 5.1 stdlib only ([Domain], [Mutex], [Condition],
     [Atomic]); no external scheduler. Worker domains live for the lifetime
@@ -40,13 +42,7 @@ val map : t -> 'a array -> ('a -> 'b) -> 'b array
     themselves call into the same pool: a nested [map] on the pool whose
     task is executing raises [Invalid_argument] (detected per domain, on
     every pool size — previously this failed silently or starved). Maps
-    on a {e different} pool from inside a task are allowed.
-
-    When {!Obs.Metrics} is enabled, every task runs against a fresh
-    task-local metric sink and the task sinks are merged into the caller's
-    sink {e in input order} after the round, so metric totals are
-    byte-identical to the sequential run at any pool size (the enabled
-    flag is sampled once per map; do not toggle it mid-map). *)
+    on a {e different} pool from inside a task are allowed. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool is unusable after. *)

@@ -1,7 +1,10 @@
 let () =
-  (* VMALLOC_OBS=1 runs the whole suite with live metric sinks (the CI
-     matrix does), so instrumentation overhead paths get exercised too. *)
-  if Obs.Metrics.enabled_from_env () then Obs.Metrics.set_enabled true;
+  (* VMALLOC_OBS=1 (or true, yes) runs the whole suite with live metric
+     sinks (the CI matrix does), so the instrumented paths get exercised
+     too. *)
+  (match Sys.getenv_opt "VMALLOC_OBS" with
+  | Some ("1" | "true" | "yes") -> Obs.Metrics.set_enabled true
+  | Some _ | None -> ());
   Alcotest.run "vmalloc"
     [
       ("vector", Test_vector.suite);

@@ -1,15 +1,12 @@
 let maximize ?(tolerance = Heuristics.Binary_search.default_tolerance)
-    ?on_round oracle =
+    oracle =
   let tolerance =
     if tolerance <= 0. then Heuristics.Binary_search.default_tolerance
     else tolerance
   in
-  let announce y = Option.iter (fun f -> f y) on_round in
-  announce 1.;
   match oracle 1. with
   | Some sol -> Some (sol, 1.)
   | None -> (
-      announce 0.;
       match oracle 0. with
       | None -> None
       | Some sol0 ->
@@ -17,7 +14,6 @@ let maximize ?(tolerance = Heuristics.Binary_search.default_tolerance)
           let lo = ref 0. and hi = ref 1. in
           while !hi -. !lo > tolerance do
             let mid = 0.5 *. (!lo +. !hi) in
-            announce mid;
             match oracle mid with
             | Some sol ->
                 best := (sol, mid);

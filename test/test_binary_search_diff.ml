@@ -2,8 +2,8 @@
    must return bit-identical results to the plain bisection loop of
    [Oracles.Bisect.maximize] — same Some/None, same placement, same yield
    to the last bit — for real packing oracles, including the
-   infeasible-at-0 and feasible-at-1 fast paths, and must announce the
-   same probe sequence. [Binary_search.maximize_warm] must announce that
+   infeasible-at-0 and feasible-at-1 fast paths, and must probe the same
+   sequence of yields. [Binary_search.maximize_warm] must probe that
    sequence too while threading its state through every probe. *)
 
 module BS = Heuristics.Binary_search
@@ -123,27 +123,32 @@ let test_differential_fast_paths () =
     (* 0. exercises the non-positive clamp on both sides. *)
     [ 1e-2; 1e-3; 3e-4; 0. ]
 
-(* Exact announced-probe sequences, pinned point by point. Oracle feasible
-   iff y <= 0.3 at tolerance 0.2 — wide enough to trace by hand:
-   1; 0; 0.5; 0.25; 0.375, leaving the bracket 0.25..0.375. *)
+(* Exact probe sequences, pinned point by point. Oracle feasible iff
+   y <= 0.3 at tolerance 0.2 — wide enough to trace by hand:
+   1; 0; 0.5; 0.25; 0.375, leaving the bracket 0.25..0.375. The search
+   probes a yield by calling the oracle at it, so the oracle itself
+   records the sequence. *)
 let show_probes probes =
   String.concat "; " (List.map (Printf.sprintf "%.17g") probes)
 
-let record f =
+(* [record search oracle] runs [search] on [oracle] and returns the
+   yields, in order, at which [search] called it. *)
+let record search oracle =
   let probes = ref [] in
-  ignore (f (fun y -> probes := y :: !probes));
+  ignore
+    (search (fun y ->
+         probes := y :: !probes;
+         oracle y));
   show_probes (List.rev !probes)
 
 (* [maximize_warm] under a counting accumulator: the probe receiving
    state n hands n + 1 on, and its solution carries n. Returns the
-   announced probes, the state each probe received, and the result. *)
+   probed yields, the state each probe received, and the result. *)
 let warm_counting ?tolerance feasible =
   let probes = ref [] and states = ref [] in
   let result =
-    BS.maximize_warm ?tolerance
-      ~on_round:(fun y -> probes := y :: !probes)
-      ~init:0
-      (fun n y ->
+    BS.maximize_warm ?tolerance ~init:0 (fun n y ->
+        probes := y :: !probes;
         states := n :: !states;
         (n + 1, if feasible y then Some n else None))
   in
@@ -161,31 +166,28 @@ let test_probe_sequences () =
   let oracle y = if y <= 0.3 then Some y else None in
   let expected = show_probes [ 1.; 0.; 0.5; 0.25; 0.375 ] in
   Alcotest.(check string) "maximize probe sequence" expected
-    (record (fun on_round -> BS.maximize ~tolerance ~on_round oracle));
+    (record (BS.maximize ~tolerance) oracle);
   Alcotest.(check string) "bisection loop probe sequence" expected
-    (record (fun on_round ->
-         Oracles.Bisect.maximize ~tolerance ~on_round oracle));
+    (record (Oracles.Bisect.maximize ~tolerance) oracle);
   (* The state passes through the infeasible probes at 1, 0.5 and 0.375
      too; the best probe, at 0.25, received state 3. *)
   check_warm "maximize_warm" ~probes:expected ~states:[ 0; 1; 2; 3; 4 ]
     ~result:(Some (3, 0.25))
     (warm_counting ~tolerance (fun y -> y <= 0.3))
 
-(* The fast paths announce exactly the endpoint probes — 1 alone when
-   feasible at 1, 1 then 0 when infeasible at 0 — identically on both
-   searches. *)
+(* The fast paths probe exactly the endpoints — 1 alone when feasible at
+   1, 1 then 0 when infeasible at 0 — identically on both searches. *)
 let test_probe_sequence_endpoints () =
   let feasible_at_1 = "1" and infeasible_at_0 = "1; 0" in
   List.iter
     (fun (name, search) ->
       Alcotest.(check string) (name ^ " feasible-at-1") feasible_at_1
-        (record (fun on_round -> search on_round (fun y -> Some y)));
+        (record search (fun y -> Some y));
       Alcotest.(check string) (name ^ " infeasible-at-0") infeasible_at_0
-        (record (fun on_round -> search on_round (fun _ -> None))))
+        (record search (fun _ -> None)))
     [
-      ("maximize", fun on_round oracle -> BS.maximize ~on_round oracle);
-      ("bisection loop",
-       fun on_round oracle -> Oracles.Bisect.maximize ~on_round oracle);
+      ("maximize", fun oracle -> BS.maximize oracle);
+      ("bisection loop", fun oracle -> Oracles.Bisect.maximize oracle);
     ];
   check_warm "maximize_warm feasible-at-1" ~probes:feasible_at_1
     ~states:[ 0 ] ~result:(Some (0, 1.))

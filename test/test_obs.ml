@@ -1,9 +1,10 @@
 (* lib/obs lock-down: the disabled path records nothing, enabled counters
-   and histograms total correctly, Pool.map's task-sink merge keeps merged
-   snapshots byte-identical at any domain count (including a real Table 1
-   sweep), the span tracer round-trips through its Chrome JSON export,
-   and Obs.Json reads any text without raising and reads a snapshot back
-   to its counter values. *)
+   and histograms total correctly, snapshots summed over the per-domain
+   sinks are byte-identical at any domain count (including a real Table 1
+   sweep) and keep the counts of exited workers exactly once, the span
+   tracer round-trips through its Chrome JSON export, and Obs.Json reads
+   any text without raising and reads a snapshot back to its counter
+   values. *)
 
 (* Every test toggles the global flag, so save/restore it — the rest of
    the suite must keep running under whatever VMALLOC_OBS selected. *)
@@ -58,9 +59,9 @@ let test_counters_and_histograms () =
   Alcotest.(check bool) "reset empties the histogram" false
     (contains (Obs.Metrics.Snapshot.render snap') "test.obs.hist")
 
-(* Pool.map installs a fresh sink per task and merges the task sinks in
-   task-input order, so a merged snapshot is byte-identical whatever the
-   pool size — even though the tasks themselves land on different domains. *)
+(* Each task counts into the sink of the domain that runs it, and a
+   snapshot sums every domain's sink; sums cannot depend on which domain
+   counted what, so the snapshot is byte-identical whatever the pool size. *)
 let test_pool_merge_domain_invariant () =
   with_enabled true @@ fun () ->
   let c = Obs.Metrics.counter "test.obs.pool" in
@@ -256,6 +257,63 @@ let test_trace_folded_pool_invariant () =
   Alcotest.(check string) "folded: 1 vs 2 domains" f1 f2;
   Alcotest.(check string) "folded: 1 vs 4 domains" f1 f4
 
+(* A worker domain counts into its own sink, which its exit folds into
+   the retired total. Twenty pools' worth of counts must survive their
+   workers exactly once, and [reset] must zero the retired total too. The
+   task that holds index 0 waits until a task has run on another domain,
+   so every cycle's worker counts something. *)
+let test_worker_sinks_survive_shutdown () =
+  with_enabled true @@ fun () ->
+  let c = Obs.Metrics.counter "test.obs.retired" in
+  let h = Obs.Metrics.histogram "test.obs.retired_hist" in
+  let cycle () =
+    let caller = Domain.self () in
+    let off_caller = Atomic.make 0 in
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        ignore
+          (Par.Pool.map pool (Array.init 20 Fun.id) (fun i ->
+               if Domain.self () <> caller then Atomic.incr off_caller;
+               let t0 = Unix.gettimeofday () in
+               while
+                 i = 0
+                 && Atomic.get off_caller = 0
+                 && Unix.gettimeofday () -. t0 < 5.
+               do
+                 Domain.cpu_relax ()
+               done;
+               Obs.Metrics.add c (i + 1);
+               Obs.Metrics.observe h i)));
+    Alcotest.(check bool) "the worker ran a task" true
+      (Atomic.get off_caller > 0)
+  in
+  let read () =
+    let snap = Obs.Metrics.snapshot () in
+    ( Obs.Metrics.Snapshot.counter_value snap "test.obs.retired",
+      List.find_opt
+        (fun l -> contains l "test.obs.retired_hist")
+        (String.split_on_char '\n' (Obs.Metrics.Snapshot.render snap)) )
+  in
+  Obs.Metrics.reset ();
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  (* Per cycle: 1 + 2 + ... + 20 = 210, and 0 + 1 + ... + 19 = 190. *)
+  Alcotest.(check (pair int (option string))) "20 pools"
+    ( 20 * 210,
+      Some
+        "test.obs.retired_hist count=400 sum=3800 [0:20 1:20 2-3:40 4-7:80 \
+         8-15:160 16-31:80]" )
+    (read ());
+  Obs.Metrics.reset ();
+  Alcotest.(check (pair int (option string))) "reset" (0, None) (read ());
+  cycle ();
+  Alcotest.(check (pair int (option string))) "one more pool"
+    ( 210,
+      Some
+        "test.obs.retired_hist count=20 sum=190 [0:1 1:1 2-3:2 4-7:4 8-15:8 \
+         16-31:4]" )
+    (read ())
+
 (* ---- Obs.Json totality and snapshot round-trip ------------------------ *)
 
 (* Fixed test counters (the registry is global and never shrinks), two of
@@ -352,6 +410,8 @@ let suite =
       ("trace span nesting and folded stacks", test_trace_nesting);
       ("folded stacks identical at 1/2/4 domains",
        test_trace_folded_pool_invariant);
+      ("worker sinks survive pool shutdown exactly once",
+       test_worker_sinks_survive_shutdown);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_json_total; prop_json_total_on_damaged_snapshots;

@@ -140,8 +140,8 @@ let test_domain_count_invariance () =
     [ 1; 2; 4 ]
 
 (* Metric snapshots of a sharded run must also be domain-count invariant:
-   each shard counts into its own task sink and Pool.map merges the sinks
-   in shard order. *)
+   each shard counts into the sink of the domain that runs it, and a
+   snapshot sums every domain's sink. *)
 let test_metrics_domain_invariance () =
   let was_enabled = Obs.Metrics.enabled () in
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
