@@ -180,17 +180,32 @@ let flush_files () =
 
 let () = at_exit flush_files
 
-(* Registers [(path, render, _)] files left to right, stopping at the
-   first unwritable path. *)
-let rec register_files = function
-  | [] -> Ok ()
-  | (path, render, _) :: rest -> (
-      match open_out path with
-      | exception Sys_error e -> Error e
-      | oc ->
-          close_out oc;
-          pending := (path, render) :: !pending;
-          register_files rest)
+(* Registers [(path, render, _)] files left to right. A path is checked
+   writable by opening it without truncating it, which creates a missing
+   file and leaves an existing one as it is. Returns [cancel], which takes
+   these files back out of the registry and deletes those the check
+   created; the first unwritable path cancels the files before it. *)
+let register_files files =
+  let before = !pending and created = ref [] in
+  let cancel () =
+    pending := before;
+    List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) !created
+  in
+  let rec register = function
+    | [] -> Ok cancel
+    | (path, render, _) :: rest -> (
+        let existed = Sys.file_exists path in
+        match open_out_gen [ Open_wronly; Open_creat ] 0o666 path with
+        | exception Sys_error e ->
+            cancel ();
+            Error e
+        | oc ->
+            close_out oc;
+            if not existed then created := path :: !created;
+            pending := (path, render) :: !pending;
+            register rest)
+  in
+  register files
 
 (* What a run is asked to observe: the counter snapshot, printed after the
    result (--stats) or written as JSON (--stats-out), and the span trace,
@@ -245,7 +260,9 @@ let observe_term ?trace_doc () =
    o's files, then [files] — a subcommand's own (path, render, stderr
    note) triples — and turns on the counters and the tracer. After a run
    that returns [`Ok], it prints the snapshot, stops the tracer, writes
-   every file and notes each one on stderr. *)
+   every file and notes each one on stderr. A run that returns an error
+   writes none of them, and the files registration created are deleted;
+   only a run that raises leaves its files to the [at_exit] flush. *)
 let observed o ?(files = []) run =
   let trace_note path =
     Printf.sprintf "wrote trace %s (%d events)" path (Obs.Trace.event_count ())
@@ -268,7 +285,7 @@ let observed o ?(files = []) run =
   in
   match register_files files with
   | Error e -> `Error (false, e)
-  | Ok () -> (
+  | Ok cancel -> (
       if o.stats || o.stats_out <> None then begin
         Obs.Metrics.reset ();
         Obs.Metrics.set_enabled true
@@ -284,7 +301,9 @@ let observed o ?(files = []) run =
           flush_files ();
           List.iter (fun (path, _, note) -> prerr_endline (note path)) files;
           ok
-      | error -> error)
+      | error ->
+          cancel ();
+          error)
 
 (* ---- solve --batch --------------------------------------------------- *)
 

@@ -24,9 +24,11 @@ val pp_implementation :
   ?pool:Par.Pool.t ->
   ?dims_list:int list -> ?items:int -> ?bins:int -> ?reps:int -> unit ->
   pp_impl_row list
-(** Fast O(J²·D) key-based selection vs the literal D!-list formulation on
-    synthetic packing instances: identical packings, diverging cost as D
-    grows (the complexity improvement of §3.5.2). *)
+(** The Permutation-Pack path solves run — {!Packing.Permutation_pack.pack}
+    with a fresh scratch, selecting through per-key-class cursors — vs the
+    literal D!-list formulation on synthetic packing instances: identical
+    packings, diverging cost as D grows (the complexity improvement of
+    §3.5.2). *)
 
 type tolerance_row = {
   tolerance : float;

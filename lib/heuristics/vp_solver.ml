@@ -38,15 +38,15 @@ let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
    one item array whose demand vectors are refilled in place per probe (a
    fused [r + y*n] pass over the instance's flattened buffers), recycles
    one bin array via [Bin.reset] instead of reallocating per attempt, and
-   memoizes per-probe sort orders and Permutation-Pack item permutations
+   memoizes per-probe sort orders and Permutation-Pack item key classes
    through [Strategy.cache].
 
    Bit-identity with the naive fresh-allocation path ([pack_at_yield] per
    strategy): refilled demands use the exact [axpy] expression fresh
    allocation uses; reset bins equal fresh bins; memoized sorts are the
    same stable sorts over the same values; and the scratch-backed
-   Permutation-Pack selection compares the same keys with the same
-   tie-breaks. Locked down by test_kernel_diff.ml. *)
+   Permutation-Pack selection picks, through its per-key-class cursors,
+   the item the full scan picks. Locked down by test_kernel_diff.ml. *)
 type kernel = {
   k_items : Packing.Item.t array;
   k_bins : Packing.Bin.t array;

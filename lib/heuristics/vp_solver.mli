@@ -40,7 +40,7 @@ val solve :
 
     Probes run through the probe-shared packing kernel (DESIGN.md §11):
     item/bin scratch refilled in place, memoized sort orders and
-    Permutation-Pack item permutations — bit-identical to {!pack_at_yield}
+    Permutation-Pack item key classes — bit-identical to {!pack_at_yield}
     per probe, just cheaper (the test suite locks it against that naive
     path). Each solve makes one kernel, which its probes reuse one after
     another and which is dropped with the solve. Kernel sort-memo hits

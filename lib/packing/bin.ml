@@ -11,59 +11,73 @@ type t = {
    on-demand [load_sum] / [remaining_sum] performed, so their values are
    bit-identical to the naive ones — they just move the O(D) work from
    every Best-Fit score (O(items x bins) reads) to every [place] /
-   [reset] (O(items) writes). *)
-let fold_load load = Array.fold_left ( +. ) 0. load
+   [reset] (O(items) writes).
 
-let fold_remaining capacity load =
-  let open Vec in
-  let acc = ref 0. in
+   [set_sums], [fits] and [place] read the raw arrays, with no
+   [Vector.get] and no fold closure: a call across a module boundary
+   returns its float boxed, and a solve tests and places items millions
+   of times. Testing an item allocates nothing; placing one allocates its
+   [contents] cell and the two boxed sums. *)
+let set_sums t =
+  let cap = (t.capacity.Vec.Epair.aggregate :> float array) in
+  let load = t.load in
+  let sum = ref 0. and rem = ref 0. in
   for i = 0 to Array.length load - 1 do
-    acc := !acc +. Float.max 0. (Vector.get capacity.Epair.aggregate i -. load.(i))
+    sum := !sum +. load.(i);
+    rem := !rem +. Float.max 0. (cap.(i) -. load.(i))
   done;
-  !acc
+  t.sum_load <- !sum;
+  t.sum_remaining <- !rem
 
 let v ~id ~capacity =
-  let load = Array.make (Vec.Epair.dim capacity) 0. in
-  {
-    id;
-    capacity;
-    load;
-    contents = [];
-    sum_load = fold_load load;
-    sum_remaining = fold_remaining capacity load;
-  }
+  let t =
+    {
+      id;
+      capacity;
+      load = Array.make (Vec.Epair.dim capacity) 0.;
+      contents = [];
+      sum_load = 0.;
+      sum_remaining = 0.;
+    }
+  in
+  set_sums t;
+  t
 
 let reset t =
   Array.fill t.load 0 (Array.length t.load) 0.;
   t.contents <- [];
-  t.sum_load <- fold_load t.load;
-  t.sum_remaining <- fold_remaining t.capacity t.load
+  set_sums t
 
 let dim t = Vec.Epair.dim t.capacity
 
-let fits t (item : Item.t) =
-  let open Vec in
-  Vector.fits item.demand.Epair.elementary t.capacity.Epair.elementary
+(* The elementary test of [Vector.fits] and the aggregate test against
+   the load, dimension by dimension; both are pure comparisons, so
+   interleaving them leaves the verdict as it was. [Vector.fits] itself
+   allocates a closure per call; DESIGN.md §11 says why it is left so. *)
+let rec fits_from load (cap : Vec.Epair.t) (demand : Vec.Epair.t) i =
+  i >= Array.length load
+  ||
+  let ce = (cap.elementary :> float array).(i)
+  and de = (demand.elementary :> float array).(i) in
+  de <= ce +. (Vec.Vector.eps *. Float.max 1. (Float.abs ce))
   &&
-  let d = Array.length t.load in
-  let rec loop i =
-    if i >= d then true
-    else
-      let cap = Vector.get t.capacity.Epair.aggregate i in
-      let tol = Vector.eps *. Float.max 1. cap in
-      t.load.(i) +. Vector.get item.demand.Epair.aggregate i <= cap +. tol
-      && loop (i + 1)
-  in
-  loop 0
+  let ca = (cap.aggregate :> float array).(i) in
+  let tol = Vec.Vector.eps *. Float.max 1. ca in
+  load.(i) +. (demand.aggregate :> float array).(i) <= ca +. tol
+  && fits_from load cap demand (i + 1)
+
+let fits t (item : Item.t) =
+  if Vec.Epair.dim item.demand <> Vec.Epair.dim t.capacity then
+    invalid_arg "Bin.fits: dimension mismatch";
+  fits_from t.load t.capacity item.demand 0
 
 let place t (item : Item.t) =
-  let open Vec in
+  let demand = (item.demand.Vec.Epair.aggregate :> float array) in
   for i = 0 to Array.length t.load - 1 do
-    t.load.(i) <- t.load.(i) +. Vector.get item.demand.Epair.aggregate i
+    t.load.(i) <- t.load.(i) +. demand.(i)
   done;
   t.contents <- item.id :: t.contents;
-  t.sum_load <- fold_load t.load;
-  t.sum_remaining <- fold_remaining t.capacity t.load
+  set_sums t
 
 let load_vector t = Vec.Vector.of_array t.load
 

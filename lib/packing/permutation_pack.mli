@@ -10,8 +10,10 @@
     of maintaining D! per-permutation item lists, each item's demand
     permutation is mapped through the bin's dimension ranking into a
     {e key}, and the fitting item with the lexicographically smallest key
-    wins. [Naive_permutation_pack] is the literal D!-list formulation, kept
-    as an executable specification for tests and the complexity ablation.
+    wins. With a {!scratch}, the same picks come from per-key-class
+    cursors, one item scan per bin rather than one per select pass.
+    [Naive_permutation_pack] is the literal D!-list formulation, kept as an
+    executable specification for tests and the complexity ablation.
 
     With window [w < D], only the first [w] key positions are compared.
     Permutation-Pack compares them in order; Choose-Pack treats them as an
@@ -35,21 +37,30 @@ val compare_keys : flavour -> window:int -> int array -> int array -> int
     Choose-Pack. Exposed for tests. *)
 
 type scratch
-(** Probe-shared selection scratch (DESIGN.md §11): per-item demand
-    permutations memoized for the lifetime of one fixed-yield probe
-    (invalidate with {!scratch_new_probe} when item demands change) plus
-    reusable buffers for the per-select-pass bin ranking and window
-    comparisons. Packing with a scratch picks the exact same items —
-    selection keys are compared without being materialized, but over the
-    same values with the same tie-breaks — it only removes the per-key
-    allocations. A scratch must only be used from one domain at a time,
-    with items whose ids stay dense. *)
+(** Probe-shared selection state (DESIGN.md §11). Packing with a scratch
+    selects through per-key-class cursors. Items are grouped by key class
+    — Permutation: the first [w] dimensions of the item's descending
+    demand permutation; Choose: the set of those dimensions — and two
+    items have equal keys under a bin ranking iff they share a class,
+    because a ranking is a bijection on dimensions. A select pass takes
+    the earliest fitting unplaced item of the smallest-key class that has
+    one, which is the item the full scan picks; and since a bin's load
+    only grows while it fills, an item that does not fit stays unfit until
+    the bin closes, so each class's cursor only moves forward within a
+    bin. An attempt then costs one pass over the unplaced items per bin
+    plus, per select pass, one fits test and one key comparison per class,
+    where the scan costs one fits test per unplaced item per select pass.
+
+    The items' classes are memoized by item id for one fixed-yield probe
+    and one (flavour, window): invalidate with {!scratch_new_probe} when
+    item demands change. A scratch must only be used from one domain at a
+    time, with items whose ids stay dense. *)
 
 val scratch : unit -> scratch
 (** Fresh, empty scratch. *)
 
 val scratch_new_probe : scratch -> unit
-(** Drop the memoized item permutations (call after item demands change). *)
+(** Drop the memoized item classes (call after item demands change). *)
 
 val pack :
   ?flavour:flavour ->
@@ -61,6 +72,21 @@ val pack :
   unit ->
   bool
 (** Pack items (already item-sorted: the order breaks key ties) into bins
-    (already bin-sorted: bins are filled in order). Defaults: [Permutation],
-    [window = D] (full keys), [By_load], no scratch. Returns false when
-    items remain after all bins are exhausted. *)
+    (already bin-sorted: bins are filled in order). Each bin is filled by
+    select passes, each placing the fitting unplaced item of smallest key
+    (the earliest such item on ties), until no item fits. Defaults:
+    [Permutation], [window = D] (full keys), [By_load], no scratch.
+    Returns false when items remain after all bins are exhausted. Raises
+    [Invalid_argument] on a window [<= 0].
+
+    With a scratch, selection goes through the cursors above, and the
+    items' aggregate demands must be non-negative: a negative component
+    raises [Invalid_argument]. Without one, every select pass scans every
+    item; that path is the reference the cursor path is tested against.
+    Both place the same items in the same order.
+
+    Counters: [packing.placement_attempts] counts select passes, one per
+    placed item plus one final empty pass per bin, on either path.
+    [packing.perm_keys_tried] counts the candidate keys compared: with a
+    scratch, one per key class that offers a fitting item at a select
+    pass; without, one per fitting item. *)

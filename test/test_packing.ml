@@ -272,6 +272,74 @@ let prop_fast_pp_equals_naive =
            (fun (a : Bin.t) (b : Bin.t) -> a.Bin.contents = b.Bin.contents)
            bins_a bins_b)
 
+(* Demands in tenths, zeros included, so equal components — key ties
+   between items and ties inside the dimension sorts — are common. Each
+   case packs one to three demand sets (probes) of the same items, in one
+   shuffled item order. *)
+let quantized_packing_gen =
+  QCheck2.Gen.(
+    let tenths lo hi = map (fun k -> float_of_int k /. 10.) (int_range lo hi) in
+    let* dims = int_range 1 5 in
+    let* n_bins = int_range 1 5 in
+    let* n_items = int_range 1 16 in
+    let* bin_comps =
+      list_size (pure n_bins) (list_size (pure dims) (tenths 3 10))
+    in
+    let* probes =
+      list_size (int_range 1 3)
+        (list_size (pure n_items) (list_size (pure dims) (tenths 0 4)))
+    in
+    let* order = shuffle_l (List.init n_items Fun.id) in
+    pure (bin_comps, probes, order))
+
+let prop_cursor_pp_equals_scan =
+  (* The scratch path selects through per-class cursors; the no-scratch
+     path scans every item at every select pass. One scratch serves every
+     pack of a case, as a probe kernel's does, and is invalidated when the
+     demands change. *)
+  QCheck2.Test.make
+    ~name:"PP with scratch selects exactly like the full scan" ~count:300
+    quantized_packing_gen (fun (bin_comps, probes, order) ->
+      let dims = List.length (List.hd bin_comps) in
+      let bins () =
+        Array.of_list (List.mapi (fun id comps -> ubin id comps) bin_comps)
+      in
+      let configs =
+        List.concat_map
+          (fun flavour ->
+            List.concat_map
+              (fun ranking ->
+                List.init dims (fun w -> (flavour, ranking, w + 1)))
+              Permutation_pack.[ By_load; By_remaining_capacity ])
+          Permutation_pack.[ Permutation; Choose ]
+      in
+      let scratch = Permutation_pack.scratch () in
+      List.for_all
+        (fun item_comps ->
+          Permutation_pack.scratch_new_probe scratch;
+          let comps = Array.of_list item_comps in
+          let items () =
+            Array.of_list (List.map (fun id -> uitem id comps.(id)) order)
+          in
+          List.for_all
+            (fun (flavour, ranking, window) ->
+              let bins_a = bins () and bins_b = bins () in
+              let ok_a =
+                Permutation_pack.pack ~flavour ~window ~ranking ~scratch
+                  ~bins:bins_a ~items:(items ()) ()
+              in
+              let ok_b =
+                Permutation_pack.pack ~flavour ~window ~ranking ~bins:bins_b
+                  ~items:(items ()) ()
+              in
+              ok_a = ok_b
+              && Array.for_all2
+                   (fun (a : Bin.t) (b : Bin.t) ->
+                     a.Bin.contents = b.Bin.contents)
+                   bins_a bins_b)
+            configs)
+        probes)
+
 let prop_pp_cp_coincide_at_window_1 =
   QCheck2.Test.make ~name:"PP = CP at window 1 (paper §3.5.2)" ~count:200
     random_packing_gen (fun spec ->
@@ -330,5 +398,6 @@ let suite =
         prop_success_means_all_placed;
         prop_fast_pp_equals_naive;
         prop_pp_cp_coincide_at_window_1;
+        prop_cursor_pp_equals_scan;
         prop_strategies_agree_on_feasibility_direction;
       ]
