@@ -836,7 +836,7 @@ let simulate_cmd =
               `Ok ()
           | exception Invalid_argument e -> `Error (false, e)
         in
-        if domains > 1 && shards > 1 then
+        if domains > 1 then
           with_pool ~domains (fun pool -> simulate (Some pool))
         else simulate None)
   in

@@ -45,138 +45,173 @@ let sort_services strategy services =
 let c_candidates = Obs.Metrics.counter "greedy.candidate_evals"
 let c_placements = Obs.Metrics.counter "greedy.placements"
 
-(* Mutable per-node placement state. *)
-type node_state = {
-  node : Model.Node.t;
-  req_load : float array;  (* committed aggregate requirements *)
-  virtual_load : float array;  (* committed requirement + full need *)
+(* The nodes of one instance in flat arrays, node [h]'s dimension [i] at
+   [h * dims + i]: the fits limits, i.e. the very right-hand sides
+   [Vector.fits] (elementary) and the aggregate test compare against
+   ([c +. eps *. max 1 |c|] and [c +. eps *. max 1 c]), the aggregate
+   capacities and each node's summed capacity for the scores, and the
+   loads a combination commits (rigid requirements, and requirement plus
+   full need). One workspace serves every combination of a METAGREEDY
+   solve. *)
+type nodes = {
+  elem_lim : float array;
+  agg_lim : float array;
+  cap : float array;
+  cap_sum : float array;
+  req_load : float array;
+  virtual_load : float array;
 }
 
-let feasible state (s : Model.Service.t) =
-  let open Vec in
-  Vector.fits s.requirement.Epair.elementary
-    state.node.Model.Node.capacity.Epair.elementary
-  &&
-  let cap = state.node.Model.Node.capacity.Epair.aggregate in
-  let d = Vector.dim cap in
-  let rec loop i =
-    if i >= d then true
-    else
-      let c = Vector.get cap i in
-      let tol = Vector.eps *. Float.max 1. c in
-      state.req_load.(i) +. Vector.get s.requirement.Epair.aggregate i
-      <= c +. tol
-      && loop (i + 1)
+let nodes instance =
+  let dims = instance.Model.Instance.dims in
+  let n = Model.Instance.n_nodes instance in
+  let flat f =
+    Array.init (n * dims) (fun k ->
+        let c = (Model.Instance.node instance (k / dims)).Model.Node.capacity in
+        f c (k mod dims))
   in
-  loop 0
+  let cap = flat (fun c i -> Vec.Vector.get c.Vec.Epair.aggregate i) in
+  {
+    elem_lim =
+      flat (fun c i ->
+          let ce = Vec.Vector.get c.Vec.Epair.elementary i in
+          ce +. (Vec.Vector.eps *. Float.max 1. (Float.abs ce)));
+    agg_lim =
+      flat (fun c i ->
+          let ca = Vec.Vector.get c.Vec.Epair.aggregate i in
+          ca +. (Vec.Vector.eps *. Float.max 1. ca));
+    cap;
+    cap_sum =
+      Array.init n (fun h ->
+          let acc = ref 0. in
+          for i = 0 to dims - 1 do
+            acc := !acc +. cap.((h * dims) + i)
+          done;
+          !acc);
+    req_load = Array.make (n * dims) 0.;
+    virtual_load = Array.make (n * dims) 0.;
+  }
 
-(* Selection score: the feasible node with the smallest score wins, ties to
-   the lowest node index. *)
-let score strategy state (s : Model.Service.t) =
-  let open Vec in
-  let cap = state.node.Model.Node.capacity.Epair.aggregate in
-  let d = Vector.dim cap in
-  let avail i = Vector.get cap i -. state.virtual_load.(i) in
-  let demand i =
-    Vector.get s.requirement.Epair.aggregate i
-    +. Vector.get s.need.Epair.aggregate i
-  in
-  let total_avail =
-    let acc = ref 0. in
-    for i = 0 to d - 1 do acc := !acc +. avail i done;
-    !acc
-  in
-  match strategy with
-  | P1 ->
-      let dim_need = Vector.dominant_dimension (need_agg s) in
-      -.avail dim_need
-  | P2 ->
-      let load_after = ref 0. and caps = ref 0. in
-      for i = 0 to d - 1 do
-        load_after := !load_after +. state.virtual_load.(i) +. demand i;
-        caps := !caps +. Vector.get cap i
-      done;
-      if !caps <= 0. then infinity else !load_after /. !caps
-  | P3 ->
-      let dim_req = Vector.dominant_dimension (req_agg s) in
-      avail dim_req -. demand dim_req
-  | P4 -> total_avail
-  | P5 ->
-      let dim_req = Vector.dominant_dimension (req_agg s) in
-      -.(avail dim_req -. demand dim_req)
-  | P6 -> -.total_avail
-  | P7 -> 0.  (* first feasible node: score constant, ties to lowest index *)
-
-let place sort_strategy place_strategy instance =
-  let services =
-    sort_services sort_strategy
-      (Array.init (Model.Instance.n_services instance)
-         (Model.Instance.service instance))
-  in
-  let dims =
-    Vec.Epair.dim (Model.Instance.node instance 0).Model.Node.capacity
-  in
-  let states =
-    Array.init (Model.Instance.n_nodes instance) (fun h ->
-        {
-          node = Model.Instance.node instance h;
-          req_load = Array.make dims 0.;
-          virtual_load = Array.make dims 0.;
-        })
-  in
-  let placement = Array.make (Model.Instance.n_services instance) (-1) in
-  let commit state (s : Model.Service.t) =
-    let open Vec in
-    for i = 0 to dims - 1 do
-      state.req_load.(i) <-
-        state.req_load.(i) +. Vector.get s.requirement.Epair.aggregate i;
-      state.virtual_load.(i) <-
-        state.virtual_load.(i)
-        +. Vector.get s.requirement.Epair.aggregate i
-        +. Vector.get s.need.Epair.aggregate i
-    done
-  in
-  let place_one (s : Model.Service.t) =
-    let best = ref (-1) and best_score = ref infinity in
-    Obs.Metrics.add c_candidates (Array.length states);
-    Array.iteri
-      (fun h state ->
-        if feasible state s then begin
-          let sc = score place_strategy state s in
+(* Places [services] in order, each on the feasible node of smallest
+   score, ties to the lowest index (an infinite score never wins). Plain
+   loops over the flat arrays, each score computed inline, so placing a
+   service allocates nothing. Every score keeps the float expression and
+   evaluation order of the test suite's reference scan, so placements
+   are bit-identical to it. *)
+let place_sorted ws instance services place_strategy =
+  let d = instance.Model.Instance.dims in
+  let n = Array.length ws.cap_sum in
+  let req_e = instance.Model.Instance.req_elem
+  and req = instance.Model.Instance.req_agg
+  and need = instance.Model.Instance.need_agg in
+  let cap = ws.cap and vload = ws.virtual_load and rload = ws.req_load in
+  Array.fill rload 0 (n * d) 0.;
+  Array.fill vload 0 (n * d) 0.;
+  let placement = Array.make (Array.length services) (-1) in
+  let rec loop k =
+    if k >= Array.length services then Some placement
+    else begin
+      let s : Model.Service.t = services.(k) in
+      let o = s.id * d in
+      let dim_need = Vec.Vector.dominant_dimension (need_agg s)
+      and dim_req = Vec.Vector.dominant_dimension (req_agg s) in
+      Obs.Metrics.add c_candidates n;
+      let best = ref (-1) and best_score = ref infinity in
+      for h = 0 to n - 1 do
+        let b = h * d in
+        let ok = ref true and i = ref 0 in
+        while !ok && !i < d do
+          ok := req_e.(o + !i) <= ws.elem_lim.(b + !i);
+          incr i
+        done;
+        i := 0;
+        while !ok && !i < d do
+          ok := rload.(b + !i) +. req.(o + !i) <= ws.agg_lim.(b + !i);
+          incr i
+        done;
+        if !ok then begin
+          let sc =
+            match place_strategy with
+            | P1 -> -.(cap.(b + dim_need) -. vload.(b + dim_need))
+            | P2 ->
+                let load_after = ref 0. in
+                for i = 0 to d - 1 do
+                  load_after :=
+                    !load_after +. vload.(b + i)
+                    +. (req.(o + i) +. need.(o + i))
+                done;
+                if ws.cap_sum.(h) <= 0. then infinity
+                else !load_after /. ws.cap_sum.(h)
+            | P3 ->
+                cap.(b + dim_req) -. vload.(b + dim_req)
+                -. (req.(o + dim_req) +. need.(o + dim_req))
+            | P5 ->
+                -.(cap.(b + dim_req) -. vload.(b + dim_req)
+                   -. (req.(o + dim_req) +. need.(o + dim_req)))
+            | P4 | P6 ->
+                let total_avail = ref 0. in
+                for i = 0 to d - 1 do
+                  total_avail := !total_avail +. (cap.(b + i) -. vload.(b + i))
+                done;
+                if place_strategy = P4 then !total_avail else -. !total_avail
+            | P7 -> 0.
+          in
           if sc < !best_score then begin
             best := h;
             best_score := sc
           end
-        end)
-      states;
-    if !best >= 0 then begin
-      Obs.Metrics.incr c_placements;
-      commit states.(!best) s;
-      placement.(s.Model.Service.id) <- !best;
-      true
+        end
+      done;
+      if !best < 0 then None
+      else begin
+        Obs.Metrics.incr c_placements;
+        let b = !best * d in
+        for i = 0 to d - 1 do
+          rload.(b + i) <- rload.(b + i) +. req.(o + i);
+          vload.(b + i) <- vload.(b + i) +. req.(o + i) +. need.(o + i)
+        done;
+        placement.(s.id) <- !best;
+        loop (k + 1)
+      end
     end
-    else false
-  in
-  let rec loop j =
-    if j >= Array.length services then Some placement
-    else if place_one services.(j) then loop (j + 1)
-    else None
   in
   loop 0
+
+let all_services instance =
+  Array.init (Model.Instance.n_services instance)
+    (Model.Instance.service instance)
+
+let place sort_strategy place_strategy instance =
+  place_sorted (nodes instance) instance
+    (sort_services sort_strategy (all_services instance))
+    place_strategy
 
 let solve sort_strategy place_strategy instance =
   match place sort_strategy place_strategy instance with
   | None -> None
   | Some placement -> Vp_solver.evaluate instance placement
 
+(* The 49 combinations in [all_combinations] order, each sort computed
+   once for its seven placement strategies and every combination on one
+   node workspace; the earliest of equal yields wins. *)
 let metagreedy instance =
+  let ws = nodes instance and services = all_services instance in
   List.fold_left
-    (fun best (s, p) ->
-      match solve s p instance with
-      | None -> best
-      | Some sol -> (
-          match best with
-          | Some (b : Vp_solver.solution) when b.min_yield >= sol.min_yield ->
-              best
-          | _ -> Some sol))
-    None all_combinations
+    (fun best s ->
+      let sorted = sort_services s services in
+      List.fold_left
+        (fun best p ->
+          match
+            Option.bind
+              (place_sorted ws instance sorted p)
+              (Vp_solver.evaluate instance)
+          with
+          | None -> best
+          | Some sol -> (
+              match best with
+              | Some (b : Vp_solver.solution)
+                when b.min_yield >= sol.min_yield ->
+                  best
+              | _ -> Some sol))
+        best all_places)
+    None all_sorts

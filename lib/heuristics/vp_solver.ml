@@ -26,6 +26,7 @@ let pack_at_yield strategy instance y =
 let c_oracle = Obs.Metrics.counter "vp_solver.oracle_calls"
 let c_feasible = Obs.Metrics.counter "vp_solver.oracle_feasible"
 let c_attempts = Obs.Metrics.counter "vp_solver.strategy_attempts"
+let c_certified = Obs.Metrics.counter "vp_solver.probes_certified"
 let h_win_index = Obs.Metrics.histogram "vp_solver.strategies_per_win"
 
 let win_counter strategy =
@@ -81,23 +82,27 @@ let refill inst k yld =
     k.k_yield <- yld
   end
 
-(* One fixed-yield probe: the strategies in order until one packs. The
-   solve's one kernel serves every probe, which the search runs one after
-   another on the calling domain. *)
+(* One fixed-yield probe: the strategies in order until one packs, unless
+   the infeasibility certificate refutes the probe first, which proves
+   that every strategy would fail. The solve's one kernel serves every
+   probe, which the search runs one after another on the calling domain;
+   each attempt starts on empty bins. *)
 let probe instance k strategies yld =
   Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
   Obs.Metrics.incr c_oracle;
   refill instance k yld;
+  Array.iter Packing.Bin.reset k.k_bins;
   let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (
         Obs.Metrics.incr c_attempts;
-        Array.iter Packing.Bin.reset k.k_bins;
         match
           Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
             ~items:k.k_items
         with
-        | None -> attempt (idx + 1) rest
+        | None ->
+            Array.iter Packing.Bin.reset k.k_bins;
+            attempt (idx + 1) rest
         | Some placement ->
             if Obs.Metrics.enabled () then begin
               Obs.Metrics.incr c_feasible;
@@ -110,7 +115,13 @@ let probe instance k strategies yld =
                 :: probe_args yld);
             Some placement)
   in
-  attempt 1 strategies
+  if
+    Packing.Strategy.infeasible k.k_cache ~bins:k.k_bins ~items:k.k_items
+  then begin
+    Obs.Metrics.incr c_certified;
+    None
+  end
+  else attempt 1 strategies
 
 let oracle strategies instance =
   probe instance (make_kernel instance) strategies

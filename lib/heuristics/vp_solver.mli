@@ -9,7 +9,10 @@
     (DESIGN.md §11), the one production probe path; each solve owns one
     kernel. The naive fresh-allocation path it must match bit-for-bit is
     {!pack_at_yield} per strategy, which the test suite's oracle drives
-    under the same search.
+    under the same search. A probe that {!Packing.Strategy.infeasible}
+    refutes returns no placement without running any strategy, as every
+    strategy would have failed ([vp_solver.probes_certified] counts
+    these).
 
     Packing strategies are one kind of yield-probe oracle; the LP
     relaxation is the other ({!Milp.relaxed_yield_search}, which threads a

@@ -37,11 +37,16 @@ type cache = {
   mutable sorted_items : (Vec.Metric.order * Item.t array) list;
   mutable sorted_bins : (Vec.Metric.order * Bin.t array) list;
   pp_scratch : Permutation_pack.scratch;
+  (* [infeasible]'s per-dimension scratch. *)
+  mutable demand_sum : float array;
+  mutable usable_cap : float array;
+  mutable usable : bool array;
 }
 
 let cache () =
   { sorted_items = []; sorted_bins = [];
-    pp_scratch = Permutation_pack.scratch () }
+    pp_scratch = Permutation_pack.scratch (); demand_sum = [||];
+    usable_cap = [||]; usable = [||] }
 
 let cache_new_probe c =
   c.sorted_items <- [];
@@ -100,6 +105,94 @@ let run ?cache:memo t ~bins ~items =
           ()
   in
   if ok then Some (assignment ~bins ~n_items:(Array.length items)) else None
+
+(* The probe-level infeasibility certificate (DESIGN.md §11). Every
+   strategy places an item only where [Bin.fits] holds; demands are
+   non-negative, so a bin's load only grows. Hence (a) an item that fits
+   no empty bin fits no bin at any point of any strategy, and (b) in each
+   dimension the items with positive demand there can only land in bins
+   where one of them fits empty, each of which ends below its [Bin.fits]
+   threshold; so their total demand cannot exceed the sum of those
+   thresholds. The float sums involved (bin loads, demand total,
+   threshold total) are off by about (2 items + bins) x 2^-53 of the
+   total at most, far below [margin]. Loops only, over the cache's
+   scratch arrays: a call allocates nothing once the scratch is sized. *)
+let margin = 1e-9
+
+(* [c.usable] := the dimensions in which [bin] is usable: some item with
+   positive demand there fits it empty. Stops once all [wanted]
+   dimensions with demand are found. *)
+let usable_dims c bin ~items ~wanted =
+  let d = Bin.dim bin in
+  let usable = c.usable in
+  Array.fill usable 0 d false;
+  let missing = ref wanted and j = ref 0 in
+  while !missing > 0 && !j < Array.length items do
+    let item = items.(!j) in
+    let agg = (item.Item.demand.Vec.Epair.aggregate :> float array) in
+    let adds = ref false in
+    for k = 0 to d - 1 do
+      if agg.(k) > 0. && not usable.(k) then adds := true
+    done;
+    if !adds && Bin.fits bin item then
+      for k = 0 to d - 1 do
+        if agg.(k) > 0. && not usable.(k) then begin
+          usable.(k) <- true;
+          decr missing
+        end
+      done;
+    incr j
+  done
+
+let infeasible c ~bins ~items =
+  Array.length items > 0
+  &&
+  let d = Vec.Epair.dim items.(0).Item.demand in
+  if Array.length c.demand_sum < d then begin
+    c.demand_sum <- Array.make d 0.;
+    c.usable_cap <- Array.make d 0.;
+    c.usable <- Array.make d false
+  end;
+  let total = c.demand_sum and cap = c.usable_cap in
+  Array.fill total 0 d 0.;
+  Array.fill cap 0 d 0.;
+  (* (a), summing the demands on the way. *)
+  let homeless = ref false and j = ref 0 in
+  while (not !homeless) && !j < Array.length items do
+    let item = items.(!j) in
+    let agg = (item.Item.demand.Vec.Epair.aggregate :> float array) in
+    for k = 0 to d - 1 do
+      total.(k) <- total.(k) +. agg.(k)
+    done;
+    let b = ref 0 in
+    while !b < Array.length bins && not (Bin.fits bins.(!b) item) do
+      incr b
+    done;
+    homeless := !b = Array.length bins;
+    incr j
+  done;
+  !homeless
+  ||
+  (* (b) *)
+  let wanted = ref 0 in
+  for k = 0 to d - 1 do
+    if total.(k) > 0. then incr wanted
+  done;
+  for b = 0 to Array.length bins - 1 do
+    let bin = bins.(b) in
+    usable_dims c bin ~items ~wanted:!wanted;
+    let ca = (bin.Bin.capacity.Vec.Epair.aggregate :> float array) in
+    for k = 0 to d - 1 do
+      if c.usable.(k) then
+        cap.(k) <-
+          cap.(k) +. (ca.(k) +. (Vec.Vector.eps *. Float.max 1. ca.(k)))
+    done
+  done;
+  let over = ref false in
+  for k = 0 to d - 1 do
+    if total.(k) > cap.(k) +. (margin *. Float.max 1. cap.(k)) then over := true
+  done;
+  !over
 
 let algos =
   [

@@ -34,7 +34,8 @@ type cache
     change), each distinct bin-sort order once per cache lifetime (bin
     capacities never change), and Permutation-Pack selection runs on a
     {!Permutation_pack.scratch} whose per-item demand permutations are
-    likewise memoized per probe. The memoized arrays alias the caller's
+    likewise memoized per probe; {!infeasible} keeps its per-dimension
+    sums there too. The memoized arrays alias the caller's
     item and bin records, so a cache must only ever be used with the one
     item/bin pair it first saw, from one domain at a time. Hits land on
     the [vp_solver.items_cache_hits] counter. *)
@@ -53,6 +54,18 @@ val run : ?cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
     id to bin id. Callers should pass freshly created (or {!Bin.reset})
     bins. With [cache], item/bin sort orders are memoized as documented on
     {!type-cache}; results are bit-identical with and without it. *)
+
+val infeasible : cache -> bins:Bin.t array -> items:Item.t array -> bool
+(** The probe-level infeasibility certificate: [true] proves that no
+    strategy of this module packs [items] into [bins], because (a) some
+    item fits no empty bin, or (b) in some dimension the items' total
+    aggregate demand exceeds, by a margin of [1e-9 *. max 1 cap], the
+    summed [Bin.fits] thresholds [cap] of the bins where some item with
+    positive demand in that dimension fits empty. Exact: every strategy
+    places an item only where {!Bin.fits} holds, demands are non-negative
+    and loads only grow (DESIGN.md §11). [false] proves nothing. [bins]
+    must be empty (fresh or {!Bin.reset}); its per-dimension scratch lives
+    in the cache, so a call allocates nothing once that is sized. *)
 
 val assignment : bins:Bin.t array -> n_items:int -> int array
 (** Read the item-to-bin assignment out of packed bins (helper shared with

@@ -60,4 +60,17 @@ let allocate ~capacity ~weights ~needs =
       if !newly_satisfied = 0 then continue_ := false
     end
   done;
+  (* A service counts as satisfied once what it misses is within epsilon
+     of its share, but takes at most that share; it would stay short even
+     with capacity left over. Top such services up from what the rounds
+     left, in index order. *)
+  Array.iteri
+    (fun j n ->
+      let short = n -. alloc.(j) in
+      if satisfied.(j) && short > 0. && !remaining > 0. then begin
+        let top_up = Float.min short !remaining in
+        alloc.(j) <- alloc.(j) +. top_up;
+        remaining := !remaining -. top_up
+      end)
+    needs;
   alloc

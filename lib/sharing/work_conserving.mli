@@ -6,7 +6,10 @@
     its actual need is smaller) is pooled and redistributed among the still
     unsatisfied services, again by weight, until everyone is satisfied or
     the resource is exhausted. Allocations smaller than {!epsilon} are
-    rounded away to avoid unbounded recursion (paper: 0.0001). *)
+    rounded away to avoid unbounded recursion (paper: 0.0001): a service
+    whose share comes within {!epsilon} of what it misses counts as
+    satisfied. After the rounds, such a service that is still short is
+    topped up, in index order, from whatever capacity the rounds left. *)
 
 val epsilon : float
 (** 1e-4, the paper's minimum allocation. *)

@@ -153,6 +153,46 @@ let test_strategy_ranking_smoke () =
   Alcotest.(check bool) "report renders" true
     (String.length (Experiments.Strategy_ranking.report ~top:5 rows) > 0)
 
+(* The flat node scan against the reference scan it replaced
+   ({!Oracles.Naive_greedy}): every (S, P) combination places the same
+   services on the same nodes with the same work counters, and METAGREEDY
+   returns the same placement and the same min-yield bits. *)
+let prop_greedy_equals_reference =
+  QCheck2.Test.make ~name:"greedy = reference scan on every (S, P)"
+    ~count:100 ~print:Instance_gen.print Instance_gen.gen (fun p ->
+      let inst = Instance_gen.instance p in
+      let same_work run reference =
+        let naive = Oracles.Naive_greedy.counts () in
+        let expected = reference naive in
+        let got, counter = Counters.with_metrics run in
+        (got, expected,
+         counter "greedy.candidate_evals" = !(naive.candidate_evals)
+         && counter "greedy.placements" = !(naive.placements))
+      in
+      List.for_all
+        (fun (s, pl) ->
+          let got, expected, work =
+            same_work
+              (fun () -> Heuristics.Greedy.place s pl inst)
+              (fun counts -> Oracles.Naive_greedy.place ~counts s pl inst)
+          in
+          work && got = expected)
+        Heuristics.Greedy.all_combinations
+      &&
+      let got, expected, work =
+        same_work
+          (fun () -> Heuristics.Greedy.metagreedy inst)
+          (fun counts -> Oracles.Naive_greedy.metagreedy ~counts inst)
+      in
+      work
+      &&
+      match (got, expected) with
+      | None, None -> true
+      | Some a, Some b ->
+          a.placement = b.placement
+          && Int64.bits_of_float a.min_yield = Int64.bits_of_float b.min_yield
+      | _ -> false)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -168,3 +208,4 @@ let suite =
       ("naive PP matches fast (HVP ranking)", test_naive_pp_hvp_ranking);
       ("strategy ranking smoke", test_strategy_ranking_smoke);
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_greedy_equals_reference ]

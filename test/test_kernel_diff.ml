@@ -110,7 +110,9 @@ let test_kernel_vs_naive_metahvp () =
 
 (* The kernel's counters against the oracle's own counts: memoization
    never changes the probe sequence or the attempts a probe makes, it
-   only turns repeated sorts into memo hits. *)
+   only turns repeated sorts into memo hits. A probe the infeasibility
+   certificate refutes makes no attempt, where the oracle tries (and
+   fails) every strategy. *)
 let test_kernel_counters () =
   let inst = gen_instance ~seed:7 ~hosts:5 ~services:14 ~slack:0.35 in
   let _, v =
@@ -123,9 +125,13 @@ let test_kernel_counters () =
        inst);
   Alcotest.(check bool) "kernel solve hits the sort memo" true
     (v "vp_solver.items_cache_hits" > 0);
-  Alcotest.(check int) "kernel attempts = naive attempts"
+  let certified = v "vp_solver.probes_certified" in
+  Alcotest.(check bool) "the certificate refutes a probe" true (certified > 0);
+  Alcotest.(check int)
+    "kernel attempts + certified probes x strategies = naive attempts"
     (Atomic.get naive.attempts)
-    (v "vp_solver.strategy_attempts");
+    (v "vp_solver.strategy_attempts"
+    + (certified * List.length Packing.Strategy.hvp_light));
   Alcotest.(check int) "same probe count either way"
     (Atomic.get naive.probes)
     (v "vp_solver.oracle_calls")
@@ -137,11 +143,15 @@ let test_kernel_counters () =
    the per-class cursors left as the full scan made them;
    [packing.perm_keys_tried] counts one key per class that offers a
    fitting item at a select pass (the full scan's one key per fitting item
-   gave 43_494 / 519_513 / 127_689). *)
+   gave 43_494 / 519_513 / 127_689). The infeasibility certificate
+   refutes one probe of each solve, which before it cost every strategy
+   (attempts 208 / 1_534 / 370, bins 35_549 / 152_831 / 47_377, select
+   passes 7_652 / 60_453 / 14_098, keys 3_763 / 47_965 / 10_394). *)
 let golden_counters =
   [ "binary_search.rounds"; "vp_solver.oracle_calls";
     "vp_solver.strategy_attempts"; "packing.bins_examined";
-    "packing.placement_attempts"; "packing.perm_keys_tried" ]
+    "packing.placement_attempts"; "packing.perm_keys_tried";
+    "vp_solver.probes_certified" ]
 
 let test_golden_meta_counters () =
   let inst =
@@ -165,10 +175,47 @@ let test_golden_meta_counters () =
         golden_counters pins)
     Heuristics.Algorithms.
       [
-        (metavp, [ 16; 16; 208; 35_549; 7_652; 3_763 ]);
-        (metahvp, [ 16; 16; 1_534; 152_831; 60_453; 47_965 ]);
-        (metahvplight, [ 16; 16; 370; 47_377; 14_098; 10_394 ]);
+        (metavp, [ 16; 16; 175; 30_312; 6_516; 3_200; 1 ]);
+        (metahvp, [ 16; 16; 1_281; 130_472; 51_286; 41_037; 1 ]);
+        (metahvplight, [ 16; 16; 310; 40_933; 12_071; 9_016; 1 ]);
       ]
+
+(* The certificate is exact: wherever it refutes a probe, every strategy
+   of METAVP and METAHVP fails on the naive path. Yields 0 and 1 are the
+   search's first probes, a random one stands for the bisection's. The
+   run fails unless the certificate fired on at least a tenth of the
+   probes it judged, so the implication cannot hold vacuously. *)
+let certified = ref 0 and judged = ref 0
+
+let prop_certificate_exact =
+  QCheck2.Test.make ~name:"certified probes fail every strategy" ~count:150
+    ~print:(fun (p, y) -> Printf.sprintf "%s, y=%.17g" (Instance_gen.print p) y)
+    QCheck2.Gen.(pair Instance_gen.gen (float_range 0. 1.))
+    (fun (p, y) ->
+      let inst = Instance_gen.instance p in
+      List.for_all
+        (fun y ->
+          incr judged;
+          (not
+             (Packing.Strategy.infeasible (Packing.Strategy.cache ())
+                ~bins:(VS.fresh_bins inst) ~items:(VS.items_at_yield inst y)))
+          || begin
+               incr certified;
+               List.for_all
+                 (fun s -> VS.pack_at_yield s inst y = None)
+                 (Packing.Strategy.vp_all @ Packing.Strategy.hvp_all)
+             end)
+        [ 0.; 1.; y ])
+
+let test_certificate_exact =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_certificate_exact in
+  Alcotest.test_case name speed (fun () ->
+      certified := 0;
+      judged := 0;
+      run ();
+      if !certified * 10 < !judged then
+        Alcotest.failf "certificate fired on %d of %d probes, under a tenth"
+          !certified !judged)
 
 let suite =
   List.map
@@ -180,3 +227,4 @@ let suite =
       ("escape hatch + kernel counters", test_kernel_counters);
       ("golden META work counters", test_golden_meta_counters);
     ]
+  @ [ test_certificate_exact ]

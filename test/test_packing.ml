@@ -191,6 +191,59 @@ let test_hvp_first_fit_sorted_bins () =
   | Some assign -> Alcotest.(check (array int)) "small bin first" [| 1 |] assign
   | None -> Alcotest.fail "should pack"
 
+(* The infeasibility certificate at its boundaries. [packable] runs every
+   METAHVP strategy on fresh bins. *)
+let certifies bins items =
+  Strategy.infeasible (Strategy.cache ()) ~bins:(bins ()) ~items
+
+let packable bins items =
+  List.exists
+    (fun s -> Strategy.run s ~bins:(bins ()) ~items <> None)
+    Strategy.hvp_all
+
+(* Every item is its bin's [Bin.fits] threshold, [c +. 1e-9 *. max 1 c].
+   Summed in item order the demands round one ulp above the thresholds
+   summed in bin order, so only the margin keeps this packing
+   uncertified. *)
+let test_certificate_exact_fill () =
+  let caps = [ 0.1; 0.1; 2.0 ] in
+  let thr c = c +. (1e-9 *. Float.max 1. c) in
+  let bins () = Array.of_list (List.mapi (fun id c -> ubin id [ c ]) caps) in
+  let items =
+    Array.of_list (List.mapi (fun id c -> uitem id [ thr c ]) (List.rev caps))
+  in
+  let sum = List.fold_left ( +. ) 0. in
+  Alcotest.(check bool) "demands round above the thresholds" true
+    (sum (List.rev_map thr caps) > sum (List.map thr caps));
+  Alcotest.(check bool) "packable" true (packable bins items);
+  Alcotest.(check bool) "not certified" false (certifies bins items)
+
+(* Bins under 1 have the absolute tolerance 1e-9; four items each half of
+   it over their bin put the total 2e-9 over capacity, beyond the margin
+   but within the summed tolerances. *)
+let test_certificate_half_tolerance () =
+  let bins () = Array.init 4 (fun id -> ubin id [ 0.25 ]) in
+  let items = Array.init 4 (fun id -> uitem id [ 0.25 +. 0.5e-9 ]) in
+  Alcotest.(check bool) "packable" true (packable bins items);
+  Alcotest.(check bool) "not certified" false (certifies bins items)
+
+(* The second item fits neither bin, though the volumes alone would
+   pass. *)
+let test_certificate_oversized_item () =
+  let bins () = [| ubin 0 [ 0.5; 1. ]; ubin 1 [ 1.; 0.5 ] |] in
+  let items = [| uitem 0 [ 0.1; 0.1 ]; uitem 1 [ 0.75; 0.75 ] |] in
+  Alcotest.(check bool) "certified" true (certifies bins items)
+
+(* Each item fits bin 0 empty, but only bin 0 takes demand in dimension 0:
+   the zero-demand item fitting bin 1 does not make it usable there. *)
+let test_certificate_usable_bins () =
+  let bins () = [| ubin 0 [ 1.; 1. ]; ubin 1 [ 0.5; 1. ] |] in
+  let items =
+    [| uitem 0 [ 0.6; 0. ]; uitem 1 [ 0.6; 0. ]; uitem 2 [ 0.; 0.1 ] |]
+  in
+  Alcotest.(check bool) "not packable" false (packable bins items);
+  Alcotest.(check bool) "certified" true (certifies bins items)
+
 (* Random packing instances. *)
 
 let random_packing_gen =
@@ -400,4 +453,12 @@ let suite =
         prop_pp_cp_coincide_at_window_1;
         prop_cursor_pp_equals_scan;
         prop_strategies_agree_on_feasibility_direction;
+      ]
+  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
+      [
+        ("certificate: exact fill", test_certificate_exact_fill);
+        ("certificate: half a tolerance over",
+         test_certificate_half_tolerance);
+        ("certificate: oversized item", test_certificate_oversized_item);
+        ("certificate: usable bins", test_certificate_usable_bins);
       ]

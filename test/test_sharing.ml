@@ -47,6 +47,22 @@ let test_zero_weights_rejected () =
         (Sharing.Work_conserving.allocate ~capacity:1. ~weights:[| 0.; 0. |]
            ~needs:[| 0.5; 0.5 |]))
 
+(* Service 0's share comes within epsilon of its need, so the first round
+   marks it satisfied 1.06e-5 short; every service is then satisfied,
+   and the rounds end with 0.69 of the capacity unallocated. *)
+let test_satisfied_service_topped_up () =
+  let capacity = 1.8813950326712636
+  and needs = [| 0.76821461802129076; 0.42200652019694618 |] in
+  let alloc =
+    Sharing.Work_conserving.allocate ~capacity
+      ~weights:[| 1.5970648664837532; 2.3142786856353825 |]
+      ~needs
+  in
+  Alcotest.(check (float 0.)) "service 0 gets its need" needs.(0) alloc.(0);
+  Alcotest.(check (float 0.)) "service 1 gets its need" needs.(1) alloc.(1);
+  Alcotest.(check bool) "within capacity" true
+    (alloc.(0) +. alloc.(1) <= capacity)
+
 let test_multi_round_cascade () =
   (* Three services; two successive satisfactions release capacity. *)
   let alloc =
@@ -323,3 +339,5 @@ let suite =
         prop_adaptive_threshold_clamped;
         prop_theorem_bound_holds;
       ]
+  @ [ Alcotest.test_case "satisfied service topped up" `Quick
+        test_satisfied_service_topped_up ]
