@@ -581,7 +581,7 @@ let inspect_cmd =
   in
   let run file =
     match Model.Codec.read_file file with
-    | Error e -> `Error (false, e)
+    | Error e -> `Error (false, Printf.sprintf "cannot read %s: %s" file e)
     | Ok inst ->
         let open Vec in
         let total = Model.Instance.total_capacity inst in

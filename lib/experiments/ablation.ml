@@ -99,8 +99,8 @@ let pp_implementation ?pool ?(dims_list = [ 2; 3; 4; 5; 6; 7 ]) ?(items = 80)
         let items_b = mk_items2 () in
         let bins_a = mk_bins () in
         let bins_b = mk_bins2 () in
-        (* The solves' path: cursor selection through a scratch, here a
-           fresh one per pack. *)
+        (* The solves' path: cursor selection, on a fresh scratch per
+           pack. *)
         let ok_a, t_fast =
           timed (fun () ->
               Packing.Permutation_pack.pack

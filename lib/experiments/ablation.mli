@@ -24,11 +24,10 @@ val pp_implementation :
   ?pool:Par.Pool.t ->
   ?dims_list:int list -> ?items:int -> ?bins:int -> ?reps:int -> unit ->
   pp_impl_row list
-(** The Permutation-Pack path solves run — {!Packing.Permutation_pack.pack}
-    with a fresh scratch, selecting through per-key-class cursors — vs the
-    literal D!-list formulation on synthetic packing instances: identical
-    packings, diverging cost as D grows (the complexity improvement of
-    §3.5.2). *)
+(** {!Packing.Permutation_pack.pack} on a fresh scratch, selecting through
+    per-key-class cursors as the solves do, vs the literal D!-list
+    formulation on synthetic packing instances: identical packings,
+    diverging cost as D grows (the complexity improvement of §3.5.2). *)
 
 type tolerance_row = {
   tolerance : float;

@@ -73,11 +73,6 @@ let exact_milp ?node_limit () =
         | Some None | None -> None);
   }
 
-let single_vp strategy =
-  { name = Packing.Strategy.name strategy;
-    kind = Yield_search [ strategy ];
-    solve = Vp_solver.solve strategy }
-
 let single_greedy sort place =
   {
     name =

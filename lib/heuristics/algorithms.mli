@@ -46,10 +46,6 @@ val rrnz_probed : seed:int -> t
 val exact_milp : ?node_limit:int -> unit -> t
 (** Branch-and-bound on the full MILP; only tractable on small instances. *)
 
-val single_vp : Packing.Strategy.t -> t
-(** A single packing strategy driven by the yield binary search; the name
-    is {!Packing.Strategy.name}. *)
-
 val single_greedy : Greedy.sort_strategy -> Greedy.place_strategy -> t
 
 val majors : seed:int -> t list

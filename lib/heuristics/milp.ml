@@ -157,15 +157,11 @@ let probe_formulation instance ~yield_floor =
   let objective = Array.make problem.Lp.Problem.n_vars 0. in
   ({ problem with Lp.Problem.objective; lower }, mapping)
 
-let relaxed_yield_search ?tolerance ?(warm = true) instance =
+let relaxed_yield_search instance =
   let oracle basis y =
     let problem, mapping = probe_formulation instance ~yield_floor:y in
-    let warm_basis = if warm then basis else None in
-    let result, returned = Lp.Simplex.solve_basis ?warm_basis problem in
-    let next =
-      if not warm then None
-      else match returned with Some _ -> returned | None -> basis
-    in
+    let result, returned = Lp.Simplex.solve_basis ?warm_basis:basis problem in
+    let next = match returned with Some _ -> returned | None -> basis in
     match result with
     | Lp.Simplex.Optimal sol ->
         (next, Some (e_matrix_of instance mapping sol.Lp.Simplex.x))
@@ -174,4 +170,4 @@ let relaxed_yield_search ?tolerance ?(warm = true) instance =
         (* Every probe variable lives in [0,1] and the objective is 0. *)
         assert false
   in
-  Binary_search.maximize_warm ?tolerance ~init:None oracle
+  Binary_search.maximize_warm ~init:None oracle

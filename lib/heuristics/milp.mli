@@ -55,14 +55,12 @@ val probe_formulation :
     warm-starts the next ({!Lp.Simplex.solve_basis}). *)
 
 val relaxed_yield_search :
-  ?tolerance:float -> ?warm:bool -> Model.Instance.t ->
-  (float array array * float) option
+  Model.Instance.t -> (float array array * float) option
 (** Binary search on the yield using {!probe_formulation} probes (one LP
     feasibility check per probe) instead of one maximizing LP solve.
     Returns the fractional [e_jh] matrix of the highest feasible probe and
-    that probe's yield; [None] when even yield 0 is infeasible. [warm]
-    (default true) threads the previous probe's basis into each solve via
-    {!Binary_search.maximize_warm}; the probe schedule is identical either
-    way, so [warm] trades pivots, never answers (the differential suite
-    locks warm-vs-cold agreement). [tolerance] as in
-    {!Binary_search.maximize}. *)
+    that probe's yield; [None] when even yield 0 is infeasible. Each probe
+    re-optimizes from the previous probe's basis
+    ({!Binary_search.maximize_warm}); the probe schedule is the same as a
+    search of cold solves, so warm starts trade pivots, never answers (the
+    differential suite locks warm-vs-cold agreement). *)

@@ -57,50 +57,35 @@ let round_probabilities ~rng ~e_matrix instance =
   in
   loop 0
 
-let default_rng () = Prng.Rng.create ~seed:0
+(* RRNZ (§3.3.2): every zero probability becomes the paper's ε = 0.01. *)
+let no_zeros =
+  Array.map (Array.map (fun p -> if p <= 0. then 0.01 else p))
 
-let run_rounding ~rng ~adjust instance =
-  match Milp.relaxed_e_matrix instance with
+(* Shared by all four variants, which differ only in where the e-matrix
+   comes from and whether its zeros are lifted. *)
+let round ~rng ~adjust e_matrix instance =
+  match e_matrix with
   | None -> None
   | Some e_matrix -> (
-      let e_matrix = adjust e_matrix in
-      match round_probabilities ~rng ~e_matrix instance with
+      match round_probabilities ~rng ~e_matrix:(adjust e_matrix) instance with
       | None -> None
       | Some placement -> Vp_solver.evaluate instance placement)
 
-let rrnd ?rng instance =
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  run_rounding ~rng ~adjust:Fun.id instance
+(* The probe-based variants round the e-matrix of the highest feasible
+   warm-started feasibility probe (Milp.relaxed_yield_search) instead of
+   the one maximizing LP's. That vertex is feasibility-tight at the found
+   yield rather than objective-optimal, and often spreads mass over more
+   nodes. *)
+let probed instance = Option.map fst (Milp.relaxed_yield_search instance)
 
-let rrnz ?rng ?(epsilon = 0.01) instance =
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  let adjust =
-    Array.map (Array.map (fun p -> if p <= 0. then epsilon else p))
-  in
-  run_rounding ~rng ~adjust instance
+let rrnd ~rng instance =
+  round ~rng ~adjust:Fun.id (Milp.relaxed_e_matrix instance) instance
 
-(* Probe-based variants: instead of one maximizing LP, binary-search the
-   yield with warm-started feasibility probes (Milp.relaxed_yield_search)
-   and round the e-matrix of the highest feasible probe. The rounding pass
-   itself is unchanged; what differs is which vertex supplies the
-   probabilities (the probe vertex is feasibility-tight at the found yield
-   rather than objective-optimal, often spreading mass over more nodes). *)
-let run_probed ~rng ~adjust ?tolerance instance =
-  match Milp.relaxed_yield_search ?tolerance instance with
-  | None -> None
-  | Some (e_matrix, _yield) -> (
-      let e_matrix = adjust e_matrix in
-      match round_probabilities ~rng ~e_matrix instance with
-      | None -> None
-      | Some placement -> Vp_solver.evaluate instance placement)
+let rrnz ~rng instance =
+  round ~rng ~adjust:no_zeros (Milp.relaxed_e_matrix instance) instance
 
-let rrnd_probed ?rng ?tolerance instance =
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  run_probed ~rng ~adjust:Fun.id ?tolerance instance
+let rrnd_probed ~rng instance =
+  round ~rng ~adjust:Fun.id (probed instance) instance
 
-let rrnz_probed ?rng ?(epsilon = 0.01) ?tolerance instance =
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  let adjust =
-    Array.map (Array.map (fun p -> if p <= 0. then epsilon else p))
-  in
-  run_probed ~rng ~adjust ?tolerance instance
+let rrnz_probed ~rng instance =
+  round ~rng ~adjust:no_zeros (probed instance) instance

@@ -6,29 +6,23 @@
     requirements (given what was already committed) gets its probability
     zeroed and the draw is repeated. RRND fails when a service's entire
     probability row is exhausted; RRNZ (§3.3.2) first replaces every zero
-    probability with [epsilon], so a service can land on any node that has
-    room. *)
+    probability with the paper's ε = 0.01, so a service can land on any
+    node that has room. *)
 
-val rrnd :
-  ?rng:Prng.Rng.t -> Model.Instance.t -> Vp_solver.solution option
-(** Randomized Rounding. Default [rng] is seeded with 0. *)
+val rrnd : rng:Prng.Rng.t -> Model.Instance.t -> Vp_solver.solution option
+(** Randomized Rounding. *)
 
-val rrnz :
-  ?rng:Prng.Rng.t -> ?epsilon:float -> Model.Instance.t ->
-  Vp_solver.solution option
-(** Randomized Rounding with No Zero probabilities; [epsilon] defaults to
-    the paper's 0.01. *)
+val rrnz : rng:Prng.Rng.t -> Model.Instance.t -> Vp_solver.solution option
+(** Randomized Rounding with No Zero probabilities. *)
 
 val rrnd_probed :
-  ?rng:Prng.Rng.t -> ?tolerance:float -> Model.Instance.t ->
-  Vp_solver.solution option
+  rng:Prng.Rng.t -> Model.Instance.t -> Vp_solver.solution option
+
 val rrnz_probed :
-  ?rng:Prng.Rng.t -> ?epsilon:float -> ?tolerance:float ->
-  Model.Instance.t -> Vp_solver.solution option
+  rng:Prng.Rng.t -> Model.Instance.t -> Vp_solver.solution option
 (** Probe-based RRND/RRNZ: the probability matrix comes from
-    {!Milp.relaxed_yield_search} (warm-started yield probes, [tolerance]
-    as in {!Binary_search.maximize}) instead of the single maximizing LP
-    solve. Same rounding pass and defaults as {!rrnd}/{!rrnz}. *)
+    {!Milp.relaxed_yield_search} (warm-started yield probes) instead of the
+    single maximizing LP solve. Same rounding pass as {!rrnd}/{!rrnz}. *)
 
 val round_probabilities :
   rng:Prng.Rng.t ->

@@ -3,20 +3,10 @@ type solution = {
   min_yield : float;
 }
 
-let items_at_yield instance y =
-  Array.init (Model.Instance.n_services instance) (fun j ->
-      let s = Model.Instance.service instance j in
-      Packing.Item.v ~id:j ~demand:(Model.Service.demand_at_yield s y))
-
 let fresh_bins instance =
   Array.init (Model.Instance.n_nodes instance) (fun h ->
       let node = Model.Instance.node instance h in
       Packing.Bin.v ~id:h ~capacity:node.Model.Node.capacity)
-
-let pack_at_yield strategy instance y =
-  let items = items_at_yield instance y in
-  let bins = fresh_bins instance in
-  Packing.Strategy.run strategy ~bins ~items
 
 (* Oracle-level observability: how many fixed-yield probes a solve costs,
    how many strategy attempts each probe burns before one packs, and which
@@ -42,12 +32,13 @@ let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
    memoizes per-probe sort orders and Permutation-Pack item key classes
    through [Strategy.cache].
 
-   Bit-identity with the naive fresh-allocation path ([pack_at_yield] per
-   strategy): refilled demands use the exact [axpy] expression fresh
-   allocation uses; reset bins equal fresh bins; memoized sorts are the
-   same stable sorts over the same values; and the scratch-backed
-   Permutation-Pack selection picks, through its per-key-class cursors,
-   the item the full scan picks. Locked down by test_kernel_diff.ml. *)
+   Bit-identity with a fresh-allocation probe (new items and bins per
+   attempt, fresh sorts, Permutation-Pack by full scan): refilled demands
+   use the exact [axpy] expression [Service.demand_at_yield] uses; reset
+   bins equal fresh bins; memoized sorts are the same stable sorts over
+   the same values; and the per-key-class cursors pick the item the full
+   scan picks. test_kernel_diff.ml locks this against that reference,
+   [Oracles.Naive_probe]. *)
 type kernel = {
   k_items : Packing.Item.t array;
   k_bins : Packing.Bin.t array;

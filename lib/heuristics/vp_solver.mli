@@ -6,10 +6,10 @@
     a valid placement at that yield.
 
     Every probe of a solve runs through the probe-shared packing kernel
-    (DESIGN.md §11), the one production probe path; each solve owns one
-    kernel. The naive fresh-allocation path it must match bit-for-bit is
-    {!pack_at_yield} per strategy, which the test suite's oracle drives
-    under the same search. A probe that {!Packing.Strategy.infeasible}
+    (DESIGN.md §11), the one probe path; each solve owns one kernel. The
+    test suite checks it bit-for-bit against a fresh-allocation reference
+    probe that sorts afresh and packs Permutation-Pack by full scan
+    ([Oracles.Naive_probe]). A probe that {!Packing.Strategy.infeasible}
     refutes returns no placement without running any strategy, as every
     strategy would have failed ([vp_solver.probes_certified] counts
     these).
@@ -26,16 +26,6 @@ type solution = {
           least the yield the binary search proved feasible. *)
 }
 
-val items_at_yield : Model.Instance.t -> float -> Packing.Item.t array
-(** Service demands at a common yield, in service-id order. *)
-
-val fresh_bins : Model.Instance.t -> Packing.Bin.t array
-(** Empty bins mirroring the instance's nodes. *)
-
-val pack_at_yield :
-  Packing.Strategy.t -> Model.Instance.t -> float -> Model.Placement.t option
-(** One fixed-yield feasibility probe with a single strategy. *)
-
 val solve :
   ?tolerance:float -> Packing.Strategy.t -> Model.Instance.t -> solution option
 (** Binary-search the yield ({!Binary_search.maximize}) with a single
@@ -43,9 +33,9 @@ val solve :
 
     Probes run through the probe-shared packing kernel (DESIGN.md §11):
     item/bin scratch refilled in place, memoized sort orders and
-    Permutation-Pack item key classes — bit-identical to {!pack_at_yield}
-    per probe, just cheaper (the test suite locks it against that naive
-    path). Each solve makes one kernel, which its probes reuse one after
+    Permutation-Pack item key classes — bit-identical to a fresh-allocation
+    probe per strategy, just cheaper (the test suite locks it against that
+    reference). Each solve makes one kernel, which its probes reuse one after
     another and which is dropped with the solve. Kernel sort-memo hits
     land on the [vp_solver.items_cache_hits] counter. *)
 

@@ -29,7 +29,11 @@ let branching_variable (p : Problem.t) x =
   done;
   if !best >= 0 then Some !best else None
 
-let solve ?(node_limit = 200_000) ?(absolute_gap = 1e-7) (p : Problem.t) =
+(* A node is pruned unless its relaxation beats the incumbent by more than
+   this. *)
+let absolute_gap = 1e-7
+
+let solve ?(node_limit = 200_000) (p : Problem.t) =
   let better a b =
     match p.sense with
     | Problem.Maximize -> a > b

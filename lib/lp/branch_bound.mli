@@ -4,8 +4,8 @@
     §3.1–3.2. Depth-first search branching on the most fractional integer
     variable; each branch tightens that variable's bounds
     ([x <= floor v] / [x >= ceil v]) and re-solves the LP relaxation.
-    Nodes whose relaxation cannot beat the incumbent by more than
-    [absolute_gap] are pruned — with the paper's binary placement variables
+    Nodes whose relaxation cannot beat the incumbent by more than an
+    absolute gap of [1e-7] are pruned — with the paper's binary placement variables
     this explores a manageable tree on small instances.
 
     Each node's relaxation is warm-started from its parent's optimal basis
@@ -18,7 +18,7 @@
 
 type outcome =
   | Optimal of Simplex.solution
-      (** Proven optimal within [absolute_gap]. *)
+      (** Proven optimal within the absolute gap [1e-7]. *)
   | Infeasible
   | Unbounded
       (** The LP relaxation is unbounded (cannot happen for the paper's
@@ -26,7 +26,5 @@ type outcome =
   | Node_limit of Simplex.solution option
       (** Search truncated; carries the best incumbent found, if any. *)
 
-val solve :
-  ?node_limit:int -> ?absolute_gap:float -> Problem.t -> outcome
-(** [node_limit] defaults to 200_000 relaxation solves; [absolute_gap]
-    defaults to [1e-7]. *)
+val solve : ?node_limit:int -> Problem.t -> outcome
+(** [node_limit] defaults to 200_000 relaxation solves. *)

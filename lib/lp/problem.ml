@@ -72,8 +72,6 @@ let c ?(name = "") coeffs relation rhs = { name; coeffs; relation; rhs }
 
 let relax p = { p with integer = Array.make p.n_vars false }
 
-let n_constraints p = List.length p.constraints
-
 let eval_constraint x cstr =
   List.fold_left (fun acc (v, a) -> acc +. (a *. x.(v))) 0. cstr.coeffs
 
@@ -156,14 +154,6 @@ module Csc = struct
     col_ptr.(n_cols) <- !k;
     { n_rows; n_cols; col_ptr; row_idx; values }
 
-  let nnz m = Array.length m.values
-
-  let col_nnz m j = m.col_ptr.(j + 1) - m.col_ptr.(j)
-
-  let density m =
-    let cells = m.n_rows * m.n_cols in
-    if cells = 0 then 0. else float_of_int (nnz m) /. float_of_int cells
-
   let iter_col m j f =
     for k = m.col_ptr.(j) to m.col_ptr.(j + 1) - 1 do
       f m.row_idx.(k) m.values.(k)
@@ -176,25 +166,3 @@ module Csc = struct
     done;
     !acc
 end
-
-let pp_relation ppf = function
-  | Le -> Format.pp_print_string ppf "<="
-  | Ge -> Format.pp_print_string ppf ">="
-  | Eq -> Format.pp_print_string ppf "="
-
-let pp ppf p =
-  let sense = match p.sense with Maximize -> "max" | Minimize -> "min" in
-  Format.fprintf ppf "@[<v>%s" sense;
-  Array.iteri
-    (fun i coef ->
-      if coef <> 0. then Format.fprintf ppf " %+gx%d" coef i)
-    p.objective;
-  Format.fprintf ppf "@,s.t.";
-  List.iter
-    (fun cstr ->
-      Format.fprintf ppf "@,  ";
-      List.iter (fun (v, a) -> Format.fprintf ppf "%+gx%d " a v) cstr.coeffs;
-      Format.fprintf ppf "%a %g" pp_relation cstr.relation cstr.rhs;
-      if cstr.name <> "" then Format.fprintf ppf "  (%s)" cstr.name)
-    p.constraints;
-  Format.fprintf ppf "@]"

@@ -51,11 +51,6 @@ val c : ?name:string -> (int * float) list -> relation -> float -> linear_constr
 val relax : t -> t
 (** Drop all integrality constraints (the rational relaxation of §3.2). *)
 
-val n_constraints : t -> int
-
-val eval_constraint : float array -> linear_constraint -> float
-(** Left-hand-side value of a constraint at a point. *)
-
 val is_feasible : ?tol:float -> t -> float array -> bool
 (** Check bounds, constraints and (if present) integrality at a point.
     Default tolerance [1e-6]. *)
@@ -79,14 +74,6 @@ module Csc : sig
 
   val of_problem : t -> matrix
 
-  val nnz : matrix -> int
-
-  val col_nnz : matrix -> int -> int
-  (** Stored entries of one column — O(1). *)
-
-  val density : matrix -> float
-  (** [nnz / (n_rows * n_cols)], 0 for an empty matrix. *)
-
   val iter_col : matrix -> int -> (int -> float -> unit) -> unit
   (** [iter_col m j f] calls [f row value] for each stored entry of column
       [j], in ascending row order. *)
@@ -95,5 +82,3 @@ module Csc : sig
   (** [col_dot m j x] is the dot product of column [j] with the (dense,
       length [n_rows]) vector [x]. *)
 end
-
-val pp : Format.formatter -> t -> unit

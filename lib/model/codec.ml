@@ -85,24 +85,29 @@ let of_string text =
             if parse_int l0 v <> version then
               fail l0 (Printf.sprintf "unsupported version %s" v)
         | _ -> fail l0 "bad header");
-        let dims, rest =
-          match rest with
-          | (l, [ "dims"; d ]) :: rest -> (parse_int l d, rest)
-          | (l, _) :: _ -> fail l "expected 'dims D'"
+        (* A count line [kw N] with N positive, and its line number. *)
+        let count kw ~what = function
+          | (l, [ k; n ]) :: rest when k = kw ->
+              let n = parse_int l n in
+              if n <= 0 then fail l (kw ^ " must be positive");
+              (n, l, rest)
+          | (l, _) :: _ -> fail l (Printf.sprintf "expected '%s %s'" kw what)
           | [] -> fail l0 "truncated"
         in
-        if dims <= 0 then fail l0 "dims must be positive";
-        let n_nodes, rest =
-          match rest with
-          | (l, [ "nodes"; n ]) :: rest -> (parse_int l n, rest)
-          | (l, _) :: _ -> fail l "expected 'nodes H'"
-          | [] -> fail l0 "truncated"
+        (* Ids are the 0-based positions in the file. *)
+        let check_id l kind id pos =
+          if id <> pos then
+            fail l (Printf.sprintf "%s id %d out of order: expected %d" kind id
+                      pos)
         in
-        let parse_node (l, toks) =
+        let dims, _, rest = count "dims" ~what:"D" rest in
+        let n_nodes, l_nodes, rest = count "nodes" ~what:"H" rest in
+        let parse_node pos (l, toks) =
           let toks = expect_keyword l "node" toks in
           match toks with
           | id :: toks ->
               let id = parse_int l id in
+              check_id l "node" id pos;
               let toks = expect_keyword l "elt" toks in
               let elt, toks = take_floats l dims toks [] in
               let toks = expect_keyword l "agg" toks in
@@ -116,24 +121,26 @@ let of_string text =
                      ~aggregate:(Vec.Vector.of_list agg))
           | [] -> fail l "expected node id"
         in
-        let rec split_at n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> fail l0 "truncated node/service list"
-          | x :: rest -> split_at (n - 1) (x :: acc) rest
+        (* The [n] entry lines a count line at [l] announces. *)
+        let split_at l n lines =
+          let rec go n acc = function
+            | rest when n = 0 -> (List.rev acc, rest)
+            | [] -> fail l "truncated node/service list"
+            | x :: rest -> go (n - 1) (x :: acc) rest
+          in
+          go n [] lines
         in
-        let node_lines, rest = split_at n_nodes [] rest in
-        let nodes = Array.of_list (List.map parse_node node_lines) in
-        let n_services, rest =
-          match rest with
-          | (l, [ "services"; n ]) :: rest -> (parse_int l n, rest)
-          | (l, _) :: _ -> fail l "expected 'services J'"
-          | [] -> fail l0 "truncated"
+        let node_lines, rest = split_at l_nodes n_nodes rest in
+        let nodes = Array.of_list (List.mapi parse_node node_lines) in
+        let n_services, l_services, rest =
+          count "services" ~what:"J" rest
         in
-        let parse_service (l, toks) =
+        let parse_service pos (l, toks) =
           let toks = expect_keyword l "service" toks in
           match toks with
           | id :: toks ->
               let id = parse_int l id in
+              check_id l "service" id pos;
               let toks = expect_keyword l "req-elt" toks in
               let re, toks = take_floats l dims toks [] in
               let toks = expect_keyword l "req-agg" toks in
@@ -155,11 +162,13 @@ let of_string text =
                      ~aggregate:(Vec.Vector.of_list na))
           | [] -> fail l "expected service id"
         in
-        let service_lines, rest = split_at n_services [] rest in
+        let service_lines, rest = split_at l_services n_services rest in
         (match rest with
         | [] -> ()
         | (l, _) :: _ -> fail l "trailing content");
-        let services = Array.of_list (List.map parse_service service_lines) in
+        let services =
+          Array.of_list (List.mapi parse_service service_lines)
+        in
         Ok (Instance.v ~nodes ~services)
   with
   | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)

@@ -17,13 +17,6 @@ let group_by_node instance placement =
   done;
   groups
 
-let services_on instance placement h =
-  let acc = ref [] in
-  for j = Array.length placement - 1 downto 0 do
-    if placement.(j) = h then acc := Instance.service instance j :: !acc
-  done;
-  !acc
-
 let feasible instance placement =
   is_valid instance placement
   && (let groups = group_by_node instance placement in
@@ -167,12 +160,3 @@ let check_constraints ?(tol = 1e-6) instance { placement; yields } =
     end
   in
   check_aggregate 0
-
-let pp ppf t =
-  Format.fprintf ppf "[";
-  Array.iteri
-    (fun j h ->
-      if j > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%d→%d" j h)
-    t;
-  Format.fprintf ppf "]"

@@ -12,9 +12,6 @@ type t = int array
 
 type allocation = { placement : t; yields : float array }
 
-val services_on : Instance.t -> t -> int -> Service.t list
-(** Services placed on a node, in increasing id order. *)
-
 val group_by_node : Instance.t -> t -> Service.t list array
 (** All nodes' service lists in one pass. *)
 
@@ -38,5 +35,3 @@ val check_constraints :
     (4), elementary capacities (5), aggregate capacities (6), yield ranges
     (2). Returns a human-readable reason on failure. Default [tol]
     is [1e-6]. *)
-
-val pp : Format.formatter -> t -> unit

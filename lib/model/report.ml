@@ -30,7 +30,9 @@ let bar width fraction =
   in
   String.make filled '#' ^ String.make (width - filled) '.'
 
-let render ?(bar_width = 20) instance (alloc : Placement.allocation) =
+let bar_width = 20
+
+let render instance (alloc : Placement.allocation) =
   let buf = Buffer.create 1024 in
   let util = utilization instance alloc in
   let groups = Placement.group_by_node instance alloc.Placement.placement in

@@ -5,8 +5,8 @@
     an operator wants to see after a placement run (used by the CLI and the
     examples). *)
 
-val render : ?bar_width:int -> Instance.t -> Placement.allocation -> string
-(** Multi-line report. [bar_width] defaults to 20 columns. *)
+val render : Instance.t -> Placement.allocation -> string
+(** Multi-line report; utilization bars are 20 columns wide. *)
 
 val utilization : Instance.t -> Placement.allocation -> float array array
 (** [utilization inst alloc] is a H x D matrix of aggregate load divided by

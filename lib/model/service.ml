@@ -43,22 +43,6 @@ let dim t = Vec.Epair.dim t.requirement
 let demand_at_yield t y =
   Vec.Epair.at_yield ~requirement:t.requirement ~need:t.need y
 
-let has_need t =
-  (not (Vec.Vector.is_zero t.need.Vec.Epair.elementary))
-  || not (Vec.Vector.is_zero t.need.Vec.Epair.aggregate)
-
-let scale_cpu_need ~factor t =
-  let scale_dim0 v =
-    Vec.Vector.init (Vec.Vector.dim v) (fun i ->
-        if i = 0 then factor *. Vec.Vector.get v i else Vec.Vector.get v i)
-  in
-  let need =
-    Vec.Epair.v
-      ~elementary:(scale_dim0 t.need.Vec.Epair.elementary)
-      ~aggregate:(scale_dim0 t.need.Vec.Epair.aggregate)
-  in
-  { t with need }
-
 let equal a b =
   a.id = b.id
   && Vec.Epair.equal a.requirement b.requirement

@@ -38,15 +38,6 @@ val dim : t -> int
 val demand_at_yield : t -> float -> Vec.Epair.t
 (** [demand_at_yield s y] is [(rᵉ + y·nᵉ, rᵃ + y·nᵃ)]. *)
 
-val has_need : t -> bool
-(** True when any need component is non-zero. A service with no needs is
-    fully satisfied by its requirement and runs at yield 1 by convention. *)
-
-val scale_cpu_need : factor:float -> t -> t
-(** Multiply the CPU (dimension 0) need components by [factor]; used by the
-    workload generator's normalization and by the error-perturbation
-    machinery. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

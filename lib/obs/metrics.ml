@@ -207,8 +207,6 @@ module Snapshot = struct
       t.s_hists;
     Buffer.add_string buf "}}";
     Buffer.contents buf
-
-  let equal a b = a = b
 end
 
 let snapshot () =

@@ -69,8 +69,6 @@ module Snapshot : sig
   (** The snapshot as a JSON object
       [{"counters": {...}, "histograms": {...}}] with keys sorted by
       name (what [--stats-out] writes; {!Json.parse} reads it back). *)
-
-  val equal : t -> t -> bool
 end
 
 val snapshot : unit -> Snapshot.t

@@ -8,7 +8,6 @@ type event = {
 }
 
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
 let start () = Atomic.set enabled_flag true
 let stop () = Atomic.set enabled_flag false
 

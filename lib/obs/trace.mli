@@ -12,8 +12,6 @@
     disabled (the default), {!span} costs one atomic load and branch and
     calls its thunk directly. *)
 
-val enabled : unit -> bool
-
 val start : unit -> unit
 (** Begin capturing (does not clear previously captured events). *)
 

@@ -17,4 +17,4 @@ val pack :
   unit ->
   bool
 (** Same contract as {!Permutation_pack.pack} with [flavour = Permutation]
-    and [window = D]. *)
+    and [window = D], without a scratch. *)

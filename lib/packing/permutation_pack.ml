@@ -4,41 +4,11 @@ type bin_ranking = By_load | By_remaining_capacity
 
 (* The permutation-key engine's unit of work is one candidate key compared
    while a bin selects its next item: one per key class that offers a
-   fitting item on the cursor path, one per fitting item on the reference
-   scan. Attempts count the select passes (one per placed item plus one
-   final empty pass per bin) on either path. *)
+   fitting item. Attempts count the select passes (one per placed item
+   plus one final empty pass per bin). *)
 let c_keys = Obs.Metrics.counter "packing.perm_keys_tried"
 let c_attempts = Obs.Metrics.counter "packing.placement_attempts"
 let c_placed = Obs.Metrics.counter "packing.placements"
-
-(* Rank positions of a bin's dimensions: position.(d) = rank of dimension d
-   in the bin's preference order (0 = the dimension we most want demand
-   in). *)
-let bin_positions ranking bin =
-  let perm =
-    match ranking with
-    | By_load -> Vec.Vector.permutation_asc (Bin.load_vector bin)
-    | By_remaining_capacity ->
-        Vec.Vector.permutation_desc (Bin.remaining bin)
-  in
-  let pos = Array.make (Array.length perm) 0 in
-  Array.iteri (fun rank d -> pos.(d) <- rank) perm;
-  pos
-
-let item_key ~bin_perm_pos (item : Item.t) =
-  let item_perm = Vec.Vector.permutation_desc (Item.size item) in
-  Array.map (fun d -> bin_perm_pos.(d)) item_perm
-
-let compare_keys flavour ~window a b =
-  let w = min window (Array.length a) in
-  let view key =
-    let v = Array.sub key 0 w in
-    (match flavour with
-    | Permutation -> ()
-    | Choose -> Array.sort compare v);
-    v
-  in
-  compare (view a) (view b)
 
 (* Probe-shared scratch (DESIGN.md §11). An item's key class (see
    [pack_cursors]) depends only on its demand vector, fixed for the whole
@@ -126,9 +96,11 @@ let fill_order ~desc s d =
     order.(!j + 1) <- x
   done
 
-(* [s.pos] := the same ranks [bin_positions] computes, without the load /
-   remaining vector copies ([s.vals] is filled with the very expressions
-   [Bin.load_vector] / [Bin.remaining] use). *)
+(* [s.pos] := the rank of each dimension in the bin's preference order
+   (0 = the dimension we most want demand in): ascending load, or
+   descending remaining capacity. [s.vals] is filled with the very
+   expressions [Bin.load_vector] / [Bin.remaining] use, without their
+   vector copies. *)
 let fill_positions ranking s (bin : Bin.t) =
   let d = Bin.dim bin in
   (match ranking with
@@ -174,12 +146,10 @@ let class_id s flavour ~w (item : Item.t) =
     c
   end
 
-(* Compare two candidate keys without materializing them: key.(k) =
-   pos.(perm.(k)), lexicographic over the first [w] entries
-   ([compare_keys] always sees equal-length views, so polymorphic compare
-   there is exactly this element-wise order). Choose-flavour views are
-   sorted multisets, so any correct sort of the window matches
-   [Array.sort] inside [compare_keys]. *)
+(* Compare two candidate keys without materializing them: an item's key
+   is its descending-demand permutation mapped through the bin's ranks,
+   key.(k) = pos.(perm.(k)), compared lexicographically over the first [w]
+   entries; Choose compares the window as a sorted multiset. *)
 let rec lex_perms pos pa pb w k =
   if k >= w then 0
   else
@@ -217,55 +187,13 @@ let compare_perms flavour ~w s pa pb =
       in
       lex 0
 
-(* Reference selection, kept for [pack] without a scratch: each select
-   pass builds the key of every fitting unplaced item and keeps the
-   smallest. *)
-let pack_scan flavour ~window ranking ~bins ~items =
-  let n_items = Array.length items in
-  let unplaced = Array.make n_items true in
-  let left = ref n_items in
-  let fill_bin bin =
-    let rec select () =
-      if !left = 0 then ()
-      else begin
-        Obs.Metrics.incr c_attempts;
-        let pos = bin_positions ranking bin in
-        let best = ref (-1) and best_key = ref [||] in
-        for j = 0 to n_items - 1 do
-          if unplaced.(j) && Bin.fits bin items.(j) then begin
-            Obs.Metrics.incr c_keys;
-            let key = item_key ~bin_perm_pos:pos items.(j) in
-            (* Strict comparison keeps the earliest item on key ties, which
-               is how the sorted per-permutation lists of the original
-               formulation break ties. *)
-            if !best < 0 || compare_keys flavour ~window key !best_key < 0
-            then begin
-              best := j;
-              best_key := key
-            end
-          end
-        done;
-        if !best >= 0 then begin
-          Obs.Metrics.incr c_placed;
-          Bin.place bin items.(!best);
-          unplaced.(!best) <- false;
-          decr left;
-          select ()
-        end
-      end
-    in
-    select ()
-  in
-  Array.iter fill_bin bins;
-  !left = 0
-
 (* Cursor selection (DESIGN.md §11). An item's key class is the first [w]
    dims of its descending dimension permutation (Permutation) or the set
    of those dims (Choose). A bin ranking is a bijection on dimensions, so
-   under any ranking two items tie iff they share a class, and the scan's
-   pick — the earliest fitting unplaced item among those of smallest key —
-   is the earliest fitting unplaced item of the smallest-key class that
-   has one. A bin's load only grows while it fills (demands are
+   under any ranking two items tie iff they share a class, and the
+   selection rule's pick — the earliest fitting unplaced item among those
+   of smallest key — is the earliest fitting unplaced item of the
+   smallest-key class that has one. A bin's load only grows while it fills (demands are
    non-negative), so an item that does not fit stays unfit until the bin
    closes: each class cursor only moves forward within a bin, and a bin
    costs one pass over the unplaced items plus, per select pass, one fits
@@ -374,7 +302,7 @@ let pack_cursors s flavour ~window ranking ~bins ~items =
   Array.iter fill_bin bins;
   !left = 0
 
-let pack ?(flavour = Permutation) ?window ?(ranking = By_load) ?scratch ~bins
+let pack ?(flavour = Permutation) ?window ?(ranking = By_load) ~scratch ~bins
     ~items () =
   let window =
     match window with
@@ -385,6 +313,4 @@ let pack ?(flavour = Permutation) ?window ?(ranking = By_load) ?scratch ~bins
         if Array.length items = 0 then 1
         else Vec.Epair.dim items.(0).Item.demand
   in
-  match scratch with
-  | None -> pack_scan flavour ~window ranking ~bins ~items
-  | Some s -> pack_cursors s flavour ~window ranking ~bins ~items
+  pack_cursors scratch flavour ~window ranking ~bins ~items

@@ -10,8 +10,8 @@
     of maintaining D! per-permutation item lists, each item's demand
     permutation is mapped through the bin's dimension ranking into a
     {e key}, and the fitting item with the lexicographically smallest key
-    wins. With a {!scratch}, the same picks come from per-key-class
-    cursors, one item scan per bin rather than one per select pass.
+    wins. The picks come from per-key-class cursors held in a {!scratch},
+    one item scan per bin rather than one per select pass.
     [Naive_permutation_pack] is the literal D!-list formulation, kept as an
     executable specification for tests and the complexity ablation.
 
@@ -26,30 +26,21 @@ type bin_ranking = By_load | By_remaining_capacity
 (** Dimension ranking of the current bin: ascending load (homogeneous VP)
     or descending remaining capacity (HVP, §3.5.4). *)
 
-val item_key : bin_perm_pos:int array -> Item.t -> int array
-(** [item_key ~bin_perm_pos item] maps the item's descending-demand
-    dimension permutation through the bin's ranking positions; position
-    array [bin_perm_pos.(d)] is the rank of dimension [d] in the bin's
-    ordering. Exposed for tests. *)
-
-val compare_keys : flavour -> window:int -> int array -> int array -> int
-(** Lexicographic key comparison restricted to the window, set-wise for
-    Choose-Pack. Exposed for tests. *)
-
 type scratch
-(** Probe-shared selection state (DESIGN.md §11). Packing with a scratch
-    selects through per-key-class cursors. Items are grouped by key class
-    — Permutation: the first [w] dimensions of the item's descending
-    demand permutation; Choose: the set of those dimensions — and two
-    items have equal keys under a bin ranking iff they share a class,
-    because a ranking is a bijection on dimensions. A select pass takes
-    the earliest fitting unplaced item of the smallest-key class that has
-    one, which is the item the full scan picks; and since a bin's load
-    only grows while it fills, an item that does not fit stays unfit until
-    the bin closes, so each class's cursor only moves forward within a
-    bin. An attempt then costs one pass over the unplaced items per bin
+(** Probe-shared selection state (DESIGN.md §11): packing selects through
+    per-key-class cursors. Items are grouped by key class — Permutation:
+    the first [w] dimensions of the item's descending demand permutation;
+    Choose: the set of those dimensions — and two items have equal keys
+    under a bin ranking iff they share a class, because a ranking is a
+    bijection on dimensions. A select pass takes the earliest fitting
+    unplaced item of the smallest-key class that has one, which is the
+    fitting item of smallest key (the earliest on ties); and since a bin's
+    load only grows while it fills, an item that does not fit stays unfit
+    until the bin closes, so each class's cursor only moves forward within
+    a bin. An attempt then costs one pass over the unplaced items per bin
     plus, per select pass, one fits test and one key comparison per class,
-    where the scan costs one fits test per unplaced item per select pass.
+    where a full scan costs one fits test per unplaced item per select
+    pass.
 
     The items' classes are memoized by item id for one fixed-yield probe
     and one (flavour, window): invalidate with {!scratch_new_probe} when
@@ -66,7 +57,7 @@ val pack :
   ?flavour:flavour ->
   ?window:int ->
   ?ranking:bin_ranking ->
-  ?scratch:scratch ->
+  scratch:scratch ->
   bins:Bin.t array ->
   items:Item.t array ->
   unit ->
@@ -74,19 +65,13 @@ val pack :
 (** Pack items (already item-sorted: the order breaks key ties) into bins
     (already bin-sorted: bins are filled in order). Each bin is filled by
     select passes, each placing the fitting unplaced item of smallest key
-    (the earliest such item on ties), until no item fits. Defaults:
-    [Permutation], [window = D] (full keys), [By_load], no scratch.
-    Returns false when items remain after all bins are exhausted. Raises
-    [Invalid_argument] on a window [<= 0].
-
-    With a scratch, selection goes through the cursors above, and the
-    items' aggregate demands must be non-negative: a negative component
-    raises [Invalid_argument]. Without one, every select pass scans every
-    item; that path is the reference the cursor path is tested against.
-    Both place the same items in the same order.
+    (the earliest such item on ties), until no item fits; selection goes
+    through the scratch's cursors above. Defaults: [Permutation],
+    [window = D] (full keys), [By_load]. Returns false when items remain
+    after all bins are exhausted. Raises [Invalid_argument] on a window
+    [<= 0], and on an item with a negative aggregate demand component.
 
     Counters: [packing.placement_attempts] counts select passes, one per
-    placed item plus one final empty pass per bin, on either path.
-    [packing.perm_keys_tried] counts the candidate keys compared: with a
-    scratch, one per key class that offers a fitting item at a select
-    pass; without, one per fitting item. *)
+    placed item plus one final empty pass per bin.
+    [packing.perm_keys_tried] counts the candidate keys compared, one per
+    key class that offers a fitting item at a select pass. *)

@@ -27,10 +27,9 @@ let assignment ~bins ~n_items =
    orders sort by capacity, which never changes, so those memos survive
    for the lifetime of the cache. The memoized arrays alias the caller's
    item/bin records (the packing loops only read items and mutate bins in
-   place), and are built by the exact [Vec.Metric.sort] the uncached path
-   runs — same stable sort over the same values — so a cached run is
-   bit-identical to an uncached one. Counted under the solver's namespace:
-   it is [Vp_solver]'s probe bill these hits cut. *)
+   place), and are built by [Vec.Metric.sort] — a stable sort, so a memo
+   hit returns exactly the order a fresh sort would. Counted under the
+   solver's namespace: it is [Vp_solver]'s probe bill these hits cut. *)
 let c_item_hits = Obs.Metrics.counter "vp_solver.items_cache_hits"
 
 type cache = {
@@ -52,37 +51,31 @@ let cache_new_probe c =
   c.sorted_items <- [];
   Permutation_pack.scratch_new_probe c.pp_scratch
 
-let items_in_order cache order items =
-  match cache with
-  | None -> Vec.Metric.sort order Item.size items
-  | Some c -> (
-      match List.assoc_opt order c.sorted_items with
-      | Some sorted ->
-          Obs.Metrics.incr c_item_hits;
-          sorted
-      | None ->
-          let sorted = Vec.Metric.sort order Item.size items in
-          c.sorted_items <- (order, sorted) :: c.sorted_items;
-          sorted)
+let items_in_order c order items =
+  match List.assoc_opt order c.sorted_items with
+  | Some sorted ->
+      Obs.Metrics.incr c_item_hits;
+      sorted
+  | None ->
+      let sorted = Vec.Metric.sort order Item.size items in
+      c.sorted_items <- (order, sorted) :: c.sorted_items;
+      sorted
 
-let bins_in_order cache order bins =
-  match cache with
-  | None -> Vec.Metric.sort order Bin.size bins
-  | Some c -> (
-      match List.assoc_opt order c.sorted_bins with
-      | Some sorted -> sorted
-      | None ->
-          let sorted = Vec.Metric.sort order Bin.size bins in
-          c.sorted_bins <- (order, sorted) :: c.sorted_bins;
-          sorted)
+let bins_in_order c order bins =
+  match List.assoc_opt order c.sorted_bins with
+  | Some sorted -> sorted
+  | None ->
+      let sorted = Vec.Metric.sort order Bin.size bins in
+      c.sorted_bins <- (order, sorted) :: c.sorted_bins;
+      sorted
 
-let run ?cache:memo t ~bins ~items =
-  let items = items_in_order memo t.item_order items in
+let run ~cache t ~bins ~items =
+  let items = items_in_order cache t.item_order items in
   let bins =
     match (t.variant, t.algo) with
     | Vp, _ | _, Best_fit -> bins
     | Hvp, (First_fit | Permutation_pack _) ->
-        bins_in_order memo t.bin_order bins
+        bins_in_order cache t.bin_order bins
   in
   let ok =
     match t.algo with
@@ -100,9 +93,8 @@ let run ?cache:memo t ~bins ~items =
           | Vp -> Permutation_pack.By_load
           | Hvp -> Permutation_pack.By_remaining_capacity
         in
-        let scratch = Option.map (fun c -> c.pp_scratch) memo in
-        Permutation_pack.pack ~flavour ?window ~ranking ?scratch ~bins ~items
-          ()
+        Permutation_pack.pack ~flavour ?window ~ranking
+          ~scratch:cache.pp_scratch ~bins ~items ()
   in
   if ok then Some (assignment ~bins ~n_items:(Array.length items)) else None
 

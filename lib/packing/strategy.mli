@@ -47,13 +47,13 @@ val cache_new_probe : cache -> unit
 (** Drop the item-order memos (call after refilling item demands for a new
     probe); bin-order memos are kept. *)
 
-val run : ?cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
+val run : cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
   int array option
-(** Execute one strategy on fresh copies of nothing — [bins] are mutated.
-    Items must carry dense ids [0 .. n-1]; on success the result maps item
-    id to bin id. Callers should pass freshly created (or {!Bin.reset})
-    bins. With [cache], item/bin sort orders are memoized as documented on
-    {!type-cache}; results are bit-identical with and without it. *)
+(** Execute one strategy; [bins] are mutated. Items must carry dense ids
+    [0 .. n-1]; on success the result maps item id to bin id. Callers
+    should pass freshly created (or {!Bin.reset}) bins. Item and bin sort
+    orders are memoized in [cache] as documented on {!type-cache}, and
+    Permutation-Pack selects through the cache's scratch. *)
 
 val infeasible : cache -> bins:Bin.t array -> items:Item.t array -> bool
 (** The probe-level infeasibility certificate: [true] proves that no

@@ -1,10 +1,5 @@
 type t = Alloc_caps | Alloc_weights | Equal_weights
 
-let name = function
-  | Alloc_caps -> "ALLOCCAPS"
-  | Alloc_weights -> "ALLOCWEIGHTS"
-  | Equal_weights -> "EQUALWEIGHTS"
-
 let consumptions policy ~capacity ~estimated_allocations ~true_needs =
   let j_count = Array.length true_needs in
   if Array.length estimated_allocations <> j_count then

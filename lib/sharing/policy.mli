@@ -16,8 +16,6 @@
 
 type t = Alloc_caps | Alloc_weights | Equal_weights
 
-val name : t -> string
-
 val consumptions :
   t ->
   capacity:float ->

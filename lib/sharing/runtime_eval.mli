@@ -24,14 +24,6 @@ val consumptions :
     each node divides its CPU under the given policy. Indexed by service
     id. *)
 
-val actual_yields :
-  Policy.t ->
-  true_instance:Model.Instance.t ->
-  estimated:Model.Instance.t ->
-  Model.Placement.t ->
-  float array option
-(** Per-service achieved CPU yields, each in [0, 1]. *)
-
 val actual_min_yield :
   Policy.t ->
   true_instance:Model.Instance.t ->

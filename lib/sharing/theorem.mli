@@ -18,13 +18,10 @@ val optimal_min_yield : needs:float array -> float
 (** Omniscient optimum on a unit-capacity node: every service can be given
     the same yield [min 1 (1 / Σ needs)]. *)
 
-val equal_weights_min_yield : needs:float array -> float
-(** Minimum yield when the unit capacity is divided by the work-conserving
-    EQUALWEIGHTS scheduler. *)
-
 val competitive_ratio : needs:float array -> float
-(** [equal_weights_min_yield / optimal_min_yield] (1. when the optimum is
-    0). *)
+(** The minimum yield when the unit capacity is divided by the
+    work-conserving EQUALWEIGHTS scheduler, over {!optimal_min_yield} (1.
+    when the optimum is 0). *)
 
 val worst_case_instance : int -> float array
 (** The tight instance of the proof: [n₁ = 1] and [nⱼ = 1/J] for the

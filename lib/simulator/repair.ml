@@ -6,7 +6,6 @@ type t = {
   residents : (int, entry) Hashtbl.t array;
   mem_load : float array;
   cpu_load : float array;
-  count : int array;
   gap_factor : float;  (* 1 - yield_gap: bin h is unhealthy when
                           cpu_load(h) * gap_factor > cpu_cap(h) *)
   overloaded : (int, unit) Hashtbl.t;  (* bins with cpu_load > cpu_cap *)
@@ -28,7 +27,6 @@ let create ~platform ~yield_gap =
     residents = Array.init n (fun _ -> Hashtbl.create 16);
     mem_load = Array.make n 0.;
     cpu_load = Array.make n 0.;
-    count = Array.make n 0;
     gap_factor = 1. -. yield_gap;
     overloaded = Hashtbl.create 16;
     unhealthy = 0;
@@ -56,7 +54,6 @@ let refresh t h =
     uids;
   t.mem_load.(h) <- !mem;
   t.cpu_load.(h) <- !cpu;
-  t.count.(h) <- List.length uids;
   if is_overloaded t h then Hashtbl.replace t.overloaded h ()
   else Hashtbl.remove t.overloaded h;
   match (was_unhealthy, is_unhealthy t h) with
@@ -183,7 +180,3 @@ let repair t ~target ~budget ~on_move =
   (!moved, !touched)
 
 let healthy t = t.unhealthy = 0
-
-let mem_load t h = t.mem_load.(h)
-let cpu_load t h = t.cpu_load.(h)
-let count t h = t.count.(h)

@@ -41,10 +41,6 @@ val rebuild : t -> (int * entry) array -> unit
     the full-recompute reference path, and the resynchronization step
     after a fallback re-solve moved services wholesale. *)
 
-val probe_limit : int
-(** Random candidate bins examined per arrival before the deterministic
-    full-scan fallback (8, clamped to the node count). *)
-
 val choose :
   t -> Policy.t -> rng:Prng.Rng.t -> mem:float -> int option * int
 (** [choose t policy ~rng ~mem] picks the arrival's node:
@@ -65,7 +61,7 @@ val repair :
   int * int
 (** [repair t ~target ~budget ~on_move] runs the departure-triggered local
     repair pass: walk the currently CPU-overloaded bins in ascending index
-    order — at most {!probe_limit} of them, keeping the pass local even
+    order — at most 8 of them, keeping the pass local even
     when the whole platform is overloaded — and re-pack their residents
     (largest estimated CPU first, ties by uid) into the just-freed
     [target] bin while memory fits and the move does not overload
@@ -77,8 +73,3 @@ val healthy : t -> bool
 (** O(1): no bin's overload proxy exceeds the yield gap. The engine falls
     back to a full re-solve when this turns false after a repair pass or
     at a reallocation epoch. *)
-
-val mem_load : t -> int -> float
-val cpu_load : t -> int -> float
-val count : t -> int -> int
-(** Read-only views for tests and diagnostics. *)

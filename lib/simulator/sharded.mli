@@ -46,17 +46,14 @@ type result = {
           final hosts (node ids are shard-local). *)
   timeline : Obs.Timeline.t option;
       (** Present iff [timeline_interval] was given: the merged
-          fixed-grid telemetry (see {!timeline_cols}). *)
+          fixed-grid telemetry. Its columns, in order: [yield_min] (global
+          min-over-shards yield at the grid instant), [active_services]
+          (sum), [shard_imbalance] ((max - mean) / mean of per-shard live
+          services, 0 when the platform is empty), and [repairs_per_t] /
+          [bins_touched_per_t] / [pivots_per_t] — per-interval counter
+          deltas summed over shards, divided by the interval (rates per
+          virtual-time unit). *)
 }
-
-val timeline_cols : string array
-(** Columns of the merged timeline, in order: [yield_min] (global
-    min-over-shards yield at the grid instant), [active_services] (sum),
-    [shard_imbalance] ((max - mean) / mean of per-shard live services, 0
-    when the platform is empty), and [repairs_per_t] /
-    [bins_touched_per_t] / [pivots_per_t] — per-interval counter deltas
-    summed over shards, divided by the interval (rates per virtual-time
-    unit). *)
 
 val shard_seed : seed:int -> shard:int -> shards:int -> int
 (** The seed of shard [shard]'s RNG stream when [shards > 1] (a stable

@@ -25,7 +25,11 @@ let to_csv ~header points =
     points;
   Buffer.contents buf
 
-let render ?(width = 72) ?(height = 16) ~label samples =
+(* Plot size in characters. *)
+let width = 72
+let height = 16
+
+let render ~label samples =
   match samples with
   | [] -> Printf.sprintf "%s: (no data)" label
   | _ ->

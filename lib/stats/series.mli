@@ -9,8 +9,7 @@ val aggregate : (float * float) list -> point list
 val to_csv : header:string * string -> point list -> string
 (** Two-column CSV ["x,<name>"] of the aggregated means. *)
 
-val render :
-  ?width:int -> ?height:int -> label:string -> (float * float) list -> string
-(** Crude ASCII dot-plot of raw samples (x on the horizontal axis), good
-    enough to eyeball a trend in a terminal; experiment drivers emit CSV
+val render : label:string -> (float * float) list -> string
+(** Crude 72 x 16 ASCII dot-plot of raw samples (x on the horizontal axis),
+    good enough to eyeball a trend in a terminal; the experiments emit CSV
     alongside for real plotting. *)

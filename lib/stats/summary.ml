@@ -50,7 +50,3 @@ let percentile xs p =
   end
 
 let median xs = percentile xs 50.
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f" t.count
-    t.mean t.stddev t.min t.max

@@ -21,5 +21,3 @@ val coefficient_of_variation : float array -> float
 val median : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0, 100], linear interpolation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -47,5 +47,3 @@ let equal ?eps a b =
 let pp ppf p =
   Format.fprintf ppf "@[<h>(elt %a, agg %a)@]" Vector.pp p.elementary
     Vector.pp p.aggregate
-
-let to_string p = Format.asprintf "%a" pp p

@@ -38,4 +38,3 @@ val fits : t -> t -> bool
 val equal : ?eps:float -> t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

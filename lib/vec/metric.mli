@@ -20,9 +20,6 @@ and key = Scalar of scalar | Lex
 val value : scalar -> Vector.t -> float
 (** Scalarize a vector. *)
 
-val compare_key : key -> Vector.t -> Vector.t -> int
-(** Ascending comparison under a key; [Desc] callers negate it. *)
-
 val sort : order -> ('a -> Vector.t) -> 'a array -> 'a array
 (** [sort order proj items] returns a fresh array of [items] sorted by the
     projection of each item. The sort is stable so [Unsorted] and tie
@@ -32,8 +29,6 @@ val all_orders : order list
 (** The 11 item orders of the paper: [Unsorted] plus {asc, desc} x
     {MAX, SUM, MAXRATIO, MAXDIFFERENCE, LEX}. *)
 
-val scalar_to_string : scalar -> string
-val key_to_string : key -> string
 val order_to_string : order -> string
 (** Short names used in experiment reports (e.g. ["DMAX"], ["ASUM"],
     ["NONE"]). *)

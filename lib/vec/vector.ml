@@ -90,14 +90,6 @@ let fits demand capacity =
   in
   loop 0
 
-let le a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Vector.le: dimension mismatch";
-  let rec loop i =
-    if i >= Array.length a then true else a.(i) <= b.(i) && loop (i + 1)
-  in
-  loop 0
-
 let equal ?(eps = eps) a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b

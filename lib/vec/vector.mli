@@ -87,9 +87,6 @@ val fits : t -> t -> bool
 (** [fits demand capacity] is true when [demand] is component-wise at most
     [capacity], up to the library-wide tolerance [eps]. *)
 
-val le : t -> t -> bool
-(** Exact component-wise [<=] (no tolerance). *)
-
 val equal : ?eps:float -> t -> t -> bool
 
 val eps : float

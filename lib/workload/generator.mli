@@ -30,7 +30,3 @@ val generate : ?rng:Prng.Rng.t -> config -> Model.Instance.t
     [Invalid_argument] on nonsensical parameters ([hosts/services <= 0],
     [cov] negative or non-finite, [slack] outside (0, 1) or NaN). *)
 
-val generate_platform : rng:Prng.Rng.t -> config -> Model.Node.t array
-val generate_services :
-  rng:Prng.Rng.t -> config -> Model.Node.t array -> Model.Service.t array
-(** The two halves of {!generate}, exposed for tests. *)

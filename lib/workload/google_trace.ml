@@ -31,7 +31,3 @@ let sample rng =
   let cores = sample_cores rng in
   let memory_fraction = sample_memory_fraction rng in
   { cores; memory_fraction }
-
-let mean_cores =
-  Array.fold_left (fun acc (c, p) -> acc +. (float_of_int c *. p)) 0.
-    core_distribution

@@ -13,7 +13,12 @@
     generator (CPU to total capacity, memory to a target slack), so only
     their shapes matter. *)
 
-type task = { cores : int; memory_fraction : float }
+type task = {
+  cores : int;
+  memory_fraction : float;
+      (** In (0, 0.5]: truncated lognormal; raw machine fraction before
+          slack rescaling. *)
+}
 
 val core_distribution : (int * float) array
 (** (cores, probability) pairs; probabilities sum to 1. *)
@@ -24,11 +29,4 @@ val max_cores : int
 
 val sample_cores : Prng.Rng.t -> int
 
-val sample_memory_fraction : Prng.Rng.t -> float
-(** In (0, 0.5]: truncated lognormal; raw machine fraction before slack
-    rescaling. *)
-
 val sample : Prng.Rng.t -> task
-
-val mean_cores : float
-(** Expected core count under {!core_distribution} (used by tests). *)

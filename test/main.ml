@@ -31,5 +31,4 @@ let () =
       ("simulator", Test_simulator.suite);
       ("sharded", Test_sharded.suite);
       ("repair-diff", Test_repair_diff.suite);
-      ("core-facade", Test_core.suite);
     ]

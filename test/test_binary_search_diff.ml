@@ -85,7 +85,7 @@ let test_differential_packing_oracles () =
     (fun (seed, inst) ->
       List.iter
         (fun (oname, strategy) ->
-          let oracle = Heuristics.Vp_solver.pack_at_yield strategy inst in
+          let oracle = Oracles.Naive_probe.pack_at_yield strategy inst in
           let reference = Oracles.Bisect.maximize oracle in
           (match reference with
           | None -> incr infeasible

@@ -124,7 +124,31 @@ let test_non_finite_rejected () =
 let test_model_error_located () =
   expect_error
     "vmalloc-instance 1\ndims 1\nnodes 1\nnode 0 elt 2 agg 1\nservices 0\n"
-    "line 4: Node.v"
+    "line 4: Node.v";
+  let service id =
+    Printf.sprintf
+      "service %d req-elt 0 req-agg 0 need-elt 0.1 need-agg 0.1\n" id
+  in
+  expect_error
+    ("vmalloc-instance 1\ndims 1\nnodes 1\nnode 0 elt 1 agg 1\nservices 2\n"
+    ^ service 1 ^ service 0)
+    "line 6: service id 1 out of order: expected 0";
+  expect_error
+    ("vmalloc-instance 1\ndims 1\nnodes 2\nnode 1 elt 1 agg 1\n"
+    ^ "node 0 elt 1 agg 1\nservices 1\n" ^ service 0)
+    "line 4: node id 1 out of order: expected 0";
+  expect_error
+    ("vmalloc-instance 1\ndims 1\nnodes 0\nservices 1\n" ^ service 0)
+    "line 3: nodes must be positive";
+  expect_error
+    "vmalloc-instance 1\ndims 1\nnodes 1\nnode 0 elt 1 agg 1\nservices 0\n"
+    "line 5: services must be positive";
+  expect_error "vmalloc-instance 1\n# D\ndims 0\nnodes 1\n"
+    "line 3: dims must be positive";
+  expect_error
+    ("vmalloc-instance 1\ndims 1\nnodes 1\nnode 0 elt 1 agg 1\nservices 3\n"
+    ^ service 0)
+    "line 5: truncated node/service list"
 
 let test_zero_services_rejected () =
   (* The model requires at least one service; the codec surfaces the model

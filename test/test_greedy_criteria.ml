@@ -121,8 +121,8 @@ let test_naive_pp_hvp_ranking () =
     let bins_a = bins () and bins_b = bins () in
     let ok_a =
       Packing.Permutation_pack.pack
-        ~ranking:Packing.Permutation_pack.By_remaining_capacity ~bins:bins_a
-        ~items ()
+        ~ranking:Packing.Permutation_pack.By_remaining_capacity
+        ~scratch:(Packing.Permutation_pack.scratch ()) ~bins:bins_a ~items ()
     in
     let ok_b =
       Packing.Naive_permutation_pack.pack

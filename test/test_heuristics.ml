@@ -89,7 +89,7 @@ let test_vp_solver_fig1 () =
   | None -> Alcotest.fail "should solve"
 
 let test_items_at_yield () =
-  let items = Heuristics.Vp_solver.items_at_yield instance_fig1 0.6 in
+  let items = Oracles.Naive_probe.items_at_yield instance_fig1 0.6 in
   check_float "aggregate demand" 1.6
     (Vec.Vector.get items.(0).Packing.Item.demand.Vec.Epair.aggregate 0)
 

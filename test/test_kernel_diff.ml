@@ -198,11 +198,12 @@ let prop_certificate_exact =
           incr judged;
           (not
              (Packing.Strategy.infeasible (Packing.Strategy.cache ())
-                ~bins:(VS.fresh_bins inst) ~items:(VS.items_at_yield inst y)))
+                ~bins:(Oracles.Naive_probe.fresh_bins inst)
+                ~items:(Oracles.Naive_probe.items_at_yield inst y)))
           || begin
                incr certified;
                List.for_all
-                 (fun s -> VS.pack_at_yield s inst y = None)
+                 (fun s -> Oracles.Naive_probe.pack_at_yield s inst y = None)
                  (Packing.Strategy.vp_all @ Packing.Strategy.hvp_all)
              end)
         [ 0.; 1.; y ])
@@ -224,7 +225,7 @@ let suite =
       ("kernel = naive on FF/BF/PP/CP solves", test_kernel_vs_naive_singles);
       ("kernel = naive on METAVP/METAHVPLIGHT", test_kernel_vs_naive_meta);
       ("kernel = naive on METAHVP", test_kernel_vs_naive_metahvp);
-      ("escape hatch + kernel counters", test_kernel_counters);
+      ("kernel vs oracle counters", test_kernel_counters);
       ("golden META work counters", test_golden_meta_counters);
     ]
   @ [ test_certificate_exact ]

@@ -1,5 +1,6 @@
 (* Tests for the vector-packing engine: bins, First/Best-Fit,
-   Permutation-Pack (fast and naive implementations), and the strategy
+   Permutation-Pack (the cursor path against the full scan of
+   [Oracles.Pp_scan] and the D!-list version), and the strategy
    enumerations. *)
 
 open Packing
@@ -15,6 +16,15 @@ let uitem id comps = item id comps comps
 let ubin id comps = bin id comps comps
 
 let check_float = Alcotest.(check (float 1e-9))
+
+(* Permutation-Pack on a fresh scratch; [run] runs a strategy on a fresh
+   cache. *)
+let pack ?flavour ?window ?ranking ~bins ~items () =
+  Permutation_pack.pack ?flavour ?window ?ranking
+    ~scratch:(Permutation_pack.scratch ()) ~bins ~items ()
+
+let run strategy ~bins ~items =
+  Strategy.run ~cache:(Strategy.cache ()) strategy ~bins ~items
 
 let test_bin_fits_and_place () =
   let b = ubin 0 [ 1.0; 1.0 ] in
@@ -119,20 +129,20 @@ let test_permutation_key_paper_example () =
   Array.iteri (fun rank d -> pos.(d) <- rank) bin_perm;
   (* item with demands ranked: largest in dim 2, then 0, then 3, then 1 *)
   let it = uitem 0 [ 0.6; 0.1; 0.9; 0.3 ] in
-  let key = Permutation_pack.item_key ~bin_perm_pos:pos it in
+  let key = Oracles.Pp_scan.item_key ~bin_perm_pos:pos it in
   Alcotest.(check (array int)) "key" [| 2; 3; 0; 1 |] key
 
 let test_compare_keys_window () =
   let a = [| 0; 3; 1; 2 |] and b = [| 0; 1; 3; 2 |] in
   Alcotest.(check bool) "full permutation order" true
-    (Permutation_pack.compare_keys Permutation_pack.Permutation ~window:4 a b
+    (Oracles.Pp_scan.compare_keys Permutation_pack.Permutation ~window:4 a b
      > 0);
   Alcotest.(check bool) "window 1 ties" true
-    (Permutation_pack.compare_keys Permutation_pack.Permutation ~window:1 a b
+    (Oracles.Pp_scan.compare_keys Permutation_pack.Permutation ~window:1 a b
      = 0);
   (* Choose-Pack compares window contents as a set. *)
   Alcotest.(check bool) "choose w=2 {0,3} vs {0,1}" true
-    (Permutation_pack.compare_keys Permutation_pack.Choose ~window:2 a b > 0)
+    (Oracles.Pp_scan.compare_keys Permutation_pack.Choose ~window:2 a b > 0)
 
 let test_permutation_pack_balances () =
   (* One bin, two dims. Load starts skewed by a seed item; PP must pick the
@@ -142,7 +152,7 @@ let test_permutation_pack_balances () =
   (* dim 0 is loaded *)
   let items = [| uitem 0 [ 0.3; 0.1 ]; uitem 1 [ 0.1; 0.3 ] |] in
   Alcotest.(check bool) "packs" true
-    (Permutation_pack.pack ~bins:[| b |] ~items ());
+    (pack ~bins:[| b |] ~items ());
   (* Item 1 (big in dim 1, the less-loaded dimension) must be placed
      first. *)
   Alcotest.(check (list int)) "selection order (most recent first)" [ 0; 1; 99 ]
@@ -152,7 +162,7 @@ let test_permutation_pack_failure () =
   let bins = [| ubin 0 [ 0.5; 0.5 ] |] in
   let items = [| uitem 0 [ 0.4; 0.4 ]; uitem 1 [ 0.4; 0.4 ] |] in
   Alcotest.(check bool) "second item does not fit" false
-    (Permutation_pack.pack ~bins ~items ())
+    (pack ~bins ~items ())
 
 let test_strategy_counts () =
   Alcotest.(check int) "33 VP strategies" 33 (List.length Strategy.vp_all);
@@ -187,7 +197,7 @@ let test_hvp_first_fit_sorted_bins () =
   in
   let bins = [| ubin 0 [ 1.0; 1.0 ]; ubin 1 [ 0.5; 0.5 ] |] in
   let items = [| uitem 0 [ 0.3; 0.3 ] |] in
-  match Strategy.run strategy ~bins ~items with
+  match run strategy ~bins ~items with
   | Some assign -> Alcotest.(check (array int)) "small bin first" [| 1 |] assign
   | None -> Alcotest.fail "should pack"
 
@@ -198,7 +208,7 @@ let certifies bins items =
 
 let packable bins items =
   List.exists
-    (fun s -> Strategy.run s ~bins:(bins ()) ~items <> None)
+    (fun s -> run s ~bins:(bins ()) ~items <> None)
     Strategy.hvp_all
 
 (* Every item is its bin's [Bin.fits] threshold, [c +. 1e-9 *. max 1 c].
@@ -287,10 +297,9 @@ let prop_packing_never_overflows =
           (fun ~bins ~items -> Fit.best_fit ~rank:Fit.By_load ~bins ~items);
           (fun ~bins ~items ->
             Fit.best_fit ~rank:Fit.By_remaining ~bins ~items);
-          (fun ~bins ~items -> Permutation_pack.pack ~bins ~items ());
+          (fun ~bins ~items -> pack ~bins ~items ());
           (fun ~bins ~items ->
-            Permutation_pack.pack ~flavour:Permutation_pack.Choose ~window:1
-              ~bins ~items ());
+            pack ~flavour:Permutation_pack.Choose ~window:1 ~bins ~items ());
         ])
 
 let prop_success_means_all_placed =
@@ -314,7 +323,7 @@ let prop_fast_pp_equals_naive =
     ~count:200 random_packing_gen (fun spec ->
       let bins_a, items_a = build_packing spec in
       let bins_b, items_b = build_packing spec in
-      let ok_a = Permutation_pack.pack ~bins:bins_a ~items:items_a () in
+      let ok_a = pack ~bins:bins_a ~items:items_a () in
       let ok_b =
         Naive_permutation_pack.pack ~bins:bins_b ~items:items_b ()
       in
@@ -346,10 +355,10 @@ let quantized_packing_gen =
     pure (bin_comps, probes, order))
 
 let prop_cursor_pp_equals_scan =
-  (* The scratch path selects through per-class cursors; the no-scratch
-     path scans every item at every select pass. One scratch serves every
-     pack of a case, as a probe kernel's does, and is invalidated when the
-     demands change. *)
+  (* The library selects through per-class cursors; the reference scans
+     every item at every select pass. One scratch serves every pack of a
+     case, as a probe kernel's does, and is invalidated when the demands
+     change. *)
   QCheck2.Test.make
     ~name:"PP with scratch selects exactly like the full scan" ~count:300
     quantized_packing_gen (fun (bin_comps, probes, order) ->
@@ -382,7 +391,7 @@ let prop_cursor_pp_equals_scan =
                   ~bins:bins_a ~items:(items ()) ()
               in
               let ok_b =
-                Permutation_pack.pack ~flavour ~window ~ranking ~bins:bins_b
+                Oracles.Pp_scan.pack ~flavour ~window ~ranking ~bins:bins_b
                   ~items:(items ()) ()
               in
               ok_a = ok_b
@@ -399,12 +408,12 @@ let prop_pp_cp_coincide_at_window_1 =
       let bins_a, items_a = build_packing spec in
       let bins_b, items_b = build_packing spec in
       let ok_a =
-        Permutation_pack.pack ~flavour:Permutation_pack.Permutation ~window:1
-          ~bins:bins_a ~items:items_a ()
+        pack ~flavour:Permutation_pack.Permutation ~window:1 ~bins:bins_a
+          ~items:items_a ()
       in
       let ok_b =
-        Permutation_pack.pack ~flavour:Permutation_pack.Choose ~window:1
-          ~bins:bins_b ~items:items_b ()
+        pack ~flavour:Permutation_pack.Choose ~window:1 ~bins:bins_b
+          ~items:items_b ()
       in
       ok_a = ok_b
       && Strategy.assignment ~bins:bins_a ~n_items:(Array.length items_a)
@@ -417,7 +426,7 @@ let prop_strategies_agree_on_feasibility_direction =
       List.for_all
         (fun strategy ->
           let bins, items = build_packing spec in
-          match Strategy.run strategy ~bins ~items with
+          match run strategy ~bins ~items with
           | None -> true
           | Some assign ->
               Array.for_all
