@@ -749,20 +749,22 @@ let simulate_cmd =
             (Printf.sprintf
                "bad partition: %s (expected contiguous | capacity)" partition)
     in
+    let hosts_mode =
+      if hosts >= 1 then Ok hosts
+      else Error (Printf.sprintf "--hosts %d: must be at least 1" hosts)
+    in
+    let ( let* ) = Result.bind in
     match
-      ( threshold_mode,
-        check_domains domains,
-        placement_mode,
-        algorithm_mode,
-        partition_mode )
+      let* threshold = threshold_mode in
+      let* domains = check_domains domains in
+      let* placement = placement_mode in
+      let* algorithm = algorithm_mode in
+      let* partition = partition_mode in
+      let* hosts = hosts_mode in
+      Ok (threshold, domains, placement, algorithm, partition, hosts)
     with
-    | Error e, _, _, _, _
-    | _, Error e, _, _, _
-    | _, _, Error e, _, _
-    | _, _, _, Error e, _
-    | _, _, _, _, Error e ->
-        `Error (false, e)
-    | Ok threshold, Ok domains, Ok placement, Ok algorithm, Ok partition -> (
+    | Error e -> `Error (false, e)
+    | Ok (threshold, domains, placement, algorithm, partition, hosts) -> (
         let want_timeline = timeline <> None || timeline_prom <> None in
         if
           want_timeline

@@ -111,10 +111,7 @@ let from_env () =
   match Sys.getenv_opt "VMALLOC_SCALE" with
   | Some "medium" -> medium
   | Some "paper" -> paper
-  | Some "small" | None -> (
-      match Sys.getenv_opt "FULL" with
-      | Some ("1" | "true" | "yes") -> medium
-      | _ -> small)
+  | Some "small" | None -> small
   | Some other ->
       Printf.eprintf "warning: unknown VMALLOC_SCALE %S, using small\n%!"
         other;

@@ -11,7 +11,7 @@
     sizes for tractability (DESIGN.md §3).
 
     Select with the [VMALLOC_SCALE] environment variable
-    ([small]/[medium]/[paper]); [FULL=1] is an alias for [medium]. *)
+    ([small]/[medium]/[paper]). *)
 
 type t = {
   label : string;
@@ -48,4 +48,4 @@ val medium : t
 val paper : t
 
 val from_env : unit -> t
-(** Reads [VMALLOC_SCALE] / [FULL]; defaults to {!small}. *)
+(** Reads [VMALLOC_SCALE]; defaults to {!small}. *)

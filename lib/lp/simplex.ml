@@ -12,11 +12,6 @@ let reduced_cost_tol = 1e-9
    the point does not move. *)
 let degenerate_step = 1e-9
 
-(* Consecutive degenerate pivots before pricing switches permanently to
-   Bland's rule for the rest of the phase (the streak is the cycling
-   signature). *)
-let bland_after_degenerate = 16
-
 (* Work counters (lib/obs). The first three share names with the dense
    tableau oracle the tests compare against (registration is idempotent),
    so counter assertions hold whichever solver served a solve. *)
@@ -289,15 +284,24 @@ module Make (F : FACTORIZATION) = struct
 
   (* Primal bounded-variable simplex on cost vector [cost]. Artificials never
      enter (their bounds are fixed outside phase 1, and inside phase 1 they
-     only leave). Dantzig pricing; permanent switch to Bland's rule after a
-     degenerate-pivot streak or an iteration budget. *)
+     only leave). The pivoting policy:
+     - pricing is Dantzig's: the eligible column of largest |d_j|;
+     - the ratio test takes the smallest step; near-ties (1e-12) go to the
+       largest |alpha|, then to the smallest basic column index;
+     - the one anti-cycling rule: once the phase has spent a fifth of
+       [max_iterations], it switches for good to Bland's rule (the first
+       eligible column, ratio ties to the smallest basic column index),
+       which cannot cycle; counted under [simplex.bland_switches].
+     Degenerate pivots alone never trigger the switch: Bland's ratio test
+     ignores |alpha|, so entering it early lets tiny pivots into the
+     basis, and the largest-|alpha| tie-break already leaves degenerate
+     vertices on every LP the suite and the benchmark generate. *)
   let primal_phase st ~cost ?iters_counter ~max_iterations () =
     let std = st.std in
     let m = std.m in
-    let bland_after_iters = max 5_000 (10 * (m + std.n_cols)) in
+    let bland_after = max_iterations / 5 in
     let iters = ref 0 in
     let bland = ref false in
-    let streak = ref 0 in
     let fixed j = std.up.(j) -. std.lo.(j) <= 0. in
     let rec loop () =
       incr iters;
@@ -305,93 +309,62 @@ module Make (F : FACTORIZATION) = struct
       | Some c -> Obs.Metrics.incr c
       | None -> ());
       if !iters > max_iterations then raise Iteration_limit;
-      if (not !bland) && !iters > bland_after_iters then begin
+      if (not !bland) && !iters > bland_after then begin
         bland := true;
         Obs.Metrics.incr c_bland
       end;
       let d = reduced_costs st cost in
       let eligible j =
-        j < std.art_start
-        && st.stat.(j) <> st_basic
+        st.stat.(j) <> st_basic
         && (not (fixed j))
         && ((st.stat.(j) = st_lower && d.(j) < -.reduced_cost_tol)
            || (st.stat.(j) = st_upper && d.(j) > reduced_cost_tol))
       in
-      let entering =
-        if !bland then begin
-          let rec find j =
-            if j >= std.art_start then None
-            else if eligible j then Some j
-            else find (j + 1)
-          in
-          find 0
+      let entering = ref (-1) and best_v = ref 0. in
+      for j = 0 to std.art_start - 1 do
+        if
+          eligible j
+          && if !bland then !entering < 0 else Float.abs d.(j) > !best_v
+        then begin
+          entering := j;
+          best_v := Float.abs d.(j)
         end
-        else begin
-          let best = ref (-1) and best_v = ref reduced_cost_tol in
-          for j = 0 to std.art_start - 1 do
-            if eligible j && Float.abs d.(j) > !best_v then begin
-              best := j;
-              best_v := Float.abs d.(j)
-            end
-          done;
-          if !best >= 0 then Some !best else None
-        end
-      in
-      match entering with
-      | None -> P_optimal
-      | Some j ->
+      done;
+      match !entering with
+      | -1 -> P_optimal
+      | j ->
           let from_lower = st.stat.(j) = st_lower in
           let dir = if from_lower then 1. else -1. in
           let d_col = ftran_col st j in
           (* Ratio test: x_j moves by t >= 0 in direction [dir]; basic i
-             changes at rate -(dir * d_col.(i)). *)
+             changes at rate -a, towards its lower bound when a > 0 and its
+             upper bound when a < 0. *)
           let best = ref (-1) and best_r = ref infinity
           and best_a = ref 0. and best_bound = ref st_lower in
           for i = 0 to m - 1 do
             let a = dir *. d_col.(i) in
-            if a > pivot_tol then begin
-              let lo_i = std.lo.(st.bas.(i)) in
-              if Float.is_finite lo_i then begin
-                let r = (st.xb.(i) -. lo_i) /. a in
-                let r = if r < 0. then 0. else r in
-                if
-                  r < !best_r -. 1e-12
-                  || (r <= !best_r +. 1e-12
-                      && !best >= 0
-                      && (if !bland then st.bas.(i) < st.bas.(!best)
-                         else
-                           a > !best_a +. 1e-12
-                           || (a >= !best_a -. 1e-12
-                              && st.bas.(i) < st.bas.(!best))))
-                then begin
-                  best := i;
-                  best_r := r;
-                  best_a := a;
-                  best_bound := st_lower
-                end
-              end
-            end
-            else if a < -.pivot_tol then begin
-              let up_i = std.up.(st.bas.(i)) in
-              if Float.is_finite up_i then begin
-                let r = (up_i -. st.xb.(i)) /. -.a in
-                let r = if r < 0. then 0. else r in
-                let abs_a = -.a in
-                if
-                  r < !best_r -. 1e-12
-                  || (r <= !best_r +. 1e-12
-                      && !best >= 0
-                      && (if !bland then st.bas.(i) < st.bas.(!best)
-                         else
-                           abs_a > !best_a +. 1e-12
-                           || (abs_a >= !best_a -. 1e-12
-                              && st.bas.(i) < st.bas.(!best))))
-                then begin
-                  best := i;
-                  best_r := r;
-                  best_a := abs_a;
-                  best_bound := st_upper
-                end
+            let abs_a = Float.abs a in
+            let l = st.bas.(i) in
+            let bound = if a > 0. then std.lo.(l) else std.up.(l) in
+            if abs_a > pivot_tol && Float.is_finite bound then begin
+              let gap =
+                if a > 0. then st.xb.(i) -. bound else bound -. st.xb.(i)
+              in
+              let r = gap /. abs_a in
+              let r = if r < 0. then 0. else r in
+              if
+                r < !best_r -. 1e-12
+                || (r <= !best_r +. 1e-12
+                    && !best >= 0
+                    && (if !bland then l < st.bas.(!best)
+                       else
+                         abs_a > !best_a +. 1e-12
+                         || (abs_a >= !best_a -. 1e-12 && l < st.bas.(!best))))
+              then begin
+                best := i;
+                best_r := r;
+                best_a := abs_a;
+                best_bound := if a > 0. then st_lower else st_upper
               end
             end
           done;
@@ -403,7 +376,6 @@ module Make (F : FACTORIZATION) = struct
               st.xb.(i) <- st.xb.(i) -. (dir *. d_col.(i) *. range)
             done;
             st.stat.(j) <- (if from_lower then st_upper else st_lower);
-            streak := 0;
             loop ()
           end
           else begin
@@ -419,15 +391,7 @@ module Make (F : FACTORIZATION) = struct
             st.stat.(l) <- !best_bound;
             Obs.Metrics.incr c_pivots;
             Pivot_clock.tick ();
-            if t <= degenerate_step then begin
-              Obs.Metrics.incr c_degenerate;
-              incr streak;
-              if (not !bland) && !streak >= bland_after_degenerate then begin
-                bland := true;
-                Obs.Metrics.incr c_bland
-              end
-            end
-            else streak := 0;
+            if t <= degenerate_step then Obs.Metrics.incr c_degenerate;
             push_eta st r;
             loop ()
           end
@@ -578,6 +542,15 @@ module Make (F : FACTORIZATION) = struct
 
   let default_iterations std = max 20_000 (50 * (std.m + std.n_cols))
 
+  (* Phase 2 from a primal feasible basis: the optimum and its basis, or
+     unboundedness. *)
+  let phase2 ~key ~max_iterations (p : Problem.t) st =
+    match primal_phase st ~cost:st.std.cost ~max_iterations () with
+    | P_unbounded -> (Unbounded, None)
+    | P_optimal ->
+        canonicalize_xb st;
+        (extract p st, Some (capture key st))
+
   (* Cold start: classic two-phase. The initial basis is the logical of every
      row whose rhs its bounds admit, else that row's artificial widened to the
      rhs's side ([0, inf) with cost +1, or (-inf, 0] with cost -1) — the
@@ -650,19 +623,10 @@ module Make (F : FACTORIZATION) = struct
           std.up.(art) <- 0.
         done;
         expel_artificials st;
-        match primal_phase st ~cost:std.cost ~max_iterations () with
-        | P_unbounded -> (Unbounded, None)
-        | P_optimal ->
-            canonicalize_xb st;
-            (extract p st, Some (capture key st))
+        phase2 ~key ~max_iterations p st
       end
     end
-    else
-      match primal_phase st ~cost:std.cost ~max_iterations () with
-      | P_unbounded -> (Unbounded, None)
-      | P_optimal ->
-          canonicalize_xb st;
-          (extract p st, Some (capture key st))
+    else phase2 ~key ~max_iterations p st
 
   exception Incompatible_basis
 
@@ -720,12 +684,7 @@ module Make (F : FACTORIZATION) = struct
     Obs.Metrics.incr c_warm;
     match dual_phase st ~cost:std.cost ~max_iterations with
     | `Infeasible -> (Infeasible, Some (capture key st))
-    | `Feasible -> (
-        match primal_phase st ~cost:std.cost ~max_iterations () with
-        | P_unbounded -> (Unbounded, None)
-        | P_optimal ->
-            canonicalize_xb st;
-            (extract p st, Some (capture key st)))
+    | `Feasible -> phase2 ~key ~max_iterations p st
 
   let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
     let std = build p in

@@ -21,9 +21,10 @@
       basis: any two instances of {!Make} return bitwise-identical
       solutions whenever they pivot through the same bases (the test
       suite locks the sparse instance against a dense-LU one);
-    - Dantzig pricing with a permanent switch to Bland's rule after a
-      consecutive degenerate-pivot streak (or an iteration budget),
-      counted under [simplex.bland_switches];
+    - Dantzig pricing and a ratio test that breaks near-ties by the
+      largest pivot magnitude; a phase that has spent a fifth of its
+      iteration budget switches for good to Bland's rule, the one
+      anti-cycling rule (counted under [simplex.bland_switches]);
     - {!solve} accepts a basis captured from a previous solve
       ([?warm_basis]) and re-optimizes with the {e dual} simplex: the
       column layout depends only on the variable count and the
@@ -78,10 +79,12 @@ module type SOLVER = sig
   val solve :
     ?max_iterations:int -> ?warm_basis:basis -> Problem.t -> result
   (** Solve the LP relaxation. [max_iterations] (default
-      [max 20_000 (50 * (m + n))], per phase) bounds each simplex phase;
-      if a cold solve exhausts it the solver raises [Failure] (anti-hang
-      guard, never observed on the test corpus) — a warm solve falls back
-      to cold first. [warm_basis] must come from a problem with the same
+      [max 20_000 (50 * (n + 3m))] for [n] variables and [m]
+      constraints) bounds each simplex phase, and a primal phase
+      switches to Bland's rule after a fifth of it; if a cold solve
+      exhausts it the solver raises [Failure] (anti-hang guard, never
+      observed on the test corpus) — a warm solve falls back to cold
+      first. [warm_basis] must come from a problem with the same
       variable count and constraint-relation sequence (rhs, bounds and
       objective may differ); incompatible bases are silently ignored
       (cold start). *)

@@ -7,8 +7,8 @@
      positive slack; finite upper bounds above x0, so the LP is bounded and
      both solvers must return [Optimal].
    - [Degenerate]: as [Feasible] but with zeroed x0 coordinates and half
-     the inequality rows tight at x0 — primal degeneracy at a vertex, the
-     diet of the Bland's-rule switchover.
+     the inequality rows tight at x0 — primal degeneracy at a vertex,
+     where the ratio test's tie-breaks decide every pivot.
    - [Infeasible]: a feasible base plus a contradictory pair
      [a.x <= r, a.x >= r + delta] (same coefficients, delta >= 1), which no
      point satisfies regardless of bounds.

@@ -12,7 +12,10 @@
       an iteration budget or [bland_after_degenerate] {e consecutive}
       degenerate pivots — the streak is the cycling signature, so
       protection engages while a cycle is tight (counted under
-      [simplex.bland_switches]).
+      [simplex.bland_switches]). {!Lp.Simplex} has no streak trigger:
+      its ratio test breaks ties by the largest pivot magnitude, while
+      this one's smallest-index tie-break cycles on Beale's LP for 5,000
+      pivots without the trigger.
 
     The dense tableau is O((m+u)·(n+m)) memory for [m] constraints, [u]
     finite upper bounds and [n] variables; see DESIGN.md §12 for how this

@@ -402,6 +402,32 @@ let test_beale_default_params () =
   | Lp.Simplex.Optimal s -> check_float "revised optimum" (-0.05) s.objective
   | _ -> Alcotest.fail "revised solve of Beale LP must terminate optimal"
 
+(* The revised solver's one anti-cycling rule, reached on purpose: a phase
+   switches to Bland's rule once it has spent a fifth of [max_iterations].
+   At 5, Dantzig pricing takes Beale's first pivot and Bland's rule the
+   second, and the third iteration proves the optimum. At 4 or fewer,
+   Bland's rule runs from the first iteration and needs more. *)
+let test_beale_revised_bland () =
+  let result, counter =
+    Counters.with_metrics (fun () -> Lp.Simplex.solve ~max_iterations:5 beale)
+  in
+  (match result with
+  | Lp.Simplex.Optimal s ->
+      check_float "Bland optimum" (-0.05) s.objective;
+      Array.iteri
+        (fun i v -> check_float (Printf.sprintf "x%d" (i + 1)) v s.x.(i))
+        [| 0.04; 0.; 1.; 0. |]
+  | _ -> Alcotest.fail "Beale LP must be optimal under Bland's rule");
+  Alcotest.(check int) "one switch to Bland's rule" 1
+    (counter "simplex.bland_switches");
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_iterations %d runs out" k)
+        (Failure "Lp.Simplex: iteration limit exceeded")
+        (fun () -> ignore (Lp.Simplex.solve ~max_iterations:k beale)))
+    [ 1; 2; 3; 4 ]
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -420,6 +446,7 @@ let suite =
       ("simplex obs counters", test_simplex_counters);
       ("Beale cycling LP: Bland switchover", test_beale_bland_switchover);
       ("Beale cycling LP: default params", test_beale_default_params);
+      ("Beale cycling LP: revised Bland path", test_beale_revised_bland);
       ("MILP knapsack", test_knapsack);
       ("MILP infeasible", test_milp_infeasible);
       ("MILP relaxation gap", test_milp_relaxation_gap);

@@ -640,22 +640,69 @@ let test_corpus_pivot_pins () =
          List.concat_map (fun (_, _, p) -> sparse_trace p)
            (Lazy.force bit_corpus)))
 
-(* One cold solve of the relaxation of a 10x40 paper instance, as
-   [Heuristics.Milp.relaxed_bound] and RRNZ make it: bases of 669 rows,
-   where the factor does most of its work. *)
+(* The rational relaxation of a generated paper instance, as
+   [Heuristics.Milp.relaxed_bound] and RRNZ build it. *)
+let relaxation ~seed ~hosts ~services ~cov ~slack =
+  let instance =
+    Workload.Generator.generate ~rng:(Prng.Rng.create ~seed)
+      { Workload.Generator.default with hosts; services; cov; slack }
+  in
+  fst (Heuristics.Milp.formulation ~integer:false instance)
+
+(* One cold solve of a 10x40 relaxation: bases of 669 rows, where the
+   factor does most of its work. *)
 let relaxation_pins =
-  ([ 1470; 14; 10768; 1049 ], "09f1fd6ae2e03deaf6d43a9307ba6e81")
+  ([ 717; 7; 2928; 56 ], "f92e7d6e72501720c2271019124ebe05")
 
 let test_relaxation_pivot_pins () =
-  let instance =
-    Workload.Generator.generate ~rng:(Prng.Rng.create ~seed:3)
-      { Workload.Generator.default with
-        hosts = 10; services = 40; cov = 0.5; slack = 0.5 }
-  in
+  let lp = relaxation ~seed:3 ~hosts:10 ~services:40 ~cov:0.5 ~slack:0.5 in
   check_pins ~ctx:"10x40 relaxation" relaxation_pins
-    (with_metrics (fun () ->
-         let lp, _ = Heuristics.Milp.formulation ~integer:false instance in
-         result_bits (Lp.Simplex.solve lp)))
+    (with_metrics (fun () -> result_bits (Lp.Simplex.solve lp)))
+
+(* Relaxations that end in [Failure "Lp.Simplex: numerically singular
+   basis"] if 16 consecutive degenerate pivots switch pricing to Bland's
+   rule: Bland's ratio test ignores |alpha|, so it lets nearly dependent
+   columns into the basis. The first is op 90 of perfbench lp-rounding
+   at seed 106; the dense-LU instance, pivoting through the same bases,
+   returns its objective bit for bit. The 20x60 one has no oracle check
+   because the dense-LU instance takes over a minute on it. *)
+let op90 =
+  lazy (relaxation ~seed:455577334 ~hosts:10 ~services:40 ~cov:0.5 ~slack:0.5)
+
+let objective ~ctx = function
+  | Lp.Simplex.Optimal s -> s.objective
+  | _ -> Alcotest.fail (ctx ^ ": relaxation must be optimal")
+
+let test_singular_basis_regressions () =
+  let check ~ctx expected result =
+    Alcotest.(check int64) (ctx ^ ": objective bits")
+      (Int64.bits_of_float expected)
+      (Int64.bits_of_float (objective ~ctx result))
+  in
+  let op90 = Lazy.force op90 in
+  check ~ctx:"op 90" 0x1.fae53f6d62c0cp-1 (Lp.Simplex.solve op90);
+  check ~ctx:"op 90, dense-LU" 0x1.fae53f6d62c0cp-1
+    (Oracles.Dense_lu.solve op90);
+  check ~ctx:"seed 9, 10x40" 1.
+    (Lp.Simplex.solve
+       (relaxation ~seed:9 ~hosts:10 ~services:40 ~cov:0. ~slack:0.1));
+  check ~ctx:"seed 2, 20x60" 1.
+    (Lp.Simplex.solve
+       (relaxation ~seed:2 ~hosts:20 ~services:60 ~cov:0.5 ~slack:0.5))
+
+(* Bland's rule on a large LP, reached on purpose: with a budget of 2,000
+   iterations a phase switches after 400, and op 90 still solves, to
+   within 1e-9 of the default solve. *)
+let test_op90_through_bland () =
+  let op90 = Lazy.force op90 in
+  let default = objective ~ctx:"default" (Lp.Simplex.solve op90) in
+  let bland, counter =
+    with_metrics (fun () -> Lp.Simplex.solve ~max_iterations:2000 op90)
+  in
+  Alcotest.(check int) "one switch to Bland's rule" 1
+    (counter "simplex.bland_switches");
+  Alcotest.(check (float 1e-9)) "objective = default solve's" default
+    (objective ~ctx:"Bland" bland)
 
 (* The Markowitz ordering's payoff as the work counters see it: on a
    banded LP, a cold solve plus three warm re-solves from its optimal
@@ -910,6 +957,9 @@ let suite =
       ("sparse LU halves dense-LU flops", test_sparse_lu_flops_vs_dense);
       ("corpus pivot-sequence pins", test_corpus_pivot_pins);
       ("10x40 relaxation pivot-sequence pins", test_relaxation_pivot_pins);
+      ("relaxations that raised a singular basis",
+       test_singular_basis_regressions);
+      ("op-90 relaxation through Bland's rule", test_op90_through_bland);
       ("sparse LU bookkeeping cases", test_sparse_lu_bookkeeping);
       ("sparse LU factor bits pin", test_factor_bits_pin);
     ]
