@@ -749,9 +749,15 @@ let simulate_cmd =
             (Printf.sprintf
                "bad partition: %s (expected contiguous | capacity)" partition)
     in
-    let hosts_mode =
-      if hosts >= 1 then Ok hosts
-      else Error (Printf.sprintf "--hosts %d: must be at least 1" hosts)
+    (* The ranges [Simulator.Engine] and [Simulator.Sharded] accept,
+       checked here so that the message names the flag. *)
+    let at_least flag min n =
+      if n >= min then Ok ()
+      else Error (Printf.sprintf "%s %d: must be at least %d" flag n min)
+    in
+    let positive flag x =
+      if Float.is_finite x && x > 0. then Ok ()
+      else Error (Printf.sprintf "%s %g: must be positive and finite" flag x)
     in
     let ( let* ) = Result.bind in
     match
@@ -760,7 +766,27 @@ let simulate_cmd =
       let* placement = placement_mode in
       let* algorithm = algorithm_mode in
       let* partition = partition_mode in
-      let* hosts = hosts_mode in
+      let* () = at_least "--hosts" 1 hosts in
+      let* () = at_least "--shards" 1 shards in
+      let* () =
+        if shards <= hosts then Ok ()
+        else
+          Error
+            (Printf.sprintf "--shards %d: must be at most --hosts (%d)" shards
+               hosts)
+      in
+      let* () = positive "--horizon" horizon in
+      let* () = positive "--arrival-rate" arrival_rate in
+      let* () = positive "--lifetime" mean_lifetime in
+      let* () = positive "--period" period in
+      let* () =
+        if Float.is_finite max_error && max_error >= 0. then Ok ()
+        else
+          Error
+            (Printf.sprintf "--error %g: must be finite and at least 0"
+               max_error)
+      in
+      let* () = at_least "--repair-budget" 0 repair_budget in
       Ok (threshold, domains, placement, algorithm, partition, hosts)
     with
     | Error e -> `Error (false, e)

@@ -57,29 +57,23 @@ type pp_impl_row = {
   identical : bool;
 }
 
-(* Synthetic packing instances: D-dimensional items and bins with mild
+(* A synthetic packing instance: D-dimensional items and bins with mild
    heterogeneity, exercised at the raw packing layer (the model layer is
-   2-D by workload design). *)
-let synthetic_packing ~rng ~dims ~items ~bins =
-  let mk_items () =
-    Array.init items (fun id ->
-        let agg =
-          Vec.Vector.init dims (fun _ -> Prng.Rng.uniform_range rng 0.01 0.3)
-        in
-        Packing.Item.v ~id
-          ~demand:(Vec.Epair.v ~elementary:(Vec.Vector.scale 0.5 agg)
-                     ~aggregate:agg))
+   2-D by workload design), as a state whose bins and items are in
+   generation order. *)
+let synthetic_packing ~seed ~dims ~items ~bins =
+  let rng = Prng.Rng.create ~seed in
+  let pair lo hi =
+    let agg =
+      Vec.Vector.init dims (fun _ -> Prng.Rng.uniform_range rng lo hi)
+    in
+    Vec.Epair.v ~elementary:(Vec.Vector.scale 0.5 agg) ~aggregate:agg
   in
-  let mk_bins () =
-    Array.init bins (fun id ->
-        let agg =
-          Vec.Vector.init dims (fun _ -> Prng.Rng.uniform_range rng 0.5 1.0)
-        in
-        Packing.Bin.v ~id
-          ~capacity:(Vec.Epair.v ~elementary:(Vec.Vector.scale 0.5 agg)
-                       ~aggregate:agg))
-  in
-  (mk_items, mk_bins)
+  let demands = Array.init items (fun _ -> pair 0.01 0.3) in
+  let capacities = Array.init bins (fun _ -> pair 0.5 1.0) in
+  let st = Packing.State.create ~dims ~capacities ~n_items:items in
+  Array.iteri (Packing.State.set_item st) demands;
+  st
 
 let pp_implementation ?pool ?(dims_list = [ 2; 3; 4; 5; 6; 7 ]) ?(items = 80)
     ?(bins = 20)
@@ -88,39 +82,32 @@ let pp_implementation ?pool ?(dims_list = [ 2; 3; 4; 5; 6; 7 ]) ?(items = 80)
       let fast_time = ref 0. and naive_time = ref 0. in
       let identical = ref true in
       for rep = 1 to reps do
-        let rng = Prng.Rng.create ~seed:(dims * 1000 + rep) in
-        let mk_items, mk_bins = synthetic_packing ~rng ~dims ~items ~bins in
-        let items_a = mk_items () in
-        (* Same demands for both runs: regenerate with a cloned stream. *)
-        let rng2 = Prng.Rng.create ~seed:(dims * 1000 + rep) in
-        let mk_items2, mk_bins2 =
-          synthetic_packing ~rng:rng2 ~dims ~items ~bins
-        in
-        let items_b = mk_items2 () in
-        let bins_a = mk_bins () in
-        let bins_b = mk_bins2 () in
+        let seed = (dims * 1000) + rep in
+        let st_a = synthetic_packing ~seed ~dims ~items ~bins in
+        let st_b = synthetic_packing ~seed ~dims ~items ~bins in
+        let order = Array.init items Fun.id
+        and bin_order = Array.init bins Fun.id in
         (* The solves' path: cursor selection, on a fresh scratch per
            pack. *)
         let ok_a, t_fast =
           timed (fun () ->
               Packing.Permutation_pack.pack
                 ~scratch:(Packing.Permutation_pack.scratch ())
-                ~bins:bins_a ~items:items_a ())
+                st_a ~bins:bin_order ~items:order ())
         in
         let ok_b, t_naive =
           timed (fun () ->
-              Packing.Naive_permutation_pack.pack ~bins:bins_b ~items:items_b
-                ())
+              Packing.Naive_permutation_pack.pack st_b ~bins:bin_order
+                ~items:order ())
         in
         fast_time := !fast_time +. t_fast;
         naive_time := !naive_time +. t_naive;
-        let assign_a =
-          Packing.Strategy.assignment ~bins:bins_a ~n_items:items
-        in
-        let assign_b =
-          Packing.Strategy.assignment ~bins:bins_b ~n_items:items
-        in
-        if ok_a <> ok_b || assign_a <> assign_b then identical := false
+        let open Packing.State in
+        if
+          ok_a <> ok_b
+          || assignment st_a <> assignment st_b
+          || placement_order st_a <> placement_order st_b
+        then identical := false
       done;
       [
         {

@@ -17,7 +17,8 @@ type pp_impl_row = {
   items : int;
   fast_seconds : float;
   naive_seconds : float;
-  identical : bool;  (** same assignment from both implementations *)
+  identical : bool;
+      (** same assignment and placement order from both implementations *)
 }
 
 val pp_implementation :

@@ -3,11 +3,6 @@ type solution = {
   min_yield : float;
 }
 
-let fresh_bins instance =
-  Array.init (Model.Instance.n_nodes instance) (fun h ->
-      let node = Model.Instance.node instance h in
-      Packing.Bin.v ~id:h ~capacity:node.Model.Node.capacity)
-
 (* Oracle-level observability: how many fixed-yield probes a solve costs,
    how many strategy attempts each probe burns before one packs, and which
    strategy actually wins (the question behind METAHVP's 253-strategy
@@ -26,50 +21,46 @@ let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
 
 (* Probe-shared packing kernel (DESIGN.md §11). Every strategy attempt of
    one fixed-yield probe sees the same item demands, so the kernel holds
-   one item array whose demand vectors are refilled in place per probe (a
-   fused [r + y*n] pass over the instance's flattened buffers), recycles
-   one bin array via [Bin.reset] instead of reallocating per attempt, and
-   memoizes per-probe sort orders and Permutation-Pack item key classes
-   through [Strategy.cache].
+   one flat packing state for the whole solve: bin capacities and fits
+   thresholds written once, item demands refilled per probe (a fused
+   [r + y*n] pass over the instance's flattened buffers), bins emptied
+   per attempt instead of reallocated, and sort orders and
+   Permutation-Pack item key classes memoized per probe.
 
    Bit-identity with a fresh-allocation probe (new items and bins per
    attempt, fresh sorts, Permutation-Pack by full scan): refilled demands
-   use the exact [axpy] expression [Service.demand_at_yield] uses; reset
-   bins equal fresh bins; memoized sorts are the same stable sorts over
-   the same values; and the per-key-class cursors pick the item the full
-   scan picks. test_kernel_diff.ml locks this against that reference,
-   [Oracles.Naive_probe]. *)
+   use the exact [axpy] expression [Service.demand_at_yield] uses; the
+   thresholds are the expressions the record bins' fits test evaluated,
+   and the loads and running sums the same left folds; memoized sorts are
+   the same stable sorts over the same values; and the per-key-class
+   cursors pick the item the full scan picks. test_kernel_diff.ml locks
+   this against that reference, [Oracles.Naive_probe]. *)
 type kernel = {
-  k_items : Packing.Item.t array;
-  k_bins : Packing.Bin.t array;
-  k_cache : Packing.Strategy.cache;
-  mutable k_yield : float;  (* yield k_items currently hold; nan = none *)
+  k_state : Packing.State.t;
+  k_scratch : Packing.Permutation_pack.scratch;
+  mutable k_yield : float;  (* yield the item demands hold; nan = none *)
 }
 
 let make_kernel instance =
-  let dims = instance.Model.Instance.dims in
   {
-    k_items =
-      Array.init (Model.Instance.n_services instance) (fun j ->
-          Packing.Item.v ~id:j ~demand:(Vec.Epair.zero dims));
-    k_bins = fresh_bins instance;
-    k_cache = Packing.Strategy.cache ();
+    k_state =
+      Packing.State.create ~dims:instance.Model.Instance.dims
+        ~capacities:
+          (Array.map
+             (fun (n : Model.Node.t) -> n.capacity)
+             instance.Model.Instance.nodes)
+        ~n_items:(Model.Instance.n_services instance);
+    k_scratch = Packing.Permutation_pack.scratch ();
     k_yield = Float.nan;
   }
 
 let refill inst k yld =
   if not (k.k_yield = yld) then begin
-    let dims = inst.Model.Instance.dims in
-    Array.iteri
-      (fun j (it : Packing.Item.t) ->
-        let off = j * dims in
-        Vec.Vector.axpy_fill it.Packing.Item.demand.Vec.Epair.elementary yld
-          ~x:inst.Model.Instance.need_elem ~y:inst.Model.Instance.req_elem
-          ~off;
-        Vec.Vector.axpy_fill it.Packing.Item.demand.Vec.Epair.aggregate yld
-          ~x:inst.Model.Instance.need_agg ~y:inst.Model.Instance.req_agg ~off)
-      k.k_items;
-    Packing.Strategy.cache_new_probe k.k_cache;
+    Packing.State.fill_at_yield k.k_state yld
+      ~need_elem:inst.Model.Instance.need_elem
+      ~req_elem:inst.Model.Instance.req_elem
+      ~need_agg:inst.Model.Instance.need_agg
+      ~req_agg:inst.Model.Instance.req_agg;
     k.k_yield <- yld
   end
 
@@ -82,18 +73,14 @@ let probe instance k strategies yld =
   Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
   Obs.Metrics.incr c_oracle;
   refill instance k yld;
-  Array.iter Packing.Bin.reset k.k_bins;
   let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (
         Obs.Metrics.incr c_attempts;
         match
-          Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
-            ~items:k.k_items
+          Packing.Strategy.run ~scratch:k.k_scratch k.k_state strategy
         with
-        | None ->
-            Array.iter Packing.Bin.reset k.k_bins;
-            attempt (idx + 1) rest
+        | None -> attempt (idx + 1) rest
         | Some placement ->
             if Obs.Metrics.enabled () then begin
               Obs.Metrics.incr c_feasible;
@@ -106,9 +93,7 @@ let probe instance k strategies yld =
                 :: probe_args yld);
             Some placement)
   in
-  if
-    Packing.Strategy.infeasible k.k_cache ~bins:k.k_bins ~items:k.k_items
-  then begin
+  if Packing.Strategy.infeasible k.k_state then begin
     Obs.Metrics.incr c_certified;
     None
   end

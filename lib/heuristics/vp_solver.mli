@@ -32,10 +32,10 @@ val solve :
     strategy as oracle.
 
     Probes run through the probe-shared packing kernel (DESIGN.md §11):
-    item/bin scratch refilled in place, memoized sort orders and
-    Permutation-Pack item key classes — bit-identical to a fresh-allocation
-    probe per strategy, just cheaper (the test suite locks it against that
-    reference). Each solve makes one kernel, which its probes reuse one after
+    one flat packing state per solve whose item demands are refilled in
+    place per probe, memoized sort orders and Permutation-Pack item key
+    classes — bit-identical to a fresh-allocation probe per strategy, just
+    cheaper (the test suite locks it against that reference). Each solve makes one kernel, which its probes reuse one after
     another and which is dropped with the solve. Kernel sort-memo hits
     land on the [vp_solver.items_cache_hits] counter. *)
 

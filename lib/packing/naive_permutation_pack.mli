@@ -12,9 +12,11 @@
 
 val pack :
   ?ranking:Permutation_pack.bin_ranking ->
-  bins:Bin.t array ->
-  items:Item.t array ->
+  State.t ->
+  bins:int array ->
+  items:int array ->
   unit ->
   bool
 (** Same contract as {!Permutation_pack.pack} with [flavour = Permutation]
-    and [window = D], without a scratch. *)
+    and [window = D], without a scratch; it tests and places through
+    {!Fit.fits} and {!State.place} and records no metrics. *)

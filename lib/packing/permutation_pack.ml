@@ -17,12 +17,13 @@ let c_placed = Obs.Metrics.counter "packing.placements"
    every Permutation-Pack attempt of the probe (121 per METAHVP probe)
    then groups its items by the memoized class ids. The per-attempt class
    lists and the per-select-pass state (bin dimension ranks, comparison
-   windows) live in reusable buffers. A scratch belongs to one strategy
-   cache and must only be used from one domain at a time. *)
+   windows) live in reusable buffers. A scratch must only be used from
+   one domain at a time. *)
 type scratch = {
-  mutable spec : flavour * int;  (* (flavour, w) the class memo holds *)
+  mutable memo_flavour : flavour;  (* the flavour the class memo holds *)
+  mutable memo_w : int;  (* and its window *)
+  mutable demands : int;  (* the state's demand stamp the memo holds *)
   mutable class_of : int array;  (* item id -> class id; -1 = unclassified *)
-  class_ids : (int array, int) Hashtbl.t;  (* class key -> class id *)
   mutable reps : int array array;  (* class id -> a member's permutation *)
   mutable n_classes : int;
   mutable members : int array;
@@ -40,14 +41,13 @@ type scratch = {
 }
 
 let scratch () =
-  { spec = (Permutation, 0); class_of = [||]; class_ids = Hashtbl.create 16;
+  { memo_flavour = Permutation; memo_w = 0; demands = -1; class_of = [||];
     reps = [||]; n_classes = 0; members = [||]; first = [||]; stop = [||];
     cursor = [||]; live = [||]; pos = [||]; vals = [||]; order = [||];
     key_a = [||]; key_b = [||] }
 
-let scratch_new_probe s =
+let forget_classes s =
   Array.fill s.class_of 0 (Array.length s.class_of) (-1);
-  Hashtbl.clear s.class_ids;
   s.n_classes <- 0
 
 let ensure_capacity s ~n_items ~dims =
@@ -59,7 +59,7 @@ let ensure_capacity s ~n_items ~dims =
     s.stop <- Array.make n_items 0;
     s.cursor <- Array.make n_items 0;
     s.live <- Array.make n_items 0;
-    scratch_new_probe s
+    forget_classes s
   end;
   if Array.length s.pos < dims then begin
     s.pos <- Array.make dims 0;
@@ -96,54 +96,67 @@ let fill_order ~desc s d =
     order.(!j + 1) <- x
   done
 
-(* [s.pos] := the rank of each dimension in the bin's preference order
+(* [s.pos] := the rank of each dimension in bin [b]'s preference order
    (0 = the dimension we most want demand in): ascending load, or
-   descending remaining capacity. [s.vals] is filled with the very
-   expressions [Bin.load_vector] / [Bin.remaining] use, without their
-   vector copies. *)
-let fill_positions ranking s (bin : Bin.t) =
-  let d = Bin.dim bin in
+   descending remaining capacity, the clamped [cap - load] the running
+   sums fold. *)
+let fill_positions ranking s (t : State.t) b =
+  let d = t.dims and o = b * t.dims in
   (match ranking with
   | By_load ->
-      for i = 0 to d - 1 do
-        s.vals.(i) <- bin.Bin.load.(i)
-      done;
+      Array.blit t.load o s.vals 0 d;
       fill_order ~desc:false s d
   | By_remaining_capacity ->
-      let cap = (bin.Bin.capacity.Vec.Epair.aggregate :> float array) in
       for i = 0 to d - 1 do
-        s.vals.(i) <- Float.max 0. (cap.(i) -. bin.Bin.load.(i))
+        s.vals.(i) <- Float.max 0. (t.cap.(o + i) -. t.load.(o + i))
       done;
       fill_order ~desc:true s d);
   for r = 0 to d - 1 do
     s.pos.(s.order.(r)) <- r
   done
 
-(* The class id of [item] under the memo's (flavour, w), computing and
-   memoizing it on first sight this probe. *)
-let class_id s flavour ~w (item : Item.t) =
-  let id = item.Item.id in
-  let c = s.class_of.(id) in
+(* Whether the permutations [order] and [rep] share a key class: the
+   same first [w] dimensions (Permutation), or the same set of them
+   (Choose). Top-level recursion, so a test allocates nothing. *)
+let rec in_window rep w x i =
+  i < w && (rep.(i) = x || in_window rep w x (i + 1))
+
+let rec same_key flavour ~w order rep k =
+  k >= w
+  || (match flavour with
+     | Permutation -> order.(k) = rep.(k)
+     | Choose -> in_window rep w order.(k) 0)
+     && same_key flavour ~w order rep (k + 1)
+
+(* The class id of item [j] under the memo's (flavour, w), computing and
+   memoizing it on first sight this probe: the item's descending-demand
+   permutation goes into [s.order] through the insertion sort the bin
+   rankings use, and is matched against the classes seen so far, in the
+   order they were first seen (at most two at D = 2). Only a class's
+   first member allocates, for the class's representative. *)
+let class_id s flavour ~w (t : State.t) j =
+  let c = s.class_of.(j) in
   if c >= 0 then c
   else begin
-    let size = Item.size item in
-    if Vec.Vector.min_component size < 0. then
-      invalid_arg "Permutation_pack.pack: negative demand";
-    let perm = Vec.Vector.permutation_desc size in
-    let key = Array.sub perm 0 w in
-    if flavour = Choose then Array.sort Int.compare key;
-    let c =
-      match Hashtbl.find_opt s.class_ids key with
-      | Some c -> c
-      | None ->
-          let c = s.n_classes in
-          Hashtbl.add s.class_ids key c;
-          s.reps.(c) <- perm;
-          s.n_classes <- c + 1;
-          c
-    in
-    s.class_of.(id) <- c;
-    c
+    let d = t.dims and o = j * t.dims in
+    for i = 0 to d - 1 do
+      if t.agg.(o + i) < 0. then
+        invalid_arg "Permutation_pack.pack: negative demand";
+      s.vals.(i) <- t.agg.(o + i)
+    done;
+    fill_order ~desc:true s d;
+    let c = ref 0 in
+    while
+      !c < s.n_classes && not (same_key flavour ~w s.order s.reps.(!c) 0)
+    do
+      incr c
+    done;
+    if !c = s.n_classes then begin
+      s.reps.(!c) <- Array.sub s.order 0 d;
+      s.n_classes <- !c + 1
+    end;
+    s.class_of.(j) <- !c;
+    !c
   end
 
 (* Compare two candidate keys without materializing them: an item's key
@@ -187,43 +200,55 @@ let compare_perms flavour ~w s pa pb =
       in
       lex 0
 
+(* [Fit.fits], repeated here so the cursor scan below, which makes most
+   of a probe's fits tests, makes no call into another module (dune's
+   default profile builds the library -opaque). *)
+let fits (t : State.t) b j =
+  let d = t.dims in
+  let ob = b * d and oj = j * d in
+  let i = ref 0 in
+  while
+    !i < d
+    && t.elem.(oj + !i) <= t.elem_lim.(ob + !i)
+    && t.load.(ob + !i) +. t.agg.(oj + !i) <= t.agg_lim.(ob + !i)
+  do
+    incr i
+  done;
+  !i = d
+
 (* Cursor selection (DESIGN.md §11). An item's key class is the first [w]
    dims of its descending dimension permutation (Permutation) or the set
    of those dims (Choose). A bin ranking is a bijection on dimensions, so
    under any ranking two items tie iff they share a class, and the
    selection rule's pick — the earliest fitting unplaced item among those
    of smallest key — is the earliest fitting unplaced item of the
-   smallest-key class that has one. A bin's load only grows while it fills (demands are
-   non-negative), so an item that does not fit stays unfit until the bin
-   closes: each class cursor only moves forward within a bin, and a bin
-   costs one pass over the unplaced items plus, per select pass, one fits
-   test and one key comparison per class. *)
-let pack_cursors s flavour ~window ranking ~bins ~items =
+   smallest-key class that has one. A bin's load only grows while it
+   fills (demands are non-negative), so an item that does not fit stays
+   unfit until the bin closes: each class cursor only moves forward within
+   a bin, and a bin costs one pass over the unplaced items plus, per
+   select pass, one fits test and one key comparison per class. Plain
+   loops, counting locally: a pack allocates only the representatives of
+   classes first seen this probe. *)
+let pack_cursors s flavour ~window ranking (t : State.t) ~bins ~items =
   let n_items = Array.length items in
-  let max_id =
-    Array.fold_left (fun acc (it : Item.t) -> max acc it.Item.id) (-1) items
-  in
-  let dims = Array.fold_left (fun acc b -> max acc (Bin.dim b)) 1 bins in
-  ensure_capacity s ~n_items:(max n_items (max_id + 1)) ~dims;
-  let w =
-    if n_items = 0 then window
-    else min window (Vec.Epair.dim items.(0).Item.demand)
-  in
-  let f0, w0 = s.spec in
-  if f0 <> flavour || w0 <> w then begin
-    scratch_new_probe s;
-    s.spec <- (flavour, w)
+  ensure_capacity s ~n_items:(max n_items t.n_items) ~dims:t.dims;
+  let w = min window t.dims in
+  if s.memo_flavour <> flavour || s.memo_w <> w || s.demands <> t.demands
+  then begin
+    forget_classes s;
+    s.memo_flavour <- flavour;
+    s.memo_w <- w;
+    s.demands <- t.demands
   end;
   let members = s.members and first = s.first and stop = s.stop
   and cursor = s.cursor and live = s.live in
   (* Counting sort of the item indices by class: [stop] counts, then
      advances as each class's segment fills. *)
   Array.fill stop 0 (Array.length stop) 0;
-  Array.iter
-    (fun it ->
-      let c = class_id s flavour ~w it in
-      stop.(c) <- stop.(c) + 1)
-    items;
+  for k = 0 to n_items - 1 do
+    let c = class_id s flavour ~w t items.(k) in
+    stop.(c) <- stop.(c) + 1
+  done;
   let n_live = ref 0 and next = ref 0 in
   for c = 0 to s.n_classes - 1 do
     first.(c) <- !next;
@@ -234,49 +259,46 @@ let pack_cursors s flavour ~window ranking ~bins ~items =
     end;
     stop.(c) <- first.(c)
   done;
-  Array.iteri
-    (fun j (it : Item.t) ->
-      let c = s.class_of.(it.Item.id) in
-      members.(stop.(c)) <- j;
-      stop.(c) <- stop.(c) + 1)
-    items;
-  let left = ref n_items in
-  let fill_bin bin =
+  for k = 0 to n_items - 1 do
+    let c = s.class_of.(items.(k)) in
+    members.(stop.(c)) <- k;
+    stop.(c) <- stop.(c) + 1
+  done;
+  let left = ref n_items and attempts = ref 0 and keys = ref 0 in
+  for bi = 0 to Array.length bins - 1 do
+    let b = bins.(bi) in
     for i = 0 to !n_live - 1 do
       cursor.(live.(i)) <- first.(live.(i))
     done;
-    let rec select () =
-      if !left > 0 then begin
-        Obs.Metrics.incr c_attempts;
-        fill_positions ranking s bin;
-        let best = ref (-1) in
-        for i = 0 to !n_live - 1 do
-          let c = live.(i) in
-          let k = ref cursor.(c) in
-          while !k < stop.(c) && not (Bin.fits bin items.(members.(!k))) do
-            incr k
-          done;
-          cursor.(c) <- !k;
-          if !k < stop.(c) then begin
-            Obs.Metrics.incr c_keys;
-            if
-              !best < 0
-              || compare_perms flavour ~w s s.reps.(c) s.reps.(!best) < 0
-            then best := c
-          end
+    let filling = ref true in
+    while !filling && !left > 0 do
+      incr attempts;
+      fill_positions ranking s t b;
+      let best = ref (-1) in
+      for i = 0 to !n_live - 1 do
+        let c = live.(i) in
+        let k = ref cursor.(c) in
+        while !k < stop.(c) && not (fits t b items.(members.(!k))) do
+          incr k
         done;
-        if !best >= 0 then begin
-          let k = cursor.(!best) in
-          Obs.Metrics.incr c_placed;
-          Bin.place bin items.(members.(k));
-          members.(k) <- -1;
-          cursor.(!best) <- k + 1;
-          decr left;
-          select ()
+        cursor.(c) <- !k;
+        if !k < stop.(c) then begin
+          incr keys;
+          if
+            !best < 0
+            || compare_perms flavour ~w s s.reps.(c) s.reps.(!best) < 0
+          then best := c
         end
+      done;
+      if !best >= 0 then begin
+        let k = cursor.(!best) in
+        State.place t b items.(members.(k));
+        members.(k) <- -1;
+        cursor.(!best) <- k + 1;
+        decr left
       end
-    in
-    select ();
+      else filling := false
+    done;
     (* Drop the bin's placements from the class lists (all lie before the
        cursors) and retire the classes they emptied. *)
     let kept = ref 0 in
@@ -298,19 +320,19 @@ let pack_cursors s flavour ~window ranking ~bins ~items =
       end
     done;
     n_live := !kept
-  in
-  Array.iter fill_bin bins;
+  done;
+  Obs.Metrics.add c_attempts !attempts;
+  Obs.Metrics.add c_keys !keys;
+  Obs.Metrics.add c_placed (n_items - !left);
   !left = 0
 
-let pack ?(flavour = Permutation) ?window ?(ranking = By_load) ~scratch ~bins
-    ~items () =
+let pack ?(flavour = Permutation) ?window ?(ranking = By_load) ~scratch t
+    ~bins ~items () =
   let window =
     match window with
     | Some w ->
         if w <= 0 then invalid_arg "Permutation_pack.pack: window must be > 0";
         w
-    | None ->
-        if Array.length items = 0 then 1
-        else Vec.Epair.dim items.(0).Item.demand
+    | None -> t.State.dims
   in
-  pack_cursors scratch flavour ~window ranking ~bins ~items
+  pack_cursors scratch flavour ~window ranking t ~bins ~items

@@ -42,34 +42,34 @@ type scratch
     where a full scan costs one fits test per unplaced item per select
     pass.
 
-    The items' classes are memoized by item id for one fixed-yield probe
-    and one (flavour, window): invalidate with {!scratch_new_probe} when
-    item demands change. A scratch must only be used from one domain at a
-    time, with items whose ids stay dense. *)
+    The items' classes are memoized by item id for one set of demands of
+    the state (its [demands] stamp) and one (flavour, window), and
+    recomputed when either changes. A scratch must only be used from one
+    domain at a time. *)
 
 val scratch : unit -> scratch
 (** Fresh, empty scratch. *)
-
-val scratch_new_probe : scratch -> unit
-(** Drop the memoized item classes (call after item demands change). *)
 
 val pack :
   ?flavour:flavour ->
   ?window:int ->
   ?ranking:bin_ranking ->
   scratch:scratch ->
-  bins:Bin.t array ->
-  items:Item.t array ->
+  State.t ->
+  bins:int array ->
+  items:int array ->
   unit ->
   bool
-(** Pack items (already item-sorted: the order breaks key ties) into bins
-    (already bin-sorted: bins are filled in order). Each bin is filled by
-    select passes, each placing the fitting unplaced item of smallest key
-    (the earliest such item on ties), until no item fits; selection goes
-    through the scratch's cursors above. Defaults: [Permutation],
-    [window = D] (full keys), [By_load]. Returns false when items remain
-    after all bins are exhausted. Raises [Invalid_argument] on a window
-    [<= 0], and on an item with a negative aggregate demand component.
+(** Pack the items (ids, already item-sorted: the order breaks key ties)
+    into the bins (ids, already bin-sorted: bins are filled in order),
+    from the state's current loads. Each bin is filled by select passes,
+    each placing the fitting unplaced item of smallest key (the earliest
+    such item on ties), until no item fits; selection goes through the
+    scratch's cursors above. Defaults: [Permutation], [window = D] (full
+    keys), [By_load]. Returns false when items remain after all bins are
+    exhausted, leaving the partial packing in the state. Raises
+    [Invalid_argument] on a window [<= 0], and on an item with a negative
+    aggregate demand component.
 
     Counters: [packing.placement_attempts] counts select passes, one per
     placed item plus one final empty pass per bin.

@@ -13,122 +13,65 @@ type t = {
   variant : variant;
 }
 
-let assignment ~bins ~n_items =
-  let assign = Array.make n_items (-1) in
-  Array.iter
-    (fun (bin : Bin.t) ->
-      List.iter (fun item_id -> assign.(item_id) <- bin.Bin.id) bin.contents)
-    bins;
-  assign
-
-(* Probe-shared sort memos. Most of the 253 HVP strategies differ only in
-   packing rule or bin order, not item measure, so within one fixed-yield
-   probe each distinct sorted item order need only be computed once. Bin
-   orders sort by capacity, which never changes, so those memos survive
-   for the lifetime of the cache. The memoized arrays alias the caller's
-   item/bin records (the packing loops only read items and mutate bins in
-   place), and are built by [Vec.Metric.sort] — a stable sort, so a memo
-   hit returns exactly the order a fresh sort would. Counted under the
-   solver's namespace: it is [Vp_solver]'s probe bill these hits cut. *)
-let c_item_hits = Obs.Metrics.counter "vp_solver.items_cache_hits"
-
-type cache = {
-  mutable sorted_items : (Vec.Metric.order * Item.t array) list;
-  mutable sorted_bins : (Vec.Metric.order * Bin.t array) list;
-  pp_scratch : Permutation_pack.scratch;
-  (* [infeasible]'s per-dimension scratch. *)
-  mutable demand_sum : float array;
-  mutable usable_cap : float array;
-  mutable usable : bool array;
-}
-
-let cache () =
-  { sorted_items = []; sorted_bins = [];
-    pp_scratch = Permutation_pack.scratch (); demand_sum = [||];
-    usable_cap = [||]; usable = [||] }
-
-let cache_new_probe c =
-  c.sorted_items <- [];
-  Permutation_pack.scratch_new_probe c.pp_scratch
-
-let items_in_order c order items =
-  match List.assoc_opt order c.sorted_items with
-  | Some sorted ->
-      Obs.Metrics.incr c_item_hits;
-      sorted
-  | None ->
-      let sorted = Vec.Metric.sort order Item.size items in
-      c.sorted_items <- (order, sorted) :: c.sorted_items;
-      sorted
-
-let bins_in_order c order bins =
-  match List.assoc_opt order c.sorted_bins with
-  | Some sorted -> sorted
-  | None ->
-      let sorted = Vec.Metric.sort order Bin.size bins in
-      c.sorted_bins <- (order, sorted) :: c.sorted_bins;
-      sorted
-
-let run ~cache t ~bins ~items =
-  let items = items_in_order cache t.item_order items in
+(* Every strategy reads its sort orders from the state's memos: a stable
+   sort over the same keys, so a memo hit is the order a fresh sort would
+   give. *)
+let run ~scratch (st : State.t) t =
+  State.reset st;
+  let items = State.items_in_order st t.item_order in
   let bins =
-    match (t.variant, t.algo) with
-    | Vp, _ | _, Best_fit -> bins
-    | Hvp, (First_fit | Permutation_pack _) ->
-        bins_in_order cache t.bin_order bins
+    State.bins_in_order st
+      (match t.variant with Vp -> Vec.Metric.Unsorted | Hvp -> t.bin_order)
   in
   let ok =
     match t.algo with
-    | First_fit -> Fit.first_fit ~bins ~items
+    | First_fit -> Fit.first_fit st ~bins ~items
     | Best_fit ->
         let rank =
           match t.variant with
           | Vp -> Fit.By_load
           | Hvp -> Fit.By_remaining
         in
-        Fit.best_fit ~rank ~bins ~items
+        Fit.best_fit ~rank st ~items
     | Permutation_pack { flavour; window } ->
         let ranking =
           match t.variant with
           | Vp -> Permutation_pack.By_load
           | Hvp -> Permutation_pack.By_remaining_capacity
         in
-        Permutation_pack.pack ~flavour ?window ~ranking
-          ~scratch:cache.pp_scratch ~bins ~items ()
+        Permutation_pack.pack ~flavour ?window ~ranking ~scratch st ~bins
+          ~items ()
   in
-  if ok then Some (assignment ~bins ~n_items:(Array.length items)) else None
+  if ok then Some (State.assignment st) else None
 
 (* The probe-level infeasibility certificate (DESIGN.md §11). Every
-   strategy places an item only where [Bin.fits] holds; demands are
+   strategy places an item only where [Fit.fits] holds; demands are
    non-negative, so a bin's load only grows. Hence (a) an item that fits
    no empty bin fits no bin at any point of any strategy, and (b) in each
    dimension the items with positive demand there can only land in bins
-   where one of them fits empty, each of which ends below its [Bin.fits]
-   threshold; so their total demand cannot exceed the sum of those
+   where one of them fits empty, each of which ends below its aggregate
+   fits threshold; so their total demand cannot exceed the sum of those
    thresholds. The float sums involved (bin loads, demand total,
    threshold total) are off by about (2 items + bins) x 2^-53 of the
-   total at most, far below [margin]. Loops only, over the cache's
-   scratch arrays: a call allocates nothing once the scratch is sized. *)
+   total at most, far below [margin]. *)
 let margin = 1e-9
 
-(* [c.usable] := the dimensions in which [bin] is usable: some item with
+(* [usable] := the dimensions in which bin [b] is usable: some item with
    positive demand there fits it empty. Stops once all [wanted]
    dimensions with demand are found. *)
-let usable_dims c bin ~items ~wanted =
-  let d = Bin.dim bin in
-  let usable = c.usable in
+let usable_dims (st : State.t) usable b ~wanted =
+  let d = st.dims in
   Array.fill usable 0 d false;
   let missing = ref wanted and j = ref 0 in
-  while !missing > 0 && !j < Array.length items do
-    let item = items.(!j) in
-    let agg = (item.Item.demand.Vec.Epair.aggregate :> float array) in
+  while !missing > 0 && !j < st.n_items do
+    let o = !j * d in
     let adds = ref false in
     for k = 0 to d - 1 do
-      if agg.(k) > 0. && not usable.(k) then adds := true
+      if st.agg.(o + k) > 0. && not usable.(k) then adds := true
     done;
-    if !adds && Bin.fits bin item then
+    if !adds && Fit.fits st b !j then
       for k = 0 to d - 1 do
-        if agg.(k) > 0. && not usable.(k) then begin
+        if st.agg.(o + k) > 0. && not usable.(k) then begin
           usable.(k) <- true;
           decr missing
         end
@@ -136,31 +79,23 @@ let usable_dims c bin ~items ~wanted =
     incr j
   done
 
-let infeasible c ~bins ~items =
-  Array.length items > 0
+let infeasible (st : State.t) =
+  st.n_items > 0
   &&
-  let d = Vec.Epair.dim items.(0).Item.demand in
-  if Array.length c.demand_sum < d then begin
-    c.demand_sum <- Array.make d 0.;
-    c.usable_cap <- Array.make d 0.;
-    c.usable <- Array.make d false
-  end;
-  let total = c.demand_sum and cap = c.usable_cap in
-  Array.fill total 0 d 0.;
-  Array.fill cap 0 d 0.;
+  let d = st.dims in
+  State.reset st;
+  let total = Array.make d 0. and cap = Array.make d 0. in
   (* (a), summing the demands on the way. *)
   let homeless = ref false and j = ref 0 in
-  while (not !homeless) && !j < Array.length items do
-    let item = items.(!j) in
-    let agg = (item.Item.demand.Vec.Epair.aggregate :> float array) in
+  while (not !homeless) && !j < st.n_items do
     for k = 0 to d - 1 do
-      total.(k) <- total.(k) +. agg.(k)
+      total.(k) <- total.(k) +. st.agg.((!j * d) + k)
     done;
     let b = ref 0 in
-    while !b < Array.length bins && not (Bin.fits bins.(!b) item) do
+    while !b < st.n_bins && not (Fit.fits st !b !j) do
       incr b
     done;
-    homeless := !b = Array.length bins;
+    homeless := !b = st.n_bins;
     incr j
   done;
   !homeless
@@ -170,14 +105,11 @@ let infeasible c ~bins ~items =
   for k = 0 to d - 1 do
     if total.(k) > 0. then incr wanted
   done;
-  for b = 0 to Array.length bins - 1 do
-    let bin = bins.(b) in
-    usable_dims c bin ~items ~wanted:!wanted;
-    let ca = (bin.Bin.capacity.Vec.Epair.aggregate :> float array) in
+  let usable = Array.make d false in
+  for b = 0 to st.n_bins - 1 do
+    usable_dims st usable b ~wanted:!wanted;
     for k = 0 to d - 1 do
-      if c.usable.(k) then
-        cap.(k) <-
-          cap.(k) +. (ca.(k) +. (Vec.Vector.eps *. Float.max 1. ca.(k)))
+      if usable.(k) then cap.(k) <- cap.(k) +. st.agg_lim.((b * d) + k)
     done
   done;
   let over = ref false in

@@ -28,48 +28,24 @@ type t = {
   variant : variant;
 }
 
-type cache
-(** Probe-shared sort memos: each distinct item-sort order is computed
-    once per probe (invalidate with {!cache_new_probe} when item demands
-    change), each distinct bin-sort order once per cache lifetime (bin
-    capacities never change), and Permutation-Pack selection runs on a
-    {!Permutation_pack.scratch} whose per-item demand permutations are
-    likewise memoized per probe; {!infeasible} keeps its per-dimension
-    sums there too. The memoized arrays alias the caller's
-    item and bin records, so a cache must only ever be used with the one
-    item/bin pair it first saw, from one domain at a time. Hits land on
-    the [vp_solver.items_cache_hits] counter. *)
+val run : scratch:Permutation_pack.scratch -> State.t -> t -> int array option
+(** Execute one strategy: empty the state's bins ({!State.reset}), then
+    pack its items in the strategy's item order (and bin order, for
+    First-Fit and Permutation-Pack under [Hvp]), both read from the
+    state's sort memos. On success the result maps item id to bin id; on
+    failure the state keeps the partial packing. Permutation-Pack selects
+    through [scratch]. *)
 
-val cache : unit -> cache
-(** A fresh, empty memo table. *)
-
-val cache_new_probe : cache -> unit
-(** Drop the item-order memos (call after refilling item demands for a new
-    probe); bin-order memos are kept. *)
-
-val run : cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
-  int array option
-(** Execute one strategy; [bins] are mutated. Items must carry dense ids
-    [0 .. n-1]; on success the result maps item id to bin id. Callers
-    should pass freshly created (or {!Bin.reset}) bins. Item and bin sort
-    orders are memoized in [cache] as documented on {!type-cache}, and
-    Permutation-Pack selects through the cache's scratch. *)
-
-val infeasible : cache -> bins:Bin.t array -> items:Item.t array -> bool
+val infeasible : State.t -> bool
 (** The probe-level infeasibility certificate: [true] proves that no
-    strategy of this module packs [items] into [bins], because (a) some
-    item fits no empty bin, or (b) in some dimension the items' total
-    aggregate demand exceeds, by a margin of [1e-9 *. max 1 cap], the
-    summed [Bin.fits] thresholds [cap] of the bins where some item with
-    positive demand in that dimension fits empty. Exact: every strategy
-    places an item only where {!Bin.fits} holds, demands are non-negative
-    and loads only grow (DESIGN.md §11). [false] proves nothing. [bins]
-    must be empty (fresh or {!Bin.reset}); its per-dimension scratch lives
-    in the cache, so a call allocates nothing once that is sized. *)
-
-val assignment : bins:Bin.t array -> n_items:int -> int array
-(** Read the item-to-bin assignment out of packed bins (helper shared with
-    tests). *)
+    strategy of this module packs the state's items into its bins,
+    because (a) some item fits no empty bin, or (b) in some dimension the
+    items' total aggregate demand exceeds, by a margin of
+    [1e-9 *. max 1 cap], the summed aggregate fits thresholds [cap] of the
+    bins where some item with positive demand in that dimension fits
+    empty. Exact: every strategy places an item only where {!Fit.fits}
+    holds, demands are non-negative and loads only grow (DESIGN.md §11).
+    [false] proves nothing. Empties the bins first ({!State.reset}). *)
 
 val vp_all : t list
 (** The 33 homogeneous strategies of METAVP. *)

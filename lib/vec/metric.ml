@@ -25,6 +25,32 @@ let sort order proj items =
       Array.stable_sort (fun x y -> compare_key key (proj y) (proj x)) items);
   items
 
+(* The same stable sort as [sort], with each scalar key computed once per
+   row instead of once per comparison: [value] is a pure function of the
+   row, so every comparison, and hence the order, is [sort]'s. *)
+let sort_rows order ~dims rows =
+  if dims <= 0 then invalid_arg "Metric.sort_rows: dims must be positive";
+  let n = Array.length rows / dims in
+  let ids = Array.init n Fun.id in
+  (match order with
+  | Unsorted -> ()
+  | Asc key | Desc key ->
+      let views =
+        Array.init n (fun i ->
+            Vector.init dims (fun d -> rows.((i * dims) + d)))
+      in
+      let cmp =
+        match key with
+        | Scalar s ->
+            let keys = Array.map (value s) views in
+            fun a b -> Float.compare keys.(a) keys.(b)
+        | Lex -> fun a b -> Vector.compare_lex views.(a) views.(b)
+      in
+      Array.stable_sort
+        (match order with Desc _ -> fun a b -> cmp b a | _ -> cmp)
+        ids);
+  ids
+
 let all_keys =
   [ Scalar Max; Scalar Sum; Scalar Max_ratio; Scalar Max_difference; Lex ]
 

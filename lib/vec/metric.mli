@@ -25,6 +25,13 @@ val sort : order -> ('a -> Vector.t) -> 'a array -> 'a array
     projection of each item. The sort is stable so [Unsorted] and tie
     handling preserve natural order. *)
 
+val sort_rows : order -> dims:int -> float array -> int array
+(** [sort_rows order ~dims rows] sorts the ids [0 .. n-1] of the [n]
+    vectors stored row by row in [rows] (vector [i]'s dimension [d] at
+    [i * dims + d]) exactly as {!sort} sorts those vectors in id order:
+    the same stable sort on the same keys. Raises [Invalid_argument] when
+    [dims <= 0]. *)
+
 val all_orders : order list
 (** The 11 item orders of the paper: [Unsorted] plus {asc, desc} x
     {MAX, SUM, MAXRATIO, MAXDIFFERENCE, LEX}. *)

@@ -44,16 +44,6 @@ let axpy a x y =
     invalid_arg "Vector.axpy: dimension mismatch";
   Array.init (Array.length x) (fun i -> (a *. x.(i)) +. y.(i))
 
-let axpy_fill dst a ~x ~y ~off =
-  let d = Array.length dst in
-  if off < 0 || off + d > Array.length x || off + d > Array.length y then
-    invalid_arg "Vector.axpy_fill: offset out of range";
-  for i = 0 to d - 1 do
-    (* Same expression as [axpy], so a filled vector is bit-identical to a
-       freshly allocated one. *)
-    dst.(i) <- (a *. x.(off + i)) +. y.(off + i)
-  done
-
 let sum v = Array.fold_left ( +. ) 0. v
 
 let max_component v = Array.fold_left max neg_infinity v

@@ -49,19 +49,8 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 
 val axpy : float -> t -> t -> t
-(** [axpy a x y] is [a*x + y], the packing engine's inner-loop primitive
-    (demand at yield [a]: [a*need + requirement]). *)
-
-val axpy_fill : t -> float -> x:float array -> y:float array -> off:int -> unit
-(** [axpy_fill dst a ~x ~y ~off] overwrites [dst.(i)] with
-    [a *. x.(off+i) +. y.(off+i)] for every dimension [i] — the in-place
-    form of {!axpy} over flattened per-service buffers, using the exact
-    same float expression so a refilled vector is bit-identical to a fresh
-    one. This is the single sanctioned mutation of a vector after
-    construction: it exists for the probe-shared packing kernel's scratch
-    demands, which are never aliased outside the kernel. Raises
-    [Invalid_argument] when the [off]-based slice falls outside [x] or
-    [y]. *)
+(** [axpy a x y] is [a*x + y]: a service's demand at yield [a] is
+    [a*need + requirement]. *)
 
 val sum : t -> float
 (** Sum of all components (the SUM scalarization metric). *)

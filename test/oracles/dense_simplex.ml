@@ -171,7 +171,11 @@ let run_phase ?(blocked = fun _ -> false) ?iters_counter
   let bland = ref false in
   let degenerate_streak = ref 0 in
   let choose_entering () =
-    if !bland || !iters > bland_after then begin
+    if (not !bland) && !iters > bland_after then begin
+      bland := true;
+      Obs.Metrics.incr c_bland
+    end;
+    if !bland then begin
       (* Bland: smallest eligible index. *)
       let rec loop j =
         if j >= n_cols then None

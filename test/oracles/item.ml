@@ -3,5 +3,3 @@ type t = { id : int; demand : Vec.Epair.t }
 let v ~id ~demand = { id; demand }
 
 let size t = t.demand.Vec.Epair.aggregate
-
-let pp ppf t = Format.fprintf ppf "item#%d %a" t.id Vec.Epair.pp t.demand

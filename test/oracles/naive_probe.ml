@@ -20,14 +20,14 @@ let run (t : Strategy.t) ~bins ~items =
   in
   let ok =
     match t.algo with
-    | Strategy.First_fit -> Fit.first_fit ~bins ~items
+    | Strategy.First_fit -> Record_fit.first_fit ~bins ~items
     | Strategy.Best_fit ->
         let rank =
           match t.variant with
           | Strategy.Vp -> Fit.By_load
           | Strategy.Hvp -> Fit.By_remaining
         in
-        Fit.best_fit ~rank ~bins ~items
+        Record_fit.best_fit ~rank ~bins ~items
     | Strategy.Permutation_pack { flavour; window } ->
         let ranking =
           match t.variant with
@@ -36,7 +36,7 @@ let run (t : Strategy.t) ~bins ~items =
         in
         Pp_scan.pack ~flavour ?window ~ranking ~bins ~items ()
   in
-  if ok then Some (Strategy.assignment ~bins ~n_items:(Array.length items))
+  if ok then Some (Record_fit.assignment ~bins ~n_items:(Array.length items))
   else None
 
 let pack_at_yield strategy instance y =

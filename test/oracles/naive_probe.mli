@@ -3,25 +3,26 @@
 
     Every probe tries {!pack_at_yield} over the strategies in order: fresh
     items and bins per attempt, sorts made afresh with {!Vec.Metric.sort},
-    First-Fit and Best-Fit from {!Packing.Fit} and Permutation-Pack by
-    full scan ({!Pp_scan}) — no sort memos, no cursors, no certificate.
+    First-Fit and Best-Fit over records ({!Record_fit}) and
+    Permutation-Pack by full scan ({!Pp_scan}) — no flat state, no sort
+    memos, no cursors, no certificate.
     The search is the same {!Heuristics.Binary_search.maximize} the
     kernel-backed solvers run, so results must match theirs bit-for-bit.
     It records no [vp_solver] metrics; pass [counts] to count its probes
     and strategy attempts instead. *)
 
-val items_at_yield : Model.Instance.t -> float -> Packing.Item.t array
+val items_at_yield : Model.Instance.t -> float -> Item.t array
 (** Service demands at a common yield, in service-id order. *)
 
-val fresh_bins : Model.Instance.t -> Packing.Bin.t array
+val fresh_bins : Model.Instance.t -> Bin.t array
 (** Empty bins mirroring the instance's nodes. *)
 
 val run :
   Packing.Strategy.t ->
-  bins:Packing.Bin.t array ->
-  items:Packing.Item.t array ->
+  bins:Bin.t array ->
+  items:Item.t array ->
   int array option
-(** {!Packing.Strategy.run} without a cache. *)
+(** {!Packing.Strategy.run} over records, without memos. *)
 
 val pack_at_yield :
   Packing.Strategy.t -> Model.Instance.t -> float -> Model.Placement.t option

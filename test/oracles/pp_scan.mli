@@ -6,7 +6,7 @@
     no class memo. Same contract, defaults and placement order as
     {!Packing.Permutation_pack.pack}; it records no metrics. *)
 
-val item_key : bin_perm_pos:int array -> Packing.Item.t -> int array
+val item_key : bin_perm_pos:int array -> Item.t -> int array
 (** [item_key ~bin_perm_pos item] maps the item's descending-demand
     dimension permutation through the bin's ranking positions; position
     array [bin_perm_pos.(d)] is the rank of dimension [d] in the bin's
@@ -22,8 +22,8 @@ val pack :
   ?flavour:Packing.Permutation_pack.flavour ->
   ?window:int ->
   ?ranking:Packing.Permutation_pack.bin_ranking ->
-  bins:Packing.Bin.t array ->
-  items:Packing.Item.t array ->
+  bins:Bin.t array ->
+  items:Item.t array ->
   unit ->
   bool
 (** {!Packing.Permutation_pack.pack} without a scratch. *)

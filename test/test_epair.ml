@@ -75,6 +75,30 @@ let test_metric_sort_stable () =
   Alcotest.(check (list int)) "stable" [ 0; 1; 2 ]
     (Array.to_list (Array.map fst sorted))
 
+(* The flat form the packing state sorts by: on rows in tenths, zeros
+   included (ties, and MAXRATIO's infinity), every order gives the ids in
+   the order [Metric.sort] gives the vectors. *)
+let prop_sort_rows_equals_sort =
+  QCheck2.Test.make ~name:"sort_rows orders ids as sort orders vectors"
+    ~count:200
+    QCheck2.Gen.(
+      let* dims = int_range 1 4 in
+      let* rows =
+        list_size (int_range 0 12)
+          (list_size (pure dims)
+             (map (fun k -> float_of_int k /. 10.) (int_range 0 5)))
+      in
+      pure (dims, rows))
+    (fun (dims, rows) ->
+      let vectors = Array.of_list (List.map Vector.of_list rows) in
+      let flat = Array.concat (List.map Array.of_list rows) in
+      List.for_all
+        (fun order ->
+          Metric.sort_rows order ~dims flat
+          = Array.map fst
+              (Metric.sort order snd (Array.mapi (fun i v -> (i, v)) vectors)))
+        Metric.all_orders)
+
 let test_metric_names () =
   Alcotest.(check string) "DMAX" "DMAX"
     (Metric.order_to_string (Metric.Desc (Metric.Scalar Metric.Max)));
@@ -96,3 +120,4 @@ let suite =
       ("metric sort stability", test_metric_sort_stable);
       ("metric names", test_metric_names);
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_sort_rows_equals_sort ]

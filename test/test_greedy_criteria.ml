@@ -101,38 +101,33 @@ let test_naive_pp_hvp_ranking () =
   let rng = Prng.Rng.create ~seed:99 in
   for _ = 1 to 25 do
     let dims = 2 + Prng.Rng.int rng 3 in
-    let mk id lo hi =
-      let v =
-        Vec.Vector.init dims (fun _ -> Prng.Rng.uniform_range rng lo hi)
-      in
-      (id, Vec.Epair.uniform v)
+    let mk lo hi =
+      Vec.Epair.uniform
+        (Vec.Vector.init dims (fun _ -> Prng.Rng.uniform_range rng lo hi))
     in
-    let capacities = Array.init 5 (fun id -> mk id 0.4 1.0) in
-    let bins () =
-      Array.map
-        (fun (id, capacity) -> Packing.Bin.v ~id ~capacity)
-        capacities
+    let capacities = Array.init 5 (fun _ -> mk 0.4 1.0) in
+    let demands = Array.init 15 (fun _ -> mk 0.01 0.35) in
+    let state () =
+      let st = Packing.State.create ~dims ~capacities ~n_items:15 in
+      Array.iteri (Packing.State.set_item st) demands;
+      st
     in
-    let items =
-      Array.init 15 (fun id ->
-          let id, demand = mk id 0.01 0.35 in
-          Packing.Item.v ~id ~demand)
-    in
-    let bins_a = bins () and bins_b = bins () in
+    let st_a = state () and st_b = state () in
+    let bins = Array.init 5 Fun.id and items = Array.init 15 Fun.id in
     let ok_a =
       Packing.Permutation_pack.pack
         ~ranking:Packing.Permutation_pack.By_remaining_capacity
-        ~scratch:(Packing.Permutation_pack.scratch ()) ~bins:bins_a ~items ()
+        ~scratch:(Packing.Permutation_pack.scratch ()) st_a ~bins ~items ()
     in
     let ok_b =
       Packing.Naive_permutation_pack.pack
-        ~ranking:Packing.Permutation_pack.By_remaining_capacity ~bins:bins_b
+        ~ranking:Packing.Permutation_pack.By_remaining_capacity st_b ~bins
         ~items ()
     in
     Alcotest.(check bool) "same success" ok_a ok_b;
     Alcotest.(check (array int)) "same assignment"
-      (Packing.Strategy.assignment ~bins:bins_a ~n_items:15)
-      (Packing.Strategy.assignment ~bins:bins_b ~n_items:15)
+      (Packing.State.assignment st_a)
+      (Packing.State.assignment st_b)
   done
 
 let test_strategy_ranking_smoke () =

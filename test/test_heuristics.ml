@@ -91,7 +91,7 @@ let test_vp_solver_fig1 () =
 let test_items_at_yield () =
   let items = Oracles.Naive_probe.items_at_yield instance_fig1 0.6 in
   check_float "aggregate demand" 1.6
-    (Vec.Vector.get items.(0).Packing.Item.demand.Vec.Epair.aggregate 0)
+    (Vec.Vector.get items.(0).Oracles.Item.demand.Vec.Epair.aggregate 0)
 
 (* Greedy. *)
 

@@ -393,6 +393,21 @@ let test_beale_bland_switchover () =
   Alcotest.(check bool) "bland switchover recorded" true
     (Obs.Metrics.Snapshot.counter_value snap "simplex.bland_switches" >= 1)
 
+(* The oracle's other switch, the iteration budget: with the streak
+   trigger out of reach, Beale's LP cycles until the phase passes its
+   budget, then Bland's rule ends it, counted once. *)
+let test_beale_dense_budget_switch () =
+  let result, counter =
+    Counters.with_metrics (fun () ->
+        Oracles.Dense_simplex.solve ~bland_after_degenerate:max_int beale)
+  in
+  (match result with
+  | Oracles.Dense_simplex.Optimal s ->
+      check_float "budget-switch optimum" (-0.05) s.objective
+  | _ -> Alcotest.fail "Beale LP must be optimal under Bland's rule");
+  Alcotest.(check int) "one switch to Bland's rule" 1
+    (counter "simplex.bland_switches")
+
 let test_beale_default_params () =
   (match Oracles.Dense_simplex.solve beale with
   | Oracles.Dense_simplex.Optimal s ->
@@ -446,6 +461,8 @@ let suite =
       ("simplex obs counters", test_simplex_counters);
       ("Beale cycling LP: Bland switchover", test_beale_bland_switchover);
       ("Beale cycling LP: default params", test_beale_default_params);
+      ("Beale cycling LP: dense budget switch",
+       test_beale_dense_budget_switch);
       ("Beale cycling LP: revised Bland path", test_beale_revised_bland);
       ("MILP knapsack", test_knapsack);
       ("MILP infeasible", test_milp_infeasible);

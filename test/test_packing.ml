@@ -1,4 +1,5 @@
-(* Tests for the vector-packing engine: bins, First/Best-Fit,
+(* Tests for the vector-packing engine: the flat packing state, First/Best-
+   Fit (against the record references of [Oracles.Record_fit]),
    Permutation-Pack (the cursor path against the full scan of
    [Oracles.Pp_scan] and the D!-list version), and the strategy
    enumerations. *)
@@ -8,117 +9,125 @@ open Packing
 let v = Vec.Vector.of_list
 let epair e a = Vec.Epair.v ~elementary:(v e) ~aggregate:(v a)
 
-let item id e a = Item.v ~id ~demand:(epair e a)
-let bin id e a = Bin.v ~id ~capacity:(epair e a)
+(* A uniform demand or capacity: elementary = aggregate (poolable view). *)
+let uniform comps = epair comps comps
 
-(* A simple uniform item: elementary = aggregate (poolable view). *)
-let uitem id comps = item id comps comps
-let ubin id comps = bin id comps comps
+(* A state with one bin per capacity and one item per demand, both in
+   list order. *)
+let state capacities demands =
+  let dims = Vec.Epair.dim (List.hd capacities) in
+  let st =
+    State.create ~dims ~capacities:(Array.of_list capacities)
+      ~n_items:(List.length demands)
+  in
+  List.iteri (State.set_item st) demands;
+  st
+
+let ustate bins items = state (List.map uniform bins) (List.map uniform items)
+
+let ids n = Array.init n Fun.id
+
+let load (st : State.t) b = Array.sub st.load (b * st.dims) st.dims
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* Permutation-Pack on a fresh scratch; [run] runs a strategy on a fresh
-   cache. *)
-let pack ?flavour ?window ?ranking ~bins ~items () =
+(* Permutation-Pack on a fresh scratch over every bin and item in id
+   order; [run] runs a strategy on a fresh scratch. *)
+let pack ?flavour ?window ?ranking (st : State.t) =
   Permutation_pack.pack ?flavour ?window ?ranking
-    ~scratch:(Permutation_pack.scratch ()) ~bins ~items ()
+    ~scratch:(Permutation_pack.scratch ()) st ~bins:(ids st.n_bins)
+    ~items:(ids st.n_items) ()
 
-let run strategy ~bins ~items =
-  Strategy.run ~cache:(Strategy.cache ()) strategy ~bins ~items
+let run strategy st =
+  Strategy.run ~scratch:(Permutation_pack.scratch ()) st strategy
 
 let test_bin_fits_and_place () =
-  let b = ubin 0 [ 1.0; 1.0 ] in
-  let i1 = uitem 0 [ 0.6; 0.2 ] in
-  let i2 = uitem 1 [ 0.6; 0.2 ] in
-  Alcotest.(check bool) "fits empty" true (Bin.fits b i1);
-  Bin.place b i1;
-  Alcotest.(check bool) "second overflows dim 0" false (Bin.fits b i2);
-  check_float "load" 0.6 (Vec.Vector.get (Bin.load_vector b) 0);
-  check_float "remaining" 0.4 (Vec.Vector.get (Bin.remaining b) 0);
-  check_float "load sum" 0.8 (Bin.load_sum b);
-  check_float "remaining sum" 1.2 (Bin.remaining_sum b)
+  let st = ustate [ [ 1.0; 1.0 ] ] [ [ 0.6; 0.2 ]; [ 0.6; 0.2 ] ] in
+  Alcotest.(check bool) "fits empty" true (Fit.fits st 0 0);
+  State.place st 0 0;
+  Alcotest.(check bool) "second overflows dim 0" false (Fit.fits st 0 1);
+  check_float "load" 0.6 st.load.(0);
+  check_float "remaining" 0.4 (st.cap.(0) -. st.load.(0));
+  check_float "load sum" 0.8 st.load_sum.(0);
+  check_float "remaining sum" 1.2 st.remaining_sum.(0);
+  Alcotest.(check (array int)) "assignment" [| 0; -1 |] (State.assignment st)
 
-(* The running sum_load / sum_remaining fields must always equal the
-   folds over load and capacity they replace, through arbitrary
-   place/reset sequences, and reset bins must behave like fresh ones. *)
+(* The running load_sum / remaining_sum must always equal the folds over
+   load and capacity they replace, through arbitrary place/reset
+   sequences, and a reset state must behave like a fresh one. *)
 let test_bin_running_sums () =
-  let fold_load b =
-    Array.fold_left ( +. ) 0. (Vec.Vector.to_array (Bin.load_vector b))
+  let check_sums msg (st : State.t) =
+    let l = load st 0 and c = Array.sub st.cap 0 st.dims in
+    check_float (msg ^ ": load_sum") (Array.fold_left ( +. ) 0. l)
+      st.load_sum.(0);
+    let rem = ref 0. in
+    Array.iteri (fun i x -> rem := !rem +. Float.max 0. (c.(i) -. x)) l;
+    check_float (msg ^ ": remaining_sum") !rem st.remaining_sum.(0)
   in
-  let fold_remaining (b : Bin.t) =
-    let cap = b.Bin.capacity.Vec.Epair.aggregate in
-    let load = Bin.load_vector b in
-    let acc = ref 0. in
-    for i = 0 to Bin.dim b - 1 do
-      acc :=
-        !acc
-        +. Float.max 0. (Vec.Vector.get cap i -. Vec.Vector.get load i)
-    done;
-    !acc
-  in
-  let check_sums msg b =
-    check_float (msg ^ ": load_sum") (fold_load b) (Bin.load_sum b);
-    check_float (msg ^ ": remaining_sum") (fold_remaining b)
-      (Bin.remaining_sum b)
-  in
-  let b = ubin 0 [ 1.0; 2.0; 0.5 ] in
-  check_sums "fresh" b;
-  Bin.place b (uitem 0 [ 0.3; 0.1; 0.2 ]);
-  check_sums "after one place" b;
+  let items = [ [ 0.3; 0.1; 0.2 ]; [ 0.9; 0.2; 0.1 ]; [ 0.4; 0.4; 0.4 ] ] in
+  let st = ustate [ [ 1.0; 2.0; 0.5 ] ] items in
+  check_sums "fresh" st;
+  State.place st 0 0;
+  check_sums "after one place" st;
   (* Overfill a dimension: remaining clamps at 0 in that dimension. *)
-  Bin.place b (uitem 1 [ 0.9; 0.2; 0.1 ]);
-  check_sums "after overfilling dim 0" b;
-  Bin.reset b;
-  check_sums "after reset" b;
-  let fresh = ubin 0 [ 1.0; 2.0; 0.5 ] in
-  check_float "reset load_sum = fresh" (Bin.load_sum fresh) (Bin.load_sum b);
-  check_float "reset remaining_sum = fresh" (Bin.remaining_sum fresh)
-    (Bin.remaining_sum b);
-  Alcotest.(check (list int)) "reset clears contents" [] b.Bin.contents;
-  Bin.place b (uitem 2 [ 0.4; 0.4; 0.4 ]);
-  check_sums "place after reset" b
+  State.place st 0 1;
+  check_sums "after overfilling dim 0" st;
+  State.reset st;
+  check_sums "after reset" st;
+  let fresh = ustate [ [ 1.0; 2.0; 0.5 ] ] items in
+  check_float "reset load_sum = fresh" fresh.load_sum.(0) st.load_sum.(0);
+  check_float "reset remaining_sum = fresh" fresh.remaining_sum.(0)
+    st.remaining_sum.(0);
+  Alcotest.(check (array int)) "reset unplaces every item" [| -1; -1; -1 |]
+    (State.assignment st);
+  Alcotest.(check (array int)) "reset clears the placement order" [||]
+    (State.placement_order st);
+  State.place st 0 2;
+  check_sums "place after reset" st
 
 let test_bin_elementary_filter () =
   (* Elementary demand exceeds elementary capacity: never fits, regardless
      of aggregate headroom. *)
-  let b = bin 0 [ 0.25; 1.0 ] [ 1.0; 1.0 ] in
-  let i = item 0 [ 0.3; 0.1 ] [ 0.3; 0.1 ] in
-  Alcotest.(check bool) "elementary filter" false (Bin.fits b i)
+  let st =
+    state
+      [ epair [ 0.25; 1.0 ] [ 1.0; 1.0 ] ]
+      [ epair [ 0.3; 0.1 ] [ 0.3; 0.1 ] ]
+  in
+  Alcotest.(check bool) "elementary filter" false (Fit.fits st 0 0)
 
 let test_first_fit_order () =
-  let bins = [| ubin 0 [ 0.5; 0.5 ]; ubin 1 [ 1.0; 1.0 ] |] in
-  let items = [| uitem 0 [ 0.4; 0.4 ]; uitem 1 [ 0.4; 0.4 ] |] in
-  Alcotest.(check bool) "packs" true (Fit.first_fit ~bins ~items);
-  let assign = Strategy.assignment ~bins ~n_items:2 in
+  let st =
+    ustate [ [ 0.5; 0.5 ]; [ 1.0; 1.0 ] ] [ [ 0.4; 0.4 ]; [ 0.4; 0.4 ] ]
+  in
+  Alcotest.(check bool) "packs" true
+    (Fit.first_fit st ~bins:(ids 2) ~items:(ids 2));
   (* First item goes to bin 0 (first that fits), second no longer fits
      there. *)
-  Alcotest.(check (array int)) "assignment" [| 0; 1 |] assign
+  Alcotest.(check (array int)) "assignment" [| 0; 1 |] (State.assignment st)
 
 let test_first_fit_failure_is_reported () =
-  let bins = [| ubin 0 [ 0.5; 0.5 ] |] in
-  let items = [| uitem 0 [ 0.6; 0.1 ] |] in
-  Alcotest.(check bool) "cannot pack" false (Fit.first_fit ~bins ~items)
+  let st = ustate [ [ 0.5; 0.5 ] ] [ [ 0.6; 0.1 ] ] in
+  Alcotest.(check bool) "cannot pack" false
+    (Fit.first_fit st ~bins:(ids 1) ~items:(ids 1))
 
 let test_best_fit_by_load () =
   (* Identical bins; after the first item, BF prefers the fuller bin. *)
-  let bins = [| ubin 0 [ 1.0; 1.0 ]; ubin 1 [ 1.0; 1.0 ] |] in
-  let items =
-    [| uitem 0 [ 0.3; 0.3 ]; uitem 1 [ 0.3; 0.3 ]; uitem 2 [ 0.3; 0.3 ] |]
+  let st =
+    ustate [ [ 1.0; 1.0 ]; [ 1.0; 1.0 ] ]
+      [ [ 0.3; 0.3 ]; [ 0.3; 0.3 ]; [ 0.3; 0.3 ] ]
   in
   Alcotest.(check bool) "packs" true
-    (Fit.best_fit ~rank:Fit.By_load ~bins ~items);
-  let assign = Strategy.assignment ~bins ~n_items:3 in
-  Alcotest.(check (array int)) "all on one bin" [| 0; 0; 0 |] assign
+    (Fit.best_fit ~rank:Fit.By_load st ~items:(ids 3));
+  Alcotest.(check (array int)) "all on one bin" [| 0; 0; 0 |]
+    (State.assignment st)
 
 let test_best_fit_by_remaining_prefers_smaller_bin () =
   (* Heterogeneous: HVP Best-Fit targets the bin with least remaining
      capacity. *)
-  let bins = [| ubin 0 [ 1.0; 1.0 ]; ubin 1 [ 0.5; 0.5 ] |] in
-  let items = [| uitem 0 [ 0.3; 0.3 ] |] in
+  let st = ustate [ [ 1.0; 1.0 ]; [ 0.5; 0.5 ] ] [ [ 0.3; 0.3 ] ] in
   Alcotest.(check bool) "packs" true
-    (Fit.best_fit ~rank:Fit.By_remaining ~bins ~items);
-  Alcotest.(check (array int)) "smaller bin wins" [| 1 |]
-    (Strategy.assignment ~bins ~n_items:1)
+    (Fit.best_fit ~rank:Fit.By_remaining st ~items:(ids 1));
+  Alcotest.(check (array int)) "smaller bin wins" [| 1 |] (State.assignment st)
 
 let test_permutation_key_paper_example () =
   (* Paper §3.5.2's 4-D example: bin ordering (4,2,3,1), item ordering
@@ -128,7 +137,7 @@ let test_permutation_key_paper_example () =
   let pos = Array.make 4 0 in
   Array.iteri (fun rank d -> pos.(d) <- rank) bin_perm;
   (* item with demands ranked: largest in dim 2, then 0, then 3, then 1 *)
-  let it = uitem 0 [ 0.6; 0.1; 0.9; 0.3 ] in
+  let it = Oracles.Item.v ~id:0 ~demand:(uniform [ 0.6; 0.1; 0.9; 0.3 ]) in
   let key = Oracles.Pp_scan.item_key ~bin_perm_pos:pos it in
   Alcotest.(check (array int)) "key" [| 2; 3; 0; 1 |] key
 
@@ -145,24 +154,24 @@ let test_compare_keys_window () =
     (Oracles.Pp_scan.compare_keys Permutation_pack.Choose ~window:2 a b > 0)
 
 let test_permutation_pack_balances () =
-  (* One bin, two dims. Load starts skewed by a seed item; PP must pick the
-     item that fights the imbalance. *)
-  let b = ubin 0 [ 1.0; 1.0 ] in
-  Bin.place b (uitem 99 [ 0.4; 0.1 ]);
+  (* One bin, two dims. Load starts skewed by a seed item (item 2); PP
+     must pick the item that fights the imbalance. *)
+  let st =
+    ustate [ [ 1.0; 1.0 ] ] [ [ 0.3; 0.1 ]; [ 0.1; 0.3 ]; [ 0.4; 0.1 ] ]
+  in
+  State.place st 0 2;
   (* dim 0 is loaded *)
-  let items = [| uitem 0 [ 0.3; 0.1 ]; uitem 1 [ 0.1; 0.3 ] |] in
   Alcotest.(check bool) "packs" true
-    (pack ~bins:[| b |] ~items ());
+    (Permutation_pack.pack ~scratch:(Permutation_pack.scratch ()) st
+       ~bins:[| 0 |] ~items:[| 0; 1 |] ());
   (* Item 1 (big in dim 1, the less-loaded dimension) must be placed
      first. *)
-  Alcotest.(check (list int)) "selection order (most recent first)" [ 0; 1; 99 ]
-    b.Bin.contents
+  Alcotest.(check (array int)) "selection order" [| 2; 1; 0 |]
+    (State.placement_order st)
 
 let test_permutation_pack_failure () =
-  let bins = [| ubin 0 [ 0.5; 0.5 ] |] in
-  let items = [| uitem 0 [ 0.4; 0.4 ]; uitem 1 [ 0.4; 0.4 ] |] in
-  Alcotest.(check bool) "second item does not fit" false
-    (pack ~bins ~items ())
+  let st = ustate [ [ 0.5; 0.5 ] ] [ [ 0.4; 0.4 ]; [ 0.4; 0.4 ] ] in
+  Alcotest.(check bool) "second item does not fit" false (pack st)
 
 let test_strategy_counts () =
   Alcotest.(check int) "33 VP strategies" 33 (List.length Strategy.vp_all);
@@ -195,64 +204,63 @@ let test_hvp_first_fit_sorted_bins () =
       variant = Strategy.Hvp;
     }
   in
-  let bins = [| ubin 0 [ 1.0; 1.0 ]; ubin 1 [ 0.5; 0.5 ] |] in
-  let items = [| uitem 0 [ 0.3; 0.3 ] |] in
-  match run strategy ~bins ~items with
+  let st = ustate [ [ 1.0; 1.0 ]; [ 0.5; 0.5 ] ] [ [ 0.3; 0.3 ] ] in
+  match run strategy st with
   | Some assign -> Alcotest.(check (array int)) "small bin first" [| 1 |] assign
   | None -> Alcotest.fail "should pack"
 
 (* The infeasibility certificate at its boundaries. [packable] runs every
-   METAHVP strategy on fresh bins. *)
-let certifies bins items =
-  Strategy.infeasible (Strategy.cache ()) ~bins:(bins ()) ~items
+   METAHVP strategy on the state. *)
+let certifies st = Strategy.infeasible st
 
-let packable bins items =
-  List.exists
-    (fun s -> run s ~bins:(bins ()) ~items <> None)
-    Strategy.hvp_all
+let packable st =
+  List.exists (fun s -> run s st <> None) Strategy.hvp_all
 
-(* Every item is its bin's [Bin.fits] threshold, [c +. 1e-9 *. max 1 c].
-   Summed in item order the demands round one ulp above the thresholds
-   summed in bin order, so only the margin keeps this packing
+(* Every item is its bin's aggregate fits threshold, [c +. 1e-9 *. max 1
+   c]. Summed in item order the demands round one ulp above the
+   thresholds summed in bin order, so only the margin keeps this packing
    uncertified. *)
 let test_certificate_exact_fill () =
   let caps = [ 0.1; 0.1; 2.0 ] in
   let thr c = c +. (1e-9 *. Float.max 1. c) in
-  let bins () = Array.of_list (List.mapi (fun id c -> ubin id [ c ]) caps) in
-  let items =
-    Array.of_list (List.mapi (fun id c -> uitem id [ thr c ]) (List.rev caps))
+  let st () =
+    ustate
+      (List.map (fun c -> [ c ]) caps)
+      (List.map (fun c -> [ thr c ]) (List.rev caps))
   in
   let sum = List.fold_left ( +. ) 0. in
   Alcotest.(check bool) "demands round above the thresholds" true
     (sum (List.rev_map thr caps) > sum (List.map thr caps));
-  Alcotest.(check bool) "packable" true (packable bins items);
-  Alcotest.(check bool) "not certified" false (certifies bins items)
+  Alcotest.(check bool) "packable" true (packable (st ()));
+  Alcotest.(check bool) "not certified" false (certifies (st ()))
 
 (* Bins under 1 have the absolute tolerance 1e-9; four items each half of
    it over their bin put the total 2e-9 over capacity, beyond the margin
    but within the summed tolerances. *)
 let test_certificate_half_tolerance () =
-  let bins () = Array.init 4 (fun id -> ubin id [ 0.25 ]) in
-  let items = Array.init 4 (fun id -> uitem id [ 0.25 +. 0.5e-9 ]) in
-  Alcotest.(check bool) "packable" true (packable bins items);
-  Alcotest.(check bool) "not certified" false (certifies bins items)
+  let st () =
+    ustate (List.init 4 (fun _ -> [ 0.25 ]))
+      (List.init 4 (fun _ -> [ 0.25 +. 0.5e-9 ]))
+  in
+  Alcotest.(check bool) "packable" true (packable (st ()));
+  Alcotest.(check bool) "not certified" false (certifies (st ()))
 
 (* The second item fits neither bin, though the volumes alone would
    pass. *)
 let test_certificate_oversized_item () =
-  let bins () = [| ubin 0 [ 0.5; 1. ]; ubin 1 [ 1.; 0.5 ] |] in
-  let items = [| uitem 0 [ 0.1; 0.1 ]; uitem 1 [ 0.75; 0.75 ] |] in
-  Alcotest.(check bool) "certified" true (certifies bins items)
+  let st =
+    ustate [ [ 0.5; 1. ]; [ 1.; 0.5 ] ] [ [ 0.1; 0.1 ]; [ 0.75; 0.75 ] ]
+  in
+  Alcotest.(check bool) "certified" true (certifies st)
 
 (* Each item fits bin 0 empty, but only bin 0 takes demand in dimension 0:
    the zero-demand item fitting bin 1 does not make it usable there. *)
 let test_certificate_usable_bins () =
-  let bins () = [| ubin 0 [ 1.; 1. ]; ubin 1 [ 0.5; 1. ] |] in
-  let items =
-    [| uitem 0 [ 0.6; 0. ]; uitem 1 [ 0.6; 0. ]; uitem 2 [ 0.; 0.1 ] |]
+  let st () =
+    ustate [ [ 1.; 1. ]; [ 0.5; 1. ] ] [ [ 0.6; 0. ]; [ 0.6; 0. ]; [ 0.; 0.1 ] ]
   in
-  Alcotest.(check bool) "not packable" false (packable bins items);
-  Alcotest.(check bool) "certified" true (certifies bins items)
+  Alcotest.(check bool) "not packable" false (packable (st ()));
+  Alcotest.(check bool) "certified" true (certifies (st ()))
 
 (* Random packing instances. *)
 
@@ -269,103 +277,130 @@ let random_packing_gen =
     in
     pure (bin_comps, item_comps))
 
-let build_packing (bin_comps, item_comps) =
-  let bins =
-    Array.of_list (List.mapi (fun id comps -> ubin id comps) bin_comps)
-  in
-  let items =
-    Array.of_list (List.mapi (fun id comps -> uitem id comps) item_comps)
-  in
-  (bins, items)
+let build_packing (bin_comps, item_comps) = ustate bin_comps item_comps
 
-let no_overflow bins =
-  Array.for_all
-    (fun (b : Bin.t) ->
-      Vec.Vector.fits (Bin.load_vector b) b.Bin.capacity.Vec.Epair.aggregate)
-    bins
+let no_overflow (st : State.t) =
+  List.for_all
+    (fun b ->
+      Vec.Vector.fits
+        (Vec.Vector.of_array (load st b))
+        (Vec.Vector.of_array (Array.sub st.cap (b * st.dims) st.dims)))
+    (List.init st.n_bins Fun.id)
 
 let prop_packing_never_overflows =
   QCheck2.Test.make ~name:"no algorithm ever overflows a bin" ~count:300
     random_packing_gen (fun spec ->
       List.for_all
         (fun run ->
-          let bins, items = build_packing spec in
-          ignore (run ~bins ~items);
-          no_overflow bins)
+          let st = build_packing spec in
+          ignore (run st);
+          no_overflow st)
         [
-          (fun ~bins ~items -> Fit.first_fit ~bins ~items);
-          (fun ~bins ~items -> Fit.best_fit ~rank:Fit.By_load ~bins ~items);
-          (fun ~bins ~items ->
-            Fit.best_fit ~rank:Fit.By_remaining ~bins ~items);
-          (fun ~bins ~items -> pack ~bins ~items ());
-          (fun ~bins ~items ->
-            pack ~flavour:Permutation_pack.Choose ~window:1 ~bins ~items ());
+          (fun (st : State.t) ->
+            Fit.first_fit st ~bins:(ids st.n_bins) ~items:(ids st.n_items));
+          (fun st -> Fit.best_fit ~rank:Fit.By_load st ~items:(ids st.n_items));
+          (fun st ->
+            Fit.best_fit ~rank:Fit.By_remaining st ~items:(ids st.n_items));
+          (fun st -> pack st);
+          (fun st -> pack ~flavour:Permutation_pack.Choose ~window:1 st);
         ])
 
 let prop_success_means_all_placed =
   QCheck2.Test.make ~name:"success <=> every item assigned" ~count:300
     random_packing_gen (fun spec ->
-      let bins, items = build_packing spec in
-      let ok = Fit.first_fit ~bins ~items in
-      let assign = Strategy.assignment ~bins ~n_items:(Array.length items) in
-      let all_assigned = Array.for_all (fun b -> b >= 0) assign in
-      ok = all_assigned)
+      let st = build_packing spec in
+      let ok = Fit.first_fit st ~bins:(ids st.n_bins) ~items:(ids st.n_items) in
+      ok = Array.for_all (fun b -> b >= 0) (State.assignment st))
 
 let prop_fast_pp_equals_naive =
   (* Differential oracle: the key-based implementation must be
      observationally identical to the literal D!-list scan — same
      success/failure, same final assignment, and the same placement
-     *sequence* into every bin ([Bin.contents] is most-recent-first, so
-     equal lists mean the two implementations selected items in the same
-     order, not merely reached the same end state). *)
+     *sequence* (equal placement orders mean the two implementations
+     selected items in the same order, not merely reached the same end
+     state). *)
   QCheck2.Test.make
     ~name:"fast key-based PP selects exactly like the D!-list version"
     ~count:200 random_packing_gen (fun spec ->
-      let bins_a, items_a = build_packing spec in
-      let bins_b, items_b = build_packing spec in
-      let ok_a = pack ~bins:bins_a ~items:items_a () in
+      let st_a = build_packing spec and st_b = build_packing spec in
+      let ok_a = pack st_a in
       let ok_b =
-        Naive_permutation_pack.pack ~bins:bins_b ~items:items_b ()
+        Naive_permutation_pack.pack st_b ~bins:(ids st_b.n_bins)
+          ~items:(ids st_b.n_items) ()
       in
       ok_a = ok_b
-      && Strategy.assignment ~bins:bins_a ~n_items:(Array.length items_a)
-         = Strategy.assignment ~bins:bins_b ~n_items:(Array.length items_b)
-      && Array.for_all2
-           (fun (a : Bin.t) (b : Bin.t) -> a.Bin.contents = b.Bin.contents)
-           bins_a bins_b)
+      && State.assignment st_a = State.assignment st_b
+      && State.placement_order st_a = State.placement_order st_b)
 
 (* Demands in tenths, zeros included, so equal components — key ties
-   between items and ties inside the dimension sorts — are common. Each
-   case packs one to three demand sets (probes) of the same items, in one
-   shuffled item order. *)
+   between items and ties inside the dimension sorts — are common; the
+   elementary components are drawn apart from the aggregate ones, so the
+   elementary half of the fits test binds too. Each case packs one to
+   three demand sets (probes) of the same items, in one shuffled item
+   order and one shuffled bin order. *)
 let quantized_packing_gen =
   QCheck2.Gen.(
     let tenths lo hi = map (fun k -> float_of_int k /. 10.) (int_range lo hi) in
     let* dims = int_range 1 5 in
     let* n_bins = int_range 1 5 in
     let* n_items = int_range 1 16 in
-    let* bin_comps =
-      list_size (pure n_bins) (list_size (pure dims) (tenths 3 10))
-    in
+    let comps lo hi = list_size (pure dims) (tenths lo hi) in
+    let* bins = list_size (pure n_bins) (pair (comps 2 10) (comps 3 10)) in
     let* probes =
       list_size (int_range 1 3)
-        (list_size (pure n_items) (list_size (pure dims) (tenths 0 4)))
+        (list_size (pure n_items) (pair (comps 0 3) (comps 0 4)))
     in
     let* order = shuffle_l (List.init n_items Fun.id) in
-    pure (bin_comps, probes, order))
+    let* bin_order = shuffle_l (List.init n_bins Fun.id) in
+    pure (bins, probes, order, bin_order))
+
+(* One quantized case as a flat state, with bins and items in id order,
+   and its demand sets. *)
+let quantized_state (bins, _, order, _) =
+  State.create
+    ~dims:(List.length (fst (List.hd bins)))
+    ~capacities:(Array.of_list (List.map (fun (e, a) -> epair e a) bins))
+    ~n_items:(List.length order)
+
+let set_demands st demands =
+  List.iteri (fun j (e, a) -> State.set_item st j (epair e a)) demands
+
+(* The same bins and items as records of [Oracles]: the bins in
+   [bin_order], the items in the case's item order. *)
+let quantized_records (bins, _, order, _) ~bin_order demands =
+  let capacities = Array.of_list (List.map (fun (e, a) -> epair e a) bins) in
+  let demands = Array.of_list (List.map (fun (e, a) -> epair e a) demands) in
+  ( Array.map (fun id -> Oracles.Bin.v ~id ~capacity:capacities.(id)) bin_order,
+    Array.of_list
+      (List.map (fun id -> Oracles.Item.v ~id ~demand:demands.(id)) order) )
+
+(* The state's placements in one bin, most recent first: a record bin's
+   [contents]. *)
+let contents (st : State.t) b =
+  Array.fold_left
+    (fun acc j -> if st.assign.(j) = b then j :: acc else acc)
+    [] (State.placement_order st)
+
+(* Same success, same assignment, the same item sequence in every bin and
+   bit-identical loads, whether the pack succeeded or failed. *)
+let same_packing ok (st : State.t) ok_ref (bins : Oracles.Bin.t array) =
+  ok = ok_ref
+  && State.assignment st
+     = Oracles.Record_fit.assignment ~bins ~n_items:st.n_items
+  && Array.for_all
+       (fun (bin : Oracles.Bin.t) ->
+         contents st bin.id = bin.contents && load st bin.id = bin.load)
+       bins
 
 let prop_cursor_pp_equals_scan =
   (* The library selects through per-class cursors; the reference scans
      every item at every select pass. One scratch serves every pack of a
-     case, as a probe kernel's does, and is invalidated when the demands
-     change. *)
+     case, as a probe kernel's does, and one state, whose demands each
+     probe rewrites. *)
   QCheck2.Test.make
     ~name:"PP with scratch selects exactly like the full scan" ~count:300
-    quantized_packing_gen (fun (bin_comps, probes, order) ->
-      let dims = List.length (List.hd bin_comps) in
-      let bins () =
-        Array.of_list (List.mapi (fun id comps -> ubin id comps) bin_comps)
-      in
+    quantized_packing_gen (fun ((bins, probes, order, bin_order) as case) ->
+      let dims = List.length (fst (List.hd bins)) in
       let configs =
         List.concat_map
           (fun flavour ->
@@ -375,49 +410,72 @@ let prop_cursor_pp_equals_scan =
               Permutation_pack.[ By_load; By_remaining_capacity ])
           Permutation_pack.[ Permutation; Choose ]
       in
+      let st = quantized_state case and bin_order = Array.of_list bin_order in
       let scratch = Permutation_pack.scratch () in
       List.for_all
-        (fun item_comps ->
-          Permutation_pack.scratch_new_probe scratch;
-          let comps = Array.of_list item_comps in
-          let items () =
-            Array.of_list (List.map (fun id -> uitem id comps.(id)) order)
-          in
+        (fun demands ->
+          set_demands st demands;
           List.for_all
             (fun (flavour, ranking, window) ->
-              let bins_a = bins () and bins_b = bins () in
-              let ok_a =
-                Permutation_pack.pack ~flavour ~window ~ranking ~scratch
-                  ~bins:bins_a ~items:(items ()) ()
+              State.reset st;
+              let ok =
+                Permutation_pack.pack ~flavour ~window ~ranking ~scratch st
+                  ~bins:bin_order ~items:(Array.of_list order) ()
               in
-              let ok_b =
-                Oracles.Pp_scan.pack ~flavour ~window ~ranking ~bins:bins_b
-                  ~items:(items ()) ()
+              let ref_bins, ref_items =
+                quantized_records case ~bin_order demands
               in
-              ok_a = ok_b
-              && Array.for_all2
-                   (fun (a : Bin.t) (b : Bin.t) ->
-                     a.Bin.contents = b.Bin.contents)
-                   bins_a bins_b)
+              let ok_ref =
+                Oracles.Pp_scan.pack ~flavour ~window ~ranking ~bins:ref_bins
+                  ~items:ref_items ()
+              in
+              same_packing ok st ok_ref ref_bins)
             configs)
+        probes)
+
+let prop_fit_equals_records =
+  (* First-Fit in the case's bin order, and Best-Fit under both rankings
+     (which scans the bins in id order), on the flat state against the
+     record references; every pack of a case reuses one state. *)
+  QCheck2.Test.make ~name:"flat FF and BF place exactly like the records"
+    ~count:300 quantized_packing_gen
+    (fun ((bins, probes, order, bin_order) as case) ->
+      let st = quantized_state case and items = Array.of_list order in
+      let in_order = Array.of_list bin_order
+      and by_id = Array.init (List.length bins) Fun.id in
+      let best_fit rank =
+        ( by_id,
+          (fun () -> Fit.best_fit ~rank st ~items),
+          fun ~bins ~items -> Oracles.Record_fit.best_fit ~rank ~bins ~items )
+      in
+      List.for_all
+        (fun demands ->
+          set_demands st demands;
+          List.for_all
+            (fun (bin_order, flat, record) ->
+              State.reset st;
+              let ok = flat () in
+              let ref_bins, ref_items =
+                quantized_records case ~bin_order demands
+              in
+              same_packing ok st (record ~bins:ref_bins ~items:ref_items)
+                ref_bins)
+            [
+              ( in_order,
+                (fun () -> Fit.first_fit st ~bins:in_order ~items),
+                Oracles.Record_fit.first_fit );
+              best_fit Fit.By_load;
+              best_fit Fit.By_remaining;
+            ])
         probes)
 
 let prop_pp_cp_coincide_at_window_1 =
   QCheck2.Test.make ~name:"PP = CP at window 1 (paper §3.5.2)" ~count:200
     random_packing_gen (fun spec ->
-      let bins_a, items_a = build_packing spec in
-      let bins_b, items_b = build_packing spec in
-      let ok_a =
-        pack ~flavour:Permutation_pack.Permutation ~window:1 ~bins:bins_a
-          ~items:items_a ()
-      in
-      let ok_b =
-        pack ~flavour:Permutation_pack.Choose ~window:1 ~bins:bins_b
-          ~items:items_b ()
-      in
-      ok_a = ok_b
-      && Strategy.assignment ~bins:bins_a ~n_items:(Array.length items_a)
-         = Strategy.assignment ~bins:bins_b ~n_items:(Array.length items_b))
+      let st_a = build_packing spec and st_b = build_packing spec in
+      let ok_a = pack ~flavour:Permutation_pack.Permutation ~window:1 st_a in
+      let ok_b = pack ~flavour:Permutation_pack.Choose ~window:1 st_b in
+      ok_a = ok_b && State.assignment st_a = State.assignment st_b)
 
 let prop_strategies_agree_on_feasibility_direction =
   (* Any strategy that succeeds produces a complete, valid assignment. *)
@@ -425,14 +483,12 @@ let prop_strategies_agree_on_feasibility_direction =
     ~count:100 random_packing_gen (fun spec ->
       List.for_all
         (fun strategy ->
-          let bins, items = build_packing spec in
-          match run strategy ~bins ~items with
+          let st = build_packing spec in
+          match run strategy st with
           | None -> true
           | Some assign ->
-              Array.for_all
-                (fun b -> b >= 0 && b < Array.length bins)
-                assign
-              && no_overflow bins)
+              Array.for_all (fun b -> b >= 0 && b < st.n_bins) assign
+              && no_overflow st)
         (Strategy.vp_all @ Strategy.hvp_light))
 
 let suite =
@@ -461,6 +517,7 @@ let suite =
         prop_fast_pp_equals_naive;
         prop_pp_cp_coincide_at_window_1;
         prop_cursor_pp_equals_scan;
+        prop_fit_equals_records;
         prop_strategies_agree_on_feasibility_direction;
       ]
   @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
