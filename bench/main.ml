@@ -230,23 +230,37 @@ let run_online () =
   Obs.Metrics.set_enabled was_enabled;
   Stats.Table.print ptable
 
+(* The ablation tables print no time; their wall times go to stderr. *)
 let run_ablation () =
+  let module A = Experiments.Ablation in
   section_header "Ablations";
-  print_string
-    (Experiments.Ablation.report_window
-       (Experiments.Ablation.window_sweep ?pool:!pool ()));
+  print_string (A.report_window (A.window_sweep ?pool:!pool ()));
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_pp_implementation
-       (Experiments.Ablation.pp_implementation ?pool:!pool ()));
+  let pp = A.pp_implementation ?pool:!pool () in
+  print_string (A.report_pp_implementation pp);
+  List.iter
+    (fun (r : A.pp_impl_row) ->
+      progress
+        (Printf.sprintf "ablation PP D=%d: cursor %.5fs, D!-list %.5fs"
+           r.dims r.fast_seconds r.naive_seconds))
+    pp;
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_tolerance
-       (Experiments.Ablation.tolerance_sweep ?pool:!pool ()));
+  let tolerance = A.tolerance_sweep ?pool:!pool () in
+  print_string (A.report_tolerance tolerance);
+  List.iter
+    (fun (r : A.tolerance_row) ->
+      progress
+        (Printf.sprintf "ablation tolerance %g: mean %.3fs" r.tolerance
+           r.mean_seconds))
+    tolerance;
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_dimension
-       (Experiments.Ablation.dimension_sweep ?pool:!pool ()))
+  let dimension = A.dimension_sweep ?pool:!pool () in
+  print_string (A.report_dimension dimension);
+  List.iter
+    (fun (r : A.dimension_row) ->
+      progress
+        (Printf.sprintf "ablation D=%d: mean %.3fs" r.n_dims r.mean_seconds))
+    dimension
 
 let all_sections =
   [

@@ -58,6 +58,10 @@ val dimension_sweep :
     METAHVPLIGHT for D = 2..4 — the framework handles arbitrary resource
     lists; cost grows with D through the packing inner loops. *)
 
+(** The reports print no wall-clock time, so they are the same from run to
+    run and at any pool size; the rows' seconds are for the caller to
+    report apart. *)
+
 val report_window : window_row list -> string
 val report_pp_implementation : pp_impl_row list -> string
 val report_tolerance : tolerance_row list -> string

@@ -88,6 +88,7 @@ let c_departures = Obs.Metrics.counter "simulator.departures"
 let c_reallocations = Obs.Metrics.counter "simulator.reallocations"
 let c_migrations = Obs.Metrics.counter "simulator.migrations"
 let c_reeval_skips = Obs.Metrics.counter "simulator.reeval_skips"
+let c_node_evals = Obs.Metrics.counter "simulator.node_evals"
 let c_repairs = Obs.Metrics.counter "simulator.repairs"
 let c_repair_fallbacks = Obs.Metrics.counter "simulator.repair_fallbacks"
 let c_bins_touched = Obs.Metrics.counter "simulator.bins_touched"
@@ -122,7 +123,7 @@ let validate config ~platform =
         invalid_arg "Engine.run: platform must be 2-D (CPU, memory)")
     platform
 
-(* Dense-id service arrays for the model layer, in [actives] order. The
+(* A live service as the model layer sees it, under the given id. The
    estimated variant applies the current minimum threshold. *)
 let service_of_live ~estimated ~threshold id (l : live) =
   let cpu =
@@ -132,6 +133,7 @@ let service_of_live ~estimated ~threshold id (l : live) =
     ~cpu_need:(cpu /. float_of_int l.cores, cpu)
     ()
 
+(* Dense-id service arrays for the model layer, in [actives] order. *)
 let build_instances ~platform ~threshold (actives : live array) =
   let true_services =
     Array.mapi (service_of_live ~estimated:false ~threshold:0.) actives
@@ -182,11 +184,45 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   let yield_integral = ref 0. in
   let last_time = ref 0. in
   let current_yield = ref 1. in
-  (* Events that neither changed the active set nor the placement nor the
-     threshold (i.e. rejected arrivals) cannot change the minimum yield, so
-     [record] reuses the cached value instead of rebuilding both instances
-     and re-running the scheduler evaluation. *)
-  let state_dirty = ref true in
+  (* Per-node yield cache (DESIGN.md §13). [residents.(h)] holds node h's
+     live services, largest uid first; [node_min.(h)] is h's minimum
+     actual yield when last evaluated, [None] when its water-fill failed.
+     An event marks the nodes whose residents it changed, a re-solve marks
+     every node, and [record] re-evaluates only the marked ones. A node's
+     value is a pure function of its residents in ascending-uid order and
+     of the threshold, and [Float.min] is exact, so the cached minimum is
+     bitwise the minimum a whole re-evaluation would give. *)
+  let residents : live list array = Array.make n_nodes [] in
+  let node_min = Array.make n_nodes (Some 1.) in
+  let dirty = Array.make n_nodes false in
+  let dirty_nodes = ref [] in
+  let all_dirty = ref true in
+  let mark h =
+    if not dirty.(h) then begin
+      dirty.(h) <- true;
+      dirty_nodes := h :: !dirty_nodes
+    end
+  in
+  let mark_all () = all_dirty := true in
+  let rec insert (l : live) = function
+    | (x : live) :: rest when x.uid > l.uid -> x :: insert l rest
+    | rest -> l :: rest
+  in
+  let settle (l : live) node =
+    l.node <- node;
+    residents.(node) <- insert l residents.(node);
+    mark node
+  in
+  let unsettle (l : live) =
+    residents.(l.node) <-
+      List.filter (fun (x : live) -> x.uid <> l.uid) residents.(l.node);
+    mark l.node
+  in
+  let rebuild_residents () =
+    Array.fill residents 0 n_nodes [];
+    Active_set.iter actives (fun (l : live) ->
+        residents.(l.node) <- l :: residents.(l.node))
+  in
   let current_threshold () =
     match config.threshold with
     | Fixed t -> t
@@ -197,27 +233,58 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
     yield_integral := !yield_integral +. (!current_yield *. (time -. !last_time));
     last_time := time
   in
+  let evaluate threshold h =
+    Obs.Metrics.incr c_node_evals;
+    (* Folding the largest-uid-first residents builds both lists in
+       ascending-uid order. *)
+    let true_services, estimated =
+      List.fold_left
+        (fun (ts, es) (l : live) ->
+          ( service_of_live ~estimated:false ~threshold:0. l.uid l :: ts,
+            service_of_live ~estimated:true ~threshold l.uid l :: es ))
+        ([], []) residents.(h)
+    in
+    node_min.(h) <-
+      Sharing.Runtime_eval.node_min_yield config.policy platform.(h)
+        ~true_services ~estimated
+  in
+  (* 0 when some node's water-fill fails, as for the whole placement. *)
+  let cached_min () =
+    let rec go h worst =
+      if h = n_nodes then worst
+      else
+        match node_min.(h) with
+        | None -> 0.
+        | Some y -> go (h + 1) (Float.min worst y)
+    in
+    go 0 1.
+  in
+  (* Events that changed no node's residents and no threshold (i.e.
+     rejected arrivals, quiet epochs) cannot change the minimum yield, so
+     [record] reuses the current value. *)
   let record ?(epoch = false) time =
+    if not incremental then begin
+      rebuild_residents ();
+      mark_all ()
+    end;
     let y =
-      if not !state_dirty then begin
+      if not (!all_dirty || !dirty_nodes <> []) then begin
         Obs.Metrics.incr c_reeval_skips;
         !current_yield
       end
-      else if Active_set.is_empty actives then 1.
       else begin
-        let _, true_inst, est_inst, placement =
-          build_instances ~platform ~threshold:(current_threshold ())
-            (Active_set.to_array actives)
-        in
-        match
-          Sharing.Runtime_eval.actual_min_yield config.policy
-            ~true_instance:true_inst ~estimated:est_inst placement
-        with
-        | Some y -> y
-        | None -> 0.
+        let threshold = current_threshold () in
+        if !all_dirty then
+          for h = 0 to n_nodes - 1 do
+            evaluate threshold h
+          done
+        else List.iter (evaluate threshold) !dirty_nodes;
+        List.iter (fun h -> dirty.(h) <- false) !dirty_nodes;
+        dirty_nodes := [];
+        all_dirty := false;
+        cached_min ()
       end
     in
-    state_dirty := false;
     if epoch then
       Obs.Metrics.observe h_epoch_yield (int_of_float (y *. 1000.));
     current_yield := y;
@@ -268,6 +335,10 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   let reallocate () =
     incr reallocations;
     Obs.Metrics.incr c_reallocations;
+    (* Even a re-solve that moves nothing marks every node, so
+       [simulator.reeval_skips] keeps counting only rejected arrivals and
+       quiet epochs of the probe policies. *)
+    mark_all ();
     if not (Active_set.is_empty actives) then begin
       let n_live = Active_set.length actives in
       Obs.Metrics.observe h_realloc_services n_live;
@@ -290,6 +361,7 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
               end;
               l.node <- sol.placement.(i))
             lives;
+          rebuild_residents ();
           (* Close the adaptive feedback loop with what the run-time
              scheduler actually hands out under the new placement. *)
           match config.threshold with
@@ -319,7 +391,6 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
       Obs.Metrics.incr c_repair_fallbacks;
       reallocate ();
       sync_repair r;
-      state_dirty := true;
       fallback_armed := Repair.healthy r
     end
   in
@@ -416,14 +487,13 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
               in
               (match placed with
               | Some node ->
-                  l.node <- node;
+                  settle l node;
                   incr admitted;
                   Obs.Metrics.incr c_admitted;
                   Active_set.append actives ~uid:l.uid l;
                   (match rstate with
                   | None -> ()
                   | Some r -> Repair.add r ~node (entry_of_live l));
-                  state_dirty := true;
                   let lifetime =
                     Prng.Rng.exponential rng
                       ~rate:(1. /. config.mean_lifetime)
@@ -439,37 +509,35 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
           | Departure uid ->
               incr departures;
               Obs.Metrics.incr c_departures;
-              (match rstate with
-              | None -> ignore (Active_set.remove actives ~uid)
-              | Some r -> (
-                  match Active_set.take actives ~uid with
-                  | None -> ()
-                  | Some l ->
-                      if not incremental then sync_repair r;
-                      Repair.remove r ~node:l.node ~uid;
-                      let moved, touched =
-                        Repair.repair r ~target:l.node
-                          ~budget:config.repair_budget
-                          ~on_move:(fun ~uid ~node ->
-                            (match Active_set.find actives ~uid with
-                            | Some (m : live) -> m.node <- node
-                            | None -> ());
-                            incr migrations;
-                            Obs.Metrics.incr c_migrations)
-                      in
-                      touch_bins touched;
-                      if moved > 0 then begin
-                        Obs.Metrics.incr c_repairs;
-                        incr repairs_n
-                      end;
-                      maybe_fallback r));
-              state_dirty := true;
+              (match (Active_set.take actives ~uid, rstate) with
+              | None, _ -> ()
+              | Some l, None -> unsettle l
+              | Some l, Some r ->
+                  unsettle l;
+                  if not incremental then sync_repair r;
+                  Repair.remove r ~node:l.node ~uid;
+                  let moved, touched =
+                    Repair.repair r ~target:l.node
+                      ~budget:config.repair_budget
+                      ~on_move:(fun ~uid ~node ->
+                        (match Active_set.find actives ~uid with
+                        | Some (m : live) ->
+                            unsettle m;
+                            settle m node
+                        | None -> ());
+                        incr migrations;
+                        Obs.Metrics.incr c_migrations)
+                  in
+                  touch_bins touched;
+                  if moved > 0 then begin
+                    Obs.Metrics.incr c_repairs;
+                    incr repairs_n
+                  end;
+                  maybe_fallback r);
               false
           | Reallocate ->
               (match rstate with
-              | None ->
-                  reallocate ();
-                  state_dirty := true
+              | None -> reallocate ()
               | Some r ->
                   if not incremental then sync_repair r;
                   maybe_fallback r);

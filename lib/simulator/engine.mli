@@ -11,8 +11,8 @@
 
     This engine is a classic discrete-event simulation over that loop. At
     every event (arrival, departure, reallocation) the actual minimum yield
-    is re-evaluated against the services' true needs, giving an exact
-    piecewise-constant integral of the objective over time. An optional
+    is brought up to date against the services' true needs, giving an
+    exact piecewise-constant integral of the objective over time. An optional
     {!Sharing.Adaptive_threshold} controller closes the feedback loop the
     paper's future work asks for. *)
 
@@ -111,10 +111,14 @@ val run :
     memory capacity at {!Model.Service.mem_dim} and would silently
     misread any other dimension layout.
 
-    [incremental] (default [true]) only affects the probe placement
-    policies: [false] rebuilds the per-bin load state from the live
-    ground truth before {e every} decision instead of updating it in
-    place. Because the bin state always sums residents in a canonical
+    [incremental] (default [true]) selects how state derived from the
+    live services is kept. By default it is updated in place: the probe
+    policies' per-bin load state on every arrival, departure and repair
+    move, and the per-node yield cache by re-evaluating only the nodes an
+    event changed (see below). [false] rebuilds both from the live
+    services before {e every} decision and every yield sample, and
+    re-evaluates every node each time, under every placement policy.
+    Because both sum and evaluate each node's residents in ascending-uid
     order, the two modes are bitwise-identical — [incremental:false] is
     the slow reference the differential tests compare against, never a
     mode to run for its own sake. [final] receives the services still
@@ -128,12 +132,22 @@ val run :
     rng whatever the domain count. Raises [Invalid_argument] on a
     non-positive interval.
 
-    The arrival/departure paths are O(log n) per event (priority-queue
-    discipline plus an O(1) insertion-ordered active set); the minimum
-    yield is re-evaluated only on events that can change it — rejected
-    arrivals reuse the cached value, counted under the
-    [simulator.reeval_skips] metric. With {!Obs.Metrics} enabled the
-    engine also counts arrivals/admissions/rejections/departures/
+    Cost per event, with [n] live services, [H] nodes and [k] residents
+    on a touched node: O(log n) for the event queue and O(1) for the
+    insertion-ordered active set; admission is a scan of every live
+    service and node (O(n + H)) under [Resolve], and at most 8 probes
+    (O(H) only when every probe misses, plus a repair pass on a
+    departure) under the probe policies. The minimum yield is kept as a
+    per-node cache: an admission or departure marks its node, a repair
+    move both of its ends, and a re-solve every node; the sample then
+    re-evaluates only the marked nodes (water-filling their [k]
+    residents under the sharing policy, O(k log k) each) and takes the
+    minimum over the cache, O(H). Re-evaluated nodes are counted under
+    the [simulator.node_evals] metric; events that marked none (rejected
+    arrivals, epochs without a re-solve) reuse the current value and are
+    counted under [simulator.reeval_skips]. Each re-solve costs one
+    [algorithm.solve] over all [n] services. With {!Obs.Metrics} enabled
+    the engine also counts arrivals/admissions/rejections/departures/
     reallocations/migrations, bins examined per decision
     ([simulator.bins_touched]), repair passes that moved at least one
     service ([simulator.repairs]) and drift-triggered full re-solves

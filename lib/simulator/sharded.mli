@@ -83,8 +83,8 @@ val run :
 (** Simulate every shard (in parallel when a pool is given) and merge.
     Deterministic in [seed] and [partition] alone — same seed, same
     stats, at any pool size. [seed] defaults to 0, [partition] to
-    [Contiguous]; [incremental] is forwarded to {!Engine.run} (probe
-    placement policies only). [timeline_interval] turns on fixed-grid
+    [Contiguous]; [incremental] is forwarded to {!Engine.run}.
+    [timeline_interval] turns on fixed-grid
     telemetry: every shard samples its engine on the same virtual-time
     grid and the samples are merged in shard order into
     [result.timeline] — a pure function of [(seed, shards, partition,

@@ -82,7 +82,7 @@ let check_feasible ~msg nodes (finals : Simulator.Engine.final_service list) =
         (load.(i) <= cap +. 1e-9))
     nodes
 
-let run_engine ~seed ~incremental placement =
+let run_engine ?(config = config) ~seed ~incremental placement =
   let finals = ref [] in
   let stats =
     Simulator.Engine.run
@@ -94,44 +94,80 @@ let run_engine ~seed ~incremental placement =
   in
   (stats, !finals)
 
-(* Engine level: incremental vs full recompute, across seeds and both
-   probe policies. *)
+(* Engine level: incremental (bin state updated in place, only the nodes
+   an event changed re-evaluated) vs full recompute (both rebuilt from
+   the live services, every node re-evaluated at every event), across
+   seeds, every placement policy, a fixed and an adaptive threshold, exact
+   and erroneous estimates, and every sharing policy. The adaptive
+   controller is stateful, so each run gets its own. *)
 let test_engine_incremental_matches_full () =
+  let thresholds =
+    [
+      ("fixed", fun () -> Simulator.Engine.Fixed 0.);
+      ( "adaptive",
+        fun () ->
+          Simulator.Engine.Adaptive
+            (Sharing.Adaptive_threshold.create ~quantile:90. ()) );
+    ]
+  in
+  let sharing =
+    [
+      Sharing.Policy.Alloc_caps;
+      Sharing.Policy.Alloc_weights;
+      Sharing.Policy.Equal_weights;
+    ]
+  in
+  let adaptive_moved = ref false in
   List.iter
     (fun placement ->
       let name = Simulator.Policy.to_string placement in
       let rejections = ref 0 in
       List.iter
-        (fun seed ->
-          let fast, fast_finals =
-            run_engine ~seed ~incremental:true placement
-          in
-          let slow, slow_finals =
-            run_engine ~seed ~incremental:false placement
-          in
-          let msg = Printf.sprintf "%s seed %d" name seed in
-          Alcotest.(check bool) (msg ^ ": stats identical") true
-            (stats_equal fast slow);
-          Alcotest.(check bool) (msg ^ ": finals identical") true
-            (finals_equal fast_finals slow_finals);
-          check_feasible ~msg platform fast_finals;
-          Alcotest.(check bool) (msg ^ ": some admissions") true
-            (fast.admitted > 0);
-          rejections := !rejections + fast.rejected)
-        [ 0; 1; 2; 3; 4 ];
+        (fun (threshold_name, threshold) ->
+          List.iter
+            (fun max_error ->
+              List.iteri
+                (fun policy_index policy ->
+                  List.iter
+                    (fun seed ->
+                      let run incremental =
+                        run_engine
+                          ~config:
+                            {
+                              config with
+                              threshold = threshold ();
+                              max_error;
+                              policy;
+                            }
+                          ~seed ~incremental placement
+                      in
+                      let fast, fast_finals = run true in
+                      let slow, slow_finals = run false in
+                      let msg =
+                        Printf.sprintf "%s %s error %g sharing %d seed %d" name
+                          threshold_name max_error policy_index seed
+                      in
+                      Alcotest.(check bool) (msg ^ ": stats identical") true
+                        (stats_equal fast slow);
+                      Alcotest.(check bool) (msg ^ ": finals identical") true
+                        (finals_equal fast_finals slow_finals);
+                      check_feasible ~msg platform fast_finals;
+                      Alcotest.(check bool) (msg ^ ": some admissions") true
+                        (fast.admitted > 0);
+                      if fast.final_threshold > 0. then adaptive_moved := true;
+                      rejections := !rejections + fast.rejected)
+                    [ 0; 1; 2 ])
+                sharing)
+            [ 0.; 0.08 ])
+        thresholds;
       (* The scenario must exercise the reject branch somewhere across the
          seed set, or the admit/reject half of the diff proves nothing. *)
       Alcotest.(check bool) (name ^ ": some rejections across seeds") true
         (!rejections > 0))
-    [ Simulator.Policy.Greedy_random; Simulator.Policy.Best_fit ]
-
-(* The resolve path ignores [incremental] entirely. *)
-let test_resolve_ignores_incremental () =
-  let a, af = run_engine ~seed:2 ~incremental:true Simulator.Policy.Resolve in
-  let b, bf = run_engine ~seed:2 ~incremental:false Simulator.Policy.Resolve in
-  Alcotest.(check bool) "stats identical" true (stats_equal a b);
-  Alcotest.(check bool) "finals identical" true (finals_equal af bf);
-  check_feasible ~msg:"resolve" platform af
+    Simulator.Policy.all;
+  (* And the threshold must change somewhere, or the re-evaluation of
+     every node on a threshold change goes untested. *)
+  Alcotest.(check bool) "the adaptive threshold moves" true !adaptive_moved
 
 (* Sharded level: the same differential across shard counts and pool
    sizes, for both partition policies. *)
@@ -211,7 +247,9 @@ let test_repair_counters_engage () =
    (100 hosts, 3 arrivals per time unit), greedy-random and best-fit each
    touch at least 5x fewer bins per arrival/departure than the full
    re-solve path, whose admission scan alone walks every node. The counts
-   are deterministic and pinned. *)
+   are deterministic and pinned. Under every policy, the yield cache
+   re-evaluates fewer than a tenth of the nodes a whole re-evaluation at
+   every evaluated event would. *)
 let test_probe_policies_touch_fewer_bins () =
   let hosts = 100 in
   let platform =
@@ -237,6 +275,16 @@ let test_probe_policies_touch_fewer_bins () =
           Simulator.Engine.run ~rng:(Prng.Rng.create ~seed:11)
             { config with placement } ~platform)
     in
+    let evaluated =
+      List.length stats.yield_samples - counter "simulator.reeval_skips"
+    in
+    let node_evals = counter "simulator.node_evals" in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d node evaluations x 10 < %d events x %d nodes"
+         (Simulator.Policy.to_string placement)
+         node_evals evaluated hosts)
+      true
+      (10 * node_evals < evaluated * hosts);
     let bins = counter "simulator.bins_touched" in
     (bins, float_of_int bins /. float_of_int (stats.arrivals + stats.departures))
   in
@@ -260,7 +308,6 @@ let suite =
     [
       ( "engine incremental = full recompute",
         test_engine_incremental_matches_full );
-      ("resolve ignores incremental flag", test_resolve_ignores_incremental);
       ( "sharded incremental = full recompute",
         test_sharded_incremental_matches_full );
       ("repair counters engage", test_repair_counters_engage);

@@ -312,7 +312,8 @@ let test_stream_assignment_unchanged () =
    Merged counts, the yield-log digest, and the simulator.* counters of a
    4-shard run are pinned at domain counts 1, 2, and 4. Only simulator.*
    counters are pinned: they belong to the event loop alone, so changes
-   to the solvers' internal work never move them. *)
+   to the solvers' internal work never move them. [node_evals] counts the
+   nodes whose yield the event loop re-evaluated. *)
 let samples_digest samples =
   List.fold_left
     (fun acc (t, y) ->
@@ -354,7 +355,7 @@ let run_policy_golden placement domains =
   (r, Obs.Metrics.snapshot ())
 
 let check_policy_golden placement ~arrivals ~admitted ~rejected ~departures
-    ~migrations ~digest ~repairs ~fallbacks ~bins_touched () =
+    ~migrations ~digest ~repairs ~fallbacks ~bins_touched ~node_evals () =
   let name = Simulator.Policy.to_string placement in
   List.iter
     (fun domains ->
@@ -374,19 +375,22 @@ let check_policy_golden placement ~arrivals ~admitted ~rejected ~departures
       Alcotest.(check int) (tag "fallbacks") fallbacks
         (counter "simulator.repair_fallbacks");
       Alcotest.(check int) (tag "bins touched") bins_touched
-        (counter "simulator.bins_touched"))
+        (counter "simulator.bins_touched");
+      Alcotest.(check int) (tag "node evaluations") node_evals
+        (counter "simulator.node_evals"))
     [ 1; 2; 4 ]
 
 let test_golden_greedy_random =
   check_policy_golden Simulator.Policy.Greedy_random ~arrivals:237
     ~admitted:236 ~rejected:1 ~departures:182 ~migrations:88
     ~digest:7255892090174631288L ~repairs:19 ~fallbacks:9 ~bins_touched:552
+    ~node_evals:455
 
 let test_golden_best_fit =
   check_policy_golden Simulator.Policy.Best_fit ~arrivals:245 ~admitted:241
     ~rejected:4 ~departures:180 ~migrations:80
     ~digest:(-2466856073240601296L) ~repairs:16 ~fallbacks:9
-    ~bins_touched:796
+    ~bins_touched:796 ~node_evals:454
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)

@@ -261,6 +261,174 @@ let prop_adaptive_threshold_clamped =
       let t = Sharing.Adaptive_threshold.threshold c in
       t >= 0.05 && t <= 0.3)
 
+(* Run-time evaluation: the library's node-by-node path against the
+   whole-instance reference. *)
+
+type eval_service =
+  | Full  (** CPU and memory requirement and need *)
+  | Need_only  (** no requirement *)
+  | Requirement_only  (** no need *)
+  | Empty  (** neither *)
+
+type eval_case = {
+  nodes : (int * float * float) list;  (** cores, CPU, memory *)
+  services : (eval_service * float * float * float * int) list;
+      (** kind, CPU need, memory size, estimate factor, node *)
+  overload : int option;
+      (** a node handed a memory requirement no node can hold *)
+}
+
+let eval_case_gen =
+  QCheck2.Gen.(
+    let* hosts = int_range 1 5 in
+    let* nodes =
+      list_size (pure hosts)
+        (triple (int_range 1 4) (float_range 0.2 1.) (float_range 0.2 1.))
+    in
+    (* One node more than the placement targets, so some node is always
+       empty. *)
+    let nodes = nodes @ [ (2, 0.5, 0.5) ] in
+    let* services =
+      list_size (int_range 1 12)
+        (let* kind =
+           oneofl [ Full; Full; Need_only; Requirement_only; Empty ]
+         in
+         let* cpu = float_range 0. 0.6 in
+         let* mem = float_range 0. 0.3 in
+         (* Factor 0 gives an estimated need of zero. *)
+         let* factor = oneofl [ 0.; 0.5; 0.9; 1.; 1.2; 2. ] in
+         let* node = int_range 0 (hosts - 1) in
+         pure (kind, cpu, mem, factor, node))
+    in
+    let* overload = opt (int_range 0 (hosts - 1)) in
+    pure { nodes; services; overload })
+
+let print_eval_case c =
+  let kind = function
+    | Full -> "full"
+    | Need_only -> "need"
+    | Requirement_only -> "req"
+    | Empty -> "empty"
+  in
+  Printf.sprintf "nodes [%s] services [%s] overload %s"
+    (String.concat "; "
+       (List.map
+          (fun (cores, cpu, mem) -> Printf.sprintf "%dc %g/%g" cores cpu mem)
+          c.nodes))
+    (String.concat "; "
+       (List.map
+          (fun (k, cpu, mem, f, h) ->
+            Printf.sprintf "%s cpu %g mem %g x%g @%d" (kind k) cpu mem f h)
+          c.services))
+    (match c.overload with None -> "-" | Some h -> string_of_int h)
+
+(* The true and estimated instances and the placement of a case. Services
+   run on two cores' worth of elementary CPU; the estimate scales the CPU
+   need and keeps the requirements, as the error model does. *)
+let eval_instances c =
+  let nodes =
+    Array.of_list
+      (List.mapi
+         (fun id (cores, cpu, mem) ->
+           Model.Node.make_cores ~id ~cores ~cpu ~mem)
+         c.nodes)
+  in
+  let services =
+    c.services
+    @ (match c.overload with
+      | None -> []
+      | Some h -> [ (Requirement_only, 0., 1.5, 1., h) ])
+  in
+  let make ~estimated =
+    Array.of_list
+      (List.mapi
+         (fun id (kind, cpu, mem, factor, _) ->
+           let req = (cpu /. 8., cpu /. 4.) in
+           let cpu = if estimated then cpu *. factor else cpu in
+           let need = (cpu /. 2., cpu) in
+           match kind with
+           | Full ->
+               Model.Service.make_2d ~id ~cpu_req:req ~mem_req:mem
+                 ~cpu_need:need ~mem_need:(mem /. 2.) ()
+           | Need_only -> Model.Service.make_2d ~id ~cpu_need:need ()
+           | Requirement_only ->
+               Model.Service.make_2d ~id ~cpu_req:req ~mem_req:mem ()
+           | Empty -> Model.Service.make_2d ~id ())
+         services)
+  in
+  let placement =
+    Array.of_list (List.map (fun (_, _, _, _, h) -> h) services)
+  in
+  ( Model.Instance.v ~nodes ~services:(make ~estimated:false),
+    Model.Instance.v ~nodes ~services:(make ~estimated:true),
+    placement )
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let prop_runtime_eval_matches_reference =
+  QCheck2.Test.make
+    ~name:"runtime eval node by node = whole-instance reference (bitwise)"
+    ~count:400 ~print:print_eval_case eval_case_gen (fun c ->
+      let true_instance, estimated, placement = eval_instances c in
+      List.for_all
+        (fun policy ->
+          let ours =
+            Sharing.Runtime_eval.actual_min_yield policy ~true_instance
+              ~estimated placement
+          and theirs =
+            Oracles.Runtime_eval_ref.actual_min_yield policy ~true_instance
+              ~estimated placement
+          in
+          let ours_c =
+            Sharing.Runtime_eval.consumptions policy ~true_instance
+              ~estimated placement
+          and theirs_c =
+            Oracles.Runtime_eval_ref.consumptions policy ~true_instance
+              ~estimated placement
+          in
+          (match (ours, theirs) with
+          | None, None -> true
+          | Some a, Some b -> same_bits a b
+          | _ -> false)
+          &&
+          match (ours_c, theirs_c) with
+          | None, None -> true
+          | Some a, Some b ->
+              Array.length a = Array.length b && Array.for_all2 same_bits a b
+          | _ -> false)
+        [
+          Sharing.Policy.Alloc_caps;
+          Sharing.Policy.Alloc_weights;
+          Sharing.Policy.Equal_weights;
+        ])
+
+(* The generator reaches the cases the property is about: placements
+   that fail on an overloaded node, and placements that evaluate with
+   zero-need and with requirement-only services on some node. (Every case
+   has an empty node by construction.) *)
+let test_runtime_eval_cases_reached () =
+  let cases =
+    QCheck2.Gen.generate ~n:400 ~rand:(Random.State.make [| 7 |]) eval_case_gen
+  in
+  let overloaded_fails = ref 0 and zero_need = ref 0 and req_only = ref 0 in
+  List.iter
+    (fun c ->
+      let true_instance, estimated, placement = eval_instances c in
+      let has kind = List.exists (fun (k, _, _, _, _) -> k = kind) c.services in
+      match
+        Oracles.Runtime_eval_ref.actual_min_yield Sharing.Policy.Alloc_weights
+          ~true_instance ~estimated placement
+      with
+      | None -> if c.overload <> None then incr overloaded_fails
+      | Some _ ->
+          if has Empty then incr zero_need;
+          if has Requirement_only then incr req_only)
+    cases;
+  Alcotest.(check bool) "overloaded nodes fail" true (!overloaded_fails > 0);
+  Alcotest.(check bool) "zero-need services evaluate" true (!zero_need > 0);
+  Alcotest.(check bool) "requirement-only services evaluate" true
+    (!req_only > 0)
+
 (* Zero-knowledge baseline. *)
 
 let test_zero_knowledge_even_spread () =
@@ -328,6 +496,7 @@ let suite =
       ("zero-knowledge even spread", test_zero_knowledge_even_spread);
       ("zero-knowledge respects memory", test_zero_knowledge_respects_memory);
       ("zero-knowledge failure", test_zero_knowledge_failure);
+      ("runtime eval cases reached", test_runtime_eval_cases_reached);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -338,6 +507,7 @@ let suite =
         prop_policy_yields_in_range;
         prop_adaptive_threshold_clamped;
         prop_theorem_bound_holds;
+        prop_runtime_eval_matches_reference;
       ]
   @ [ Alcotest.test_case "satisfied service topped up" `Quick
         test_satisfied_service_topped_up ]
