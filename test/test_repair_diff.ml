@@ -169,6 +169,15 @@ let test_engine_incremental_matches_full () =
      every node on a threshold change goes untested. *)
   Alcotest.(check bool) "the adaptive threshold moves" true !adaptive_moved
 
+(* The resolve path's results do not depend on [incremental]: the flag
+   only switches how the yield cache is kept, never what it yields. *)
+let test_resolve_ignores_incremental () =
+  let a, af = run_engine ~seed:2 ~incremental:true Simulator.Policy.Resolve in
+  let b, bf = run_engine ~seed:2 ~incremental:false Simulator.Policy.Resolve in
+  Alcotest.(check bool) "stats identical" true (stats_equal a b);
+  Alcotest.(check bool) "finals identical" true (finals_equal af bf);
+  check_feasible ~msg:"resolve" platform af
+
 (* Sharded level: the same differential across shard counts and pool
    sizes, for both partition policies. *)
 let test_sharded_incremental_matches_full () =
@@ -308,6 +317,7 @@ let suite =
     [
       ( "engine incremental = full recompute",
         test_engine_incremental_matches_full );
+      ("resolve ignores incremental flag", test_resolve_ignores_incremental);
       ( "sharded incremental = full recompute",
         test_sharded_incremental_matches_full );
       ("repair counters engage", test_repair_counters_engage);
