@@ -1,6 +1,7 @@
 (** Randomized rounding of the relaxed LP solution (paper §3.3).
 
-    Both algorithms first solve the rational relaxation of the MILP and use
+    Both algorithms first solve the rational relaxation of the MILP
+    ({!Milp.relaxed_e_matrix}, which solves it in reduced form) and use
     the fractional [e_jh] values as placement probabilities. Services are
     taken in id order; a drawn node that cannot satisfy the service's rigid
     requirements (given what was already committed) gets its probability

@@ -141,63 +141,6 @@ let water_fill node services =
         end
       end
 
-let max_average_yields (node : Node.t) services =
-  match services with
-  | [] -> Some []
-  | _ ->
-      if not (requirements_fit node services) then None
-      else begin
-        let open Vec in
-        let bounds = List.map (elementary_bound node) services in
-        if List.exists Option.is_none bounds then None
-        else begin
-          let d = Node.dim node in
-          (* Remaining aggregate capacity after requirements. *)
-          let slack = Array.make d 0. in
-          for i = 0 to d - 1 do
-            slack.(i) <-
-              Vector.get node.capacity.Epair.aggregate i
-              -. List.fold_left
-                   (fun acc (s : Service.t) ->
-                     acc +. Vector.get s.requirement.Epair.aggregate i)
-                   0. services
-          done;
-          (* Greedy: raise the cheapest services first. Cost of one unit of
-             yield for service j is its aggregate need vector; order by the
-             largest need component (the dimension most likely to bind). *)
-          let indexed =
-            List.mapi
-              (fun i (s, b) -> (i, s, Option.get b))
-              (List.combine services bounds |> List.map (fun (s, b) -> (s, b)))
-          in
-          let order =
-            List.sort
-              (fun (_, (a : Service.t), _) (_, (b : Service.t), _) ->
-                Float.compare
-                  (Vector.max_component a.need.Epair.aggregate)
-                  (Vector.max_component b.need.Epair.aggregate))
-              indexed
-          in
-          let yields = Array.make (List.length services) 0. in
-          List.iter
-            (fun (i, (s : Service.t), bound) ->
-              (* Largest yield the remaining slack allows this service. *)
-              let y = ref bound in
-              for dim = 0 to d - 1 do
-                let n = Vector.get s.need.Epair.aggregate dim in
-                if n > 0. then
-                  y := Float.min !y (Float.max 0. (slack.(dim) /. n))
-              done;
-              yields.(i) <- !y;
-              for dim = 0 to d - 1 do
-                slack.(dim) <-
-                  slack.(dim) -. (!y *. Vector.get s.need.Epair.aggregate dim)
-              done)
-            order;
-          Some (Array.to_list yields)
-        end
-      end
-
 let fits_at_yield (node : Node.t) services y =
   let open Vec in
   let d = Node.dim node in

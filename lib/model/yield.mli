@@ -34,17 +34,6 @@ val water_fill : Node.t -> Service.t list -> float list option
     fit. Unlike {!max_min_yield}, services capped below [L] by their own
     elementary bound do not drag the others down. *)
 
-val max_average_yields : Node.t -> Service.t list -> float list option
-(** Yields maximizing the {e average} (equivalently the sum) instead of the
-    minimum, for the same fixed node. Included to demonstrate the paper's
-    §2 motivation: average-yield maximization is prone to starvation — it
-    pours capacity into the services that are cheapest to satisfy (smallest
-    aggregate need in the binding dimension) and can leave expensive
-    services at yield 0, whereas max–min water-filling never starves anyone
-    whose requirements fit. Exact for a single binding aggregate dimension;
-    with several it is the natural greedy (cheapest service first) and a
-    lower bound on the LP optimum. [None] when requirements do not fit. *)
-
 val fits_at_yield : Node.t -> Service.t list -> float -> bool
 (** [fits_at_yield node services y] checks that all services can run on the
     node at the {e common} yield [y]: elementary demand of each service fits

@@ -57,3 +57,32 @@ let instance p =
           cov = p.cov; resources }
   in
   if p.zero_needs then zero_every_other_need inst else inst
+
+(* A hand-built 2-D instance whose CPU is oversubscribed [factor] times
+   (4-core nodes, small memory requirements, CPU needs only): each
+   service's aggregate CPU need is [factor] times its share of the total
+   capacity, so the relaxation's optimum is about [1 / factor] and a
+   yield search bisects instead of stopping at 1. *)
+let oversubscribed ~seed ~nodes:n_nodes ~services:n_services ~factor =
+  let rng = Prng.Rng.create ~seed in
+  let nodes =
+    Array.init n_nodes (fun id ->
+        Model.Node.make_cores ~id ~cores:4
+          ~cpu:(Prng.Rng.uniform_range rng 1.5 2.5)
+          ~mem:1.0)
+  in
+  let total_cpu =
+    Array.fold_left
+      (fun acc (nd : Model.Node.t) ->
+        acc +. Vec.Vector.get nd.capacity.Vec.Epair.aggregate 0)
+      0. nodes
+  in
+  let per_service = factor *. total_cpu /. Float.of_int n_services in
+  let services =
+    Array.init n_services (fun id ->
+        let agg = per_service *. Prng.Rng.uniform_range rng 0.7 1.3 in
+        Model.Service.make_2d ~id
+          ~mem_req:(Prng.Rng.uniform_range rng 0.05 0.15)
+          ~cpu_need:(agg /. 2., agg) ())
+  in
+  Model.Instance.v ~nodes ~services

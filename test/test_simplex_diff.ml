@@ -640,14 +640,24 @@ let test_corpus_pivot_pins () =
          List.concat_map (fun (_, _, p) -> sparse_trace p)
            (Lazy.force bit_corpus)))
 
-(* The rational relaxation of a generated paper instance, as
-   [Heuristics.Milp.relaxed_bound] and RRNZ build it. *)
+let paper_instance ~seed ~hosts ~services ~cov ~slack =
+  Workload.Generator.generate ~rng:(Prng.Rng.create ~seed)
+    { Workload.Generator.default with hosts; services; cov; slack }
+
+(* The rational relaxation of a generated paper instance over (e, y, Y),
+   the LP branch-and-bound solves at its root. *)
 let relaxation ~seed ~hosts ~services ~cov ~slack =
-  let instance =
-    Workload.Generator.generate ~rng:(Prng.Rng.create ~seed)
-      { Workload.Generator.default with hosts; services; cov; slack }
-  in
-  fst (Heuristics.Milp.formulation ~integer:false instance)
+  Lp.Problem.relax
+    (fst
+       (Heuristics.Milp.formulation
+          (paper_instance ~seed ~hosts ~services ~cov ~slack)))
+
+(* The same relaxation in the reduced form (e = y + z) that
+   [Heuristics.Milp.relaxed_bound] and RRNZ solve. *)
+let reduced_relaxation ~seed ~hosts ~services ~cov ~slack =
+  fst
+    (Heuristics.Milp.reduced_relaxation
+       (paper_instance ~seed ~hosts ~services ~cov ~slack))
 
 (* One cold solve of a 10x40 relaxation: bases of 669 rows, where the
    factor does most of its work. *)
@@ -657,6 +667,17 @@ let relaxation_pins =
 let test_relaxation_pivot_pins () =
   let lp = relaxation ~seed:3 ~hosts:10 ~services:40 ~cov:0.5 ~slack:0.5 in
   check_pins ~ctx:"10x40 relaxation" relaxation_pins
+    (with_metrics (fun () -> result_bits (Lp.Simplex.solve lp)))
+
+(* The same instance in reduced form: bases of 109 rows. *)
+let reduced_relaxation_pins =
+  ([ 286; 5; 415; 29 ], "dcae5163f62a333b0ca5c5c61ae42e15")
+
+let test_reduced_relaxation_pivot_pins () =
+  let lp =
+    reduced_relaxation ~seed:3 ~hosts:10 ~services:40 ~cov:0.5 ~slack:0.5
+  in
+  check_pins ~ctx:"10x40 reduced relaxation" reduced_relaxation_pins
     (with_metrics (fun () -> result_bits (Lp.Simplex.solve lp)))
 
 (* Relaxations that end in [Failure "Lp.Simplex: numerically singular
@@ -689,6 +710,37 @@ let test_singular_basis_regressions () =
   check ~ctx:"seed 2, 20x60" 1.
     (Lp.Simplex.solve
        (relaxation ~seed:2 ~hosts:20 ~services:60 ~cov:0.5 ~slack:0.5))
+
+(* Reduced relaxations over a grid of 10x40 paper instances: every one
+   solves to [Optimal] without raising, to the dense-LU instance's
+   objective within 1e-12. Not bit for bit: the two factorizations round
+   differently, which settles near-ties in Dantzig pricing differently,
+   so on these LPs, whose optimal faces are large, the two solvers pivot
+   along different paths and end on optimal vertices a few ulps apart
+   (18 of these 36; the e/y relaxations of seeds 1 and 4 do the same, 5
+   of 12). *)
+let test_reduced_relaxation_sweep () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun cov ->
+          List.iter
+            (fun slack ->
+              let ctx =
+                Printf.sprintf "seed %d, cov %g, slack %g" seed cov slack
+              in
+              let lp =
+                reduced_relaxation ~seed ~hosts:10 ~services:40 ~cov ~slack
+              in
+              let sparse = objective ~ctx (Lp.Simplex.solve lp) in
+              let dense =
+                objective ~ctx:(ctx ^ ", dense-LU") (Oracles.Dense_lu.solve lp)
+              in
+              Alcotest.(check (float 1e-12))
+                (ctx ^ ": objective = dense-LU's") dense sparse)
+            [ 0.1; 0.5 ])
+        [ 0.; 0.5; 1.0 ])
+    [ 1; 2; 3; 4; 5; 6 ]
 
 (* Bland's rule on a large LP, reached on purpose: with a budget of 2,000
    iterations a phase switches after 400, and op 90 still solves, to
@@ -729,37 +781,6 @@ let test_sparse_lu_flops_vs_dense () =
     true
     (2 * sparse <= dense)
 
-(* Table-1-style probe sequences: the warm-started yield search must agree
-   with the cold one on the answer while spending strictly fewer pivots.
-   The paper generator scales CPU need to exactly match capacity, so its
-   relaxations are feasible at yield 1 and the search returns after one
-   probe; these hand-built instances oversubscribe CPU by [factor], forcing
-   max yield ~ 1/factor and a full bisection (a dozen-plus probes). *)
-
-let oversubscribed ~seed ~nodes:n_nodes ~services:n_services ~factor =
-  let rng = Prng.Rng.create ~seed in
-  let nodes =
-    Array.init n_nodes (fun id ->
-        Model.Node.make_cores ~id ~cores:4
-          ~cpu:(Prng.Rng.uniform_range rng 1.5 2.5)
-          ~mem:1.0)
-  in
-  let total_cpu =
-    Array.fold_left
-      (fun acc (nd : Model.Node.t) ->
-        acc +. Vec.Vector.get nd.capacity.Vec.Epair.aggregate 0)
-      0. nodes
-  in
-  let per_service = factor *. total_cpu /. Float.of_int n_services in
-  let services =
-    Array.init n_services (fun id ->
-        let agg = per_service *. Prng.Rng.uniform_range rng 0.7 1.3 in
-        Model.Service.make_2d ~id
-          ~mem_req:(Prng.Rng.uniform_range rng 0.05 0.15)
-          ~cpu_need:(agg /. 2., agg) ())
-  in
-  Model.Instance.v ~nodes ~services
-
 (* ---- Relative-singularity regression (the Lu.factor 1e-11 bugfix) ----
 
    Scale every constraint row of a Table-1-style relaxation down by 1e-12:
@@ -785,8 +806,10 @@ let scale_rows s (p : Lp.Problem.t) =
   }
 
 let test_scaled_rows_warm_start () =
-  let instance = oversubscribed ~seed:5 ~nodes:3 ~services:6 ~factor:2. in
-  let lp, _ = Heuristics.Milp.formulation ~integer:false instance in
+  let instance =
+    Instance_gen.oversubscribed ~seed:5 ~nodes:3 ~services:6 ~factor:2.
+  in
+  let lp = Lp.Problem.relax (fst (Heuristics.Milp.formulation instance)) in
   let p = scale_rows 1e-12 lp in
   let (cold, basis), _ = with_metrics (fun () -> Lp.Simplex.solve_basis p) in
   let cobj =
@@ -812,11 +835,18 @@ let test_scaled_rows_warm_start () =
   Alcotest.(check bool) "scaled warm: warm start recorded" true
     (counters "simplex.warm_starts" > 0)
 
+(* Table-1-style probe sequences: the warm-started yield search must agree
+   with the cold one on the answer while spending strictly fewer pivots.
+   The paper generator scales CPU need to exactly match capacity, so its
+   relaxations are feasible at yield 1 and the search returns after one
+   probe; these instances oversubscribe CPU twice, forcing max yield
+   ~ 1/2 and a full bisection (a dozen-plus probes). *)
 let probe_instances =
   lazy
     (List.map
        (fun seed ->
-         (seed, oversubscribed ~seed ~nodes:3 ~services:8 ~factor:2.))
+         (seed,
+          Instance_gen.oversubscribed ~seed ~nodes:3 ~services:8 ~factor:2.))
        [ 1; 2; 3 ])
 
 (* The warm search is the library's; the cold one runs the same probe
@@ -835,9 +865,10 @@ let run_search ~warm instance =
       if warm then Option.map snd (Heuristics.Milp.relaxed_yield_search instance)
       else Option.map snd (cold ()))
 
-(* Golden (cold, warm) total pivots of each seed's search. A change that
-   moves them on purpose updates them here and says why. *)
-let probe_pivot_pins = [ (1, (515, 82)); (2, (557, 91)); (3, (514, 81)) ]
+(* Golden (cold, warm) total pivots of each seed's search, over the
+   reduced relaxation. A change that moves them on purpose updates them
+   here and says why. *)
+let probe_pivot_pins = [ (1, (421, 61)); (2, (357, 65)); (3, (346, 61)) ]
 
 let test_probe_sequence_warm_vs_cold () =
   List.iter
@@ -932,6 +963,170 @@ let test_probe_sequence_vs_dense_oracle () =
       | _ -> Alcotest.fail (ctx ^ ": verdicts differ across solvers"))
     (Lazy.force probe_instances)
 
+(* ---- Reduced form = e/y form ------------------------------------------
+
+   [Heuristics.Milp.reduced_relaxation] writes e = y + z with z >= 0: a
+   linear bijection onto the e/y relaxation's polytope. So the library's
+   bound, its optimal point mapped back, its e-matrix and its yield search
+   must agree with the e/y relaxation's. Paper instances give services a
+   CPU need above a core's capacity (rows (5) that become bounds on y);
+   oversubscribed ones have a bound below 1; [big_mem] halves node 0's
+   memory and gives service 0 a memory requirement above it; [split_cpu]
+   moves a quarter of every CPU need into the requirement, so rows (5)
+   and (6) carry a requirement and a need in one dimension, which the
+   generator never does. *)
+
+type equivalence_case = {
+  eq_seed : int;
+  eq_oversubscribed : bool;
+  eq_hosts : int;
+  eq_services : int;
+  eq_cov : float;
+  eq_slack : float;
+  eq_big_mem : bool;
+  eq_split_cpu : bool;
+}
+
+let equivalence_gen =
+  QCheck2.Gen.(
+    let* eq_seed = int_range 0 100_000 in
+    let* eq_oversubscribed = bool in
+    let* eq_hosts = int_range 2 5 in
+    let* eq_services = int_range 3 12 in
+    let* eq_cov = oneofl [ 0.; 0.5; 1.0 ] in
+    let* eq_slack = oneofl [ 0.1; 0.5; 0.9 ] in
+    let* eq_big_mem = bool in
+    let* eq_split_cpu = bool in
+    pure
+      { eq_seed; eq_oversubscribed; eq_hosts; eq_services; eq_cov; eq_slack;
+        eq_big_mem; eq_split_cpu })
+
+let print_equivalence_case c =
+  Printf.sprintf "%s %dx%d seed %d cov %g slack %g%s%s"
+    (if c.eq_oversubscribed then "oversubscribed" else "paper")
+    c.eq_hosts c.eq_services c.eq_seed c.eq_cov c.eq_slack
+    (if c.eq_big_mem then " big memory" else "")
+    (if c.eq_split_cpu then " split CPU" else "")
+
+(* [v] with its component [d] set to [x]. *)
+let set_dim d v x =
+  Vec.Vector.init (Vec.Vector.dim v) (fun i ->
+      if i = d then x else Vec.Vector.get v i)
+
+let both f (p : Vec.Epair.t) =
+  Vec.Epair.v ~elementary:(f p.elementary) ~aggregate:(f p.aggregate)
+
+let big_mem inst =
+  let mem = Model.Service.mem_dim in
+  let node0 = (Model.Instance.node inst 0).Model.Node.capacity in
+  let m0 = Vec.Vector.get node0.Vec.Epair.elementary mem in
+  let nodes =
+    Array.init (Model.Instance.n_nodes inst) (fun h ->
+        if h > 0 then Model.Instance.node inst h
+        else
+          Model.Node.v ~id:0
+            ~capacity:(both (fun v -> set_dim mem v (m0 /. 2.)) node0))
+  in
+  let services =
+    Array.init (Model.Instance.n_services inst) (fun j ->
+        let s = Model.Instance.service inst j in
+        if j > 0 then s
+        else
+          Model.Service.v ~id:s.id ~need:s.need
+            ~requirement:
+              (both (fun v -> set_dim mem v (0.75 *. m0)) s.requirement))
+  in
+  Model.Instance.v ~nodes ~services
+
+let split_cpu =
+  let cpu = Model.Service.cpu_dim in
+  let get v = Vec.Vector.get v cpu in
+  Model.Instance.map_services (fun (s : Model.Service.t) ->
+      let moved r n = set_dim cpu r (get r +. (get n /. 4.)) in
+      Model.Service.v ~id:s.id
+        ~requirement:
+          (Vec.Epair.v
+             ~elementary:(moved s.requirement.elementary s.need.elementary)
+             ~aggregate:(moved s.requirement.aggregate s.need.aggregate))
+        ~need:(both (fun n -> set_dim cpu n (0.75 *. get n)) s.need))
+
+let equivalence_instance c =
+  let inst =
+    if c.eq_oversubscribed then
+      Instance_gen.oversubscribed ~seed:c.eq_seed ~nodes:c.eq_hosts
+        ~services:c.eq_services ~factor:2.
+    else
+      paper_instance ~seed:c.eq_seed ~hosts:c.eq_hosts
+        ~services:c.eq_services ~cov:c.eq_cov ~slack:c.eq_slack
+  in
+  let inst = if c.eq_big_mem then big_mem inst else inst in
+  if c.eq_split_cpu then split_cpu inst else inst
+
+(* The e/y relaxation's yield search: the library's probe schedule, each
+   probe a cold solve of the e/y LP at the yield floor. *)
+let ey_yield_search (ey : Lp.Problem.t) (m : Heuristics.Milp.mapping) =
+  Heuristics.Binary_search.maximize (fun yield_floor ->
+      let lower = Array.copy ey.lower in
+      lower.(m.y_min) <- Float.max 0. (Float.min 1. yield_floor);
+      let objective = Array.make ey.n_vars 0. in
+      match Lp.Simplex.solve { ey with lower; objective } with
+      | Lp.Simplex.Optimal _ -> Some ()
+      | Lp.Simplex.Infeasible -> None
+      | Lp.Simplex.Unbounded ->
+          Alcotest.fail "a feasibility probe cannot be unbounded")
+
+let prop_reduced_equals_ey =
+  QCheck2.Test.make ~name:"reduced relaxation = e/y relaxation" ~count:60
+    ~print:print_equivalence_case equivalence_gen (fun c ->
+      let inst = equivalence_instance c in
+      let milp, em = Heuristics.Milp.formulation inst in
+      let ey = Lp.Problem.relax milp in
+      let reduced, rm = Heuristics.Milp.reduced_relaxation inst in
+      let bound_agrees =
+        match (Lp.Simplex.solve ey, Heuristics.Milp.relaxed_bound inst) with
+        | Lp.Simplex.Optimal s, Some b ->
+            Float.abs (b -. s.objective)
+            <= 1e-9 *. Float.max 1. (Float.abs s.objective)
+        | Lp.Simplex.Infeasible, None -> true
+        | _ -> false
+      in
+      let maps_back =
+        match Lp.Simplex.solve reduced with
+        | Lp.Simplex.Optimal { x; _ } ->
+            let back = Array.make ey.n_vars 0. in
+            for j = 0 to Model.Instance.n_services inst - 1 do
+              for h = 0 to Model.Instance.n_nodes inst - 1 do
+                back.(em.e j h) <- x.(rm.y j h) +. x.(rm.z j h);
+                back.(em.y j h) <- x.(rm.y j h)
+              done
+            done;
+            back.(em.y_min) <- x.(rm.y_min);
+            Lp.Problem.is_feasible ey back
+        | Lp.Simplex.Infeasible -> true
+        | Lp.Simplex.Unbounded -> false
+      in
+      let e_rows_ok =
+        match Heuristics.Milp.relaxed_e_matrix inst with
+        | None -> true
+        | Some e ->
+            Array.for_all
+              (fun row ->
+                Array.for_all (fun p -> p >= 0.) row
+                && Float.abs (Array.fold_left ( +. ) 0. row -. 1.) <= 1e-9)
+              e
+      in
+      let searches_agree =
+        match
+          (Heuristics.Milp.relaxed_yield_search inst, ey_yield_search ey em)
+        with
+        | Some (_, yr), Some ((), ye) ->
+            Float.abs (yr -. ye)
+            <= 2. *. Heuristics.Binary_search.default_tolerance
+        | None, None -> true
+        | _ -> false
+      in
+      bound_agrees && maps_back && e_rows_ok && searches_agree)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -957,10 +1152,15 @@ let suite =
       ("sparse LU halves dense-LU flops", test_sparse_lu_flops_vs_dense);
       ("corpus pivot-sequence pins", test_corpus_pivot_pins);
       ("10x40 relaxation pivot-sequence pins", test_relaxation_pivot_pins);
+      ("10x40 reduced relaxation pivot-sequence pins",
+       test_reduced_relaxation_pivot_pins);
+      ("reduced relaxations agree with dense-LU",
+       test_reduced_relaxation_sweep);
       ("relaxations that raised a singular basis",
        test_singular_basis_regressions);
       ("op-90 relaxation through Bland's rule", test_op90_through_bland);
       ("sparse LU bookkeeping cases", test_sparse_lu_bookkeeping);
       ("sparse LU factor bits pin", test_factor_bits_pin);
     ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_lp_shaped_factor ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_lp_shaped_factor; prop_reduced_equals_ey ]
