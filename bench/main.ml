@@ -45,8 +45,9 @@ let run_table2 scale =
   section_header "Table 2: algorithm run times";
   print_string (Experiments.Table1.report_table2 (get_table_runs scale));
   print_endline
-    "Paper's shape: RRNZ orders of magnitude slower (solves an LP);\n\
-     METAGREEDY << METAVP < METAHVP (roughly 3x METAVP)."
+    "Paper's shape, at 64 hosts: RRNZ orders of magnitude slower (solves an\n\
+     LP); still about 190x METAVP at 64x500 (EXPERIMENTS.md Table 2), but not\n\
+     at the small preset. METAGREEDY << METAVP < METAHVP (roughly 3x METAVP)."
 
 let run_fig_cov scale variant name =
   section_header name;

@@ -13,7 +13,8 @@ type t = {
 }
 
 let create ~interval ~cols =
-  if interval <= 0. then invalid_arg "Timeline.create: interval";
+  if not (Float.is_finite interval && interval > 0.) then
+    invalid_arg "Timeline.create: interval";
   if Array.length cols = 0 then invalid_arg "Timeline.create: no columns";
   { interval; cols = Array.copy cols; rows_rev = []; n_rows = 0 }
 

@@ -12,8 +12,8 @@ type t
 
 val create : interval:float -> cols:string array -> t
 (** A timeline with the given sampling interval (virtual time units) and
-    column names. Raises [Invalid_argument] on a non-positive interval or
-    an empty column set. *)
+    column names. Raises [Invalid_argument] on an interval that is not
+    finite and positive (NaN included) or an empty column set. *)
 
 val append : t -> time:float -> float array -> unit
 (** Append one sample row (values in column order; the array is copied).

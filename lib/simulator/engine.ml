@@ -48,18 +48,7 @@ type stats = {
   final_threshold : float;
 }
 
-(* A live service: true and estimated CPU needs plus the rigid memory
-   requirement; [node] is its current host. *)
-type live = {
-  uid : int;
-  cores : int;
-  true_cpu : float;  (* aggregate true need *)
-  est_cpu : float;   (* aggregate estimated need (before thresholding) *)
-  memory : float;
-  mutable node : int;
-}
-
-type event = Arrival | Departure of int (* uid *) | Reallocate
+type event = Arrival | Departure of Repair.resident | Reallocate
 
 type final_service = { f_uid : int; f_node : int; f_mem : float; f_cpu : float }
 
@@ -125,7 +114,7 @@ let validate config ~platform =
 
 (* A live service as the model layer sees it, under the given id. The
    estimated variant applies the current minimum threshold. *)
-let service_of_live ~estimated ~threshold id (l : live) =
+let service_of_live ~estimated ~threshold id (l : Repair.resident) =
   let cpu =
     if estimated then Float.max l.est_cpu threshold else l.true_cpu
   in
@@ -134,14 +123,14 @@ let service_of_live ~estimated ~threshold id (l : live) =
     ()
 
 (* Dense-id service arrays for the model layer, in [actives] order. *)
-let build_instances ~platform ~threshold (actives : live array) =
+let build_instances ~platform ~threshold (actives : Repair.resident array) =
   let true_services =
     Array.mapi (service_of_live ~estimated:false ~threshold:0.) actives
   in
   let est_services =
     Array.mapi (service_of_live ~estimated:true ~threshold) actives
   in
-  let placement = Array.map (fun l -> l.node) actives in
+  let placement = Array.map (fun (l : Repair.resident) -> l.node) actives in
   ( actives,
     Model.Instance.v ~nodes:platform ~services:true_services,
     Model.Instance.v ~nodes:platform ~services:est_services,
@@ -150,8 +139,8 @@ let build_instances ~platform ~threshold (actives : live array) =
 let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   validate config ~platform;
   (match timeline with
-  | Some (dt, _) when dt <= 0. ->
-      invalid_arg "Engine.run: timeline interval must be positive"
+  | Some (dt, _) when not (Float.is_finite dt && dt > 0.) ->
+      invalid_arg "Engine.run: timeline interval must be finite and positive"
   | _ -> ());
   let rng = match rng with Some r -> r | None -> Prng.Rng.create ~seed:0 in
   let n_nodes = Array.length platform in
@@ -164,17 +153,11 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
     Obs.Metrics.add c_bins_touched n;
     bins_n := !bins_n + n
   in
-  (* Incremental bin state, only for the probe-based placement policies.
-     The resolve path never consults it, keeping that path byte-identical
-     to the pre-policy engine (locked by the golden seed-0 tests). *)
-  let rstate =
-    match config.placement with
-    | Policy.Resolve -> None
-    | Policy.Greedy_random | Policy.Best_fit ->
-        Some (Repair.create ~platform ~yield_gap:config.yield_gap)
-  in
+  (* [live] is the ground truth, keyed by uid; [store] holds the same
+     services per node, derived from it. *)
+  let live : (int, Repair.resident) Hashtbl.t = Hashtbl.create 64 in
+  let store = Repair.create ~platform ~yield_gap:config.yield_gap in
   let queue = Event_queue.create () in
-  let actives : live Active_set.t = Active_set.create () in
   let next_uid = ref 0 in
   let arrivals = ref 0 and admitted = ref 0 and rejected = ref 0 in
   let departures = ref 0 in
@@ -184,15 +167,13 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   let yield_integral = ref 0. in
   let last_time = ref 0. in
   let current_yield = ref 1. in
-  (* Per-node yield cache (DESIGN.md §13). [residents.(h)] holds node h's
-     live services, largest uid first; [node_min.(h)] is h's minimum
+  (* Per-node yield cache (DESIGN.md §13). [node_min.(h)] is h's minimum
      actual yield when last evaluated, [None] when its water-fill failed.
      An event marks the nodes whose residents it changed, a re-solve marks
      every node, and [record] re-evaluates only the marked ones. A node's
      value is a pure function of its residents in ascending-uid order and
      of the threshold, and [Float.min] is exact, so the cached minimum is
      bitwise the minimum a whole re-evaluation would give. *)
-  let residents : live list array = Array.make n_nodes [] in
   let node_min = Array.make n_nodes (Some 1.) in
   let dirty = Array.make n_nodes false in
   let dirty_nodes = ref [] in
@@ -204,25 +185,14 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
     end
   in
   let mark_all () = all_dirty := true in
-  let rec insert (l : live) = function
-    | (x : live) :: rest when x.uid > l.uid -> x :: insert l rest
-    | rest -> l :: rest
+  (* The live services in ascending uid order, which is arrival order: the
+     order the re-solve, [final] and the store's rebuild read them in. *)
+  let by_uid () =
+    let a = Array.of_seq (Hashtbl.to_seq_values live) in
+    Array.sort (fun (x : Repair.resident) y -> Int.compare x.uid y.uid) a;
+    a
   in
-  let settle (l : live) node =
-    l.node <- node;
-    residents.(node) <- insert l residents.(node);
-    mark node
-  in
-  let unsettle (l : live) =
-    residents.(l.node) <-
-      List.filter (fun (x : live) -> x.uid <> l.uid) residents.(l.node);
-    mark l.node
-  in
-  let rebuild_residents () =
-    Array.fill residents 0 n_nodes [];
-    Active_set.iter actives (fun (l : live) ->
-        residents.(l.node) <- l :: residents.(l.node))
-  in
+  let rebuild () = Repair.rebuild store (by_uid ()) in
   let current_threshold () =
     match config.threshold with
     | Fixed t -> t
@@ -235,15 +205,15 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   in
   let evaluate threshold h =
     Obs.Metrics.incr c_node_evals;
-    (* Folding the largest-uid-first residents builds both lists in
-       ascending-uid order. *)
-    let true_services, estimated =
-      List.fold_left
-        (fun (ts, es) (l : live) ->
-          ( service_of_live ~estimated:false ~threshold:0. l.uid l :: ts,
-            service_of_live ~estimated:true ~threshold l.uid l :: es ))
-        ([], []) residents.(h)
+    let residents = Repair.residents store h in
+    let as_services ~estimated ~threshold =
+      List.map
+        (fun (l : Repair.resident) ->
+          service_of_live ~estimated ~threshold l.uid l)
+        residents
     in
+    let true_services = as_services ~estimated:false ~threshold:0. in
+    let estimated = as_services ~estimated:true ~threshold in
     node_min.(h) <-
       Sharing.Runtime_eval.node_min_yield config.policy platform.(h)
         ~true_services ~estimated
@@ -264,7 +234,7 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
      [record] reuses the current value. *)
   let record ?(epoch = false) time =
     if not incremental then begin
-      rebuild_residents ();
+      rebuild ();
       mark_all ()
     end;
     let y =
@@ -290,48 +260,6 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
     current_yield := y;
     yield_samples := (time, y) :: !yield_samples
   in
-  (* Memory-requirement admission: the feasible node with the fewest
-     services (the zero-knowledge spread — arrivals carry no trusted CPU
-     estimate yet, only the rigid requirement matters for admission). *)
-  let admit (l : live) =
-    let h_count = Array.length platform in
-    let mem_load = Array.make h_count 0. in
-    let count = Array.make h_count 0 in
-    Active_set.iter actives (fun (a : live) ->
-        mem_load.(a.node) <- mem_load.(a.node) +. a.memory;
-        count.(a.node) <- count.(a.node) + 1);
-    let best = ref (-1) in
-    for h = 0 to h_count - 1 do
-      let cap =
-        Vec.Vector.get platform.(h).Model.Node.capacity.Vec.Epair.aggregate
-          Model.Service.mem_dim
-      in
-      if
-        mem_load.(h) +. l.memory <= cap +. 1e-9
-        && (!best < 0 || count.(h) < count.(!best))
-      then best := h
-    done;
-    touch_bins h_count;
-    if !best >= 0 then begin
-      l.node <- !best;
-      true
-    end
-    else false
-  in
-  let entry_of_live (l : live) =
-    { Repair.uid = l.uid; mem = l.memory; cpu = l.est_cpu }
-  in
-  (* Resynchronize the incremental bin state from the live ground truth.
-     Because [Repair] always sums residents in ascending-uid order, this
-     produces bitwise the same loads the incremental updates maintained —
-     the invariant the differential tests exercise via [incremental:false],
-     which rebuilds before every decision. *)
-  let sync_repair r =
-    Repair.rebuild r
-      (Array.map
-         (fun (l : live) -> (l.node, entry_of_live l))
-         (Active_set.to_array actives))
-  in
   let reallocate () =
     incr reallocations;
     Obs.Metrics.incr c_reallocations;
@@ -339,29 +267,28 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
        [simulator.reeval_skips] keeps counting only rejected arrivals and
        quiet epochs of the probe policies. *)
     mark_all ();
-    if not (Active_set.is_empty actives) then begin
-      let n_live = Active_set.length actives in
+    let n_live = Hashtbl.length live in
+    if n_live > 0 then begin
       Obs.Metrics.observe h_realloc_services n_live;
       touch_bins n_nodes;
       Obs.Trace.span "reallocate"
         ~args:[ ("services", string_of_int n_live) ]
       @@ fun () ->
       let lives, true_inst, est_inst, old_placement =
-        build_instances ~platform ~threshold:(current_threshold ())
-          (Active_set.to_array actives)
+        build_instances ~platform ~threshold:(current_threshold ()) (by_uid ())
       in
       match config.algorithm.solve est_inst with
       | None -> incr failed_reallocations
       | Some sol ->
           Array.iteri
-            (fun i (l : live) ->
+            (fun i (l : Repair.resident) ->
               if sol.placement.(i) <> old_placement.(i) then begin
                 incr migrations;
                 Obs.Metrics.incr c_migrations
               end;
               l.node <- sol.placement.(i))
             lives;
-          rebuild_residents ();
+          Repair.rebuild store lives;
           (* Close the adaptive feedback loop with what the run-time
              scheduler actually hands out under the new placement. *)
           match config.threshold with
@@ -374,7 +301,7 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
               | None -> ()
               | Some actual ->
                   let estimated =
-                    Array.map (fun (l : live) -> l.est_cpu) lives
+                    Array.map (fun (l : Repair.resident) -> l.est_cpu) lives
                   in
                   Sharing.Adaptive_threshold.observe controller ~estimated
                     ~actual)
@@ -385,13 +312,12 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
      genuinely overloaded), the trigger disarms until health is next
      observed, so a burst of events does not re-solve per event. *)
   let fallback_armed = ref true in
-  let maybe_fallback r =
-    if Repair.healthy r then fallback_armed := true
+  let maybe_fallback () =
+    if Repair.healthy store then fallback_armed := true
     else if !fallback_armed then begin
       Obs.Metrics.incr c_repair_fallbacks;
       reallocate ();
-      sync_repair r;
-      fallback_armed := Repair.healthy r
+      fallback_armed := Repair.healthy store
     end
   in
   (* Seed the event queue. *)
@@ -426,7 +352,7 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
               {
                 tl_time = t;
                 tl_yield = !current_yield;
-                tl_active = Active_set.length actives;
+                tl_active = Hashtbl.length live;
                 tl_repairs = !repairs_n;
                 tl_bins_touched = !bins_n;
                 tl_pivots = Lp.Pivot_clock.total () - pivot_base;
@@ -465,7 +391,7 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
               in
               let l =
                 {
-                  uid = !next_uid;
+                  Repair.uid = !next_uid;
                   cores = task.cores;
                   true_cpu;
                   est_cpu;
@@ -474,57 +400,44 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
                 }
               in
               incr next_uid;
-              let placed =
-                match rstate with
-                | None -> if admit l then Some l.node else None
-                | Some r ->
-                    if not incremental then sync_repair r;
-                    let chosen, touched =
-                      Repair.choose r config.placement ~rng ~mem:l.memory
-                    in
-                    touch_bins touched;
-                    chosen
+              if not incremental then rebuild ();
+              let placed, touched =
+                Repair.choose store config.placement ~rng ~mem:l.memory
               in
+              touch_bins touched;
               (match placed with
               | Some node ->
-                  settle l node;
+                  Hashtbl.replace live l.uid l;
+                  Repair.add store ~node l;
+                  mark node;
                   incr admitted;
                   Obs.Metrics.incr c_admitted;
-                  Active_set.append actives ~uid:l.uid l;
-                  (match rstate with
-                  | None -> ()
-                  | Some r -> Repair.add r ~node (entry_of_live l));
                   let lifetime =
                     Prng.Rng.exponential rng
                       ~rate:(1. /. config.mean_lifetime)
                   in
                   if time +. lifetime <= config.horizon then
                     Event_queue.add queue ~time:(time +. lifetime)
-                      (Departure l.uid)
+                      (Departure l)
                   (* Services outliving the horizon simply never depart. *)
               | None ->
                   incr rejected;
                   Obs.Metrics.incr c_rejected);
               false
-          | Departure uid ->
+          | Departure l ->
               incr departures;
               Obs.Metrics.incr c_departures;
-              (match (Active_set.take actives ~uid, rstate) with
-              | None, _ -> ()
-              | Some l, None -> unsettle l
-              | Some l, Some r ->
-                  unsettle l;
-                  if not incremental then sync_repair r;
-                  Repair.remove r ~node:l.node ~uid;
+              Hashtbl.remove live l.uid;
+              if incremental then Repair.remove store l else rebuild ();
+              mark l.node;
+              (match config.placement with
+              | Policy.Resolve -> ()
+              | Policy.Greedy_random | Policy.Best_fit ->
                   let moved, touched =
-                    Repair.repair r ~target:l.node
+                    Repair.repair store ~target:l.node
                       ~budget:config.repair_budget
-                      ~on_move:(fun ~uid ~node ->
-                        (match Active_set.find actives ~uid with
-                        | Some (m : live) ->
-                            unsettle m;
-                            settle m node
-                        | None -> ());
+                      ~on_move:(fun from ->
+                        mark from;
                         incr migrations;
                         Obs.Metrics.incr c_migrations)
                   in
@@ -533,14 +446,14 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
                     Obs.Metrics.incr c_repairs;
                     incr repairs_n
                   end;
-                  maybe_fallback r);
+                  maybe_fallback ());
               false
           | Reallocate ->
-              (match rstate with
-              | None -> reallocate ()
-              | Some r ->
-                  if not incremental then sync_repair r;
-                  maybe_fallback r);
+              (match config.placement with
+              | Policy.Resolve -> reallocate ()
+              | Policy.Greedy_random | Policy.Best_fit ->
+                  if not incremental then rebuild ();
+                  maybe_fallback ());
               true
         in
         record ~epoch time;
@@ -554,14 +467,14 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   | Some f ->
       f
         (List.map
-           (fun (l : live) ->
+           (fun (l : Repair.resident) ->
              {
                f_uid = l.uid;
                f_node = l.node;
                f_mem = l.memory;
                f_cpu = l.est_cpu;
              })
-           (Active_set.to_list actives)));
+           (Array.to_list (by_uid ()))));
   {
     arrivals = !arrivals;
     admitted = !admitted;

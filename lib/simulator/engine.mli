@@ -112,40 +112,43 @@ val run :
     misread any other dimension layout.
 
     [incremental] (default [true]) selects how state derived from the
-    live services is kept. By default it is updated in place: the probe
-    policies' per-bin load state on every arrival, departure and repair
-    move, and the per-node yield cache by re-evaluating only the nodes an
-    event changed (see below). [false] rebuilds both from the live
-    services before {e every} decision and every yield sample, and
-    re-evaluates every node each time, under every placement policy.
-    Because both sum and evaluate each node's residents in ascending-uid
-    order, the two modes are bitwise-identical — [incremental:false] is
-    the slow reference the differential tests compare against, never a
-    mode to run for its own sake. [final] receives the services still
-    live at the horizon, in insertion order, just before [run] returns.
+    live services is kept. By default it is updated in place: the
+    per-node store of residents and their loads ({!Repair}) on every
+    arrival, departure and repair move, and the per-node yield cache by
+    re-evaluating only the nodes an event changed (see below). [false]
+    rebuilds the one store from the live services before {e every}
+    decision and every yield sample, and re-evaluates every node each
+    time, under every placement policy. Because both sum and evaluate
+    each node's residents in ascending-uid order, the two modes are
+    bitwise-identical — [incremental:false] is the slow reference the
+    differential tests compare against, never a mode to run for its own
+    sake. [final] receives the services still live at the horizon, in
+    ascending uid order (which is arrival order), just before [run]
+    returns.
 
     [timeline] is [(interval, emit)]: [emit] receives one
     {!timeline_sample} per virtual-time grid point [k * interval] in
     [\[0, horizon\]], in order, each reflecting the piecewise-constant
     state after every event at or before that instant. Sampling is driven
     purely by the sim clock, so the sequence is deterministic for a given
-    rng whatever the domain count. Raises [Invalid_argument] on a
-    non-positive interval.
+    rng whatever the domain count. Raises [Invalid_argument] on an
+    interval that is not finite and positive (NaN included).
 
     Cost per event, with [n] live services, [H] nodes and [k] residents
-    on a touched node: O(log n) for the event queue and O(1) for the
-    insertion-ordered active set; admission is a scan of every live
-    service and node (O(n + H)) under [Resolve], and at most 8 probes
-    (O(H) only when every probe misses, plus a repair pass on a
-    departure) under the probe policies. The minimum yield is kept as a
-    per-node cache: an admission or departure marks its node, a repair
-    move both of its ends, and a re-solve every node; the sample then
-    re-evaluates only the marked nodes (water-filling their [k]
-    residents under the sharing policy, O(k log k) each) and takes the
-    minimum over the cache, O(H). Re-evaluated nodes are counted under
-    the [simulator.node_evals] metric; events that marked none (rejected
-    arrivals, epochs without a re-solve) reuse the current value and are
-    counted under [simulator.reeval_skips]. Each re-solve costs one
+    on a touched node: O(log n) for the event queue, O(1) for the live
+    set and O(k) to update the touched node in the store; admission is a
+    scan of the store's [H] per-node loads and counts (O(H)) under
+    [Resolve], and at most 8 probes (O(H) only when every probe misses,
+    plus a repair pass on a departure) under the probe policies. The
+    minimum yield is kept as a per-node cache: an admission or departure
+    marks its node, a repair move both of its ends, and a re-solve every
+    node; the sample then re-evaluates only the marked nodes
+    (water-filling their [k] residents under the sharing policy,
+    O(k log k) each) and takes the minimum over the cache, O(H).
+    Re-evaluated nodes are counted under the [simulator.node_evals]
+    metric; events that marked none (rejected arrivals, epochs without a
+    re-solve) reuse the current value and are counted under
+    [simulator.reeval_skips]. Each re-solve costs one
     [algorithm.solve] over all [n] services. With {!Obs.Metrics} enabled
     the engine also counts arrivals/admissions/rejections/departures/
     reallocations/migrations, bins examined per decision

@@ -1,9 +1,17 @@
-type entry = { uid : int; mem : float; cpu : float }
+type resident = {
+  uid : int;
+  cores : int;
+  true_cpu : float;
+  est_cpu : float;
+  memory : float;
+  mutable node : int;
+}
 
 type t = {
   mem_cap : float array;
   cpu_cap : float array;
-  residents : (int, entry) Hashtbl.t array;
+  residents : resident list array;  (* ascending uid *)
+  count : int array;
   mem_load : float array;
   cpu_load : float array;
   gap_factor : float;  (* 1 - yield_gap: bin h is unhealthy when
@@ -24,7 +32,8 @@ let create ~platform ~yield_gap =
   {
     mem_cap = Array.init n (cap Model.Service.mem_dim);
     cpu_cap = Array.init n (cap Model.Service.cpu_dim);
-    residents = Array.init n (fun _ -> Hashtbl.create 16);
+    residents = Array.make n [];
+    count = Array.make n 0;
     mem_load = Array.make n 0.;
     cpu_load = Array.make n 0.;
     gap_factor = 1. -. yield_gap;
@@ -32,28 +41,25 @@ let create ~platform ~yield_gap =
     unhealthy = 0;
   }
 
+let residents t h = t.residents.(h)
+
 let is_overloaded t h = t.cpu_load.(h) > t.cpu_cap.(h) +. eps
 
 let is_unhealthy t h = (t.cpu_load.(h) *. t.gap_factor) > t.cpu_cap.(h) +. eps
 
-(* Recompute one node's sums from its resident set in ascending-uid order —
-   the canonical summation that makes loads a pure function of the set (see
+(* Refold one node's sums over its residents in ascending-uid order — the
+   canonical summation that makes loads a pure function of the set (see
    the .mli) — and maintain the overload/health bookkeeping. *)
 let refresh t h =
   let was_unhealthy = is_unhealthy t h in
-  let uids =
-    Hashtbl.fold (fun uid _ acc -> uid :: acc) t.residents.(h) []
-    |> List.sort compare
+  let rec fold mem cpu count = function
+    | [] ->
+        t.mem_load.(h) <- mem;
+        t.cpu_load.(h) <- cpu;
+        t.count.(h) <- count
+    | r :: rest -> fold (mem +. r.memory) (cpu +. r.est_cpu) (count + 1) rest
   in
-  let mem = ref 0. and cpu = ref 0. in
-  List.iter
-    (fun uid ->
-      let e = Hashtbl.find t.residents.(h) uid in
-      mem := !mem +. e.mem;
-      cpu := !cpu +. e.cpu)
-    uids;
-  t.mem_load.(h) <- !mem;
-  t.cpu_load.(h) <- !cpu;
+  fold 0. 0. 0 t.residents.(h);
   if is_overloaded t h then Hashtbl.replace t.overloaded h ()
   else Hashtbl.remove t.overloaded h;
   match (was_unhealthy, is_unhealthy t h) with
@@ -61,19 +67,31 @@ let refresh t h =
   | true, false -> t.unhealthy <- t.unhealthy - 1
   | _ -> ()
 
-let add t ~node e =
-  Hashtbl.replace t.residents.(node) e.uid e;
+let rec insert r = function
+  | x :: rest when x.uid < r.uid -> x :: insert r rest
+  | rest -> r :: rest
+
+let add t ~node r =
+  r.node <- node;
+  t.residents.(node) <- insert r t.residents.(node);
   refresh t node
 
-let remove t ~node ~uid =
-  Hashtbl.remove t.residents.(node) uid;
-  refresh t node
+let remove t r =
+  t.residents.(r.node) <-
+    List.filter (fun x -> x.uid <> r.uid) t.residents.(r.node);
+  refresh t r.node
 
-let rebuild t entries =
-  Array.iter Hashtbl.reset t.residents;
-  Array.iter
-    (fun (node, e) -> Hashtbl.replace t.residents.(node) e.uid e)
-    entries;
+let rebuild t rs =
+  Array.fill t.residents 0 (Array.length t.residents) [];
+  (* Cons in descending uid order, so every list comes out ascending. *)
+  for i = Array.length rs - 1 downto 0 do
+    let r = rs.(i) in
+    (match t.residents.(r.node) with
+    | x :: _ when x.uid <= r.uid ->
+        invalid_arg "Repair.rebuild: residents not in ascending uid order"
+    | _ -> ());
+    t.residents.(r.node) <- r :: t.residents.(r.node)
+  done;
   for h = 0 to Array.length t.mem_cap - 1 do
     refresh t h
   done
@@ -89,7 +107,15 @@ let choose t policy ~rng ~mem =
   in
   let probes = min probe_limit n in
   match policy with
-  | Policy.Resolve -> invalid_arg "Repair.choose: resolve has no probe path"
+  | Policy.Resolve ->
+      (* The zero-knowledge spread: arrivals carry no trusted CPU estimate
+         yet, so only the rigid memory requirement decides. *)
+      let best = ref (-1) in
+      for h = 0 to n - 1 do
+        if mem_fits t h mem && (!best < 0 || t.count.(h) < t.count.(!best))
+        then best := h
+      done;
+      ((if !best < 0 then None else Some !best), n)
   | Policy.Greedy_random ->
       (* Stolyar's greedy-random rule: take the first random probe that
          fits; scan first-fit only when every probe misses. *)
@@ -153,28 +179,27 @@ let repair t ~target ~budget ~on_move =
         incr examined;
         (* Largest estimated CPU first so one move sheds the most overload;
            ties by uid keep the order deterministic. *)
-        let residents =
-          Hashtbl.fold (fun _ e acc -> e :: acc) t.residents.(h) []
-          |> List.sort (fun a b ->
-                 match compare b.cpu a.cpu with
-                 | 0 -> compare a.uid b.uid
-                 | c -> c)
+        let by_cpu =
+          List.sort
+            (fun a b ->
+              match compare b.est_cpu a.est_cpu with
+              | 0 -> compare a.uid b.uid
+              | c -> c)
+            t.residents.(h)
         in
         List.iter
-          (fun e ->
+          (fun r ->
             if
               !moved < budget && is_overloaded t h
-              && mem_fits t target e.mem
-              && t.cpu_load.(target) +. e.cpu <= t.cpu_cap.(target) +. eps
+              && mem_fits t target r.memory
+              && t.cpu_load.(target) +. r.est_cpu <= t.cpu_cap.(target) +. eps
             then begin
-              Hashtbl.remove t.residents.(h) e.uid;
-              Hashtbl.replace t.residents.(target) e.uid e;
-              refresh t h;
-              refresh t target;
-              on_move ~uid:e.uid ~node:target;
+              remove t r;
+              add t ~node:target r;
+              on_move h;
               incr moved
             end)
-          residents
+          by_cpu
       end)
     over;
   (!moved, !touched)

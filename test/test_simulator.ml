@@ -117,76 +117,201 @@ let test_adaptive_validation () =
     (fun () ->
       Sharing.Adaptive_threshold.observe c ~estimated:[| 1. |] ~actual:[||])
 
-(* Active set: the engine's O(1) replacement for its former list ref. *)
+(* The engine's per-node store of live services. *)
 
-let test_active_set_order () =
-  let s = Simulator.Active_set.create () in
-  List.iter (fun uid -> Simulator.Active_set.append s ~uid (uid * 10))
-    [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "insertion order" [ 10; 20; 30; 40; 50 ]
-    (Simulator.Active_set.to_list s);
-  Alcotest.(check bool) "remove middle" true
-    (Simulator.Active_set.remove s ~uid:3);
-  Alcotest.(check bool) "remove head" true
-    (Simulator.Active_set.remove s ~uid:1);
-  Alcotest.(check (list int)) "order preserved" [ 20; 40; 50 ]
-    (Simulator.Active_set.to_list s);
-  Simulator.Active_set.append s ~uid:6 60;
-  Alcotest.(check (list int)) "append after removals" [ 20; 40; 50; 60 ]
-    (Array.to_list (Simulator.Active_set.to_array s));
-  Alcotest.(check bool) "remove tail" true
-    (Simulator.Active_set.remove s ~uid:6);
-  Alcotest.(check (list int)) "tail gone" [ 20; 40; 50 ]
-    (Simulator.Active_set.to_list s);
-  Alcotest.(check int) "length" 3 (Simulator.Active_set.length s)
+let store_platform =
+  Array.init 4 (fun id ->
+      if id < 2 then Model.Node.make_cores ~id ~cores:4 ~cpu:0.4 ~mem:0.4
+      else Model.Node.make_cores ~id ~cores:4 ~cpu:0.8 ~mem:0.8)
 
-let test_active_set_missing_and_duplicates () =
-  let s = Simulator.Active_set.create () in
-  Simulator.Active_set.append s ~uid:7 "x";
-  Alcotest.(check bool) "missing uid" false
-    (Simulator.Active_set.remove s ~uid:8);
-  Alcotest.(check bool) "mem" true (Simulator.Active_set.mem s ~uid:7);
-  Alcotest.check_raises "duplicate uid"
-    (Invalid_argument "Active_set.append: duplicate uid") (fun () ->
-      Simulator.Active_set.append s ~uid:7 "y");
-  Alcotest.(check bool) "remove" true (Simulator.Active_set.remove s ~uid:7);
-  Alcotest.(check bool) "now empty" true (Simulator.Active_set.is_empty s);
-  Alcotest.(check (list string)) "empty array" []
-    (Array.to_list (Simulator.Active_set.to_array s));
-  (* Re-adding a removed uid is fine. *)
-  Simulator.Active_set.append s ~uid:7 "z";
-  Alcotest.(check (list string)) "readded" [ "z" ]
-    (Simulator.Active_set.to_list s)
+let resident ~uid ~memory ~est_cpu =
+  {
+    Simulator.Repair.uid;
+    cores = 1;
+    true_cpu = est_cpu;
+    est_cpu;
+    memory;
+    node = -1;
+  }
 
-(* A random interleaving of appends and removals must match the
-   list-reference semantics ([@ [x]] / List.filter) element for element. *)
-let prop_active_set_matches_list =
-  QCheck2.Test.make ~name:"active set ≡ list append/filter semantics"
+let all_residents store =
+  List.concat_map (Simulator.Repair.residents store)
+    (List.init (Array.length store_platform) Fun.id)
+
+(* Random add / remove / repair sequences: after every step each node
+   lists its residents in ascending uid order, no resident sits on two
+   nodes, each resident's [node] names the node that lists it, and every
+   decision agrees with a state rebuilt from scratch from the same
+   residents — the in-place path's sums never drift. *)
+let prop_store_matches_rebuild =
+  let h_count = Array.length store_platform in
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map3
+            (fun node m c -> `Add (node, m, c))
+            (int_bound (h_count - 1))
+            (float_range 0.01 0.3) (float_range 0.01 0.6);
+          map (fun i -> `Remove i) nat;
+          map2
+            (fun target budget -> `Repair (target, budget))
+            (int_bound (h_count - 1))
+            (int_bound 3);
+        ])
+  in
+  QCheck2.Test.make ~name:"store: canonical order, agrees with rebuild"
     ~count:200
-    QCheck2.Gen.(list_size (int_range 0 120) (int_range 0 30))
+    QCheck2.Gen.(list_size (int_range 0 60) op)
     (fun ops ->
-      let s = Simulator.Active_set.create () in
-      let reference = ref [] in
+      let create () =
+        Simulator.Repair.create ~platform:store_platform ~yield_gap:0.15
+      in
+      let store = create () in
       let next = ref 0 in
+      let check () =
+        for h = 0 to h_count - 1 do
+          let rs = Simulator.Repair.residents store h in
+          List.iter
+            (fun (r : Simulator.Repair.resident) ->
+              if r.node <> h then
+                QCheck2.Test.fail_reportf
+                  "node %d lists uid %d, whose node is %d" h r.uid r.node)
+            rs;
+          let uids =
+            List.map (fun (r : Simulator.Repair.resident) -> r.uid) rs
+          in
+          if uids <> List.sort_uniq compare uids then
+            QCheck2.Test.fail_reportf "node %d not in ascending uid order" h
+        done;
+        let all = all_residents store in
+        let uids =
+          List.map (fun (r : Simulator.Repair.resident) -> r.uid) all
+        in
+        if List.length (List.sort_uniq compare uids) <> List.length uids then
+          QCheck2.Test.fail_report "a resident sits on two nodes";
+        let fresh = create () in
+        Simulator.Repair.rebuild fresh
+          (Array.of_list
+             (List.sort
+                (fun (a : Simulator.Repair.resident) b -> compare a.uid b.uid)
+                all));
+        if Simulator.Repair.healthy store <> Simulator.Repair.healthy fresh
+        then QCheck2.Test.fail_report "healthy differs from rebuild";
+        List.iter
+          (fun policy ->
+            List.iter
+              (fun mem ->
+                let choose t =
+                  Simulator.Repair.choose t policy
+                    ~rng:(Prng.Rng.create ~seed:!next)
+                    ~mem
+                in
+                if choose store <> choose fresh then
+                  QCheck2.Test.fail_reportf "%s choice at mem %g differs"
+                    (Simulator.Policy.to_string policy)
+                    mem)
+              [ 0.05; 0.25; 0.6; 0.9 ])
+          Simulator.Policy.all
+      in
       List.iter
         (fun op ->
-          if op < 20 then begin
-            (* append a fresh uid *)
-            let uid = !next in
-            incr next;
-            Simulator.Active_set.append s ~uid uid;
-            reference := !reference @ [ uid ]
-          end
-          else begin
-            (* remove the op-th oldest live uid, when it exists *)
-            match List.nth_opt !reference (op - 20) with
-            | None -> ()
-            | Some uid ->
-                ignore (Simulator.Active_set.remove s ~uid);
-                reference := List.filter (fun u -> u <> uid) !reference
-          end)
+          (match op with
+          | `Add (node, memory, est_cpu) ->
+              Simulator.Repair.add store ~node
+                (resident ~uid:!next ~memory ~est_cpu);
+              incr next
+          | `Remove i -> (
+              match all_residents store with
+              | [] -> ()
+              | all ->
+                  Simulator.Repair.remove store
+                    (List.nth all (i mod List.length all)))
+          | `Repair (target, budget) ->
+              ignore
+                (Simulator.Repair.repair store ~target ~budget
+                   ~on_move:ignore));
+          check ())
         ops;
-      Simulator.Active_set.to_list s = !reference)
+      true)
+
+(* Resolve admission is the zero-knowledge spread: the memory-feasible
+   node with the fewest residents, lowest index on ties, every node
+   examined, no random draw. *)
+(* Adds in any order, removals from the middle, head and tail: each node
+   keeps its residents in ascending uid order and every resident's [node]
+   names its host. [rebuild] rejects a node whose residents come out of
+   ascending uid order. *)
+let test_store_residents_order () =
+  let store =
+    Simulator.Repair.create ~platform:store_platform ~yield_gap:0.15
+  in
+  let uids h =
+    List.map
+      (fun (r : Simulator.Repair.resident) ->
+        Alcotest.(check int) (Printf.sprintf "uid %d's node" r.uid) h r.node;
+        r.uid)
+      (Simulator.Repair.residents store h)
+  in
+  let rs =
+    Array.init 6 (fun uid -> resident ~uid ~memory:0.05 ~est_cpu:0.1)
+  in
+  List.iter
+    (fun uid -> Simulator.Repair.add store ~node:1 rs.(uid))
+    [ 4; 1; 3; 0; 2 ];
+  Simulator.Repair.add store ~node:2 rs.(5);
+  Alcotest.(check (list int)) "ascending after shuffled adds"
+    [ 0; 1; 2; 3; 4 ] (uids 1);
+  Simulator.Repair.remove store rs.(2);
+  Simulator.Repair.remove store rs.(0);
+  Alcotest.(check (list int)) "middle and head removed" [ 1; 3; 4 ] (uids 1);
+  Simulator.Repair.remove store rs.(4);
+  Alcotest.(check (list int)) "tail removed" [ 1; 3 ] (uids 1);
+  Alcotest.(check int) "removed keeps its node" 1 rs.(4).node;
+  Simulator.Repair.add store ~node:1 rs.(0);
+  Alcotest.(check (list int)) "re-added uid back in order" [ 0; 1; 3 ]
+    (uids 1);
+  Alcotest.(check (list int)) "other node untouched" [ 5 ] (uids 2);
+  Alcotest.(check (list int)) "empty node" [] (uids 0);
+  rs.(3).node <- 1;
+  rs.(1).node <- 1;
+  Alcotest.check_raises "rebuild out of order"
+    (Invalid_argument "Repair.rebuild: residents not in ascending uid order")
+    (fun () -> Simulator.Repair.rebuild store [| rs.(3); rs.(1) |])
+
+let test_choose_resolve () =
+  let store =
+    Simulator.Repair.create ~platform:store_platform ~yield_gap:0.15
+  in
+  List.iteri
+    (fun uid (node, memory) ->
+      Simulator.Repair.add store ~node (resident ~uid ~memory ~est_cpu:0.1))
+    [ (0, 0.1); (0, 0.1); (1, 0.3); (2, 0.1); (3, 0.7) ];
+  let choose mem =
+    let rng = Prng.Rng.create ~seed:3 in
+    let reference = Prng.Rng.create ~seed:3 in
+    let decision =
+      Simulator.Repair.choose store Simulator.Policy.Resolve ~rng ~mem
+    in
+    Alcotest.(check int64)
+      (Printf.sprintf "mem %g: no draw" mem)
+      (Prng.Rng.bits64 reference) (Prng.Rng.bits64 rng);
+    decision
+  in
+  let decision = Alcotest.(pair (option int) int) in
+  (* Nodes 1, 2 and 3 hold one resident each: the lowest index wins. *)
+  Alcotest.check decision "fewest residents, lowest index" (Some 1, 4)
+    (choose 0.05);
+  (* Node 1 (0.3 of 0.4) and node 3 (0.7 of 0.8) cannot take 0.2. *)
+  Alcotest.check decision "fewest among the feasible" (Some 2, 4)
+    (choose 0.2);
+  Alcotest.check decision "fits nowhere" (None, 4) (choose 0.75);
+  (* Two more residents on node 2: it still has the most free memory,
+     but node 0 now has fewer residents. *)
+  Simulator.Repair.add store ~node:2 (resident ~uid:5 ~memory:0.1 ~est_cpu:0.1);
+  Simulator.Repair.add store ~node:2 (resident ~uid:6 ~memory:0.1 ~est_cpu:0.1);
+  Alcotest.check decision "fewest residents, not most free memory"
+    (Some 0, 4) (choose 0.2)
 
 (* Engine. *)
 
@@ -400,8 +525,8 @@ let suite =
     [
       ("event queue ordering", test_queue_ordering);
       ("event queue FIFO ties", test_queue_tie_break_fifo);
-      ("active set order", test_active_set_order);
-      ("active set missing/duplicates", test_active_set_missing_and_duplicates);
+      ("store residents order", test_store_residents_order);
+      ("store resolve choice", test_choose_resolve);
       ("adaptive initial", test_adaptive_initial);
       ("adaptive tracks error", test_adaptive_tracks_error);
       ("adaptive clamped", test_adaptive_clamped);
@@ -419,4 +544,4 @@ let suite =
       ("engine validation", test_engine_validation);
     ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_queue_sorts; prop_queue_fifo_ties; prop_active_set_matches_list ]
+      [ prop_queue_sorts; prop_queue_fifo_ties; prop_store_matches_rebuild ]

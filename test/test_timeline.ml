@@ -157,6 +157,30 @@ let test_sharded_domain_invariant () =
         some_activity)
     [ 1; 2; 4 ]
 
+(* A NaN interval slips through a plain [<= 0.] test and an infinite one
+   samples nothing; every entry point rejects all four values. *)
+let test_interval_rejected () =
+  let config = probe_config () in
+  let platform = platform 8 in
+  List.iter
+    (fun dt ->
+      let name entry = Printf.sprintf "%s interval %g" entry dt in
+      Alcotest.check_raises (name "Timeline.create")
+        (Invalid_argument "Timeline.create: interval") (fun () ->
+          ignore (Obs.Timeline.create ~interval:dt ~cols:[| "x" |]));
+      let engine_error =
+        Invalid_argument
+          "Engine.run: timeline interval must be finite and positive"
+      in
+      Alcotest.check_raises (name "Engine.run") engine_error (fun () ->
+          ignore
+            (Simulator.Engine.run ~timeline:(dt, ignore) config ~platform));
+      Alcotest.check_raises (name "Sharded.run") engine_error (fun () ->
+          ignore
+            (Simulator.Sharded.run ~shards:2 ~timeline_interval:dt config
+               ~platform)))
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 (* ---- Lp.Pivot_clock -------------------------------------------------- *)
 
 let test_pivot_clock () =
@@ -188,5 +212,7 @@ let suite =
        test_container_non_finite);
       ("sharded timeline identical at 1/2/4 domains x 1/2/4 shards",
        test_sharded_domain_invariant);
+      ("non-finite or non-positive intervals rejected",
+       test_interval_rejected);
       ("pivot clock ticks on LP solves", test_pivot_clock);
     ]
