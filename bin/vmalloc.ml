@@ -780,11 +780,12 @@ let simulate_cmd =
       let* () = positive "--lifetime" mean_lifetime in
       let* () = positive "--period" period in
       let* () =
-        if Float.is_finite max_error && max_error >= 0. then Ok ()
+        let limit = Simulator.Engine.max_error_limit in
+        if max_error >= 0. && max_error <= limit then Ok ()
         else
           Error
-            (Printf.sprintf "--error %g: must be finite and at least 0"
-               max_error)
+            (Printf.sprintf "--error %g: must be at least 0 and at most %g"
+               max_error limit)
       in
       let* () = at_least "--repair-budget" 0 repair_budget in
       Ok (threshold, domains, placement, algorithm, partition, hosts)

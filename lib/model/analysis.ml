@@ -42,9 +42,12 @@ let analyze instance =
   in
   let nodes = Array.init hosts (Instance.node instance) in
   let all_services_placeable =
+    let rows = Yield.instance_rows instance in
+    let ids = Array.init services Fun.id in
     let placeable j =
-      let s = Instance.service instance j in
-      Array.exists (fun node -> Yield.requirements_fit node [ s ]) nodes
+      Array.exists
+        (fun node -> Yield.requirements_fit node rows ~ids ~off:j ~len:1)
+        nodes
     in
     let rec loop j = j >= services || (placeable j && loop (j + 1)) in
     loop 0

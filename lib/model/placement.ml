@@ -8,60 +8,81 @@ let is_valid instance placement =
        (fun h -> h >= 0 && h < Instance.n_nodes instance)
        placement
 
-let group_by_node instance placement =
-  let groups = Array.make (Instance.n_nodes instance) [] in
-  (* Walk backwards so each node's list ends up in increasing id order. *)
-  for j = Array.length placement - 1 downto 0 do
-    let h = placement.(j) in
-    groups.(h) <- Instance.service instance j :: groups.(h)
+let by_node instance placement =
+  let n_nodes = Instance.n_nodes instance in
+  let start = Array.make (n_nodes + 1) 0 in
+  Array.iter (fun h -> start.(h + 1) <- start.(h + 1) + 1) placement;
+  for h = 1 to n_nodes do
+    start.(h) <- start.(h) + start.(h - 1)
   done;
-  groups
+  let next = Array.sub start 0 n_nodes in
+  let ids = Array.make (Array.length placement) 0 in
+  Array.iteri
+    (fun j h ->
+      ids.(next.(h)) <- j;
+      next.(h) <- next.(h) + 1)
+    placement;
+  (ids, start)
 
 let feasible instance placement =
   is_valid instance placement
-  && (let groups = group_by_node instance placement in
-      let ok = ref true in
-      Array.iteri
-        (fun h services ->
-          if not (Yield.requirements_fit (Instance.node instance h) services)
-          then ok := false)
-        groups;
-      !ok)
+  &&
+  let ids, start = by_node instance placement in
+  let rows = Yield.instance_rows instance in
+  let rec go h =
+    h = Instance.n_nodes instance
+    || Yield.requirements_fit (Instance.node instance h) rows ~ids
+         ~off:start.(h)
+         ~len:(start.(h + 1) - start.(h))
+       && go (h + 1)
+  in
+  go 0
+
+let each_node instance placement per_node =
+  let ids, start = by_node instance placement in
+  let rows = Yield.instance_rows instance in
+  let n = Array.length placement in
+  let bounds = Array.make n 0. and order = Array.make n 0 in
+  let rec go h =
+    h = Instance.n_nodes instance
+    || per_node (Instance.node instance h) rows ~ids ~off:start.(h)
+         ~len:(start.(h + 1) - start.(h))
+         ~bounds ~order
+       && go (h + 1)
+  in
+  go 0
 
 let min_yield instance placement =
   if not (is_valid instance placement) then None
   else begin
-    let groups = group_by_node instance placement in
-    let worst = ref (Some 1.) in
-    Array.iteri
-      (fun h services ->
-        match !worst with
-        | None -> ()
-        | Some w -> (
-            match Yield.max_min_yield (Instance.node instance h) services with
-            | None -> worst := None
-            | Some y -> if y < w then worst := Some y))
-      groups;
-    !worst
+    let worst = ref 1. in
+    let ok =
+      each_node instance placement
+        (fun node rows ~ids ~off ~len ~bounds ~order ->
+          let y = Yield.max_min node rows ~ids ~off ~len ~bounds ~order in
+          if y < !worst then worst := y;
+          y >= 0.)
+    in
+    if ok then Some !worst else None
   end
 
 let water_fill instance placement =
   if not (is_valid instance placement) then None
   else begin
-    let groups = group_by_node instance placement in
     let yields = Array.make (Instance.n_services instance) 0. in
-    let ok = ref true in
-    Array.iteri
-      (fun h services ->
-        if !ok then
-          match Yield.water_fill (Instance.node instance h) services with
-          | None -> ok := false
-          | Some ys ->
-              List.iter2
-                (fun (s : Service.t) y -> yields.(s.Service.id) <- y)
-                services ys)
-      groups;
-    if !ok then Some { placement = Array.copy placement; yields } else None
+    let ok =
+      each_node instance placement
+        (fun node rows ~ids ~off ~len ~bounds ~order ->
+          let level = Yield.fill node rows ~ids ~off ~len ~bounds ~order in
+          level >= 0.
+          && begin
+               for k = off to off + len - 1 do
+                 yields.(ids.(k)) <- Float.min bounds.(k) level
+               done;
+               true
+             end)
+    in
+    if ok then Some { placement = Array.copy placement; yields } else None
   end
 
 let check_constraints ?(tol = 1e-6) instance { placement; yields } =

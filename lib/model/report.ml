@@ -35,7 +35,7 @@ let bar_width = 20
 let render instance (alloc : Placement.allocation) =
   let buf = Buffer.create 1024 in
   let util = utilization instance alloc in
-  let groups = Placement.group_by_node instance alloc.Placement.placement in
+  let ids, start = Placement.by_node instance alloc.Placement.placement in
   let dims = Node.dim (Instance.node instance 0) in
   let min_yield = Array.fold_left Float.min 1. alloc.Placement.yields in
   Buffer.add_string buf
@@ -43,21 +43,19 @@ let render instance (alloc : Placement.allocation) =
        min_yield
        (Instance.n_services instance)
        (Instance.n_nodes instance));
-  Array.iteri
-    (fun h services ->
-      Buffer.add_string buf (Printf.sprintf "node %d:" h);
-      for d = 0 to dims - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf "  dim%d [%s] %3.0f%%" d
-             (bar bar_width util.(h).(d))
-             (100. *. util.(h).(d)))
-      done;
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (s : Service.t) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  service %3d  yield %.4f\n" s.id
-               alloc.Placement.yields.(s.id)))
-        services)
-    groups;
+  for h = 0 to Instance.n_nodes instance - 1 do
+    Buffer.add_string buf (Printf.sprintf "node %d:" h);
+    for d = 0 to dims - 1 do
+      Buffer.add_string buf
+        (Printf.sprintf "  dim%d [%s] %3.0f%%" d
+           (bar bar_width util.(h).(d))
+           (100. *. util.(h).(d)))
+    done;
+    Buffer.add_char buf '\n';
+    for k = start.(h) to start.(h + 1) - 1 do
+      Buffer.add_string buf
+        (Printf.sprintf "  service %3d  yield %.4f\n" ids.(k)
+           alloc.Placement.yields.(ids.(k)))
+    done
+  done;
   Buffer.contents buf

@@ -8,8 +8,18 @@ type t = {
   mutable current : float;
 }
 
+(* NaN fails every comparison, so each setting is checked for
+   finiteness on its own before any range test. *)
+let finite fn name x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Adaptive_threshold.%s: non-finite %s" fn name)
+
 let create ?(initial = 0.) ?(quantile = 90.) ?(window = 256)
     ?(min_threshold = 0.) ?(max_threshold = 0.5) () =
+  finite "create" "quantile" quantile;
+  finite "create" "initial" initial;
+  finite "create" "min_threshold" min_threshold;
+  finite "create" "max_threshold" max_threshold;
   if quantile < 0. || quantile > 100. then
     invalid_arg "Adaptive_threshold.create: quantile out of [0, 100]";
   if window <= 0 then
@@ -57,6 +67,8 @@ let recompute t =
 let observe t ~estimated ~actual =
   if Array.length estimated <> Array.length actual then
     invalid_arg "Adaptive_threshold.observe: length mismatch";
+  Array.iter (finite "observe" "estimated") estimated;
+  Array.iter (finite "observe" "actual") actual;
   Array.iteri
     (fun j e ->
       let gap = Float.abs (e -. actual.(j)) in

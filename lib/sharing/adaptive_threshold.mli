@@ -26,9 +26,11 @@ val create :
   unit ->
   t
 (** Defaults: [initial = 0.], [quantile = 90.] (percent), [window = 256]
-    observations, clamp range [0, 0.5]. Raises [Invalid_argument] on a
-    quantile outside [0, 100], non-positive window, or an empty clamp
-    range. *)
+    observations, clamp range [0, 0.5]. Raises [Invalid_argument] naming
+    the parameter on a non-finite [quantile], [initial], [min_threshold]
+    or [max_threshold] (NaN included), and on a quantile outside
+    [0, 100], non-positive window, or an empty clamp range. The threshold
+    is then always finite: it is clamped to the finite range. *)
 
 val fresh : t -> t
 (** An independent controller with the same configuration, the current
@@ -42,7 +44,9 @@ val threshold : t -> float
 
 val observe : t -> estimated:float array -> actual:float array -> unit
 (** Record one epoch's per-service estimated and actually-consumed CPU;
-    updates the threshold. Raises [Invalid_argument] on length mismatch. *)
+    updates the threshold. Raises [Invalid_argument] on length mismatch,
+    and naming the array on a non-finite entry, before recording
+    anything. *)
 
 val observations : t -> int
 (** Number of error samples currently in the window. *)

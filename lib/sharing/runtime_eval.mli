@@ -11,18 +11,26 @@
 val node_min_yield :
   Policy.t ->
   Model.Node.t ->
-  true_services:Model.Service.t list ->
-  estimated:Model.Service.t list ->
+  true_rows:Model.Yield.rows ->
+  estimated:Model.Yield.rows ->
+  ids:int array ->
+  off:int ->
+  len:int ->
+  bounds:float array ->
+  order:int array ->
   float option
-(** One node's evaluation. [true_services] and [estimated] are the same
-    residents of the node, in the same (ascending id) order, with their
-    true and their estimated needs. The estimated services are
-    water-filled on the node; each one's aggregate CPU demand at its
-    max–min yield is its planned allocation, and the node divides its CPU
-    beyond the rigid requirements under the policy. Returns the minimum
-    actual CPU yield (consumption over true need, 1 for a service with no
-    CPU need, 1 for an empty node), or [None] when the water-fill fails
-    (the requirements do not fit the node). *)
+(** One node's evaluation, over flat rows. The node's residents are rows
+    [ids.(off)] to [ids.(off + len - 1)] of [true_rows], with their true
+    needs, and of [estimated], with their estimated needs; the two share
+    the requirements. The estimated rows are water-filled on the node
+    ({!Model.Yield.fill}, with [bounds] and [order] as its scratch); each
+    resident's aggregate CPU demand at its max–min yield is its planned
+    allocation, and the node divides its CPU beyond the rigid requirements
+    under the policy. Returns the minimum actual CPU yield (consumption
+    over true need, 1 for a service with no CPU need, 1 for an empty
+    node), or [None] when the water-fill fails (the requirements do not
+    fit the node). CPU is dimension {!Model.Service.cpu_dim} of the
+    rows. *)
 
 val consumptions :
   Policy.t ->
@@ -31,9 +39,11 @@ val consumptions :
   Model.Placement.t ->
   float array option
 (** Per-service actual CPU consumption beyond the rigid requirement,
-    indexed by service id, each node evaluated as in {!node_min_yield}.
-    The two instances share their nodes and service ids; [None] when the
-    placement is invalid or some node's water-fill fails. *)
+    indexed by service id, each node evaluated as in {!node_min_yield}
+    over the instances' own rows, its services in ascending id order
+    ({!Model.Placement.by_node}). The two instances share their nodes and
+    service ids; [None] when the placement is invalid or some node's
+    water-fill fails. *)
 
 val actual_min_yield :
   Policy.t ->

@@ -84,6 +84,8 @@ let c_bins_touched = Obs.Metrics.counter "simulator.bins_touched"
 let h_epoch_yield = Obs.Metrics.histogram "simulator.epoch_min_yield_permille"
 let h_realloc_services = Obs.Metrics.histogram "simulator.reallocation_services"
 
+let max_error_limit = Float.max_float /. 2.
+
 (* Every float check is written so that NaN fails it, and infinities are
    rejected explicitly: a non-finite horizon or rate otherwise runs
    forever or returns a plausible-looking empty run. *)
@@ -94,9 +96,18 @@ let validate config ~platform =
   positive "arrival_rate" config.arrival_rate;
   positive "mean_lifetime" config.mean_lifetime;
   positive "reallocation_period" config.reallocation_period;
-  check "max_error" (Float.is_finite config.max_error && config.max_error >= 0.);
+  check "max_error"
+    (config.max_error >= 0. && config.max_error <= max_error_limit);
   positive "per_core_need" config.per_core_need;
   positive "memory_scale" config.memory_scale;
+  (* An arrival's true CPU is [per_core_need] times at most
+     [Google_trace.max_cores] cores, its estimate that plus an error of
+     at most [max_error]: both must stay finite too. *)
+  let max_cpu =
+    config.per_core_need *. float_of_int Workload.Google_trace.max_cores
+  in
+  check "per_core_need" (Float.is_finite max_cpu);
+  check "max_error" (Float.is_finite (max_cpu +. config.max_error));
   check "repair_budget" (config.repair_budget >= 0);
   check "yield_gap" (config.yield_gap >= 0. && config.yield_gap < 1.);
   (match config.threshold with
@@ -112,8 +123,9 @@ let validate config ~platform =
         invalid_arg "Engine.run: platform must be 2-D (CPU, memory)")
     platform
 
-(* A live service as the model layer sees it, under the given id. The
-   estimated variant applies the current minimum threshold. *)
+(* A live service as the model layer sees it, under the given id, in the
+   re-solve's instances. The estimated variant applies the current
+   minimum threshold. *)
 let service_of_live ~estimated ~threshold id (l : Repair.resident) =
   let cpu =
     if estimated then Float.max l.est_cpu threshold else l.true_cpu
@@ -135,6 +147,59 @@ let build_instances ~platform ~threshold (actives : Repair.resident array) =
     Model.Instance.v ~nodes:platform ~services:true_services,
     Model.Instance.v ~nodes:platform ~services:est_services,
     placement )
+
+(* One node's residents as flat rows for [Model.Yield], refilled at each
+   evaluation: slot k holds the k-th resident in ascending uid order, in
+   [Model.Service.make_2d]'s layout. Requirement (0, memory), elementary
+   and aggregate; need (cpu / cores, 0) elementary and (cpu, 0)
+   aggregate, with cpu the true CPU in [true_rows] and the thresholded
+   estimate in [est_rows]. The two share their requirement rows.
+
+   Unlike [Model.Service.v], nothing here checks the values: they are
+   finite and non-negative by construction, checked where they enter.
+   Cores are 1 to [Google_trace.max_cores]; memory is [memory_scale]
+   times a fraction in (0, 0.5]; true CPU is [per_core_need] times the
+   cores; an estimate is the true CPU or at least 0.001, its error
+   bounded by [max_error]; all of these finite by [validate]. A [Fixed]
+   threshold is finite by [validate], an [Adaptive] one by
+   [Sharing.Adaptive_threshold]'s own checks. *)
+type node_rows = {
+  true_rows : Model.Yield.rows;
+  est_rows : Model.Yield.rows;
+  slots : int array;  (** 0, 1, 2, ...: the id slice of [Model.Yield] *)
+  bounds : float array;
+  order : int array;
+}
+
+let node_rows n =
+  let row () = Array.make (2 * n) 0. in
+  let req_elem = row () and req_agg = row () in
+  let rows () =
+    { Model.Yield.dims = 2; req_elem; req_agg; need_elem = row ();
+      need_agg = row () }
+  in
+  {
+    true_rows = rows ();
+    est_rows = rows ();
+    slots = Array.init n Fun.id;
+    bounds = Array.make n 0.;
+    order = Array.make n 0;
+  }
+
+let write_need (r : Model.Yield.rows) k ~cores cpu =
+  r.need_elem.((2 * k) + Model.Service.cpu_dim) <- cpu /. float_of_int cores;
+  r.need_elem.((2 * k) + Model.Service.mem_dim) <- 0.;
+  r.need_agg.((2 * k) + Model.Service.cpu_dim) <- cpu;
+  r.need_agg.((2 * k) + Model.Service.mem_dim) <- 0.
+
+let write_slot b k ~threshold (l : Repair.resident) =
+  let req = b.true_rows in
+  req.req_elem.((2 * k) + Model.Service.cpu_dim) <- 0.;
+  req.req_elem.((2 * k) + Model.Service.mem_dim) <- l.memory;
+  req.req_agg.((2 * k) + Model.Service.cpu_dim) <- 0.;
+  req.req_agg.((2 * k) + Model.Service.mem_dim) <- l.memory;
+  write_need b.true_rows k ~cores:l.cores l.true_cpu;
+  write_need b.est_rows k ~cores:l.cores (Float.max l.est_cpu threshold)
 
 let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   validate config ~platform;
@@ -167,14 +232,16 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
   let yield_integral = ref 0. in
   let last_time = ref 0. in
   let current_yield = ref 1. in
-  (* Per-node yield cache (DESIGN.md §13). [node_min.(h)] is h's minimum
-     actual yield when last evaluated, [None] when its water-fill failed.
-     An event marks the nodes whose residents it changed, a re-solve marks
-     every node, and [record] re-evaluates only the marked ones. A node's
-     value is a pure function of its residents in ascending-uid order and
-     of the threshold, and [Float.min] is exact, so the cached minimum is
-     bitwise the minimum a whole re-evaluation would give. *)
-  let node_min = Array.make n_nodes (Some 1.) in
+  (* Per-node yield cache (DESIGN.md §13). [tree] holds each node's
+     minimum actual yield when last evaluated, or a failure when its
+     water-fill failed. An event marks the nodes whose residents it
+     changed, a re-solve marks every node, and [record] re-evaluates only
+     the marked ones. A node's value is a pure function of its residents
+     in ascending-uid order and of the threshold, and the tree's minimum
+     has the bits of a fold over every node (0 when some node's water-fill
+     fails, as for the whole placement), so the cached minimum is bitwise
+     the minimum a whole re-evaluation would give. *)
+  let tree = Min_tree.create n_nodes in
   let dirty = Array.make n_nodes false in
   let dirty_nodes = ref [] in
   let all_dirty = ref true in
@@ -203,31 +270,17 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
     yield_integral := !yield_integral +. (!current_yield *. (time -. !last_time));
     last_time := time
   in
+  let buf = ref (node_rows 8) in
   let evaluate threshold h =
     Obs.Metrics.incr c_node_evals;
     let residents = Repair.residents store h in
-    let as_services ~estimated ~threshold =
-      List.map
-        (fun (l : Repair.resident) ->
-          service_of_live ~estimated ~threshold l.uid l)
-        residents
-    in
-    let true_services = as_services ~estimated:false ~threshold:0. in
-    let estimated = as_services ~estimated:true ~threshold in
-    node_min.(h) <-
-      Sharing.Runtime_eval.node_min_yield config.policy platform.(h)
-        ~true_services ~estimated
-  in
-  (* 0 when some node's water-fill fails, as for the whole placement. *)
-  let cached_min () =
-    let rec go h worst =
-      if h = n_nodes then worst
-      else
-        match node_min.(h) with
-        | None -> 0.
-        | Some y -> go (h + 1) (Float.min worst y)
-    in
-    go 0 1.
+    let len = List.length residents in
+    if len > Array.length !buf.slots then buf := node_rows (2 * len);
+    let b = !buf in
+    List.iteri (fun k l -> write_slot b k ~threshold l) residents;
+    Sharing.Runtime_eval.node_min_yield config.policy platform.(h)
+      ~true_rows:b.true_rows ~estimated:b.est_rows ~ids:b.slots ~off:0 ~len
+      ~bounds:b.bounds ~order:b.order
   in
   (* Events that changed no node's residents and no threshold (i.e.
      rejected arrivals, quiet epochs) cannot change the minimum yield, so
@@ -244,15 +297,15 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
       end
       else begin
         let threshold = current_threshold () in
-        if !all_dirty then
-          for h = 0 to n_nodes - 1 do
-            evaluate threshold h
-          done
-        else List.iter (evaluate threshold) !dirty_nodes;
+        if !all_dirty then Min_tree.set_all tree (evaluate threshold)
+        else
+          List.iter
+            (fun h -> Min_tree.set tree h (evaluate threshold h))
+            !dirty_nodes;
         List.iter (fun h -> dirty.(h) <- false) !dirty_nodes;
         dirty_nodes := [];
         all_dirty := false;
-        cached_min ()
+        Min_tree.min tree
       end
     in
     if epoch then

@@ -46,6 +46,11 @@ type config = {
           arms the full re-solve fallback (probe policies only) *)
 }
 
+val max_error_limit : float
+(** The largest [max_error] {!run} accepts, [max_float / 2]: an arrival's
+    error is a draw [lo + u (hi - lo)] over [\[-max_error, max_error\]],
+    so twice the error must stay finite. *)
+
 val default_config : config
 (** METAHVPLIGHT, ALLOCWEIGHTS, fixed threshold 0, horizon 100, one arrival
     per time unit, mean lifetime 20, reallocation every 5, no error,
@@ -104,8 +109,11 @@ val run :
   stats
 (** Simulate. Deterministic given the rng (default seed 0). Raises
     [Invalid_argument] naming the field on a non-finite or non-positive
-    horizon, rate, period, per-core need or memory scale, on a non-finite
-    or negative error, on a non-finite fixed threshold, on a negative
+    horizon, rate, period, per-core need or memory scale, on an error
+    that is negative or above {!max_error_limit} (NaN included), on a
+    per-core need or an error so large that an arrival's CPU or its
+    estimate would overflow, on a non-finite fixed threshold, on a
+    negative
     repair budget or a yield gap outside [0, 1) (NaN included), and on any
     platform that is empty or not 2-D — the admission path reads the
     memory capacity at {!Model.Service.mem_dim} and would silently
@@ -142,9 +150,14 @@ val run :
     plus a repair pass on a departure) under the probe policies. The
     minimum yield is kept as a per-node cache: an admission or departure
     marks its node, a repair move both of its ends, and a re-solve every
-    node; the sample then re-evaluates only the marked nodes
-    (water-filling their [k] residents under the sharing policy,
-    O(k log k) each) and takes the minimum over the cache, O(H).
+    node; the sample then re-evaluates only the marked nodes. Each one's
+    [k] residents are written into reused flat rows, with no
+    {!Model.Service.t} built, and water-filled under the sharing policy
+    ({!Model.Yield.fill}, O(k²) at worst for its insertion sort by
+    bound); its value then updates its leaf of
+    a tournament tree over the per-node values, O(log H), whose root is
+    the minimum. A re-solve refills every leaf and rebuilds the tree,
+    O(H).
     Re-evaluated nodes are counted under the [simulator.node_evals]
     metric; events that marked none (rejected arrivals, epochs without a
     re-solve) reuse the current value and are counted under

@@ -57,16 +57,14 @@ let split ~policy ~shards platform =
           let lo = s * h / shards and hi = (s + 1) * h / shards in
           reid platform (Array.init (hi - lo) (fun i -> lo + i)))
   | Capacity_balanced ->
-      (* LPT greedy: nodes by descending capacity (ties by index), each to
-         the currently least-loaded shard (ties by lowest shard index).
-         Classic list-scheduling bound: max and min shard capacity differ
-         by at most one node's capacity. *)
+      (* LPT greedy: nodes by descending capacity (ties by index: the sort
+         is stable over index order), each to the currently least-loaded
+         shard (ties by lowest shard index). Classic list-scheduling bound:
+         max and min shard capacity differ by at most one node's
+         capacity. *)
       let cap = Array.map node_capacity platform in
       let order = Array.init h (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          match compare cap.(b) cap.(a) with 0 -> compare a b | c -> c)
-        order;
+      Array.stable_sort (fun a b -> Float.compare cap.(b) cap.(a)) order;
       let totals = Array.make shards 0. in
       let members = Array.make shards [] in
       Array.iter

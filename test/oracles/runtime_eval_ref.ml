@@ -1,15 +1,13 @@
 let cpu_dim = 0
 
 let estimated_allocations estimated placement =
-  match Model.Placement.water_fill estimated placement with
+  match Yield_ref.placement_water_fill estimated placement with
   | None -> None
-  | Some alloc ->
+  | Some yields ->
       Some
         (Array.init (Model.Instance.n_services estimated) (fun j ->
              let s = Model.Instance.service estimated j in
-             let demand =
-               Model.Service.demand_at_yield s alloc.Model.Placement.yields.(j)
-             in
+             let demand = Model.Service.demand_at_yield s yields.(j) in
              Vec.Vector.get demand.Vec.Epair.aggregate cpu_dim))
 
 let consumptions policy ~true_instance ~estimated placement =
@@ -18,7 +16,7 @@ let consumptions policy ~true_instance ~estimated placement =
   | Some est_alloc ->
       let open Vec in
       let out = Array.make (Model.Instance.n_services true_instance) 0. in
-      let groups = Model.Placement.group_by_node true_instance placement in
+      let groups = Yield_ref.group_by_node true_instance placement in
       Array.iteri
         (fun h services ->
           match services with

@@ -15,6 +15,25 @@ let fig1_service =
 let fig1_instance =
   Model.Instance.v ~nodes:[| node_a; node_b |] ~services:[| fig1_service |]
 
+(* One node's services (ids 0, 1, ... in list order) as a one-node
+   instance, all placed on it: the library's per-node evaluation reached
+   through [Model.Placement]. *)
+let one_node (node : Model.Node.t) services =
+  ( Model.Instance.v
+      ~nodes:[| Model.Node.v ~id:0 ~capacity:node.capacity |]
+      ~services:(Array.of_list services),
+    Array.make (List.length services) 0 )
+
+let water_fill_one node services =
+  let inst, placement = one_node node services in
+  Option.map
+    (fun (a : Model.Placement.allocation) -> Array.to_list a.yields)
+    (Model.Placement.water_fill inst placement)
+
+let min_yield_one node services =
+  let inst, placement = one_node node services in
+  Model.Placement.min_yield inst placement
+
 let test_node_constructors () =
   let open Vec in
   check_float "elementary cpu" 0.8
@@ -64,15 +83,22 @@ let test_fig1_yields () =
   | None -> Alcotest.fail "node B should be feasible"
 
 let test_elementary_bound () =
-  (match Model.Yield.elementary_bound node_a fig1_service with
+  (match Oracles.Yield_ref.elementary_bound node_a fig1_service with
   | Some b -> check_float "bound on A" 0.6 b
   | None -> Alcotest.fail "bound must exist");
+  (* The library's water-filled yield is the bound here: node A's
+     aggregate capacity does not bind. *)
+  (match water_fill_one node_a [ fig1_service ] with
+  | Some [ y ] -> check_float "library bound on A" 0.6 y
+  | _ -> Alcotest.fail "water-fill must succeed");
   (* A service whose elementary requirement exceeds one core. *)
   let fat =
     Model.Service.make_2d ~id:0 ~cpu_req:(0.9, 0.9) ~mem_req:0.1 ()
   in
   Alcotest.(check bool) "requirement too large" true
-    (Model.Yield.elementary_bound node_a fat = None)
+    (Oracles.Yield_ref.elementary_bound node_a fat = None);
+  Alcotest.(check bool) "library rejects it" true
+    (min_yield_one node_a [ fat ] = None)
 
 let test_zero_need_service () =
   let rigid = Model.Service.make_2d ~id:0 ~mem_req:0.3 () in
@@ -84,9 +110,16 @@ let test_requirements_fit () =
   let s1 = Model.Service.make_2d ~id:0 ~mem_req:0.6 () in
   let s2 = Model.Service.make_2d ~id:1 ~mem_req:0.6 () in
   Alcotest.(check bool) "one fits" true
-    (Model.Yield.requirements_fit node_a [ s1 ]);
+    (Oracles.Yield_ref.requirements_fit node_a [ s1 ]);
   Alcotest.(check bool) "two exceed memory" false
-    (Model.Yield.requirements_fit node_a [ s1; s2 ])
+    (Oracles.Yield_ref.requirements_fit node_a [ s1; s2 ]);
+  let feasible services =
+    let inst, placement = one_node node_a services in
+    Model.Placement.feasible inst placement
+  in
+  Alcotest.(check bool) "library: one fits" true (feasible [ s1 ]);
+  Alcotest.(check bool) "library: two exceed memory" false
+    (feasible [ s1; s2 ])
 
 let test_aggregate_level_sharing () =
   (* Two services with CPU needs 0.5/0.5 aggregate on a node with 1.0 CPU:
@@ -95,10 +128,15 @@ let test_aggregate_level_sharing () =
   let svc id need =
     Model.Service.make_2d ~id ~mem_req:0.1 ~cpu_need:(need /. 4., need) ()
   in
-  let l1 = Model.Yield.aggregate_level node [ svc 0 0.5; svc 1 0.5 ] in
+  let l1 = Oracles.Yield_ref.aggregate_level node [ svc 0 0.5; svc 1 0.5 ] in
   check_float "exact fill" 1.0 l1;
-  let l2 = Model.Yield.aggregate_level node [ svc 0 1.0; svc 1 1.0 ] in
-  check_float "half fill" 0.5 l2
+  let l2 = Oracles.Yield_ref.aggregate_level node [ svc 0 1.0; svc 1 1.0 ] in
+  check_float "half fill" 0.5 l2;
+  (* No elementary bound binds, so the library's minimum is the level. *)
+  Alcotest.(check (option (float 1e-9))) "library exact fill" (Some 1.0)
+    (min_yield_one node [ svc 0 0.5; svc 1 0.5 ]);
+  Alcotest.(check (option (float 1e-9))) "library half fill" (Some 0.5)
+    (min_yield_one node [ svc 0 1.0; svc 1 1.0 ])
 
 let test_water_fill_respects_elementary_caps () =
   (* Node: 2 cores x 0.5. Service 0's elementary need caps it at 0.5 yield;
@@ -106,7 +144,7 @@ let test_water_fill_respects_elementary_caps () =
   let node = Model.Node.make_cores ~id:0 ~cores:2 ~cpu:1.0 ~mem:1.0 in
   let s0 = Model.Service.make_2d ~id:0 ~mem_req:0.1 ~cpu_need:(1.0, 1.0) () in
   let s1 = Model.Service.make_2d ~id:1 ~mem_req:0.1 ~cpu_need:(0.25, 0.5) () in
-  match Model.Yield.water_fill node [ s0; s1 ] with
+  match water_fill_one node [ s0; s1 ] with
   | Some [ y0; y1 ] ->
       check_float "capped by elementary" 0.5 y0;
       (* remaining aggregate: 1 - 0.5 = 0.5 -> y1 = min(1, 0.5/0.5) = 1 *)
@@ -124,8 +162,7 @@ let test_water_fill_min_matches_max_min () =
     ]
   in
   match
-    (Model.Yield.water_fill node services,
-     Model.Yield.max_min_yield node services)
+    (water_fill_one node services, Model.Yield.max_min_yield node services)
   with
   | Some ys, Some m ->
       check_float "min matches" m (List.fold_left Float.min 1. ys)
@@ -133,11 +170,11 @@ let test_water_fill_min_matches_max_min () =
 
 let test_fits_at_yield () =
   Alcotest.(check bool) "fits at 0.6 on A" true
-    (Model.Yield.fits_at_yield node_a [ fig1_service ] 0.6);
+    (Oracles.Yield_ref.fits_at_yield node_a [ fig1_service ] 0.6);
   Alcotest.(check bool) "fails above 0.6 on A" false
-    (Model.Yield.fits_at_yield node_a [ fig1_service ] 0.7);
+    (Oracles.Yield_ref.fits_at_yield node_a [ fig1_service ] 0.7);
   Alcotest.(check bool) "fits at 1.0 on B" true
-    (Model.Yield.fits_at_yield node_b [ fig1_service ] 1.0)
+    (Oracles.Yield_ref.fits_at_yield node_b [ fig1_service ] 1.0)
 
 let test_instance_validation () =
   Alcotest.check_raises "bad ids"
@@ -192,11 +229,18 @@ let test_group_by_node () =
   let inst =
     Model.Instance.v ~nodes:[| node_a; node_b |] ~services:[| s0; s1; s2 |]
   in
-  let groups = Model.Placement.group_by_node inst [| 1; 0; 1 |] in
-  Alcotest.(check (list int)) "node 0" [ 1 ]
-    (List.map (fun (s : Model.Service.t) -> s.id) groups.(0));
-  Alcotest.(check (list int)) "node 1 in id order" [ 0; 2 ]
-    (List.map (fun (s : Model.Service.t) -> s.id) groups.(1))
+  let placement = [| 1; 0; 1 |] in
+  let ids, start = Model.Placement.by_node inst placement in
+  let slice h = Array.to_list (Array.sub ids start.(h) (start.(h + 1) - start.(h))) in
+  Alcotest.(check (list int)) "node 0" [ 1 ] (slice 0);
+  Alcotest.(check (list int)) "node 1 in id order" [ 0; 2 ] (slice 1);
+  (* The same groups as the list reference. *)
+  Array.iteri
+    (fun h services ->
+      Alcotest.(check (list int)) (Printf.sprintf "reference node %d" h)
+        (List.map (fun (s : Model.Service.t) -> s.id) services)
+        (slice h))
+    (Oracles.Yield_ref.group_by_node inst placement)
 
 (* Yields maximizing the average (equivalently the sum) instead of the
    minimum, for one fixed node: the paper's §2 argument against
@@ -213,9 +257,11 @@ let max_average_yields (node : Model.Node.t) services =
   match services with
   | [] -> Some []
   | _ ->
-      if not (Yield.requirements_fit node services) then None
+      if not (Oracles.Yield_ref.requirements_fit node services) then None
       else begin
-        let bounds = List.map (Yield.elementary_bound node) services in
+        let bounds =
+          List.map (Oracles.Yield_ref.elementary_bound node) services
+        in
         if List.exists Option.is_none bounds then None
         else begin
           let d = Node.dim node in
@@ -282,7 +328,7 @@ let test_max_average_starves () =
         (Printf.sprintf "expensive nearly starved (%.2f)" y_expensive)
         true (y_expensive <= 0.81)
   | _ -> Alcotest.fail "max_average_yields failed");
-  match Model.Yield.water_fill node [ cheap; expensive ] with
+  match water_fill_one node [ cheap; expensive ] with
   | Some [ y_cheap; y_expensive ] ->
       Alcotest.(check bool) "max-min protects the expensive service" true
         (y_expensive > 0.81 && y_cheap >= y_expensive)
@@ -299,10 +345,7 @@ let test_max_average_at_least_min_sum () =
       Model.Service.make_2d ~id:2 ~mem_req:0.1 ~cpu_need:(0.05, 0.2) ();
     ]
   in
-  match
-    (max_average_yields node services,
-     Model.Yield.water_fill node services)
-  with
+  match (max_average_yields node services, water_fill_one node services) with
   | Some avg, Some fair ->
       let sum = List.fold_left ( +. ) 0. in
       Alcotest.(check bool) "sum(avg) >= sum(fair)" true
@@ -442,20 +485,20 @@ let prop_max_min_yield_consistent_with_fits =
           (List.init (Model.Instance.n_services inst)
              (Model.Instance.service inst))
       in
+      let fits = Oracles.Yield_ref.fits_at_yield node services in
       match Model.Yield.max_min_yield node services with
-      | None -> not (Model.Yield.requirements_fit node services)
+      | None -> not (Oracles.Yield_ref.requirements_fit node services)
       | Some y ->
           (* Independent oracle: bisect the fixed-yield feasibility check
              and compare against the exact breakpoint sweep. *)
-          if not (Model.Yield.fits_at_yield node services 0.) then false
+          if not (fits 0.) then false
           else begin
             let lo = ref 0. and hi = ref 1. in
-            if Model.Yield.fits_at_yield node services 1. then lo := 1.
+            if fits 1. then lo := 1.
             else
               for _ = 1 to 40 do
                 let mid = 0.5 *. (!lo +. !hi) in
-                if Model.Yield.fits_at_yield node services mid then lo := mid
-                else hi := mid
+                if fits mid then lo := mid else hi := mid
               done;
             Float.abs (!lo -. y) <= 1e-6
           end)
@@ -473,8 +516,8 @@ let prop_fits_at_yield_monotone =
         List.init (Model.Instance.n_services inst)
           (Model.Instance.service inst)
       in
-      (not (Model.Yield.fits_at_yield node services hi))
-      || Model.Yield.fits_at_yield node services lo)
+      (not (Oracles.Yield_ref.fits_at_yield node services hi))
+      || Oracles.Yield_ref.fits_at_yield node services lo)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)

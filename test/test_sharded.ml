@@ -277,6 +277,135 @@ let prop_balanced_single_shard_is_contiguous =
              a.id = b.id && Vec.Epair.equal a.capacity b.capacity)
            balanced.(0) contiguous.(0))
 
+(* The capacity-balanced partition with the unstable two-key sort
+   (descending capacity, then ascending index) it was first written with,
+   as platform indices per shard. *)
+let two_key_partition ~shards platform =
+  let cap = Array.map scalar_cap platform in
+  let order = Array.init (Array.length platform) Fun.id in
+  Array.sort
+    (fun a b -> match compare cap.(b) cap.(a) with 0 -> compare a b | c -> c)
+    order;
+  let totals = Array.make shards 0. and members = Array.make shards [] in
+  Array.iter
+    (fun i ->
+      let best = ref 0 in
+      for s = 1 to shards - 1 do
+        if totals.(s) < totals.(!best) then best := s
+      done;
+      totals.(!best) <- totals.(!best) +. cap.(i);
+      members.(!best) <- i :: members.(!best))
+    order;
+  Array.map (fun l -> Array.of_list (List.sort compare l)) members
+
+(* Platforms of up to 40 nodes whose capacities are (a, b) or (b, a) over
+   three values: many nodes share a scalar capacity while their capacity
+   vectors differ, so a different choice among tied nodes shows. *)
+let tied_platform_gen =
+  QCheck2.Gen.(
+    let* h = int_range 1 40 in
+    let* shards = int_range 1 h in
+    let value = oneofl [ 0.2; 0.4; 0.8 ] in
+    let* caps = list_size (pure h) (pair value value) in
+    pure (shards, Array.of_list caps))
+
+let prop_balanced_partition_stable_order =
+  QCheck2.Test.make
+    ~name:"capacity-balanced partition = the two-key sort's" ~count:300
+    tied_platform_gen
+    (fun (shards, caps) ->
+      let platform = make_platform caps in
+      let parts =
+        Simulator.Sharded.partition ~policy:Simulator.Sharded.Capacity_balanced
+          ~shards platform
+      in
+      let expected = two_key_partition ~shards platform in
+      Array.for_all2
+        (fun (part : Model.Node.t array) members ->
+          Array.length part = Array.length members
+          && Array.for_all2
+               (fun (n : Model.Node.t) i ->
+                 Vec.Epair.equal n.capacity platform.(i).Model.Node.capacity)
+               part members)
+        parts expected)
+
+(* --- the per-shard engine's inputs and its minimum --- *)
+
+(* An arrival's CPU is [per_core_need] times up to four cores, its error
+   a draw over [-max_error, max_error]: finite settings whose product or
+   draw overflows are rejected by name, through the engine and through
+   the shards, since the engine's water-fill rows take them unchecked. *)
+let test_engine_rejects_overflowing_cpu () =
+  List.iter
+    (fun (field, config) ->
+      let expected = Invalid_argument ("Engine.run: " ^ field) in
+      Alcotest.check_raises field expected (fun () ->
+          ignore (Simulator.Engine.run config ~platform));
+      Alcotest.check_raises (field ^ ", sharded") expected (fun () ->
+          ignore (Simulator.Sharded.run ~shards:2 config ~platform)))
+    [
+      ("per_core_need", { config with per_core_need = Float.max_float });
+      ("max_error", { config with max_error = Float.max_float });
+      ("max_error", { config with max_error = Float.max_float /. 1.5 });
+    ]
+
+(* The yield cache's minimum: random leaf updates (one leaf, or every
+   leaf at once as a re-solve does) on 1 to 13 leaves, power of two or
+   not. Values mix failures, +0. and -0., repeated values and random
+   yields. After every step the tree's answer has the bits of the linear
+   fold it replaces: 0. when some node failed, else [Float.min] over the
+   nodes from 1. *)
+let prop_min_tree_matches_fold =
+  let value =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, pure None);
+          (2, pure (Some 0.));
+          (2, pure (Some (-0.)));
+          (2, pure (Some 1.));
+          (2, map Option.some (oneofl [ 0.25; 0.5 ]));
+          (3, map Option.some (float_bound_inclusive 1.));
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* n = oneof [ oneofl [ 1; 2; 3; 5; 8; 13 ]; int_range 1 13 ] in
+      let step =
+        frequency
+          [
+            (5, map2 (fun h v -> `Set (h, v)) (int_bound (n - 1)) value);
+            (1, map (fun vs -> `Set_all vs) (array_size (pure n) value));
+          ]
+      in
+      let* steps = list_size (int_range 1 40) step in
+      pure (n, steps))
+  in
+  QCheck2.Test.make ~name:"min tree = the linear fold, bit for bit" ~count:500
+    gen (fun (n, steps) ->
+      let tree = Simulator.Min_tree.create n in
+      let model = Array.make n (Some 1.) in
+      let fold () =
+        if Array.exists Option.is_none model then 0.
+        else Array.fold_left (fun w v -> Float.min w (Option.get v)) 1. model
+      in
+      let agrees () =
+        Int64.bits_of_float (Simulator.Min_tree.min tree)
+        = Int64.bits_of_float (fold ())
+      in
+      agrees ()
+      && List.for_all
+           (fun step ->
+             (match step with
+             | `Set (h, v) ->
+                 model.(h) <- v;
+                 Simulator.Min_tree.set tree h v
+             | `Set_all vs ->
+                 Array.blit vs 0 model 0 n;
+                 Simulator.Min_tree.set_all tree (Array.get vs));
+             agrees ())
+           steps)
+
 (* --- RNG stream assignment (locked after hoisting stream setup out of
    the dispatch loop): shard s of a k-shard run replays exactly
    Engine.run with the pre-split seed on its sub-platform, and one shard
@@ -406,10 +535,13 @@ let suite =
       ("stream assignment unchanged", test_stream_assignment_unchanged);
       ("golden seed-0 greedy-random", test_golden_greedy_random);
       ("golden seed-0 best-fit", test_golden_best_fit);
+      ("engine rejects overflowing CPU", test_engine_rejects_overflowing_cpu);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_balanced_partition_covers;
         prop_balanced_partition_bound;
         prop_balanced_single_shard_is_contiguous;
+        prop_balanced_partition_stable_order;
+        prop_min_tree_matches_fold;
       ]

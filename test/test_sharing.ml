@@ -429,6 +429,267 @@ let test_runtime_eval_cases_reached () =
   Alcotest.(check bool) "requirement-only services evaluate" true
     (!req_only > 0)
 
+(* The flat water-fill kernel against the list reference, at D = 1-5.
+   Component values are chosen to reach each float-order detail the
+   kernel must keep: requirements equal to a capacity or above it by less
+   than the tolerance (level 0 from a negative slack, a bound of 0 from
+   an elementary requirement that fits only within tolerance), zero
+   needs (services left out of a dimension's sweep), grid values that tie
+   elementary bounds and round when summed in another order, and needs
+   of 1e-17 (a slope below 1e-15). Crowded cases put 17-40 services on
+   one node, so the sort by bound runs over long slices full of ties. *)
+
+type kernel_case = {
+  k_dims : int;
+  k_nodes : (float array * float array) array;  (** elementary, aggregate *)
+  k_services : (float array * float array * float array * float array) array;
+      (** elementary and aggregate requirement, elementary and aggregate
+          need *)
+  k_factor : float;  (** estimated needs = factor * true needs *)
+  k_placement : int array;
+}
+
+let kernel_case_gen =
+  QCheck2.Gen.(
+    (* Dense cases crowd a few nodes with services whose grid needs round
+       differently when summed in another order; sparse ones leave whole
+       dimensions without needs, where a requirement sum just above the
+       capacity decides the level alone; crowded ones give one large node
+       many services with small requirements, so it often fits them. *)
+    let* shape =
+      frequency [ (2, pure `Sparse); (2, pure `Dense); (1, pure `Crowded) ]
+    in
+    let sparse = shape = `Sparse and crowded = shape = `Crowded in
+    let* k_dims = int_range 1 5 in
+    let vec g = array_size (pure k_dims) g in
+    let edge = oneofl [ 0.5; 1.; 2. ] in
+    let node =
+      let* agg =
+        vec
+          (if crowded then oneofl [ 2.; 4.; 8. ]
+           else frequency [ (1, pure 0.); (4, edge); (3, float_range 0.1 4.) ])
+      in
+      let* per = vec (oneofl [ 1.; 2.; 4.; 8. ]) in
+      pure (Array.map2 ( /. ) agg per, agg)
+    in
+    let requirement =
+      if crowded then
+        frequency [ (6, pure 0.); (2, oneofl [ 0.01; 0.02; 0.05 ]) ]
+      else
+        frequency
+          [
+            (6, pure 0.);
+            (3, oneofl [ 0.1; 0.2; 0.25; 0.3 ]);
+            (1, oneofl [ 0.25; 0.5; 0.8; 1.; 2. ]);
+            (2, map (fun c -> c *. (1. +. 3e-10)) edge);
+            (2, float_range 0. 0.6);
+          ]
+    in
+    let need zeros =
+      frequency
+        [
+          (zeros, pure 0.);
+          (1, pure 1e-17);
+          (4, oneofl [ 0.1; 0.2; 0.3; 0.7 ]);
+          (3, float_range 0. 1.);
+        ]
+    in
+    let* hosts = if crowded then pure 1 else int_range 1 3 in
+    let* k_nodes = array_size (pure hosts) node in
+    let* k_services =
+      array_size
+        (match shape with
+        | `Sparse -> int_range 1 4
+        | `Dense -> int_range 1 12
+        | `Crowded -> int_range 17 40)
+        (let* re = vec requirement and* ra = vec requirement in
+         let* ne = vec (need (if sparse then 8 else 1))
+         and* na = vec (need (if sparse then 8 else 3)) in
+         pure (re, ra, ne, na))
+    in
+    let* k_factor = oneofl [ 0.5; 1.; 1.5 ] in
+    let* k_placement =
+      array_size (pure (Array.length k_services)) (int_bound (hosts - 1))
+    in
+    pure { k_dims; k_nodes; k_services; k_factor; k_placement })
+
+let print_kernel_case c =
+  let vec a =
+    "[" ^ String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+    ^ "]"
+  in
+  Printf.sprintf "D=%d factor %g placement [%s]\nnodes %s\nservices %s"
+    c.k_dims c.k_factor
+    (String.concat " " (Array.to_list (Array.map string_of_int c.k_placement)))
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (e, a) -> vec e ^ "/" ^ vec a) c.k_nodes)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (re, ra, ne, na) ->
+               Printf.sprintf "req %s/%s need %s/%s" (vec re) (vec ra) (vec ne)
+                 (vec na))
+             c.k_services)))
+
+(* The true and the estimated instance: the same nodes and requirements,
+   the estimate's needs scaled by the case's factor. *)
+let kernel_instances c =
+  let nodes =
+    Array.mapi
+      (fun id (e, a) ->
+        Model.Node.v ~id ~capacity:(Vec.Epair.of_arrays e a))
+      c.k_nodes
+  in
+  let make factor =
+    Array.mapi
+      (fun id (re, ra, ne, na) ->
+        let scale = Array.map (fun x -> factor *. x) in
+        Model.Service.v ~id
+          ~requirement:(Vec.Epair.of_arrays re ra)
+          ~need:(Vec.Epair.of_arrays (scale ne) (scale na)))
+      c.k_services
+  in
+  ( Model.Instance.v ~nodes ~services:(make 1.),
+    Model.Instance.v ~nodes ~services:(make c.k_factor) )
+
+let same_option_bits a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> same_bits x y
+  | _ -> false
+
+let same_array_bits a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Array.length x = Array.length y && Array.for_all2 same_bits x y
+  | _ -> false
+
+let prop_kernel_matches_reference =
+  QCheck2.Test.make
+    ~name:"water-fill kernel = list reference (bitwise, D = 1-5)" ~count:8000
+    ~print:print_kernel_case kernel_case_gen (fun c ->
+      let true_instance, estimated = kernel_instances c in
+      let p = c.k_placement in
+      List.for_all
+        (fun inst ->
+          same_option_bits
+            (Model.Placement.min_yield inst p)
+            (Oracles.Yield_ref.placement_min_yield inst p)
+          && same_array_bits
+               (Option.map
+                  (fun (a : Model.Placement.allocation) -> a.yields)
+                  (Model.Placement.water_fill inst p))
+               (Oracles.Yield_ref.placement_water_fill inst p)
+          && Model.Placement.feasible inst p
+             = Oracles.Yield_ref.placement_feasible inst p
+          && Array.for_all2
+               (fun node services ->
+                 same_option_bits
+                   (Model.Yield.max_min_yield node services)
+                   (Oracles.Yield_ref.max_min_yield node services))
+               inst.Model.Instance.nodes
+               (Oracles.Yield_ref.group_by_node inst p))
+        [ true_instance; estimated ]
+      && List.for_all
+           (fun policy ->
+             same_option_bits
+               (Sharing.Runtime_eval.actual_min_yield policy ~true_instance
+                  ~estimated p)
+               (Oracles.Runtime_eval_ref.actual_min_yield policy
+                  ~true_instance ~estimated p)
+             && same_array_bits
+                  (Sharing.Runtime_eval.consumptions policy ~true_instance
+                     ~estimated p)
+                  (Oracles.Runtime_eval_ref.consumptions policy ~true_instance
+                     ~estimated p))
+           [
+             Sharing.Policy.Alloc_caps;
+             Sharing.Policy.Alloc_weights;
+             Sharing.Policy.Equal_weights;
+           ])
+
+(* The generator reaches feasible and failing placements at every D, and
+   feasible nodes holding more than 16 services, two of them with equal
+   elementary bounds below 1. *)
+let test_kernel_cases_reached () =
+  let cases =
+    QCheck2.Gen.generate ~n:1500 ~rand:(Random.State.make [| 11 |])
+      kernel_case_gen
+  in
+  let feasible = Array.make 6 0 and failing = Array.make 6 0 in
+  let crowded_ties = ref 0 in
+  List.iter
+    (fun c ->
+      let inst, _ = kernel_instances c in
+      match Oracles.Yield_ref.placement_min_yield inst c.k_placement with
+      | Some _ ->
+          feasible.(c.k_dims) <- feasible.(c.k_dims) + 1;
+          Array.iteri
+            (fun h services ->
+              let bounds =
+                List.filter_map
+                  (Oracles.Yield_ref.elementary_bound
+                     (Model.Instance.node inst h))
+                  services
+                |> List.filter (fun b -> b < 1.)
+              in
+              if
+                List.length services > 16
+                && List.length (List.sort_uniq Float.compare bounds)
+                   < List.length bounds
+              then incr crowded_ties)
+            (Oracles.Yield_ref.group_by_node inst c.k_placement)
+      | None -> failing.(c.k_dims) <- failing.(c.k_dims) + 1)
+    cases;
+  for d = 1 to 5 do
+    Alcotest.(check bool) (Printf.sprintf "D=%d feasible" d) true
+      (feasible.(d) > 0);
+    Alcotest.(check bool) (Printf.sprintf "D=%d failing" d) true
+      (failing.(d) > 0)
+  done;
+  Alcotest.(check bool) "crowded nodes with tied bounds" true
+    (!crowded_ties > 0)
+
+(* The controller is the one source of an adaptive threshold, which the
+   online engine puts into its water-fill rows unchecked. NaN passes
+   every range test, and an infinite clamp range let an infinite
+   threshold through; each setting and each observed array names
+   itself, and a rejected epoch records nothing. *)
+let test_adaptive_threshold_rejects_non_finite () =
+  List.iter
+    (fun (name, create) ->
+      Alcotest.check_raises name
+        (Invalid_argument ("Adaptive_threshold.create: non-finite " ^ name))
+        (fun () -> ignore (create ())))
+    Sharing.Adaptive_threshold.
+      [
+        ("quantile", fun () -> create ~quantile:Float.nan ());
+        ("initial", fun () -> create ~initial:Float.nan ());
+        ("min_threshold", fun () -> create ~min_threshold:Float.nan ());
+        ("max_threshold", fun () -> create ~max_threshold:Float.nan ());
+        ( "initial",
+          fun () ->
+            create ~max_threshold:Float.infinity ~initial:Float.infinity () );
+        ("max_threshold", fun () -> create ~max_threshold:Float.infinity ());
+        ( "min_threshold",
+          fun () -> create ~min_threshold:Float.neg_infinity () );
+      ];
+  let c = Sharing.Adaptive_threshold.create () in
+  List.iter
+    (fun (name, estimated, actual) ->
+      Alcotest.check_raises name
+        (Invalid_argument ("Adaptive_threshold.observe: non-finite " ^ name))
+        (fun () -> Sharing.Adaptive_threshold.observe c ~estimated ~actual))
+    [
+      ("estimated", [| 0.1; Float.nan |], [| 0.1; 0.1 |]);
+      ("actual", [| 0.1 |], [| Float.infinity |]);
+      ("estimated", [| Float.neg_infinity |], [| Float.nan |]);
+    ];
+  Alcotest.(check int) "rejected epochs record nothing" 0
+    (Sharing.Adaptive_threshold.observations c);
+  Alcotest.(check (float 0.)) "threshold unchanged" 0.
+    (Sharing.Adaptive_threshold.threshold c)
+
 (* Zero-knowledge baseline. *)
 
 let test_zero_knowledge_even_spread () =
@@ -510,4 +771,9 @@ let suite =
         prop_runtime_eval_matches_reference;
       ]
   @ [ Alcotest.test_case "satisfied service topped up" `Quick
-        test_satisfied_service_topped_up ]
+        test_satisfied_service_topped_up;
+      Alcotest.test_case "kernel cases reached" `Quick
+        test_kernel_cases_reached;
+      Alcotest.test_case "adaptive threshold rejects non-finite input"
+        `Quick test_adaptive_threshold_rejects_non_finite ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_reference ]
