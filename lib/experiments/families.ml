@@ -9,9 +9,6 @@ type cov_family_cell = {
 let cov_family ?(progress = fun _ -> ()) ?pool
     ?(slacks = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]) ?(covs = [ 0.; 0.5; 1. ])
     ?(reps = 2) (scale : Scale.t) =
-  let contenders =
-    [ Heuristics.Algorithms.metagreedy; Heuristics.Algorithms.metavp ]
-  in
   (* One independent task per (slack, cov) grid cell; the task order (and
      with it the returned cell order) matches the sequential nesting. *)
   let grid =
@@ -20,41 +17,33 @@ let cov_family ?(progress = fun _ -> ()) ?pool
   in
   Run.concat_map_list ?pool grid (fun (slack, cov) ->
       progress (Printf.sprintf "cov-family: slack %.1f cov %.1f" slack cov);
-      let instances =
-        Corpus.sweep ~hosts:scale.fig_cov_hosts
-          ~services:scale.fig_cov_services ~covs:[ cov ] ~slacks:[ slack ]
-          ~reps ()
+      (* Fig. 2 at this cell, METAGREEDY and METAVP against METAHVP. The
+         cell is already a pool task, so its run takes no pool. *)
+      let result =
+        Fig_cov.run ~slack
+          {
+            scale with
+            fig_cov_covs = [ cov ];
+            fig_cov_reps = reps;
+            fig_cov_include_rrnz = false;
+          }
+          Fig_cov.Fully_heterogeneous
       in
-      let acc =
-        List.map
-          (fun (a : Heuristics.Algorithms.t) -> (a, ref 0., ref 0))
-          contenders
-      in
-      List.iter
-        (fun (_, inst) ->
-          match Heuristics.Algorithms.metahvp.solve inst with
-          | None -> ()
-          | Some reference ->
-              List.iter
-                (fun ((algo : Heuristics.Algorithms.t), sum, count) ->
-                  match algo.solve inst with
-                  | None -> ()
-                  | Some sol ->
-                      sum := !sum +. (sol.min_yield -. reference.min_yield);
-                      incr count)
-                acc)
-        instances;
       List.map
-        (fun ((algo : Heuristics.Algorithms.t), sum, count) ->
+        (fun (series : Fig_cov.series) ->
+          let solved = List.length series.samples in
           {
             slack;
             cov;
-            algorithm = algo.name;
+            algorithm = series.algorithm;
             mean_diff =
-              (if !count = 0 then 0. else !sum /. float_of_int !count);
-            solved = !count;
+              (if solved = 0 then 0.
+               else
+                 List.fold_left (fun sum (_, d) -> sum +. d) 0. series.samples
+                 /. float_of_int solved);
+            solved;
           })
-        acc)
+        result.series)
 
 let report_cov_family cells =
   let buf = Buffer.create 2048 in

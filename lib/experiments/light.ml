@@ -80,17 +80,11 @@ let run ?(progress = fun _ -> ()) ?pool (scale : Scale.t) =
   }
 
 let report r =
-  let speedup =
-    if r.mean_time_light > 0. then r.mean_time_hvp /. r.mean_time_light
-    else 0.
-  in
   Printf.sprintf
     "== §5.1: METAHVPLIGHT vs METAHVP (%d hosts, %d services, %d instances) \
      ==\n\
      solved by both: %d   only METAHVP: %d   only METAHVPLIGHT: %d\n\
      mean min-yield where both solve: METAHVP %.4f   METAHVPLIGHT %.4f\n\
-     mean run time: METAHVP %.3fs   METAHVPLIGHT %.3fs   (speedup %.1fx)\n\
      paper's shape: identical-to-near-identical quality, ~10x faster.\n"
     r.hosts r.services r.n_instances r.both_solved r.only_hvp r.only_light
-    r.mean_yield_hvp r.mean_yield_light r.mean_time_hvp r.mean_time_light
-    speedup
+    r.mean_yield_hvp r.mean_yield_light

@@ -20,3 +20,5 @@ val run : ?progress:(string -> unit) -> ?pool:Par.Pool.t -> Scale.t -> result
     sequential run, only the timings change. *)
 
 val report : result -> string
+(** Counts and yields, which are the same at any domain count; the run
+    times, which are wall-clock, are left to the caller. *)

@@ -46,8 +46,8 @@ let c_candidates = Obs.Metrics.counter "greedy.candidate_evals"
 let c_placements = Obs.Metrics.counter "greedy.placements"
 
 (* The nodes of one instance in flat arrays, node [h]'s dimension [i] at
-   [h * dims + i]: the fits limits, i.e. the very right-hand sides
-   [Vector.fits] (elementary) and the aggregate test compare against
+   [h * dims + i]: the fits limits, i.e. the very right-hand sides the
+   elementary and the aggregate tests compare against
    ([c +. eps *. max 1 |c|] and [c +. eps *. max 1 c]), the aggregate
    capacities and each node's summed capacity for the scores, and the
    loads a combination commits (rigid requirements, and requirement plus

@@ -1,58 +1,25 @@
+(* Services are admitted through the instance's packing state at yield 0,
+   whose item demands are their requirements: a drawn node is tested with
+   [Packing.Fit.fits] against the requirements committed so far and the
+   service committed with [Packing.State.place]. *)
 let round_probabilities ~rng ~e_matrix instance =
-  let open Vec in
-  let j_count = Model.Instance.n_services instance in
-  let h_count = Model.Instance.n_nodes instance in
-  let dims =
-    Epair.dim (Model.Instance.node instance 0).Model.Node.capacity
-  in
-  let req_load = Array.init h_count (fun _ -> Array.make dims 0.) in
-  let fits h (s : Model.Service.t) =
-    let node = Model.Instance.node instance h in
-    Vector.fits s.requirement.Epair.elementary
-      node.Model.Node.capacity.Epair.elementary
+  let st = Vp_solver.state_at_yield instance 0. in
+  let rec draw j probs =
+    (not (Array.for_all (fun p -> p <= 0.) probs))
     &&
-    let cap = node.Model.Node.capacity.Epair.aggregate in
-    let rec loop d =
-      if d >= dims then true
-      else
-        let c = Vector.get cap d in
-        let tol = Vector.eps *. Float.max 1. c in
-        req_load.(h).(d) +. Vector.get s.requirement.Epair.aggregate d
-        <= c +. tol
-        && loop (d + 1)
-    in
-    loop 0
-  in
-  let commit h (s : Model.Service.t) =
-    for d = 0 to dims - 1 do
-      req_load.(h).(d) <-
-        req_load.(h).(d) +. Vector.get s.requirement.Epair.aggregate d
-    done
-  in
-  let placement = Array.make j_count (-1) in
-  let place_one j =
-    let s = Model.Instance.service instance j in
-    let probs = Array.copy e_matrix.(j) in
-    let rec draw () =
-      if Array.for_all (fun p -> p <= 0.) probs then false
-      else begin
-        let h = Prng.Rng.choose_weighted rng probs in
-        if fits h s then begin
-          commit h s;
-          placement.(j) <- h;
-          true
-        end
-        else begin
-          probs.(h) <- 0.;
-          draw ()
-        end
-      end
-    in
-    draw ()
+    let h = Prng.Rng.choose_weighted rng probs in
+    if Packing.Fit.fits st h j then begin
+      Packing.State.place st h j;
+      true
+    end
+    else begin
+      probs.(h) <- 0.;
+      draw j probs
+    end
   in
   let rec loop j =
-    if j >= j_count then Some placement
-    else if place_one j then loop (j + 1)
+    if j >= st.n_items then Some (Packing.State.assignment st)
+    else if draw j (Array.copy e_matrix.(j)) then loop (j + 1)
     else None
   in
   loop 0

@@ -19,50 +19,55 @@ let win_counter strategy =
 
 let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
 
+(* The instance as a packing problem: one bin per node, of its capacity,
+   and one item per service, whose demands [fill] writes at a yield with
+   the exact [axpy] expression [Service.demand_at_yield] uses (a fused
+   [r + y*n] pass over the instance's flattened buffers). *)
+let new_state instance =
+  Packing.State.create ~dims:instance.Model.Instance.dims
+    ~capacities:
+      (Array.map
+         (fun (n : Model.Node.t) -> n.capacity)
+         instance.Model.Instance.nodes)
+    ~n_items:(Model.Instance.n_services instance)
+
+let fill instance st yld =
+  Packing.State.fill_at_yield st yld
+    ~need_elem:instance.Model.Instance.need_elem
+    ~req_elem:instance.Model.Instance.req_elem
+    ~need_agg:instance.Model.Instance.need_agg
+    ~req_agg:instance.Model.Instance.req_agg
+
+let state_at_yield instance yld =
+  let st = new_state instance in
+  fill instance st yld;
+  st
+
 (* Probe-shared packing kernel (DESIGN.md §11). Every strategy attempt of
    one fixed-yield probe sees the same item demands, so the kernel holds
    one flat packing state for the whole solve: bin capacities and fits
-   thresholds written once, item demands refilled per probe (a fused
-   [r + y*n] pass over the instance's flattened buffers), bins emptied
+   thresholds written once, item demands refilled per probe, bins emptied
    per attempt instead of reallocated, and sort orders and
-   Permutation-Pack item key classes memoized per probe.
+   Permutation-Pack item key classes memoized per probe. The search never
+   probes one yield twice, so every probe refills.
 
    Bit-identity with a fresh-allocation probe (new items and bins per
-   attempt, fresh sorts, Permutation-Pack by full scan): refilled demands
-   use the exact [axpy] expression [Service.demand_at_yield] uses; the
-   thresholds are the expressions the record bins' fits test evaluated,
-   and the loads and running sums the same left folds; memoized sorts are
-   the same stable sorts over the same values; and the per-key-class
-   cursors pick the item the full scan picks. test_kernel_diff.ml locks
-   this against that reference, [Oracles.Naive_probe]. *)
+   attempt, fresh sorts, Permutation-Pack by full scan): the thresholds
+   are the expressions the record bins' fits test evaluated, and the
+   loads and running sums the same left folds; memoized sorts are the
+   same stable sorts over the same values; and the per-key-class cursors
+   pick the item the full scan picks. test_kernel_diff.ml locks this
+   against that reference, [Oracles.Naive_probe]. *)
 type kernel = {
   k_state : Packing.State.t;
   k_scratch : Packing.Permutation_pack.scratch;
-  mutable k_yield : float;  (* yield the item demands hold; nan = none *)
 }
 
 let make_kernel instance =
   {
-    k_state =
-      Packing.State.create ~dims:instance.Model.Instance.dims
-        ~capacities:
-          (Array.map
-             (fun (n : Model.Node.t) -> n.capacity)
-             instance.Model.Instance.nodes)
-        ~n_items:(Model.Instance.n_services instance);
+    k_state = new_state instance;
     k_scratch = Packing.Permutation_pack.scratch ();
-    k_yield = Float.nan;
   }
-
-let refill inst k yld =
-  if not (k.k_yield = yld) then begin
-    Packing.State.fill_at_yield k.k_state yld
-      ~need_elem:inst.Model.Instance.need_elem
-      ~req_elem:inst.Model.Instance.req_elem
-      ~need_agg:inst.Model.Instance.need_agg
-      ~req_agg:inst.Model.Instance.req_agg;
-    k.k_yield <- yld
-  end
 
 (* One fixed-yield probe: the strategies in order until one packs, unless
    the infeasibility certificate refutes the probe first, which proves
@@ -72,7 +77,7 @@ let refill inst k yld =
 let probe instance k strategies yld =
   Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
   Obs.Metrics.incr c_oracle;
-  refill instance k yld;
+  fill instance k.k_state yld;
   let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (

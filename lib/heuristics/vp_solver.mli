@@ -49,6 +49,13 @@ val solve_multi :
     §3.5.5). The achieved minimum yield is evaluated on the final
     placement. *)
 
+val state_at_yield : Model.Instance.t -> float -> Packing.State.t
+(** A fresh packing state of the instance: bin [h] is node [h], of its
+    capacity, and item [j] is service [j], with the demand
+    [(rᵉ + y·nᵉ, rᵃ + y·nᵃ)] at the given yield; every bin empty. The
+    probe kernel builds its state the same way; the rounding pass
+    admits services through one filled at yield 0. *)
+
 val evaluate : Model.Instance.t -> Model.Placement.t -> solution option
 (** Water-fill a placement into a [solution] (shared by greedy and rounding
     algorithms). *)

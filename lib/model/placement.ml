@@ -24,20 +24,6 @@ let by_node instance placement =
     placement;
   (ids, start)
 
-let feasible instance placement =
-  is_valid instance placement
-  &&
-  let ids, start = by_node instance placement in
-  let rows = Yield.instance_rows instance in
-  let rec go h =
-    h = Instance.n_nodes instance
-    || Yield.requirements_fit (Instance.node instance h) rows ~ids
-         ~off:start.(h)
-         ~len:(start.(h + 1) - start.(h))
-       && go (h + 1)
-  in
-  go 0
-
 let each_node instance placement per_node =
   let ids, start = by_node instance placement in
   let rows = Yield.instance_rows instance in

@@ -40,9 +40,6 @@ val each_node :
 val is_valid : Instance.t -> t -> bool
 (** Structural validity: correct length and node indices in range. *)
 
-val feasible : Instance.t -> t -> bool
-(** Zero-yield feasibility of every node ({!Yield.requirements_fit}). *)
-
 val min_yield : Instance.t -> t -> float option
 (** Minimum over nodes of the per-node max–min yield ({!Yield.max_min}),
     folded from [1.] in node order; [None] when any node is infeasible at

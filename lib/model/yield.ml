@@ -17,7 +17,7 @@ let instance_rows (i : Instance.t) =
 
 let tol = Vec.Vector.eps
 
-(* [Vec.Vector.fits]'s test: tolerance eps * max 1 |c|. *)
+(* The library's fits test: tolerance eps * max 1 |c|. *)
 let fits x c = x <= c +. (tol *. Float.max 1. (Float.abs c))
 
 (* Summed aggregate requirement of the slice in dimension [i], in slice

@@ -37,7 +37,7 @@ val requirements_fit :
 (** Zero-yield feasibility of services [ids.(off)] to
     [ids.(off + len - 1)] on the node: every service's elementary
     requirement fits a single element, and the summed aggregate
-    requirements fit the node, each within [Vec.Vector.fits]'s tolerance.
+    requirements fit the node, each within {!Vec.Vector.eps}'s tolerance.
     Raises [Invalid_argument] when the node's dimension is not
     [rows.dims]. *)
 

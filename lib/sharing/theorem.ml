@@ -7,27 +7,13 @@ let optimal_min_yield ~needs =
   let total = Array.fold_left ( +. ) 0. needs in
   if total <= 0. then 1. else Float.min 1. (1. /. total)
 
-let equal_weights_min_yield ~needs =
-  let j_count = Array.length needs in
-  if j_count = 0 then 1.
-  else begin
-    let alloc =
-      Work_conserving.allocate ~capacity:1.
-        ~weights:(Array.make j_count 1.)
-        ~needs
-    in
-    let worst = ref 1. in
-    Array.iteri
-      (fun j a ->
-        if needs.(j) > 0. then
-          worst := Float.min !worst (Float.min 1. (a /. needs.(j))))
-      alloc;
-    !worst
-  end
-
 let competitive_ratio ~needs =
   let opt = optimal_min_yield ~needs in
-  if opt <= 0. then 1. else equal_weights_min_yield ~needs /. opt
+  if opt <= 0. then 1.
+  else
+    Policy.min_yield Policy.Equal_weights ~capacity:1.
+      ~estimated_allocations:needs ~true_needs:needs
+    /. opt
 
 let worst_case_instance j =
   if j <= 0 then invalid_arg "Theorem.worst_case_instance: J must be positive";

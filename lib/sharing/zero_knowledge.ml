@@ -1,50 +1,37 @@
+(* Services are admitted through a packing state whose item demands are
+   their requirements (yield 0): a node is a candidate when
+   [Packing.Fit.fits] holds against the requirements placed so far, and
+   the chosen one takes the service through [Packing.State.place]. *)
 let place instance =
-  let open Vec in
-  let h_count = Model.Instance.n_nodes instance in
-  let j_count = Model.Instance.n_services instance in
-  let dims =
-    Epair.dim (Model.Instance.node instance 0).Model.Node.capacity
+  let st =
+    Packing.State.create ~dims:instance.Model.Instance.dims
+      ~capacities:
+        (Array.map
+           (fun (n : Model.Node.t) -> n.capacity)
+           instance.Model.Instance.nodes)
+      ~n_items:(Model.Instance.n_services instance)
   in
-  let req_load = Array.init h_count (fun _ -> Array.make dims 0.) in
-  let counts = Array.make h_count 0 in
-  let fits h (s : Model.Service.t) =
-    let node = Model.Instance.node instance h in
-    Vector.fits s.requirement.Epair.elementary
-      node.Model.Node.capacity.Epair.elementary
-    &&
-    let cap = node.Model.Node.capacity.Epair.aggregate in
-    let rec loop d =
-      if d >= dims then true
-      else
-        let c = Vector.get cap d in
-        let tol = Vector.eps *. Float.max 1. c in
-        req_load.(h).(d) +. Vector.get s.requirement.Epair.aggregate d
-        <= c +. tol
-        && loop (d + 1)
-    in
-    loop 0
-  in
-  let placement = Array.make j_count (-1) in
+  Packing.State.fill_at_yield st 0.
+    ~need_elem:instance.Model.Instance.need_elem
+    ~req_elem:instance.Model.Instance.req_elem
+    ~need_agg:instance.Model.Instance.need_agg
+    ~req_agg:instance.Model.Instance.req_agg;
+  let counts = Array.make st.n_bins 0 in
   let place_one j =
-    let s = Model.Instance.service instance j in
     let best = ref (-1) in
-    for h = 0 to h_count - 1 do
-      if fits h s && (!best < 0 || counts.(h) < counts.(!best)) then best := h
+    for h = 0 to st.n_bins - 1 do
+      if Packing.Fit.fits st h j && (!best < 0 || counts.(h) < counts.(!best))
+      then best := h
     done;
     match !best with
     | -1 -> false
     | h ->
-        for d = 0 to dims - 1 do
-          req_load.(h).(d) <-
-            req_load.(h).(d)
-            +. Vector.get s.requirement.Epair.aggregate d
-        done;
+        Packing.State.place st h j;
         counts.(h) <- counts.(h) + 1;
-        placement.(j) <- h;
         true
   in
   let rec loop j =
-    if j >= j_count then Some placement
+    if j >= st.n_items then Some (Packing.State.assignment st)
     else if place_one j then loop (j + 1)
     else None
   in

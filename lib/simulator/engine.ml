@@ -134,19 +134,12 @@ let service_of_live ~estimated ~threshold id (l : Repair.resident) =
     ~cpu_need:(cpu /. float_of_int l.cores, cpu)
     ()
 
-(* Dense-id service arrays for the model layer, in [actives] order. *)
-let build_instances ~platform ~threshold (actives : Repair.resident array) =
-  let true_services =
-    Array.mapi (service_of_live ~estimated:false ~threshold:0.) actives
-  in
-  let est_services =
-    Array.mapi (service_of_live ~estimated:true ~threshold) actives
-  in
-  let placement = Array.map (fun (l : Repair.resident) -> l.node) actives in
-  ( actives,
-    Model.Instance.v ~nodes:platform ~services:true_services,
-    Model.Instance.v ~nodes:platform ~services:est_services,
-    placement )
+(* The live services as a model-layer instance, dense ids in [actives]
+   order: their thresholded estimates, or with [~estimated:false] their
+   true needs. *)
+let live_instance ~platform ~estimated ~threshold actives =
+  Model.Instance.v ~nodes:platform
+    ~services:(Array.mapi (service_of_live ~estimated ~threshold) actives)
 
 (* One node's residents as flat rows for [Model.Yield], refilled at each
    evaluation: slot k holds the k-th resident in ascending uid order, in
@@ -327,15 +320,17 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
       Obs.Trace.span "reallocate"
         ~args:[ ("services", string_of_int n_live) ]
       @@ fun () ->
-      let lives, true_inst, est_inst, old_placement =
-        build_instances ~platform ~threshold:(current_threshold ()) (by_uid ())
+      let lives = by_uid () in
+      let est_inst =
+        live_instance ~platform ~estimated:true
+          ~threshold:(current_threshold ()) lives
       in
       match config.algorithm.solve est_inst with
       | None -> incr failed_reallocations
       | Some sol ->
           Array.iteri
             (fun i (l : Repair.resident) ->
-              if sol.placement.(i) <> old_placement.(i) then begin
+              if sol.placement.(i) <> l.node then begin
                 incr migrations;
                 Obs.Metrics.incr c_migrations
               end;
@@ -347,9 +342,12 @@ let run ?rng ?(incremental = true) ?final ?timeline config ~platform =
           match config.threshold with
           | Fixed _ -> ()
           | Adaptive controller -> (
+              let true_instance =
+                live_instance ~platform ~estimated:false ~threshold:0. lives
+              in
               match
                 Sharing.Runtime_eval.consumptions config.policy
-                  ~true_instance:true_inst ~estimated:est_inst sol.placement
+                  ~true_instance ~estimated:est_inst sol.placement
               with
               | None -> ()
               | Some actual ->

@@ -36,10 +36,6 @@ let at_yield ~requirement ~need y =
     aggregate = Vector.axpy y need.aggregate requirement.aggregate;
   }
 
-let fits demand capacity =
-  Vector.fits demand.elementary capacity.elementary
-  && Vector.fits demand.aggregate capacity.aggregate
-
 let equal ?eps a b =
   Vector.equal ?eps a.elementary b.elementary
   && Vector.equal ?eps a.aggregate b.aggregate

@@ -31,10 +31,6 @@ val at_yield : requirement:t -> need:t -> float -> t
 (** [at_yield ~requirement ~need y] is the resource demand
     [(rᵉ + y·nᵉ, rᵃ + y·nᵃ)] of a service running at yield [y]. *)
 
-val fits : t -> t -> bool
-(** [fits demand capacity] checks both the elementary and the aggregate
-    component-wise constraints, with the library tolerance. *)
-
 val equal : ?eps:float -> t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -69,17 +69,6 @@ let compare_lex a b =
   in
   loop 0
 
-let fits demand capacity =
-  if Array.length demand <> Array.length capacity then
-    invalid_arg "Vector.fits: dimension mismatch";
-  let rec loop i =
-    if i >= Array.length demand then true
-    else
-      let tol = eps *. Float.max 1. (Float.abs capacity.(i)) in
-      demand.(i) <= capacity.(i) +. tol && loop (i + 1)
-  in
-  loop 0
-
 let equal ?(eps = eps) a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b

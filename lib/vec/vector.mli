@@ -72,15 +72,11 @@ val max_difference : t -> float
 val compare_lex : t -> t -> int
 (** Lexicographic comparison in natural dimension order (LEX metric). *)
 
-val fits : t -> t -> bool
-(** [fits demand capacity] is true when [demand] is component-wise at most
-    [capacity], up to the library-wide tolerance [eps]. *)
-
 val equal : ?eps:float -> t -> t -> bool
 
 val eps : float
-(** Library-wide feasibility tolerance (1e-9), scaled by magnitude inside
-    [fits]. *)
+(** Library-wide feasibility tolerance (1e-9): a quantity [x] fits a
+    capacity [c] when [x <= c +. eps *. max 1 |c|]. *)
 
 val dominant_dimension : t -> int
 (** Index of the largest component (ties broken toward lower indices). *)

@@ -34,7 +34,7 @@ type node_state = {
 
 let feasible state (s : Model.Service.t) =
   let open Vec in
-  Vector.fits s.requirement.Epair.elementary
+  Yield_ref.fits s.requirement.Epair.elementary
     state.node.Model.Node.capacity.Epair.elementary
   &&
   let cap = state.node.Model.Node.capacity.Epair.aggregate in

@@ -2,7 +2,7 @@
     {!Heuristics.Greedy}.
 
     Every combination sorts the services afresh, and every candidate node
-    is judged through {!Vec.Vector.fits}, {!Vec.Vector.get} and a score
+    is judged through {!Yield_ref.fits}, {!Vec.Vector.get} and a score
     function over per-node load records. {!Heuristics.Greedy.place} and
     {!Heuristics.Greedy.metagreedy} must return bit-identical placements
     and yields. It records no library metrics; pass [counts] to count its

@@ -1,5 +1,18 @@
 let tol = Vec.Vector.eps
 
+let fits (demand : Vec.Vector.t) (capacity : Vec.Vector.t) =
+  let demand = (demand :> float array)
+  and capacity = (capacity :> float array) in
+  if Array.length demand <> Array.length capacity then
+    invalid_arg "Yield_ref.fits: dimension mismatch";
+  let rec loop i =
+    if i >= Array.length demand then true
+    else
+      let slack_tol = tol *. Float.max 1. (Float.abs capacity.(i)) in
+      demand.(i) <= capacity.(i) +. slack_tol && loop (i + 1)
+  in
+  loop 0
+
 let elementary_bound (node : Model.Node.t) (s : Model.Service.t) =
   let open Vec in
   let ce = node.capacity.Epair.elementary
@@ -26,7 +39,7 @@ let requirements_fit (node : Model.Node.t) services =
   let ok_elementary =
     List.for_all
       (fun (s : Model.Service.t) ->
-        Vector.fits s.requirement.Epair.elementary
+        fits s.requirement.Epair.elementary
           node.capacity.Epair.elementary)
       services
   in
@@ -39,7 +52,7 @@ let requirements_fit (node : Model.Node.t) services =
         sum.(i) <- sum.(i) +. Vector.get s.requirement.Epair.aggregate i
       done)
     services;
-  Vector.fits (Vector.of_array sum) node.capacity.Epair.aggregate
+  fits (Vector.of_array sum) node.capacity.Epair.aggregate
 
 (* Exact breakpoint sweep for one aggregate dimension: the largest L in
    [0, 1] with  sum_j (r_j + min(L, cap_j) * n_j) <= c,  where cap_j is the
@@ -148,7 +161,7 @@ let fits_at_yield (node : Model.Node.t) services y =
     List.for_all
       (fun (s : Model.Service.t) ->
         let demand = Model.Service.demand_at_yield s y in
-        Vector.fits demand.Epair.elementary node.capacity.Epair.elementary)
+        fits demand.Epair.elementary node.capacity.Epair.elementary)
       services
   in
   ok_elementary
@@ -161,7 +174,7 @@ let fits_at_yield (node : Model.Node.t) services y =
         sum.(i) <- sum.(i) +. Vector.get demand.Epair.aggregate i
       done)
     services;
-  Vector.fits (Vector.of_array sum) node.capacity.Epair.aggregate
+  fits (Vector.of_array sum) node.capacity.Epair.aggregate
 
 let group_by_node instance placement =
   let groups = Array.make (Model.Instance.n_nodes instance) [] in

@@ -9,6 +9,12 @@
     must agree with {!max_min_yield} and {!water_fill} bit for bit, and
     fail exactly when they do. *)
 
+val fits : Vec.Vector.t -> Vec.Vector.t -> bool
+(** [fits demand capacity]: every component of [demand] is within
+    [c +. 1e-9 *. max 1 |c|] of the matching capacity [c], the tolerance
+    the library's packing state and {!Model.Yield} apply. Raises
+    [Invalid_argument] when the dimensions differ. *)
+
 val elementary_bound : Model.Node.t -> Model.Service.t -> float option
 (** Highest yield the node's {e elementary} capacities allow for this
     service, in [0, 1]. [None] when even the elementary requirement does not

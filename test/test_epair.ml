@@ -27,15 +27,6 @@ let test_at_yield () =
   check_float "aggregate cpu" 1.6 (Vector.get d.Epair.aggregate 0);
   check_float "memory unchanged" 0.5 (Vector.get d.Epair.aggregate 1)
 
-let test_fits () =
-  let cap = pair [ 0.8; 1.0 ] [ 3.2; 1.0 ] in
-  Alcotest.(check bool) "fits" true
-    (Epair.fits (pair [ 0.5; 0.5 ] [ 1.0; 0.5 ]) cap);
-  Alcotest.(check bool) "elementary violated" false
-    (Epair.fits (pair [ 0.9; 0.5 ] [ 1.0; 0.5 ]) cap);
-  Alcotest.(check bool) "aggregate violated" false
-    (Epair.fits (pair [ 0.5; 0.5 ] [ 3.5; 0.5 ]) cap)
-
 let test_add_scale () =
   let a = pair [ 1.; 2. ] [ 2.; 4. ] in
   let b = Epair.scale 0.5 a in
@@ -112,12 +103,11 @@ let suite =
       ("dimension mismatch", test_dim_mismatch);
       ("uniform", test_uniform);
       ("at_yield (Fig. 1 numbers)", test_at_yield);
-      ("fits", test_fits);
       ("add / scale", test_add_scale);
       ("metric values", test_metric_values);
+      ("metric names", test_metric_names);
       ("11 metric orders", test_metric_order_count);
       ("metric sort", test_metric_sort);
       ("metric sort stability", test_metric_sort_stable);
-      ("metric names", test_metric_names);
     ]
   @ [ QCheck_alcotest.to_alcotest prop_sort_rows_equals_sort ]

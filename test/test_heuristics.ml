@@ -363,7 +363,7 @@ let placement_invariants ~name ~gen solve =
             | None -> false
           in
           Model.Placement.is_valid inst sol.placement
-          && Model.Placement.feasible inst sol.placement
+          && Oracles.Yield_ref.placement_feasible inst sol.placement
           && (match Model.Placement.water_fill inst sol.placement with
              | None -> false
              | Some alloc ->
@@ -477,6 +477,133 @@ let prop_heuristics_below_milp_optimum =
               | Some sol -> sol.min_yield <= exact.solution.min_yield +. 1e-6)
             heuristics)
 
+(* Rounding (§3.3) and the zero-knowledge spread (§6) admit one service
+   at a time through a packing state at yield 0. The reference runs the
+   same loops over record bins ([Oracles.Bin], [Oracles.Item]) whose
+   items carry each service's demand at yield 0: the same weighted draws
+   with the same RNG seed, and the fewest residents with ties to the
+   lowest node. Probability rows hold zero entries, and some are all
+   zero, where RRND fails. *)
+type admission_case = {
+  a_inst : Instance_gen.t;
+  a_rng_seed : int;
+  a_e_matrix : float array array;
+}
+
+let admission_gen =
+  QCheck2.Gen.(
+    let* a_inst = Instance_gen.gen in
+    let* a_rng_seed = int_range 0 100_000 in
+    let entry = frequency [ (1, pure 0.); (3, float_range 0.01 1.) ] in
+    let row =
+      frequency
+        [
+          (1, pure (Array.make a_inst.hosts 0.));
+          (12, array_size (pure a_inst.hosts) entry);
+        ]
+    in
+    let* a_e_matrix = array_size (pure a_inst.services) row in
+    pure { a_inst; a_rng_seed; a_e_matrix })
+
+let print_admission c =
+  Printf.sprintf "%s, rng seed %d, e = [%s]" (Instance_gen.print c.a_inst)
+    c.a_rng_seed
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun r ->
+               String.concat " "
+                 (Array.to_list (Array.map (Printf.sprintf "%g") r)))
+             c.a_e_matrix)))
+
+(* The instance's services in id order as items at yield 0, each placed
+   where [choose] says. *)
+let record_loop inst choose =
+  let items = Oracles.Naive_probe.items_at_yield inst 0. in
+  let placement = Array.make (Array.length items) (-1) in
+  let rec go j =
+    if j = Array.length items then Some placement
+    else
+      match choose items.(j) with
+      | None -> None
+      | Some h ->
+          placement.(j) <- h;
+          go (j + 1)
+  in
+  go 0
+
+let record_round ~rng ~e_matrix inst =
+  let bins = Oracles.Naive_probe.fresh_bins inst in
+  record_loop inst (fun (item : Oracles.Item.t) ->
+      let probs = Array.copy e_matrix.(item.id) in
+      let rec draw () =
+        if Array.for_all (fun p -> p <= 0.) probs then None
+        else
+          let h = Prng.Rng.choose_weighted rng probs in
+          if Oracles.Bin.fits bins.(h) item then begin
+            Oracles.Bin.place bins.(h) item;
+            Some h
+          end
+          else begin
+            probs.(h) <- 0.;
+            draw ()
+          end
+      in
+      draw ())
+
+let record_spread inst =
+  let bins = Oracles.Naive_probe.fresh_bins inst in
+  let residents (b : Oracles.Bin.t) = List.length b.contents in
+  record_loop inst (fun item ->
+      let best = ref None in
+      Array.iter
+        (fun (b : Oracles.Bin.t) ->
+          if Oracles.Bin.fits b item then
+            match !best with
+            | Some (c : Oracles.Bin.t) when residents c <= residents b -> ()
+            | _ -> best := Some b)
+        bins;
+      Option.map
+        (fun (b : Oracles.Bin.t) ->
+          Oracles.Bin.place b item;
+          b.id)
+        !best)
+
+let prop_admission_matches_record_bins =
+  QCheck2.Test.make
+    ~name:"rounding and zero-knowledge admission = record bins (D = 1-4)"
+    ~count:400 ~print:print_admission admission_gen (fun c ->
+      let inst = Instance_gen.instance c.a_inst in
+      let rng = Prng.Rng.create ~seed:c.a_rng_seed
+      and ref_rng = Prng.Rng.create ~seed:c.a_rng_seed in
+      Heuristics.Rounding.round_probabilities ~rng ~e_matrix:c.a_e_matrix
+        inst
+      = record_round ~rng:ref_rng ~e_matrix:c.a_e_matrix inst
+      && Prng.Rng.bits64 rng = Prng.Rng.bits64 ref_rng
+      && Sharing.Zero_knowledge.place inst = record_spread inst)
+
+(* The generator reaches placements and refusals on both paths. *)
+let test_admission_cases_reached () =
+  let outcomes =
+    List.map
+      (fun c ->
+        let inst = Instance_gen.instance c.a_inst in
+        ( Heuristics.Rounding.round_probabilities
+            ~rng:(Prng.Rng.create ~seed:c.a_rng_seed)
+            ~e_matrix:c.a_e_matrix inst
+          <> None,
+          Sharing.Zero_knowledge.place inst <> None ))
+      (QCheck2.Gen.generate ~n:400 ~rand:(Random.State.make [| 13 |])
+         admission_gen)
+  in
+  let reached name f =
+    Alcotest.(check bool) name true (List.exists f outcomes)
+  in
+  reached "rounding places" fst;
+  reached "rounding refuses" (fun (r, _) -> not r);
+  reached "zero-knowledge places" snd;
+  reached "zero-knowledge refuses" (fun (_, z) -> not z)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -509,3 +636,8 @@ let suite =
         prop_heuristics_below_milp_optimum;
       ]
   @ List.map QCheck_alcotest.to_alcotest prop_registry_invariants
+  @ [
+      QCheck_alcotest.to_alcotest prop_admission_matches_record_bins;
+      Alcotest.test_case "admission cases reached" `Quick
+        test_admission_cases_reached;
+    ]

@@ -115,7 +115,7 @@ let test_requirements_fit () =
     (Oracles.Yield_ref.requirements_fit node_a [ s1; s2 ]);
   let feasible services =
     let inst, placement = one_node node_a services in
-    Model.Placement.feasible inst placement
+    Model.Placement.min_yield inst placement <> None
   in
   Alcotest.(check bool) "library: one fits" true (feasible [ s1 ]);
   Alcotest.(check bool) "library: two exceed memory" false

