@@ -56,17 +56,19 @@ let solve ?(node_limit = 200_000) (p : Problem.t) =
      relaxation warm-started from the parent's optimal basis: a child
      differs from its parent only in one variable bound, so the parent
      basis is dual feasible for the child and the dual simplex usually
-     reconciles it in a handful of pivots. The basis returned by a
-     warm-started infeasible child is threaded too (it is still dual
-     feasible for the sibling). *)
+     reconciles it in a handful of pivots. Both children start from the
+     parent's basis; an infeasible child's basis is dropped. Every node
+     shares the relaxation's constraint list, so each warm start adopts
+     the factor its parent's basis carries instead of factoring it. *)
+  let relaxed = Problem.relax p in
   let rec explore lower upper depth warm =
     if !truncated then ()
     else if !nodes >= node_limit then truncated := true
     else begin
       incr nodes;
       Obs.Metrics.incr c_nodes;
-      let sub = { p with Problem.lower; upper; integer = p.integer } in
-      match Simplex.solve_basis ?warm_basis:warm (Problem.relax sub) with
+      let node = { relaxed with Problem.lower; upper } in
+      match Simplex.solve_basis ?warm_basis:warm node with
       | Simplex.Infeasible, _ -> Obs.Metrics.incr c_infeasible
       | Simplex.Unbounded, _ ->
           (* Only meaningful at the root: an unbounded relaxation of a node

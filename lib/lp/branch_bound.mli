@@ -12,7 +12,9 @@
     ({!Simplex.solve_basis} with [?warm_basis]): a child differs from its
     parent in exactly one variable bound, so the parent basis stays dual
     feasible and the dual simplex reconciles it in a few pivots instead of
-    re-running phase 1. Search-shape counters (lib/obs):
+    re-running phase 1. The LP is relaxed once, so every node shares one
+    constraint list and each install adopts the factor the parent's basis
+    carries instead of factoring it again. Search-shape counters (lib/obs):
     [branch_bound.nodes], [branch_bound.infeasible_nodes],
     [branch_bound.pruned_nodes]. *)
 

@@ -21,18 +21,32 @@ type t = {
 
 let check_constraint n_vars cstr =
   List.iter
-    (fun (v, _) ->
+    (fun (v, a) ->
       if v < 0 || v >= n_vars then
         invalid_arg
           (Printf.sprintf "Lp.Problem: constraint %S references variable %d"
-             cstr.name v))
-    cstr.coeffs
+             cstr.name v);
+      if not (Float.is_finite a) then
+        invalid_arg
+          (Printf.sprintf
+             "Lp.Problem: constraint %S has coefficient %g on variable %d"
+             cstr.name a v))
+    cstr.coeffs;
+  if Float.is_nan cstr.rhs then
+    invalid_arg (Printf.sprintf "Lp.Problem: constraint %S has rhs nan" cstr.name)
 
 let create ?(sense = Maximize) ?lower ?upper ?(integer = []) ~n_vars
     ~objective ~constraints () =
   if n_vars <= 0 then invalid_arg "Lp.Problem.create: n_vars must be positive";
   if Array.length objective <> n_vars then
     invalid_arg "Lp.Problem.create: objective length mismatch";
+  Array.iteri
+    (fun i a ->
+      if not (Float.is_finite a) then
+        invalid_arg
+          (Printf.sprintf
+             "Lp.Problem.create: variable %d has objective coefficient %g" i a))
+    objective;
   let lower = match lower with Some l -> l | None -> Array.make n_vars 0. in
   let upper =
     match upper with Some u -> u | None -> Array.make n_vars infinity
@@ -46,6 +60,10 @@ let create ?(sense = Maximize) ?lower ?upper ?(integer = []) ~n_vars
           (Printf.sprintf
              "Lp.Problem.create: variable %d has unsupported lower bound %g" i
              l);
+      if Float.is_nan upper.(i) then
+        invalid_arg
+          (Printf.sprintf "Lp.Problem.create: variable %d has upper bound nan"
+             i);
       if upper.(i) < l then
         invalid_arg
           (Printf.sprintf "Lp.Problem.create: variable %d has upper < lower" i))

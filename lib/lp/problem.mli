@@ -41,9 +41,12 @@ val create :
   unit ->
   t
 (** Build a problem. Defaults: [Maximize], lower bounds 0, upper bounds
-    [infinity], no integer variables. Raises [Invalid_argument] on length
-    mismatches, negative or infinite lower bounds, [upper < lower], or
-    out-of-range variable indices. *)
+    [infinity], no integer variables. Raises [Invalid_argument], naming
+    the variable or the constraint, on length mismatches, negative or
+    non-finite lower bounds, a NaN upper bound or [upper < lower], a
+    non-finite objective or constraint coefficient, a NaN rhs, or
+    out-of-range variable indices. [infinity] stays a legal upper bound,
+    and an infinite rhs a legal (vacuous or unsatisfiable) row. *)
 
 val c : ?name:string -> (int * float) list -> relation -> float -> linear_constraint
 (** Constraint smart constructor: [c coeffs rel rhs]. *)

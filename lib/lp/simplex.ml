@@ -34,13 +34,29 @@ let st_basic = 2
 (* A basis is only meaningful against the column layout it was captured
    from: same variable count and same constraint-relation sequence. The key
    fingerprints that layout so [solve ?warm_basis] can reject (and fall back
-   to a cold start on) a basis from a structurally different problem. *)
+   to a cold start on) a basis from a structurally different problem. It
+   also keeps the constraint list it was solved against, that list's CSC
+   matrix and, when one exists, the fresh canonical factor of its basic
+   columns: a carried factor is never updated or solved with, only copied
+   into the solve that adopts it. *)
 type basis = {
   bas_key : int;
   bas_m : int;
   bas_cols : int array;  (* basic column of each row *)
   bas_stat : int array;  (* status of every column *)
+  bas_constraints : Problem.linear_constraint list;
+  bas_csc : Problem.Csc.matrix;
+  bas_lu : Sparse_lu.t option;
 }
+
+(* The layout key cannot tell two matrices of the same shape apart. The
+   constraint list can: lists and their coefficients are immutable, so
+   the physically same list (and variable count) is the same matrix, and
+   the basis's CSC and factor are [p]'s. Every branch-and-bound node
+   shares its root's list. *)
+let same_matrix bz (p : Problem.t) =
+  bz.bas_constraints == p.constraints
+  && bz.bas_csc.Problem.Csc.n_cols = p.n_vars
 
 let layout_key (p : Problem.t) =
   List.fold_left
@@ -74,9 +90,8 @@ type std = {
   cost : float array;     (* phase-2 minimization costs, length n_cols *)
 }
 
-let build (p : Problem.t) =
+let build ~csc (p : Problem.t) =
   let n = p.n_vars in
-  let csc = Problem.Csc.of_problem p in
   let m = csc.Problem.Csc.n_rows in
   let n_cols = n + (2 * m) in
   let shift = p.lower in
@@ -125,7 +140,11 @@ let col_dot std j w =
    production instance ({!Sparse} below) and tests can instantiate others
    as differential oracles. [update] records the replacement of the basis
    column at [pos] by the column last passed through [ftran_entering] and
-   answers whether the caller must refactorize now. *)
+   answers whether the caller must refactorize now. [export_canonical]
+   returns the factor as the canonical sparse factor of the current basis
+   when it is one, and [adopt_canonical] makes an instance factor from a
+   copy of such a factor; an instance with no sparse factor answers [None]
+   to both. *)
 module type FACTORIZATION = sig
   type t
 
@@ -136,7 +155,8 @@ module type FACTORIZATION = sig
   val update : t -> pos:int -> bool
   val flops : t -> int
   val fill_in : t -> int
-  val fresh_is_canonical : bool
+  val export_canonical : t -> Sparse_lu.t option
+  val adopt_canonical : Sparse_lu.t -> t option
 end
 
 module type SOLVER = sig
@@ -146,22 +166,6 @@ module type SOLVER = sig
     ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
     result * basis option
 end
-
-(* Solve B x_B = [r] in place through one fresh sparse factorization of
-   the basis [bas]: a pure function of the discrete (bas, stat) state,
-   independent of the factorization instance and of the update history
-   that led here, so every instance that pivots through the same bases
-   returns the same bits. [false], with [r] untouched, when the basis is
-   numerically singular. Deliberately unmetered: only instance
-   factorizations count as refactorizations. *)
-let canonical_xb std bas r =
-  match
-    Sparse_lu.factor ~size:std.m ~col:(fun k f -> iter_col std bas.(k) f)
-  with
-  | slu ->
-      Sparse_lu.ftran slu r;
-      true
-  | exception Sparse_lu.Singular -> false
 
 module Make (F : FACTORIZATION) = struct
   type state = {
@@ -222,19 +226,36 @@ module Make (F : FACTORIZATION) = struct
     ftran st r;
     Array.blit r 0 st.xb 0 st.std.m
 
-  (* Called at phase boundaries and optimal endpoints, so returned points
-     are a function of the final discrete basis alone. *)
+  (* Called after installs, at phase boundaries and at optimal endpoints:
+     xB = B^-1 residual through the canonical factor of the basis, one
+     fresh sparse factorization of it, so returned points are a function
+     of the final discrete basis alone, independent of the instance and
+     of the update history that led here, and every instance that pivots
+     through the same bases returns the same bits. Returns that factor, or
+     [None] when the basis is numerically singular and xB came from the
+     instance's own factor. An instance factor that exports as canonical
+     is that factorization already, so it serves without a second one.
+     Deliberately unmetered: only instance factorizations count as
+     refactorizations. *)
   let canonicalize_xb st =
-    let r = residual st in
-    if canonical_xb st.std st.bas r then Array.blit r 0 st.xb 0 st.std.m
-    else compute_xb st
-
-  (* Right after a factorization: when the instance's fresh factor is the
-     canonical one, [compute_xb] already equals the canonical recompute
-     (same factorization of the same basis, no updates yet), so installs
-     skip the second factorization. *)
-  let canonicalize_xb_fresh st =
-    if F.fresh_is_canonical then compute_xb st else canonicalize_xb st
+    match F.export_canonical st.lu with
+    | Some _ as canonical ->
+        compute_xb st;
+        canonical
+    | None -> (
+        let std = st.std in
+        let r = residual st in
+        match
+          Sparse_lu.factor ~size:std.m ~col:(fun k f ->
+              iter_col std st.bas.(k) f)
+        with
+        | slu ->
+            Sparse_lu.ftran slu r;
+            Array.blit r 0 st.xb 0 std.m;
+            Some slu
+        | exception Sparse_lu.Singular ->
+            compute_xb st;
+            None)
 
   let refactor st =
     st.lu <- metered_factor st.std st.bas;
@@ -511,12 +532,17 @@ module Make (F : FACTORIZATION) = struct
       end
     done
 
-  let capture key st =
+  (* [lu] is the canonical factor of the basis being captured, if any; the
+     solve that owned it ends here, so nothing updates it afterwards. *)
+  let capture ~key (p : Problem.t) st lu =
     {
       bas_key = key;
       bas_m = st.std.m;
       bas_cols = Array.copy st.bas;
       bas_stat = Array.copy st.stat;
+      bas_constraints = p.constraints;
+      bas_csc = st.std.csc;
+      bas_lu = lu;
     }
 
   let extract (p : Problem.t) st =
@@ -548,8 +574,8 @@ module Make (F : FACTORIZATION) = struct
     match primal_phase st ~cost:st.std.cost ~max_iterations () with
     | P_unbounded -> (Unbounded, None)
     | P_optimal ->
-        canonicalize_xb st;
-        (extract p st, Some (capture key st))
+        let lu = canonicalize_xb st in
+        (extract p st, Some (capture ~key p st lu))
 
   (* Cold start: classic two-phase. The initial basis is the logical of every
      row whose rhs its bounds admit, else that row's artificial widened to the
@@ -607,7 +633,7 @@ module Make (F : FACTORIZATION) = struct
       (* The feasibility verdict below compares xb against a tolerance;
          canonicalize first so the verdict is a function of the discrete
          basis, not of the factor's update history. *)
-      canonicalize_xb st;
+      ignore (canonicalize_xb st);
       let infeas = ref 0. in
       for i = 0 to m - 1 do
         if st.bas.(i) >= std.art_start then
@@ -630,11 +656,15 @@ module Make (F : FACTORIZATION) = struct
 
   exception Incompatible_basis
 
-  (* Warm start: install the basis, refactorize, restore dual feasibility of
-     the phase-2 costs by bound-flipping nonbasics where needed, then run the
-     dual simplex until primal feasible (or proven infeasible) and finish with
-     a primal clean-up phase. Any structural mismatch or numerical trouble
-     raises and the caller falls back to a cold start. *)
+  (* Warm start: install the basis, restore dual feasibility of the
+     phase-2 costs by bound-flipping nonbasics where needed, then run the
+     dual simplex until primal feasible (or proven infeasible) and finish
+     with a primal clean-up phase. The install adopts a copy of the factor
+     the basis carries when [p] is the matrix it was solved against (the
+     same factorization of the same columns, so every later bit is what a
+     refactorization would give) and factors the basis otherwise. Any
+     structural mismatch or numerical trouble raises and the caller falls
+     back to a cold start. *)
   let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
     if bz.bas_key <> key || bz.bas_m <> std.m
        || Array.length bz.bas_stat <> std.n_cols
@@ -660,10 +690,16 @@ module Make (F : FACTORIZATION) = struct
       | _ -> raise Incompatible_basis
     done;
     if !basic_count <> m then raise Incompatible_basis;
-    let st =
-      make_state std ~bas ~stat ~xb:(Array.make m 0.) (metered_factor std bas)
+    let adopted =
+      match bz.bas_lu with
+      | Some lu when same_matrix bz p -> F.adopt_canonical lu
+      | Some _ | None -> None
     in
-    canonicalize_xb_fresh st;
+    let lu =
+      match adopted with Some lu -> lu | None -> metered_factor std bas
+    in
+    let st = make_state std ~bas ~stat ~xb:(Array.make m 0.) lu in
+    ignore (canonicalize_xb st);
     (* Bound-flip nonbasics whose reduced cost has the wrong sign for their
        bound; a variable with no opposite finite bound cannot be repaired. *)
     let d = reduced_costs st std.cost in
@@ -680,15 +716,22 @@ module Make (F : FACTORIZATION) = struct
         incr flips
       end
     done;
-    if !flips > 0 then canonicalize_xb_fresh st;
+    if !flips > 0 then ignore (canonicalize_xb st);
     Obs.Metrics.incr c_warm;
     match dual_phase st ~cost:std.cost ~max_iterations with
-    | `Infeasible -> (Infeasible, Some (capture key st))
+    | `Infeasible ->
+        (* The solve's own factor rides along only while it is still
+           fresh: factoring just to carry one would be wasted on
+           branch-and-bound, which drops infeasible children's bases. *)
+        (Infeasible, Some (capture ~key p st (F.export_canonical st.lu)))
     | `Feasible -> phase2 ~key ~max_iterations p st
 
   let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
-    let std = build p in
-    let key = layout_key p in
+    let std, key =
+      match warm_basis with
+      | Some bz when same_matrix bz p -> (build ~csc:bz.bas_csc p, bz.bas_key)
+      | Some _ | None -> (build ~csc:(Problem.Csc.of_problem p) p, layout_key p)
+    in
     let max_iterations =
       match max_iterations with
       | Some k -> k
@@ -750,7 +793,11 @@ module Sparse = struct
 
   let flops = Sparse_lu.flops
   let fill_in = Sparse_lu.fill_in
-  let fresh_is_canonical = true
+
+  (* A factor no update has touched since [factor] built it is the
+     canonical factorization of its basis. *)
+  let export_canonical t = if Sparse_lu.updates t = 0 then Some t else None
+  let adopt_canonical t = Some (Sparse_lu.copy t)
 end
 
 include Make (Sparse)

@@ -14,13 +14,19 @@
       [simplex.lu_flops]), updated one Forrest–Tomlin row eta per pivot
       ([simplex.ft_updates]) and refactorized {e adaptively} — after 100
       updates, on stored-factor fill growth, or on a degenerate
-      replacement diagonal — counted under [simplex.refactorizations];
-    - at phase boundaries and optimal endpoints the basic solution is
-      recomputed through one fresh canonical (sparse) factorization,
-      making the returned point a pure function of the final discrete
-      basis: any two instances of {!Make} return bitwise-identical
-      solutions whenever they pivot through the same bases (the test
-      suite locks the sparse instance against a dense-LU one);
+      replacement diagonal. [simplex.refactorizations] counts every
+      instance factorization but the cold start's (its basis is the
+      identity): these refactorizations and the warm installs that
+      factor;
+    - at installs, phase boundaries and optimal endpoints the basic
+      solution is recomputed through the canonical factorization of the
+      basis, one fresh sparse factorization of its columns, making the
+      returned point a pure function of the final discrete basis: any
+      two instances of {!Make} return bitwise-identical solutions
+      whenever they pivot through the same bases (the test suite locks
+      the sparse instance against a dense-LU one). A sparse factor that
+      no update has touched since it was built is that factorization
+      already, so it serves without a second one;
     - Dantzig pricing and a ratio test that breaks near-ties by the
       largest pivot magnitude; a phase that has spent a fifth of its
       iteration budget switches for good to Bland's rule, the one
@@ -31,7 +37,11 @@
       constraint-relation sequence — never the rhs or bounds — so the
       optimal basis of one yield probe (or branch-and-bound parent) is
       dual feasible for the next and usually a handful of pivots from
-      optimal. Successful installs are counted under
+      optimal. A warm start on the very constraint list its basis was
+      solved against (every branch-and-bound node shares its root's)
+      adopts a copy of the canonical factor the basis carries and reuses
+      its matrix, so it factors nothing; any other warm start factors
+      the basis. Successful installs are counted under
       [simplex.warm_starts]; any mismatch or numerical trouble falls back
       to a cold start (counted under [simplex.warm_fallbacks] — the probe
       suites assert it stays 0), so warm starts can change pivot counts
@@ -46,8 +56,17 @@ type result = Optimal of solution | Infeasible | Unbounded
 type basis
 (** A basis captured from a previous solve: which column is basic in each
     row plus the at-lower/at-upper status of every nonbasic column, tagged
-    with a fingerprint of the column layout it belongs to. Immutable and
-    reusable across any number of later solves. *)
+    with a fingerprint of the column layout it belongs to. It also keeps
+    the constraint list it was solved against, that list's CSC matrix and,
+    unless the basis is numerically singular, the canonical {!Sparse_lu}
+    factor of its basic columns: the one built at the optimum, or the
+    solve's own factor when no update has touched it since it was built.
+    An [Infeasible] warm result carries a factor only in that last case. A warm start on the physically same
+    constraint list (and variable count) adopts a copy of the factor and
+    reuses the matrix; the layout fingerprint alone never suffices, since
+    two matrices of one shape share it. The carried factor is only ever
+    copied, so the basis stays immutable and reusable across any number
+    of later solves. *)
 
 (** The basis-inverse representation the solver is parameterized over.
     [factor ~size ~col] factors the [size]×[size] basis whose column [k]
@@ -59,9 +78,14 @@ type basis
     basis position [pos] by that column, returning [true] when the solver
     must refactorize now instead. [flops] and [fill_in] meter one
     factorization ([simplex.lu_flops], [simplex.lu_fill_in]).
-    [fresh_is_canonical] says a fresh [factor] is the sparse canonical
-    factorization itself, so the solver need not factor a second time to
-    canonicalize a freshly installed basis. *)
+    [export_canonical t] is [t] as the canonical sparse factorization of
+    its current basis when it is that factorization (the sparse instance:
+    a factor no update has touched since it was built), so the solver
+    need not factor a second time to canonicalize, and [None] otherwise.
+    [adopt_canonical f] is an instance factor built from a copy of such a
+    factor, which a warm start installs instead of factoring its basis
+    again, or [None] when the instance must factor. The dense-LU oracle
+    answers [None] to both. *)
 module type FACTORIZATION = sig
   type t
 
@@ -72,7 +96,8 @@ module type FACTORIZATION = sig
   val update : t -> pos:int -> bool
   val flops : t -> int
   val fill_in : t -> int
-  val fresh_is_canonical : bool
+  val export_canonical : t -> Sparse_lu.t option
+  val adopt_canonical : Sparse_lu.t -> t option
 end
 
 module type SOLVER = sig

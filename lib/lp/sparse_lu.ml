@@ -437,6 +437,26 @@ let factor ~size:m ~col =
     spike_ok = false;
   }
 
+(* L, the pivot rows and the slot maps never change after [factor], so the
+   copy shares them; everything [update], [ftran] and [btran] write is
+   duplicated. Eta records are immutable once pushed. *)
+let copy t =
+  let copy_pairs p =
+    { ia = Array.copy p.ia; va = Array.copy p.va; len = p.len }
+  in
+  {
+    t with
+    urows = Array.map copy_pairs t.urows;
+    diag = Array.copy t.diag;
+    ucols = Array.map (fun s -> { a = Array.copy s.a; n = s.n }) t.ucols;
+    order = Array.copy t.order;
+    pos_of_slot = Array.copy t.pos_of_slot;
+    etas = Array.copy t.etas;
+    w = Array.copy t.w;
+    acc = Array.copy t.acc;
+    spike = Array.copy t.spike;
+  }
+
 let ftran_gen t ~stash v =
   let m = t.m in
   (* L solve, in place over original rows. *)

@@ -63,6 +63,13 @@ val factor : size:int -> col:(int -> (int -> float -> unit) -> unit) -> t
     pivot-eligible, and the Markowitz count picks among them. Raises
     {!Singular}. *)
 
+val copy : t -> t
+(** An independent copy: the same factor, bit for bit, with its own
+    storage for everything {!update} patches and {!ftran}/{!btran} write,
+    so updating or solving with either leaves the other's bits unchanged.
+    The simplex adopts a copy of the factor a warm basis carries instead
+    of factoring that basis again. *)
+
 val size : t -> int
 
 val basis_nnz : t -> int

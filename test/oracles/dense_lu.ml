@@ -204,7 +204,11 @@ module Factor = struct
 
   let flops t = t.lu.Lu.flops
   let fill_in _ = 0
-  let fresh_is_canonical = false
+
+  (* No sparse factor to export or adopt: every install factors, and every
+     canonical recompute factors the basis afresh. *)
+  let export_canonical _ = None
+  let adopt_canonical _ = None
 end
 
 include Lp.Simplex.Make (Factor)

@@ -123,6 +123,69 @@ let test_bb_warm_starts_recorded () =
     Alcotest.(check bool) "warm starts recorded" true
       (v "simplex.warm_starts" > 0)
 
+(* Branch-and-bound's exact path at the MILP shape perfbench's lp-rounding
+   solves: the e/y MILPs of 4x6 paper instances, seeds 1-4 x cov 0.2, 0.5,
+   0.8 x slack 0.5, 0.7, 0.9. The totals of nodes, pivots and warm starts
+   and the MD5 of every outcome's objective and x bits were computed with
+   the solver that refactorized every warm basis it installed; a change to
+   how a node's basis is installed must reproduce them unedited. The
+   refactorization count is pinned apart: it is the factor work the search
+   pays, and it moves whenever installs get cheaper. *)
+let paper_milps =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         List.concat_map
+           (fun cov ->
+             List.map
+               (fun slack ->
+                 fst
+                   (Heuristics.Milp.formulation
+                      (Workload.Generator.generate
+                         ~rng:(Prng.Rng.create ~seed)
+                         { Workload.Generator.default with
+                           hosts = 4; services = 6; cov; slack })))
+               [ 0.5; 0.7; 0.9 ])
+           [ 0.2; 0.5; 0.8 ])
+       [ 1; 2; 3; 4 ])
+
+let outcome_bits =
+  let solution tag (s : Lp.Simplex.solution) =
+    tag :: Int64.bits_of_float s.objective
+    :: Array.to_list (Array.map Int64.bits_of_float s.x)
+  in
+  function
+  | Lp.Branch_bound.Optimal s -> solution 1L s
+  | Lp.Branch_bound.Infeasible -> [ 2L ]
+  | Lp.Branch_bound.Unbounded -> [ 3L ]
+  | Lp.Branch_bound.Node_limit None -> [ 4L ]
+  | Lp.Branch_bound.Node_limit (Some s) -> solution 5L s
+
+(* (branch_bound.nodes, simplex.pivots, simplex.warm_starts), MD5. *)
+let paper_milp_pins = ((7684, 30818, 7648), "e798dec5ea80c15fe74e2d10166b2d6b")
+let paper_milp_refactorizations = 30
+
+let test_paper_milp_pins () =
+  let bits, counter =
+    with_metrics (fun () ->
+        List.concat_map
+          (fun p -> outcome_bits (Lp.Branch_bound.solve p))
+          (Lazy.force paper_milps))
+  in
+  let b = Buffer.create 4096 in
+  List.iter (Buffer.add_int64_le b) bits;
+  let (nodes, pivots, warm), md5 = paper_milp_pins in
+  Alcotest.(check int) "branch_bound.nodes (golden)" nodes
+    (counter "branch_bound.nodes");
+  Alcotest.(check int) "simplex.pivots (golden)" pivots
+    (counter "simplex.pivots");
+  Alcotest.(check int) "simplex.warm_starts (golden)" warm
+    (counter "simplex.warm_starts");
+  Alcotest.(check string) "outcome bits MD5 (golden)" md5
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  Alcotest.(check int) "simplex.refactorizations" paper_milp_refactorizations
+    (counter "simplex.refactorizations")
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -131,4 +194,5 @@ let suite =
       ("infeasible-node accounting", test_infeasible_node_pruning);
       ("incumbent pruning", test_incumbent_pruning);
       ("warm starts recorded", test_bb_warm_starts_recorded);
+      ("4x6 paper MILP path pins", test_paper_milp_pins);
     ]

@@ -443,9 +443,49 @@ let test_beale_revised_bland () =
         (fun () -> ignore (Lp.Simplex.solve ~max_iterations:k beale)))
     [ 1; 2; 3; 4 ]
 
+(* Non-finite LP data is rejected where the problem is built, with an
+   error naming the variable or the constraint. Unchecked, each of these
+   reaches the simplex, which returns [Optimal]: x0 = 1.5 past a NaN
+   bound, a NaN or infinite objective, or NaN coordinates. *)
+let two_var ?(upper = [| 1.; 1. |]) ?(objective = [| 1.; 1. |]) ?(coef = 1.)
+    ?(rhs = 1.5) () =
+  Lp.Problem.create ~n_vars:2 ~objective ~upper
+    ~constraints:[ c ~name:"cap" [ (0, coef); (1, 1.) ] Le rhs ]
+    ()
+
+let rejects msg build () =
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+      ignore (build () : Lp.Problem.t))
+
+let non_finite_cases =
+  [
+    ( "NaN upper bound rejected",
+      rejects "Lp.Problem.create: variable 0 has upper bound nan" (fun () ->
+          two_var ~upper:[| nan; 1. |] ()) );
+    ( "NaN objective coefficient rejected",
+      rejects "Lp.Problem.create: variable 1 has objective coefficient nan"
+        (fun () -> two_var ~objective:[| 1.; nan |] ()) );
+    ( "infinite objective coefficient rejected",
+      rejects "Lp.Problem.create: variable 0 has objective coefficient inf"
+        (fun () -> two_var ~objective:[| infinity; 1. |] ()) );
+    ( "infinite constraint coefficient rejected",
+      rejects "Lp.Problem: constraint \"cap\" has coefficient inf on variable 0"
+        (fun () -> two_var ~coef:infinity ()) );
+    ( "NaN constraint coefficient rejected",
+      rejects "Lp.Problem: constraint \"cap\" has coefficient nan on variable 0"
+        (fun () -> two_var ~coef:nan ()) );
+    ( "NaN rhs rejected",
+      rejects "Lp.Problem: constraint \"cap\" has rhs nan" (fun () ->
+          two_var ~rhs:nan ()) );
+    ( "infinite upper bound stays legal",
+      fun () ->
+        check_float "objective" 1.5
+          (solve (two_var ~upper:[| infinity; 1. |] ())).objective );
+  ]
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
-    [
+    ([
       ("basic max", test_basic_max);
       ("basic min", test_basic_min);
       ("equality constraint", test_equality);
@@ -469,5 +509,6 @@ let suite =
       ("MILP relaxation gap", test_milp_relaxation_gap);
       ("MILP node limit", test_milp_node_limit);
     ]
+    @ non_finite_cases)
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_simplex_feasible_and_consistent; prop_simplex_2d_optimal ]

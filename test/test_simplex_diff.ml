@@ -282,6 +282,26 @@ let test_sparse_lu_solves () =
         rng a (factor_dense_cols a))
     [ (1, 3, 1.0); (2, 4, 0.8); (5, 5, 0.5); (12, 6, 0.3); (25, 7, 0.15) ]
 
+(* Column [p] of a factored matrix replaced by a random column kept
+   diagonally heavy at row [p]: [enter_column] passes it through [slu]'s
+   entering FTRAN, which both answers B^-1 col and stashes the spike, and
+   returns the column and that answer; [commit] applies the
+   Forrest-Tomlin update and patches the dense matrix [a] to match. *)
+let enter_column rng slu m p =
+  let col = Array.make m 0. in
+  for i = 0 to m - 1 do
+    if Prng.Rng.uniform rng < 0.4 then
+      col.(i) <- Prng.Rng.uniform_range rng (-1.) 1.
+  done;
+  col.(p) <- Prng.Rng.uniform_range rng 4. 6.;
+  let d = Array.copy col in
+  Lp.Sparse_lu.ftran_entering slu d;
+  (col, d)
+
+let commit slu a p col =
+  Lp.Sparse_lu.update slu ~pos:p;
+  Array.iteri (fun i v -> a.(i).(p) <- v) col
+
 let test_sparse_lu_update () =
   let m = 14 in
   let rng = Prng.Rng.create ~seed:9 in
@@ -290,21 +310,9 @@ let test_sparse_lu_update () =
   for k = 0 to 7 do
     let ctx = Printf.sprintf "slu update %d" k in
     let p = k * 5 mod m in
-    (* New column, kept diagonally heavy at row p. *)
-    let col = Array.make m 0. in
-    for i = 0 to m - 1 do
-      if Prng.Rng.uniform rng < 0.4 then
-        col.(i) <- Prng.Rng.uniform_range rng (-1.) 1.
-    done;
-    col.(p) <- Prng.Rng.uniform_range rng 4. 6.;
-    (* The entering FTRAN both answers B^-1 col and stashes the spike. *)
-    let d = Array.copy col in
-    Lp.Sparse_lu.ftran_entering slu d;
+    let col, d = enter_column rng slu m p in
     check_vec ~ctx:(ctx ^ " entering ftran") (dense_solve a col) d;
-    Lp.Sparse_lu.update slu ~pos:p;
-    for i = 0 to m - 1 do
-      a.(i).(p) <- col.(i)
-    done;
+    commit slu a p col;
     Alcotest.(check int) (ctx ^ ": update count") (k + 1)
       (Lp.Sparse_lu.updates slu);
     let b = Array.init m (fun _ -> Prng.Rng.uniform_range rng (-2.) 2.) in
@@ -499,9 +507,16 @@ let prop_lp_shaped_factor =
    submatrix at every step. *)
 let factor_bits_pin = "6c34b470ea10fb170f2a68d6fd9989ed"
 
+(* The bits of FTRAN, then BTRAN, of (1, 1/2, ..., 1/m) through [slu]. *)
+let solve_bits_of slu m =
+  let v = Array.init m (fun i -> 1. /. float_of_int (i + 1)) in
+  let y = Array.copy v in
+  Lp.Sparse_lu.ftran slu v;
+  Lp.Sparse_lu.btran slu y;
+  Array.map Int64.bits_of_float (Array.append v y)
+
 let test_factor_bits_pin () =
   let b = Buffer.create 65536 in
-  let add_float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
   List.iter
     (fun m ->
       for seed = 0 to 9 do
@@ -514,12 +529,7 @@ let test_factor_bits_pin () =
         | slu ->
             Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.flops slu));
             Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.fill_in slu));
-            let v = Array.init m (fun i -> 1. /. float_of_int (i + 1)) in
-            let y = Array.copy v in
-            Lp.Sparse_lu.ftran slu v;
-            Lp.Sparse_lu.btran slu y;
-            Array.iter add_float v;
-            Array.iter add_float y
+            Array.iter (Buffer.add_int64_le b) (solve_bits_of slu m)
         | exception Lp.Sparse_lu.Singular -> Buffer.add_string b "singular"
       done)
     [ 50; 100; 150; 200 ];
@@ -631,8 +641,11 @@ let check_pins ~ctx (counts, md5) (bits, counter) =
   Alcotest.(check string) (ctx ^ ": result bits MD5 (golden)") md5
     (bits_md5 bits)
 
-(* Every generator family, cold solve plus warm re-solve. *)
-let corpus_pins = ([ 466; 69; 486; 20 ], "1a773e50dcef5b7a265114a41384cd16")
+(* Every generator family, cold solve plus warm re-solve. Each warm
+   re-solve runs on the very problem its basis was solved against and
+   adopts the cold solve's canonical factor, so the factor counters count
+   the cold solves' refactorizations alone. *)
+let corpus_pins = ([ 466; 9; 201; 9 ], "1a773e50dcef5b7a265114a41384cd16")
 
 let test_corpus_pivot_pins () =
   check_pins ~ctx:"lp_gen corpus" corpus_pins
@@ -1127,6 +1140,220 @@ let prop_reduced_equals_ey =
       in
       bound_agrees && maps_back && e_rows_ok && searches_agree)
 
+(* ---- Factor adoption -------------------------------------------------
+
+   A basis carries the canonical factor of its basic columns and the
+   constraint list it was solved against. A warm start on that very list
+   adopts a copy of the factor; on any other list, even a physically fresh
+   copy of the same one ([List.map Fun.id]), it factors the basis. The two
+   installs build the same factor bit for bit, so adopting must change
+   nothing but the one factorization it saves. *)
+
+let replace_column rng slu a p =
+  commit slu a p (fst (enter_column rng slu (Array.length a) p))
+
+(* A copy of a factor that has taken updates solves like it bit for bit;
+   from then on, Forrest-Tomlin updates on either one leave the other's
+   FTRAN and BTRAN bits as they were, even interleaved, and each solves
+   its own matrix. *)
+let test_sparse_lu_copy () =
+  let m = 14 in
+  let rng = Prng.Rng.create ~seed:11 in
+  let a = random_matrix rng m ~density:0.3 in
+  let original = factor_dense_cols a in
+  List.iter (replace_column rng original a) [ 0; 5; 10 ];
+  let before = solve_bits_of original m in
+  let copy = Lp.Sparse_lu.copy original in
+  Alcotest.(check (array int64)) "a copy solves bit for bit like its original"
+    before (solve_bits_of copy m);
+  let solves_own ~ctx slu a =
+    let rhs = Array.init m (fun i -> float_of_int (i - 3)) in
+    let v = Array.copy rhs in
+    Lp.Sparse_lu.ftran slu v;
+    check_vec ~ctx:(ctx ^ " ftran") (dense_solve a rhs) v
+  in
+  let b = Array.map Array.copy a in
+  List.iter (replace_column rng copy b) [ 1; 4; 7; 10; 13 ];
+  Alcotest.(check int) "the copy took 5 more updates" 8
+    (Lp.Sparse_lu.updates copy);
+  Alcotest.(check (array int64)) "original bits unchanged by the copy's updates"
+    before (solve_bits_of original m);
+  solves_own ~ctx:"updated copy" copy b;
+  let copy_bits = solve_bits_of copy m in
+  List.iter (replace_column rng original a) [ 2; 3; 6 ];
+  Alcotest.(check (array int64)) "copy bits unchanged by the original's updates"
+    copy_bits (solve_bits_of copy m);
+  List.iter
+    (fun p ->
+      let q = (p + 5) mod m in
+      let to_copy, _ = enter_column rng copy m p in
+      let to_original, _ = enter_column rng original m q in
+      commit copy b p to_copy;
+      commit original a q to_original)
+    [ 8; 11; 12 ];
+  solves_own ~ctx:"interleaved copy" copy b;
+  solves_own ~ctx:"interleaved original" original a
+
+let fresh_list (p : Lp.Problem.t) =
+  { p with Lp.Problem.constraints = List.map Fun.id p.Lp.Problem.constraints }
+
+(* Warm solves of [p] from [b]: adopting on [p] itself, twice (a carried
+   factor must serve any number of solves), against factoring on a fresh
+   copy of its list. Returns the adopting solve's result and basis. *)
+let check_adoption ~ctx b p =
+  let run q = with_metrics (fun () -> Lp.Simplex.solve_basis ~warm_basis:b q) in
+  let (adopted, next), a = run p in
+  let (again, _), a2 = run p in
+  let (factored, _), f = run (fresh_list p) in
+  List.iter
+    (fun (what, bits, counter) ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "%s: %s bits = factored bits" ctx what)
+        (result_bits factored) bits;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s pivots = factored pivots" ctx what)
+        (f "simplex.pivots") (counter "simplex.pivots");
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s refactorizations = factored - 1" ctx what)
+        (f "simplex.refactorizations" - 1)
+        (counter "simplex.refactorizations"))
+    [ ("adopted", result_bits adopted, a);
+      ("adopted again", result_bits again, a2) ];
+  (adopted, next)
+
+let test_adoption_corpus () =
+  List.iter
+    (fun (family, seed, p) ->
+      match Lp.Simplex.solve_basis p with
+      | _, None -> ()
+      | _, Some b ->
+          let ctx =
+            Printf.sprintf "%s seed=%d" (Lp_gen.family_name family) seed
+          in
+          ignore (check_adoption ~ctx b p))
+    (Lazy.force bit_corpus)
+
+(* The two children of a branch on the most fractional integer variable
+   of [milp] at [x], built as branch-and-bound builds them: [relaxed] with
+   one bound tightened, so both share its constraint list. *)
+let children (milp : Lp.Problem.t) (relaxed : Lp.Problem.t) x =
+  let v = ref (-1) and dist = ref 1e-6 in
+  Array.iteri
+    (fun j integer ->
+      let d = Float.abs (x.(j) -. Float.round x.(j)) in
+      if integer && d > !dist then begin
+        v := j;
+        dist := d
+      end)
+    milp.Lp.Problem.integer;
+  if !v < 0 then []
+  else begin
+    let v = !v in
+    let upper = Array.copy relaxed.Lp.Problem.upper in
+    upper.(v) <- Float.floor x.(v);
+    let lower = Array.copy relaxed.Lp.Problem.lower in
+    lower.(v) <- Float.floor x.(v) +. 1.;
+    [ { relaxed with Lp.Problem.upper }; { relaxed with Lp.Problem.lower } ]
+  end
+
+let milp_roots =
+  lazy
+    (List.map
+       (fun seed ->
+         (Printf.sprintf "milp seed=%d" seed,
+          Lp_gen.generate_milp ~seed ~n_vars:6 ~n_cons:5 ()))
+       [ 0; 1; 2; 3; 4; 5 ]
+    @ List.map
+        (fun (seed, cov) ->
+          (Printf.sprintf "4x6 paper seed=%d cov=%g" seed cov,
+           fst
+             (Heuristics.Milp.formulation
+                (paper_instance ~seed ~hosts:4 ~services:6 ~cov ~slack:0.5))))
+        [ (1, 0.2); (2, 0.5); (3, 0.8) ])
+
+(* Three levels of children below each root relaxation, each child
+   warm-started from its parent's basis as branch-and-bound does. *)
+let test_adoption_children () =
+  let rec descend ~ctx ~depth milp relaxed b x =
+    if depth > 0 then
+      List.iteri
+        (fun k child ->
+          let ctx = Printf.sprintf "%s/%d" ctx k in
+          match check_adoption ~ctx b child with
+          | Lp.Simplex.Optimal s, Some next ->
+              descend ~ctx ~depth:(depth - 1) milp relaxed next s.x
+          | _ -> ())
+        (children milp relaxed x)
+  in
+  List.iter
+    (fun (ctx, milp) ->
+      let relaxed = Lp.Problem.relax milp in
+      match Lp.Simplex.solve_basis relaxed with
+      | Lp.Simplex.Optimal s, Some b -> descend ~ctx ~depth:3 milp relaxed b s.x
+      | _ -> Alcotest.fail (ctx ^ ": root relaxation must be optimal"))
+    (Lazy.force milp_roots)
+
+(* [p] with every coefficient rescaled: the same layout (variable count
+   and relation sequence), another matrix. *)
+let rescale (p : Lp.Problem.t) =
+  {
+    p with
+    Lp.Problem.constraints =
+      List.mapi
+        (fun i (c : Lp.Problem.linear_constraint) ->
+          {
+            c with
+            Lp.Problem.coeffs =
+              List.map
+                (fun (v, a) ->
+                  (v, if (i + v) mod 2 = 0 then a *. 1.5 else a *. 0.75))
+                c.Lp.Problem.coeffs;
+          })
+        p.Lp.Problem.constraints;
+  }
+
+(* A basis warm-starts a problem of the same layout but another matrix
+   without adopting anything of its own problem: the result equals the
+   dense-LU instance's, which never adopts, bit for bit, and reaches a cold
+   solve's verdict and objective. *)
+let test_other_matrix_not_adopted () =
+  let check ~ctx b q =
+    let sparse = Lp.Simplex.solve ~warm_basis:b q in
+    Alcotest.(check (list int64)) (ctx ^ ": warm bits = dense-LU warm bits")
+      (result_bits (Oracles.Dense_lu.solve ~warm_basis:b q))
+      (result_bits sparse);
+    match (sparse, Lp.Simplex.solve q) with
+    | Lp.Simplex.Optimal w, Lp.Simplex.Optimal c ->
+        Alcotest.(check (float (1e-9 *. Float.max 1. (Float.abs c.objective))))
+          (ctx ^ ": warm objective = cold objective") c.objective w.objective
+    | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible
+    | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded ->
+        ()
+    | _ -> Alcotest.fail (ctx ^ ": warm and cold verdicts differ")
+  in
+  List.iter
+    (fun (family, seed, p) ->
+      match Lp.Simplex.solve_basis p with
+      | _, None -> ()
+      | _, Some b ->
+          check
+            ~ctx:(Printf.sprintf "%s seed=%d" (Lp_gen.family_name family) seed)
+            b (rescale p))
+    (Lazy.force bit_corpus);
+  List.iter
+    (fun (ctx, milp) ->
+      let relaxed = Lp.Problem.relax milp in
+      match Lp.Simplex.solve_basis relaxed with
+      | Lp.Simplex.Optimal s, Some b ->
+          List.iteri
+            (fun k child ->
+              check
+                ~ctx:(Printf.sprintf "%s/%d rescaled" ctx k)
+                b (rescale child))
+            (children milp relaxed s.x)
+      | _ -> Alcotest.fail (ctx ^ ": root relaxation must be optimal"))
+    (Lazy.force milp_roots)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -1161,6 +1388,11 @@ let suite =
       ("op-90 relaxation through Bland's rule", test_op90_through_bland);
       ("sparse LU bookkeeping cases", test_sparse_lu_bookkeeping);
       ("sparse LU factor bits pin", test_factor_bits_pin);
+      ("sparse LU copy is independent", test_sparse_lu_copy);
+      ("corpus adoption = refactorization", test_adoption_corpus);
+      ("B&B child adoption = refactorization", test_adoption_children);
+      ("another matrix of the same layout is not adopted",
+       test_other_matrix_not_adopted);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_lp_shaped_factor; prop_reduced_equals_ey ]
