@@ -176,11 +176,4 @@ module Csc = struct
     for k = m.col_ptr.(j) to m.col_ptr.(j + 1) - 1 do
       f m.row_idx.(k) m.values.(k)
     done
-
-  let col_dot m j x =
-    let acc = ref 0. in
-    for k = m.col_ptr.(j) to m.col_ptr.(j + 1) - 1 do
-      acc := !acc +. (m.values.(k) *. x.(m.row_idx.(k)))
-    done;
-    !acc
 end

@@ -80,8 +80,4 @@ module Csc : sig
   val iter_col : matrix -> int -> (int -> float -> unit) -> unit
   (** [iter_col m j f] calls [f row value] for each stored entry of column
       [j], in ascending row order. *)
-
-  val col_dot : matrix -> int -> float array -> float
-  (** [col_dot m j x] is the dot product of column [j] with the (dense,
-      length [n_rows]) vector [x]. *)
 end

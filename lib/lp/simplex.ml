@@ -68,6 +68,17 @@ let layout_key (p : Problem.t) =
     ((p.n_vars * 131) land 0x3FFFFFFF)
     p.constraints
 
+(* A row whose rhs is infinite on its binding side ([Ge +inf], [Le -inf],
+   [Eq] at either infinity) holds at no point, so [solve_basis] answers
+   [Infeasible] before any pivot; solving would carry the infinite rhs
+   into xB. [Le +inf] and [Ge -inf] rows are vacuous: their logical stays
+   basic and bounds nothing. *)
+let unsatisfiable (cstr : Problem.linear_constraint) =
+  match cstr.relation with
+  | Problem.Ge -> cstr.rhs = infinity
+  | Le -> cstr.rhs = neg_infinity
+  | Eq -> Float.abs cstr.rhs = infinity
+
 (* Standard form. Columns: [0, n) structural (CSC), [n, n + m) logicals
    (one +1 entry per row; bounds encode the relation), [n + m, n + 2m)
    artificials (one +1 entry; fixed at 0 outside phase 1). Lower bounds are
@@ -126,15 +137,27 @@ let build ~csc (p : Problem.t) =
   done;
   { n; m; n_cols; art_start = n + m; csc; shift; b; lo; up; cost }
 
+(* The row of the one entry of logical or artificial column [j]. *)
+let unit_row std j = if j < std.art_start then j - std.n else j - std.art_start
+
 (* Column access unifying CSC structural columns with the implicit unit
    columns of logicals and artificials. *)
 let iter_col std j f =
   if j < std.n then Problem.Csc.iter_col std.csc j f
-  else f ((j - std.n) mod std.m) 1.
+  else f (unit_row std j) 1.
 
-let col_dot std j w =
-  if j < std.n then Problem.Csc.col_dot std.csc j w
-  else w.((j - std.n) mod std.m)
+(* Column [j] dotted with [w], reading the CSC arrays in place. Inlined at
+   each pricing loop, so the sum is never boxed. *)
+let[@inline] col_dot std j w =
+  if j < std.n then begin
+    let csc = std.csc in
+    let acc = ref 0. in
+    for k = csc.col_ptr.(j) to csc.col_ptr.(j + 1) - 1 do
+      acc := !acc +. (csc.values.(k) *. w.(csc.row_idx.(k)))
+    done;
+    !acc
+  end
+  else w.(unit_row std j)
 
 (* The basis-inverse representation, abstracted so the solver has one
    production instance ({!Sparse} below) and tests can instantiate others
@@ -746,6 +769,7 @@ module Make (F : FACTORIZATION) = struct
           failwith "Lp.Simplex: numerically singular basis"
     in
     match warm_basis with
+    | _ when List.exists unsatisfiable p.constraints -> (Infeasible, None)
     | None -> cold ()
     | Some bz -> (
         match solve_warm ~key ~max_iterations p std bz with

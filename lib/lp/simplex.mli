@@ -112,7 +112,10 @@ module type SOLVER = sig
       first. [warm_basis] must come from a problem with the same
       variable count and constraint-relation sequence (rhs, bounds and
       objective may differ); incompatible bases are silently ignored
-      (cold start). *)
+      (cold start). A row whose rhs is infinite on its binding side
+      ([Ge] [infinity], [Le] [neg_infinity], [Eq] either) makes the
+      answer [Infeasible] before any pivot, cold or warm; [Le] [infinity]
+      and [Ge] [neg_infinity] rows are vacuous. *)
 
   val solve_basis :
     ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
@@ -120,8 +123,9 @@ module type SOLVER = sig
   (** Like {!solve}, additionally returning the final basis for reuse:
       [Some b] on [Optimal] (cold or warm) and on warm-started
       [Infeasible] (the dual-feasible basis that proved infeasibility —
-      still a good start for the next probe); [None] on [Unbounded] and
-      on cold [Infeasible]. *)
+      still a good start for the next probe); [None] on [Unbounded], on
+      cold [Infeasible] and on a row an infinite rhs makes
+      unsatisfiable. *)
 end
 
 module Make (F : FACTORIZATION) : SOLVER

@@ -41,15 +41,20 @@ type pairs = {
 
 let pairs_make () = { ia = [||]; va = [||]; len = 0 }
 
-let pairs_push p i v =
-  if p.len = Array.length p.ia then begin
-    let cap = if p.len = 0 then 4 else 2 * p.len in
-    let ia = Array.make cap 0 and va = Array.make cap 0. in
-    Array.blit p.ia 0 ia 0 p.len;
-    Array.blit p.va 0 va 0 p.len;
-    p.ia <- ia;
-    p.va <- va
-  end;
+(* Empty, with room for exactly [n] pairs. *)
+let pairs_sized n = { ia = Array.make n 0; va = Array.make n 0.; len = 0 }
+
+let pairs_grow p =
+  let cap = if p.len = 0 then 4 else 2 * p.len in
+  let ia = Array.make cap 0 and va = Array.make cap 0. in
+  Array.blit p.ia 0 ia 0 p.len;
+  Array.blit p.va 0 va 0 p.len;
+  p.ia <- ia;
+  p.va <- va
+
+(* Inlined at every call, so [v] is stored without being boxed. *)
+let[@inline] pairs_push p i v =
+  if p.len = Array.length p.ia then pairs_grow p;
   p.ia.(p.len) <- i;
   p.va.(p.len) <- v;
   p.len <- p.len + 1
@@ -217,6 +222,89 @@ let fill_in t = t.v_fresh_nnz - t.v_basis_nnz
 let flops t = t.v_flops
 let updates t = t.v_updates
 
+(* The working storage of [factor]: the active submatrix ([rows], [cols]),
+   its column scales, counts and maxima, the row and column stamps, the
+   pivot heap, L's buffer and the merge scratch, and [update]'s row-eta
+   scratch. A factor keeps none of it, so it lives across factorizations,
+   one per domain (a [Domain.DLS] key; [factor] never yields, and [col]
+   must not call it). Its buffers grow to the largest factorization the
+   domain has run and are reset, not reallocated, at the start of each
+   [factor], so a [Singular] raised mid-elimination leaves nothing
+   behind. *)
+type work = {
+  mutable cap : int;  (* rows and columns the arrays below have room for *)
+  mutable rows : pairs array;
+  mutable cols : ints array;
+  mutable col_scale : float array;
+  mutable col_cnt : int array;
+  mutable col_max : float array;
+  mutable row_stamp : int array;
+  mutable col_stamp : int array;
+  heap : heap;
+  l : pairs;
+  scratch : pairs;
+  elim : ints;
+  unchanged : pairs;
+  row_eta : pairs;
+}
+
+let work_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        cap = 0;
+        rows = [||];
+        cols = [||];
+        col_scale = [||];
+        col_cnt = [||];
+        col_max = [||];
+        row_stamp = [||];
+        col_stamp = [||];
+        heap = { h = [||]; hn = 0 };
+        l = pairs_make ();
+        scratch = pairs_make ();
+        elim = ints_make ();
+        unchanged = pairs_make ();
+        row_eta = pairs_make ();
+      })
+
+(* The calling domain's workspace, with room for [m] rows and columns and
+   an empty active submatrix, heap and L. *)
+let work m =
+  let w = Domain.DLS.get work_key in
+  if m > w.cap then begin
+    let extend a fresh =
+      Array.init m (fun i -> if i < w.cap then a.(i) else fresh ())
+    in
+    w.rows <- extend w.rows pairs_make;
+    w.cols <- extend w.cols ints_make;
+    w.col_scale <- Array.make m 0.;
+    w.col_cnt <- Array.make m 0;
+    w.col_max <- Array.make m 0.;
+    w.row_stamp <- Array.make m 0;
+    w.col_stamp <- Array.make m 0;
+    w.cap <- m
+  end;
+  for i = 0 to m - 1 do
+    w.rows.(i).len <- 0;
+    w.cols.(i).n <- 0;
+    w.col_scale.(i) <- 0.;
+    w.row_stamp.(i) <- 0;
+    w.col_stamp.(i) <- 0
+  done;
+  w.heap.hn <- 0;
+  w.l.len <- 0;
+  w
+
+(* Entry (i, j) of the active submatrix, whose value is [va.(e)], as a
+   Markowitz pivot candidate when it is threshold-eligible; the heap
+   breaks ties lexicographically on (cost, column, row). The value is read
+   here, so no float crosses a call. *)
+let push_entry w m i j va e =
+  if Float.abs va.(e) >= tau *. w.col_max.(j) then
+    heap_push w.heap
+      ((w.rows.(i).len - 1) * (w.col_cnt.(j) - 1))
+      ((j * m) + i) w.row_stamp.(i) w.col_stamp.(j)
+
 (* Right-looking elimination in time proportional to the entries each step
    touches. The active submatrix is held twice: sorted rows with values
    ([rows]) and, per column, the list of active rows holding it ([cols],
@@ -229,52 +317,50 @@ let updates t = t.v_updates
    stale and skipped when popped, and the pivoted row and column get the
    stamp -1. The pivot, the merges, the L column order (ascending rows),
    the U rows and the counters are those of a full rescan of the active
-   submatrix at every step. *)
+   submatrix at every step. All of it is workspace; the arrays the factor
+   keeps are allocated once each, at their final size. *)
 let factor ~size:m ~col =
-  let rows = Array.init m (fun _ -> pairs_make ()) in
-  let cols = Array.init m (fun _ -> ints_make ()) in
-  let col_scale = Array.make m 0. in
+  let w = work m in
+  let rows = w.rows and cols = w.cols in
+  let col_scale = w.col_scale and col_cnt = w.col_cnt and col_max = w.col_max in
+  let row_stamp = w.row_stamp and col_stamp = w.col_stamp in
+  let heap = w.heap in
+  let loading = ref 0 in
+  let load i v =
+    if v <> 0. then begin
+      if i >= m then invalid_arg "Sparse_lu.factor: row out of range";
+      let j = !loading in
+      pairs_push rows.(i) j v;
+      ints_push cols.(j) i;
+      let av = Float.abs v in
+      if av > col_scale.(j) then col_scale.(j) <- av
+    end
+  in
+  for j = 0 to m - 1 do
+    loading := j;
+    col j load
+  done;
   let basis_nnz = ref 0 in
   for j = 0 to m - 1 do
-    col j (fun i v ->
-        if v <> 0. then begin
-          pairs_push rows.(i) j v;
-          ints_push cols.(j) i;
-          incr basis_nnz;
-          let av = Float.abs v in
-          if av > col_scale.(j) then col_scale.(j) <- av
-        end)
+    if col_scale.(j) = 0. then raise Singular;
+    col_cnt.(j) <- cols.(j).n;
+    col_max.(j) <- col_scale.(j);
+    basis_nnz := !basis_nnz + cols.(j).n
   done;
-  for j = 0 to m - 1 do
-    if col_scale.(j) = 0. then raise Singular
-  done;
-  let col_cnt = Array.init m (fun j -> cols.(j).n) in
-  let col_max = Array.copy col_scale in
-  let row_stamp = Array.make m 0 and col_stamp = Array.make m 0 in
-  let heap = { h = [||]; hn = 0 } in
-  (* Markowitz pivot among threshold-eligible entries; deterministic
-     lexicographic tie-break on (cost, column, row). *)
-  let push_entry i j a =
-    if Float.abs a >= tau *. col_max.(j) then
-      heap_push heap
-        ((rows.(i).len - 1) * (col_cnt.(j) - 1))
-        ((j * m) + i) row_stamp.(i) col_stamp.(j)
-  in
   for i = 0 to m - 1 do
     let r = rows.(i) in
     for e = 0 to r.len - 1 do
-      push_entry i r.ia.(e) r.va.(e)
+      push_entry w m i r.ia.(e) r.va e
     done
   done;
   let pr = Array.make m 0 and pc = Array.make m 0 in
   let l_ptr = Array.make (m + 1) 0 in
-  let l = pairs_make () in
-  let urows = Array.init m (fun _ -> pairs_make ()) in
+  let l = w.l in
+  let scratch = w.scratch and elim = w.elim and unchanged = w.unchanged in
+  (* Step k sets U row k; [scratch] only fills the array until then. *)
+  let urows = Array.make m scratch in
   let diag = Array.make m 0. in
   let flops = ref 0 in
-  let scratch = pairs_make () in
-  let elim = ints_make () in
-  let unchanged = pairs_make () in
   for k = 0 to m - 1 do
     (* Every active column's max entry is threshold-eligible, so while the
        singularity test below holds the heap has a live entry. *)
@@ -297,8 +383,9 @@ let factor ~size:m ~col =
     (* The pivot row (minus the pivot) becomes U row k. Its surviving
        columns are pivoted at later steps, giving the triangularity
        invariant. *)
-    let u = urows.(k) in
     let prow = rows.(pi) in
+    let u = pairs_sized (prow.len - 1) in
+    urows.(k) <- u;
     let piv = ref 0. in
     for e = 0 to prow.len - 1 do
       if prow.ia.(e) <> pj then pairs_push u prow.ia.(e) prow.va.(e)
@@ -386,14 +473,14 @@ let factor ~size:m ~col =
       col_max.(j) <- !mx;
       col_stamp.(j) <- k + 1;
       for q = 0 to unchanged.len - 1 do
-        push_entry unchanged.ia.(q) j unchanged.va.(q)
+        push_entry w m unchanged.ia.(q) j unchanged.va q
       done
     done;
     for q = 0 to elim.n - 1 do
       let i = elim.a.(q) in
       let r = rows.(i) in
       for e = 0 to r.len - 1 do
-        push_entry i r.ia.(e) r.va.(e)
+        push_entry w m i r.ia.(e) r.va e
       done
     done
   done;
@@ -401,11 +488,20 @@ let factor ~size:m ~col =
   for k = 0 to m - 1 do
     slot_of_bpos.(pc.(k)) <- k
   done;
-  let ucols = Array.init m (fun _ -> ints_make ()) in
+  (* U's column lists at their final lengths: count (in [col_cnt], free
+     now), then fill in ascending slot order. *)
   let u_nnz = ref m in
+  Array.fill col_cnt 0 m 0;
   for s = 0 to m - 1 do
     let u = urows.(s) in
     u_nnz := !u_nnz + u.len;
+    for e = 0 to u.len - 1 do
+      col_cnt.(u.ia.(e)) <- col_cnt.(u.ia.(e)) + 1
+    done
+  done;
+  let ucols = Array.init m (fun c -> { a = Array.make col_cnt.(c) 0; n = 0 }) in
+  for s = 0 to m - 1 do
+    let u = urows.(s) in
     for e = 0 to u.len - 1 do
       ints_push ucols.(u.ia.(e)) s
     done
@@ -569,15 +665,14 @@ let update t ~pos:p =
   for e = 0 to row_t.len - 1 do
     acc.(t.slot_of_bpos.(row_t.ia.(e))) <- row_t.va.(e)
   done;
-  let r_slots = ints_make () in
-  let r_coefs = pairs_make () in
+  let r_coefs = (Domain.DLS.get work_key).row_eta in
+  pairs_clear r_coefs;
   for q = tpos + 1 to m - 1 do
     let s_q = t.order.(q) in
     let a = acc.(s_q) in
     if a <> 0. then begin
       acc.(s_q) <- 0.;
       let r = a /. t.diag.(s_q) in
-      ints_push r_slots s_q;
       pairs_push r_coefs s_q r;
       let u = t.urows.(s_q) in
       for e = 0 to u.len - 1 do
@@ -640,10 +735,10 @@ let update t ~pos:p =
   push_ft_eta t
     {
       tgt = s_t;
-      slots = Array.sub r_slots.a 0 r_slots.n;
+      slots = Array.sub r_coefs.ia 0 r_coefs.len;
       coefs = Array.sub r_coefs.va 0 r_coefs.len;
     };
-  t.v_nnz <- t.v_nnz + r_slots.n;
+  t.v_nnz <- t.v_nnz + r_coefs.len;
   for q = tpos to m - 2 do
     let s = t.order.(q + 1) in
     t.order.(q) <- s;

@@ -30,6 +30,22 @@
     and over a 10×40 paper relaxation, computed with the rescan; the
     "factor bits pin" does the same for the factor's own output.
 
+    The active submatrix and every other piece of working storage — row
+    pairs, column lists, counts, maxima, stamps, the pivot heap, the merge
+    scratch and L's buffer, plus [update]'s row-eta scratch — live in a
+    workspace kept across factorizations, one per domain (a
+    [Domain.DLS] key), so no signature carries it and domains of a
+    [Par.Pool] never share one. [factor] resets it at the start of every
+    call, so a {!Singular} raised mid-elimination leaves nothing behind,
+    and its buffers grow to the largest factorization the domain has run
+    and stay that size. A factor therefore allocates only the arrays it
+    keeps, each once and at its final size (L, each U row and U column
+    list, the pivot and slot maps, the diagonal and the solve scratch),
+    plus the one closure it hands [col], and boxes no float. The "factor
+    bits independent of workspace history" test checks that neither the
+    order of earlier factorizations, nor a [Singular] one before, nor the
+    domain moves a bit of the factor bits pin.
+
     A pivot replaces one basis column; [update] applies a Forrest–Tomlin
     product-form update instead of refactorizing: the spiked column moves
     to the last pivot position, the spiked row is eliminated by one
@@ -61,7 +77,10 @@ val factor : size:int -> col:(int -> (int -> float -> unit) -> unit) -> t
     is iterated by [col k f] as [f row value] calls (distinct rows,
     ascending). Entries within τ = 0.1 of their column max are
     pivot-eligible, and the Markowitz count picks among them. Raises
-    {!Singular}. *)
+    {!Singular}, and [Invalid_argument] on a nonzero in a row at or past
+    [size]. [col]
+    runs while the calling domain's workspace is in use, so it must not
+    call [factor]. *)
 
 val copy : t -> t
 (** An independent copy: the same factor, bit for bit, with its own

@@ -483,6 +483,77 @@ let non_finite_cases =
           (solve (two_var ~upper:[| infinity; 1. |] ())).objective );
   ]
 
+(* A row whose rhs is infinite on its binding side ([Ge] +inf, [Le] -inf,
+   [Eq] at either infinity) holds at no point: cold, warm and
+   branch-and-bound solves answer [Infeasible], and the dense-LU instance
+   agrees. Unchecked, the cold solve failed phase 1's "cannot happen"
+   assertion and the warm one returned x = inf. [Le] +inf and [Ge] -inf
+   rows stay legal and bound nothing. *)
+let verdict = function
+  | Lp.Simplex.Optimal s -> Printf.sprintf "Optimal %h" s.objective
+  | Lp.Simplex.Infeasible -> "Infeasible"
+  | Lp.Simplex.Unbounded -> "Unbounded"
+
+let infeasible_on_both ?warm_basis p =
+  Alcotest.(check string) "sparse LU" "Infeasible"
+    (verdict (Lp.Simplex.solve ?warm_basis p));
+  Alcotest.(check string) "dense LU" "Infeasible"
+    (verdict (Oracles.Dense_lu.solve ?warm_basis p))
+
+let one_var ~sense ~coef relation rhs =
+  Lp.Problem.create ~sense ~n_vars:1 ~objective:[| coef |]
+    ~constraints:[ c [ (0, coef) ] relation rhs ]
+    ()
+
+let infinite_rhs_cases =
+  let min_x_ge rhs = one_var ~sense:Minimize ~coef:1. Ge rhs in
+  [
+    ( "x >= +inf is infeasible",
+      fun () -> infeasible_on_both (min_x_ge infinity) );
+    ( "-x <= -inf is infeasible",
+      fun () ->
+        infeasible_on_both (one_var ~sense:Maximize ~coef:(-1.) Le neg_infinity)
+    );
+    ( "x = +-inf is infeasible",
+      fun () ->
+        infeasible_on_both (one_var ~sense:Maximize ~coef:1. Eq infinity);
+        infeasible_on_both (one_var ~sense:Minimize ~coef:1. Eq neg_infinity) );
+    ( "x >= +inf warm from x >= 1 is infeasible",
+      fun () ->
+        match Lp.Simplex.solve_basis (min_x_ge 1.) with
+        | Lp.Simplex.Optimal _, Some warm_basis ->
+            infeasible_on_both ~warm_basis (min_x_ge infinity)
+        | _ -> Alcotest.fail "x >= 1 must solve with a basis" );
+    ( "MILP over x0 - x1 >= +inf is infeasible",
+      fun () ->
+        let p =
+          Lp.Problem.create ~n_vars:2 ~objective:[| 1.; 1. |] ~integer:[ 0; 1 ]
+            ~constraints:[ c [ (0, 1.); (1, -1.) ] Ge infinity ]
+            ()
+        in
+        (match Lp.Branch_bound.solve p with
+        | Lp.Branch_bound.Infeasible -> ()
+        | _ -> Alcotest.fail "branch and bound must answer Infeasible");
+        infeasible_on_both (Lp.Problem.relax p) );
+    ( "x + y <= +inf and x - y >= -inf are vacuous",
+      fun () ->
+        let p =
+          Lp.Problem.create ~n_vars:2 ~objective:[| 1.; 1. |]
+            ~constraints:
+              [
+                c [ (0, 1.); (1, 1.) ] Le infinity;
+                c [ (0, 1.) ] Le 2.;
+                c [ (1, 1.) ] Le 3.;
+                c [ (0, 1.); (1, -1.) ] Ge neg_infinity;
+              ]
+            ()
+        in
+        check_float "objective" 5. (solve p).objective;
+        Alcotest.(check string) "dense LU agrees"
+          (verdict (Lp.Simplex.solve p))
+          (verdict (Oracles.Dense_lu.solve p)) );
+  ]
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     ([
@@ -509,6 +580,6 @@ let suite =
       ("MILP relaxation gap", test_milp_relaxation_gap);
       ("MILP node limit", test_milp_node_limit);
     ]
-    @ non_finite_cases)
+    @ non_finite_cases @ infinite_rhs_cases)
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_simplex_feasible_and_consistent; prop_simplex_2d_optimal ]

@@ -536,6 +536,72 @@ let test_factor_bits_pin () =
   Alcotest.(check string) "factor bits MD5 (golden)" factor_bits_pin
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The factor bits pin's 40 bases factored after other factorizations
+   and on another domain: in reverse order, each right after a 200-row
+   factor, each right after a factor that raises [Singular]
+   mid-elimination, and split over a 2-domain pool. [factor] keeps its
+   working storage across calls, one workspace per domain, reset at every
+   call; no history may move a bit of the golden MD5. *)
+let test_factor_bits_history () =
+  let value rng =
+    Prng.Rng.uniform_range rng 0.5 2.
+    *. if Prng.Rng.uniform rng < 0.5 then -1. else 1.
+  in
+  let bases =
+    Array.of_list
+      (List.concat_map
+         (fun m -> List.init 10 (fun seed -> lp_shaped_matrix ~value ~m ~seed))
+         [ 50; 100; 150; 200 ])
+  in
+  let bits_of a =
+    let b = Buffer.create 8192 in
+    (match factor_dense_cols a with
+    | slu ->
+        Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.flops slu));
+        Buffer.add_int64_le b (Int64.of_int (Lp.Sparse_lu.fill_in slu));
+        Array.iter (Buffer.add_int64_le b)
+          (solve_bits_of slu (Array.length a))
+    | exception Lp.Sparse_lu.Singular -> Buffer.add_string b "singular");
+    Buffer.contents b
+  in
+  let check ctx chunks =
+    Alcotest.(check string) ctx factor_bits_pin
+      (Digest.to_hex (Digest.string (String.concat "" (Array.to_list chunks))))
+  in
+  let n = Array.length bases in
+  let reversed = Array.make n "" in
+  for k = n - 1 downto 0 do
+    reversed.(k) <- bits_of bases.(k)
+  done;
+  check "reverse order" reversed;
+  let big = random_matrix (Prng.Rng.create ~seed:41) 200 ~density:0.05 in
+  check "each after a 200-row factor"
+    (Array.map
+       (fun a ->
+         ignore (factor_dense_cols big);
+         bits_of a)
+       bases);
+  (* The workspace now has room for 200 rows; a row past [size] must
+     still be refused, not stored. *)
+  Alcotest.check_raises "row past size after a 200-row factor"
+    (Invalid_argument "Sparse_lu.factor: row out of range") (fun () ->
+      ignore (Lp.Sparse_lu.factor ~size:2 ~col:(fun j f -> f (j + 5) 1.)));
+  (* Column 1 repeats column 0: no column is empty, so the factor gets
+     past its load and raises once elimination cancels the copy. *)
+  let dependent = random_matrix (Prng.Rng.create ~seed:42) 200 ~density:0.05 in
+  Array.iter (fun row -> row.(1) <- row.(0)) dependent;
+  check "each after a Singular mid-elimination"
+    (Array.map
+       (fun a ->
+         (match factor_dense_cols dependent with
+         | _ -> Alcotest.fail "the dependent matrix must raise Singular"
+         | exception Lp.Sparse_lu.Singular -> ());
+         bits_of a)
+       bases);
+  check "split over a 2-domain pool"
+    (Par.Pool.with_pool ~domains:2 (fun pool ->
+         Par.Pool.map pool bases bits_of))
+
 (* ---- Factorization-backend bit-identity ------------------------------
 
    The Markowitz/Forrest-Tomlin instance ({!Lp.Simplex}) and the dense-LU
@@ -1388,6 +1454,8 @@ let suite =
       ("op-90 relaxation through Bland's rule", test_op90_through_bland);
       ("sparse LU bookkeeping cases", test_sparse_lu_bookkeeping);
       ("sparse LU factor bits pin", test_factor_bits_pin);
+      ("factor bits independent of workspace history",
+       test_factor_bits_history);
       ("sparse LU copy is independent", test_sparse_lu_copy);
       ("corpus adoption = refactorization", test_adoption_corpus);
       ("B&B child adoption = refactorization", test_adoption_children);
